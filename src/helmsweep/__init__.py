@@ -15,7 +15,7 @@ from .grid import (BoundarySpec, EdgeCondition, Grid, HomogeneousModel,
                    build_grid, build_wavenumber, dirichlet, robin,
                    solve_direct)
 from .strips import StripDecomposition, build_strips
-from .subdomain import LocalSolver, Trace, extract_trace
+from .subdomain import LocalSolver, extract_trace
 from .substructure import (SubstructuredSystem, TraceLayout, TraceVector,
                            dense_matrix, part_masks)
 from .krylov import KrylovReport, gmres_right
@@ -34,7 +34,7 @@ __all__ = [
     "SparseSystem", "WavenumberField", "WedgeModel", "assemble_global",
     "build_grid", "build_wavenumber", "dirichlet", "robin", "solve_direct",
     "StripDecomposition", "build_strips",
-    "LocalSolver", "Trace", "extract_trace",
+    "LocalSolver", "extract_trace",
     "SubstructuredSystem", "TraceLayout", "TraceVector", "dense_matrix",
     "part_masks",
     "KrylovReport", "gmres_right",

@@ -33,7 +33,6 @@ PROBLEMS = ("waveguide", "cavity", "wedge")
 PRECONDITIONERS = ("jacobi", "ds", "osds")
 SOLVERS = ("gmres", "fixed_point")
 WEDGE_DOMAIN = ((0.0, 600.0), (0.0, 1000.0))
-LONG_RUNNING_UNKNOWNS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class RunRecord:
     converged: bool
     unknowns: int
     trace_size: int
-    long_running: bool
     build_time: float
     solve_time: float
     ortho_defect: float = 0.0
@@ -210,11 +208,9 @@ class BenchContext:
         counts = {f"{t:g}": iterations_at(history, t, spec.maxit)
                   for t in spec.tolerances}
         u = system.reconstruct(h, self.f)
-        unknowns = self.grid.npoints
         return RunRecord(spec=spec, counts=counts, history=list(history),
-                         converged=converged, unknowns=unknowns,
+                         converged=converged, unknowns=self.grid.npoints,
                          trace_size=layout.size,
-                         long_running=unknowns > LONG_RUNNING_UNKNOWNS,
                          build_time=self.build_time, solve_time=solve_time,
                          ortho_defect=defect, solution=u, grid=self.grid)
 
@@ -237,7 +233,6 @@ def write_outputs(record: RunRecord, out_dir) -> None:
         "iterations": len(record.history) - 1,
         "unknowns": record.unknowns,
         "trace_size": record.trace_size,
-        "long_running": record.long_running,
         "build_time": record.build_time,
         "solve_time": record.solve_time,
         "ortho_defect": record.ortho_defect,

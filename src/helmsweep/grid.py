@@ -387,24 +387,15 @@ class RectStencil:
         f is a (w+1, ny+1) nodal array (or None); side_data maps side names
         to nodal data arrays along that side (missing sides are homogeneous).
         """
-        out = np.zeros(self.nloc, dtype=np.complex128)
+        out = np.zeros((self.w + 1, self.ny + 1), dtype=np.complex128)
         if f is not None:
-            out += self.row_scale * self.from_grid(np.asarray(f, dtype=np.complex128))
-        if side_data:
-            w, ny = self.w, self.ny
-            for side, data in side_data.items():
-                if data is None:
-                    continue
-                weight = self.side_weight[side]
-                data = np.asarray(data, dtype=np.complex128)
-                if side in ("left", "right"):
-                    jx = 0 if side == "left" else w
-                    idx = np.array([self._flat(jx, iy) for iy in range(ny + 1)])
-                else:
-                    iy = 0 if side == "bottom" else ny
-                    idx = np.array([self._flat(jx, iy) for jx in range(w + 1)])
-                out[idx] += weight * data
-        return out
+            out += self.to_grid(self.row_scale) * np.asarray(f, dtype=np.complex128)
+        edges = {"left": out[0, :], "right": out[-1, :],
+                 "bottom": out[:, 0], "top": out[:, -1]}
+        for side, data in (side_data or {}).items():
+            if data is not None:
+                edges[side] += self.side_weight[side] * np.asarray(data, dtype=np.complex128)
+        return self.from_grid(out)
 
 
 @dataclass

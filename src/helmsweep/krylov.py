@@ -46,6 +46,13 @@ def _givens(h1: complex, h2: complex):
     return abs(h1) / d, alpha * np.conj(h2) / d
 
 
+def _finite(v: ComplexArray, what: str) -> ComplexArray:
+    v = np.asarray(v, dtype=np.complex128)
+    if not np.all(np.isfinite(v)):
+        raise FloatingPointError(f"GMRES: {what} returned a non-finite vector")
+    return v
+
+
 def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
                 b: ComplexArray,
                 apply_precond: Optional[Callable[[ComplexArray], ComplexArray]] = None,
@@ -57,7 +64,8 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
     Arnoldi process runs on op(M(.)) and the returned solution is M applied
     to the Krylov combination.  Convergence is declared when the relative
     residual |g_{j+1}| / ||b|| reaches tol, or on lucky breakdown of the
-    Arnoldi recurrence.
+    Arnoldi recurrence.  A non-finite vector from the operator or the
+    preconditioner raises FloatingPointError naming the iteration.
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=np.complex128)
@@ -79,8 +87,9 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
     converged = False
 
     for j in range(maxit):
-        z = vecs[j] if apply_precond is None else apply_precond(vecs[j])
-        w = np.asarray(apply_op(z), dtype=np.complex128)
+        z = vecs[j] if apply_precond is None else _finite(
+            apply_precond(vecs[j]), f"preconditioner at iteration {j + 1}")
+        w = _finite(apply_op(z), f"operator at iteration {j + 1}")
         wnorm0 = float(np.linalg.norm(w))
         hcol = np.zeros(j + 2, dtype=np.complex128)
         for i in range(j + 1):
@@ -127,7 +136,8 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
     u = np.zeros(n, dtype=np.complex128)
     for i in range(m):
         u += y[i] * vecs[i]
-    x = u if apply_precond is None else np.asarray(apply_precond(u), dtype=np.complex128)
+    x = u if apply_precond is None else _finite(
+        apply_precond(u), f"preconditioner on the solution after iteration {m}")
 
     basis = np.array(vecs)
     gram = basis.conj() @ basis.T

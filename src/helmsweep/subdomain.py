@@ -21,22 +21,9 @@ interface column strictly inside it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .banded import BandedLU
 from .grid import BoundarySpec, ComplexArray, Grid, RectStencil, SIDES, WavenumberField
 from .strips import StripDecomposition
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Impedance data on one interface column of one strip."""
-
-    strip: int
-    side: str  # "left" or "right"
-    values: ComplexArray
 
 
 def extract_trace(field: ComplexArray, span: tuple[int, int], column: int,
@@ -154,9 +141,3 @@ class LocalSolver:
     def trace_from(self, field: ComplexArray, column: int, side: str) -> ComplexArray:
         """extract_trace against this strip's own span."""
         return extract_trace(field, self.span, column, side, self.kfield, self.grid.h)
-
-    def residual(self, field: ComplexArray, rhs_flat: ComplexArray) -> float:
-        x = self.stencil.from_grid(field)
-        num = np.linalg.norm(self.stencil.matrix @ x - rhs_flat)
-        den = np.linalg.norm(rhs_flat)
-        return float(num / den) if den > 0 else float(num)

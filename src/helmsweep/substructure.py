@@ -13,7 +13,8 @@ vectors stack the 2(N-1) interface blocks in the order
 
     (h_{2,l}, ..., h_{N,l}, h_{1,r}, ..., h_{N-1,r}),
 
-each of length ny+1.  In that basis T splits into four parts: M_l (left
+each of length ny+1, which reshapes to a (2, N-1, ny+1) array of left
+and right data.  In that basis T splits into four parts: M_l (left
 data moving right), M_r (right data moving left), and the reflection parts
 A_r, A_l (left data bouncing back rightward as right data and vice versa).
 The one-way part M_l + M_r is nilpotent (left data only ever moves to
@@ -36,7 +37,7 @@ from .subdomain import LocalSolver
 
 @dataclass(frozen=True)
 class TraceLayout:
-    """Block layout of a trace vector: 2(N-1) blocks of ny+1 values."""
+    """Shape of a trace vector: 2(N-1) blocks of ny+1 values."""
 
     nstrips: int
     block_len: int
@@ -48,30 +49,12 @@ class TraceLayout:
             raise ValueError("blocks must be nonempty")
 
     @property
-    def nblocks(self) -> int:
-        return 2 * (self.nstrips - 1)
+    def shape(self) -> tuple[int, int, int]:
+        return (2, self.nstrips - 1, self.block_len)
 
     @property
     def size(self) -> int:
-        return self.nblocks * self.block_len
-
-    def slot(self, side: str, i: int) -> int:
-        n = self.nstrips
-        if side == "left":
-            if not 2 <= i <= n:
-                raise ValueError(f"no left trace block for strip {i}")
-            return i - 2
-        if side == "right":
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"no right trace block for strip {i}")
-            return (n - 1) + (i - 1)
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    def blocks(self):
-        for i in range(2, self.nstrips + 1):
-            yield ("left", i)
-        for i in range(1, self.nstrips):
-            yield ("right", i)
+        return 2 * (self.nstrips - 1) * self.block_len
 
 
 @dataclass
@@ -85,12 +68,11 @@ class TraceVector:
     def zeros(cls, layout: TraceLayout) -> "TraceVector":
         return cls(layout, np.zeros(layout.size, dtype=np.complex128))
 
-    def block(self, side: str, i: int) -> ComplexArray:
-        s = self.layout.slot(side, i) * self.layout.block_len
-        return self.data[s:s + self.layout.block_len]
-
-    def copy(self) -> "TraceVector":
-        return TraceVector(self.layout, self.data.copy())
+    @property
+    def blocks(self) -> ComplexArray:
+        """data as a (2, N-1, ny+1) view: [0, i-2] is strip i's left datum,
+        [1, i-1] its right datum."""
+        return self.data.reshape(self.layout.shape)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -106,7 +88,12 @@ class TraceVector:
 
 
 class SubstructuredSystem:
-    """Factored strips plus the interface operators built on them."""
+    """Factored strips plus the interface operators built on them.
+
+    Every operator is a pattern of strip responses (_respond).  Strips are
+    indexed from 0 here: strip s reads its data from blocks[0, s-1] and
+    blocks[1, s], and sends to blocks[0, s] and blocks[1, s-1].
+    """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
                  decomp: StripDecomposition):
@@ -119,64 +106,47 @@ class SubstructuredSystem:
                         for i in range(1, decomp.nstrips + 1)]
         self.layout = TraceLayout(decomp.nstrips, grid.ny + 1)
 
-    # strip i's solver (strips are numbered 1..N)
-    def _solver(self, i: int) -> LocalSolver:
-        return self.solvers[i - 1]
+    def _respond(self, s: int, left=None, right=None, f=None,
+                 with_bc_data: bool = False):
+        """Solve strip s on its data; return (field, to_right, to_left).
 
-    def _left_col(self, i: int) -> int:
-        return self.decomp.left_interface(i)
+        f is a whole-grid source, restricted here.  to_right is the trace
+        strip s sends to strip s+1's left interface, to_left the one it
+        sends to strip s-1's right interface; None past either end.
+        """
+        sv = self.solvers[s]
+        if f is not None:
+            a, b = sv.span
+            f = np.asarray(f, dtype=np.complex128)[a:b + 1, :]
+        v = sv.solve(left=left, right=right, f=f, with_bc_data=with_bc_data)
+        to_right = to_left = None
+        if s < self.nstrips - 1:
+            to_right = sv.trace_from(v, self.decomp.left_interface(s + 2), "left")
+        if s > 0:
+            to_left = sv.trace_from(v, self.decomp.right_interface(s), "right")
+        return v, to_right, to_left
 
-    def _right_col(self, i: int) -> int:
-        return self.decomp.right_interface(i)
+    def _data(self, t, s: int):
+        """Strip s's (left, right) data in the block view t."""
+        return (t[0, s - 1] if s > 0 else None,
+                t[1, s] if s < self.nstrips - 1 else None)
 
-    def _restrict(self, f, i: int):
-        if f is None:
-            return None
-        a, b = self.decomp.spans[i - 1]
-        return np.asarray(f, dtype=np.complex128)[a:b + 1, :]
+    def _exchange(self, t=None, f=None, with_bc_data: bool = False) -> TraceVector:
+        """Every strip responds once to its data in t (none if t is None)."""
+        out = TraceVector.zeros(self.layout)
+        o = out.blocks
+        for s in range(self.nstrips):
+            left, right = (None, None) if t is None else self._data(t, s)
+            _, to_right, to_left = self._respond(s, left, right, f, with_bc_data)
+            if to_right is not None:
+                o[0, s] = to_right
+            if to_left is not None:
+                o[1, s - 1] = to_left
+        return out
 
     def apply_exchange(self, h: TraceVector) -> TraceVector:
         """Full exchange T: one strip solve each, both outgoing traces."""
-        out = TraceVector.zeros(self.layout)
-        n = self.nstrips
-        for i in range(1, n + 1):
-            left = h.block("left", i) if i >= 2 else None
-            right = h.block("right", i) if i <= n - 1 else None
-            sv = self._solver(i)
-            v = sv.solve(left=left, right=right)
-            if i <= n - 1:
-                out.block("left", i + 1)[:] = sv.trace_from(v, self._left_col(i + 1), "left")
-            if i >= 2:
-                out.block("right", i - 1)[:] = sv.trace_from(v, self._right_col(i - 1), "right")
-        return out
-
-    def apply_oneway(self, h: TraceVector) -> TraceVector:
-        """Direction-preserving part M_l + M_r of the exchange."""
-        out = TraceVector.zeros(self.layout)
-        n = self.nstrips
-        for i in range(2, n):
-            sv = self._solver(i)
-            v = sv.solve(left=h.block("left", i))
-            out.block("left", i + 1)[:] = sv.trace_from(v, self._left_col(i + 1), "left")
-        for i in range(2, n):
-            sv = self._solver(i)
-            v = sv.solve(right=h.block("right", i))
-            out.block("right", i - 1)[:] = sv.trace_from(v, self._right_col(i - 1), "right")
-        return out
-
-    def apply_reflection(self, h: TraceVector) -> TraceVector:
-        """Direction-reversing remainder A_l + A_r of the exchange."""
-        out = TraceVector.zeros(self.layout)
-        n = self.nstrips
-        for i in range(1, n):
-            sv = self._solver(i)
-            v = sv.solve(right=h.block("right", i))
-            out.block("left", i + 1)[:] = sv.trace_from(v, self._left_col(i + 1), "left")
-        for i in range(2, n + 1):
-            sv = self._solver(i)
-            v = sv.solve(left=h.block("left", i))
-            out.block("right", i - 1)[:] = sv.trace_from(v, self._right_col(i - 1), "right")
-        return out
+        return self._exchange(h.blocks)
 
     def apply_interface_system(self, h: TraceVector) -> TraceVector:
         """(Id - T) h, the substructured system operator."""
@@ -184,33 +154,22 @@ class SubstructuredSystem:
 
     def source_traces(self, f=None) -> TraceVector:
         """Right-hand side G: outgoing traces of the true local sources."""
-        out = TraceVector.zeros(self.layout)
-        n = self.nstrips
-        for i in range(1, n + 1):
-            sv = self._solver(i)
-            v = sv.solve(f=self._restrict(f, i), with_bc_data=True)
-            if i <= n - 1:
-                out.block("left", i + 1)[:] = sv.trace_from(v, self._left_col(i + 1), "left")
-            if i >= 2:
-                out.block("right", i - 1)[:] = sv.trace_from(v, self._right_col(i - 1), "right")
+        return self._exchange(f=f, with_bc_data=True)
+
+    def _forward(self, r: TraceVector) -> TraceVector:
+        """r with its left blocks replaced by the solution of (Id - M_l) x = r_l."""
+        out = TraceVector(self.layout, np.array(r.data, dtype=np.complex128))
+        o = out.blocks
+        for s in range(1, self.nstrips - 1):
+            o[0, s] += self._respond(s, left=o[0, s - 1])[1]
         return out
 
     def solve_oneway(self, r: TraceVector) -> TraceVector:
         """Invert Id - (M_l + M_r) by two independent substitution sweeps."""
-        out = TraceVector.zeros(self.layout)
-        n = self.nstrips
-        out.block("left", 2)[:] = r.block("left", 2)
-        for i in range(2, n):
-            sv = self._solver(i)
-            v = sv.solve(left=out.block("left", i))
-            out.block("left", i + 1)[:] = (
-                r.block("left", i + 1) + sv.trace_from(v, self._left_col(i + 1), "left"))
-        out.block("right", n - 1)[:] = r.block("right", n - 1)
-        for i in range(n - 1, 1, -1):
-            sv = self._solver(i)
-            v = sv.solve(right=out.block("right", i))
-            out.block("right", i - 1)[:] = (
-                r.block("right", i - 1) + sv.trace_from(v, self._right_col(i - 1), "right"))
+        out = self._forward(r)
+        o = out.blocks
+        for s in range(self.nstrips - 2, 0, -1):
+            o[1, s - 1] += self._respond(s, right=o[1, s])[2]
         return out
 
     def solve_double_sweep(self, r: TraceVector) -> TraceVector:
@@ -221,37 +180,30 @@ class SubstructuredSystem:
             (Id - M_r) h_r = A_r h_half + r_r
             h_l = M_l h_half + A_l h_r + r_l
         with one strip solve per sweep step; the backward loop runs down to
-        strip 1, whose solve feeds the reflection term of h_{2,l}.
+        strip 1, whose solve feeds the reflection term of h_{2,l}.  The
+        backward step at strip s still reads h_half from the left block it
+        has not yet overwritten.
         """
         n = self.nstrips
-        half = TraceVector.zeros(self.layout)
-        half.block("left", 2)[:] = r.block("left", 2)
-        for i in range(2, n):
-            sv = self._solver(i)
-            v = sv.solve(left=half.block("left", i))
-            half.block("left", i + 1)[:] = (
-                r.block("left", i + 1) + sv.trace_from(v, self._left_col(i + 1), "left"))
-        out = TraceVector.zeros(self.layout)
-        for i in range(n, 0, -1):
-            left = half.block("left", i) if i >= 2 else None
-            right = out.block("right", i) if i <= n - 1 else None
-            sv = self._solver(i)
-            v = sv.solve(left=left, right=right)
-            if i >= 2:
-                out.block("right", i - 1)[:] = (
-                    r.block("right", i - 1) + sv.trace_from(v, self._right_col(i - 1), "right"))
-            if i <= n - 1:
-                out.block("left", i + 1)[:] = (
-                    r.block("left", i + 1) + sv.trace_from(v, self._left_col(i + 1), "left"))
+        rl = r.blocks[0]
+        out = self._forward(r)
+        o = out.blocks
+        for s in range(n - 1, -1, -1):
+            _, to_right, to_left = self._respond(s, *self._data(o, s))
+            if s > 0:
+                o[1, s - 1] += to_left
+            if s < n - 1:
+                o[0, s] = rl[s] + to_right
         return out
 
     def fixed_point(self, g: TraceVector, method: str = "jacobi",
                     tol: float = 1e-6, maxit: int = 1000):
         """Stationary iteration diagnostic; returns (h, history, converged).
 
-        jacobi: h <- T h + g.  osds: h <- solve_oneway((T - oneway) h + g),
-        i.e. the one-way part is inverted exactly every step.  history[j] is
-        the relative residual ||(Id - T) h_j - g|| / ||g|| of iterate j.
+        jacobi: h <- T h + g.  osds: h <- h - solve_oneway((Id - T) h - g),
+        which equals solve_oneway((T - oneway) h + g): the one-way part is
+        inverted exactly every step.  history[j] is the relative residual
+        ||(Id - T) h_j - g|| / ||g|| of iterate j.
         """
         if method not in ("jacobi", "osds"):
             raise ValueError(f"unknown fixed-point method {method!r}")
@@ -262,25 +214,14 @@ class SubstructuredSystem:
         history = []
         converged = False
         for it in range(maxit + 1):
-            if method == "jacobi":
-                t = self.apply_exchange(h)
-                res = (h - t - g).norm() / gnorm
-                history.append(res)
-                if res <= tol:
-                    converged = True
-                    break
-                if it < maxit:
-                    h = t + g
-            else:
-                oneway = self.apply_oneway(h)
-                refl = self.apply_reflection(h)
-                res = (h - oneway - refl - g).norm() / gnorm
-                history.append(res)
-                if res <= tol:
-                    converged = True
-                    break
-                if it < maxit:
-                    h = self.solve_oneway(refl + g)
+            t = self.apply_exchange(h)
+            residual = h - t - g
+            history.append(residual.norm() / gnorm)
+            if history[-1] <= tol:
+                converged = True
+                break
+            if it < maxit:
+                h = t + g if method == "jacobi" else h - self.solve_oneway(residual)
         return h, history, converged
 
     def reconstruct(self, h: TraceVector, f=None) -> ComplexArray:
@@ -289,16 +230,12 @@ class SubstructuredSystem:
         Each strip solves with its trace data and the true sources; the
         global field takes each strip's values on its owned cut columns.
         """
-        n = self.nstrips
         u = np.zeros(self.grid.shape, dtype=np.complex128)
-        for i in range(1, n + 1):
-            sv = self._solver(i)
-            left = h.block("left", i) if i >= 2 else None
-            right = h.block("right", i) if i <= n - 1 else None
-            v = sv.solve(left=left, right=right, f=self._restrict(f, i),
-                         with_bc_data=True)
-            lo, hi = self.decomp.owned_columns(i)
-            a = self.decomp.spans[i - 1][0]
+        t = h.blocks
+        for s, sv in enumerate(self.solvers):
+            v = self._respond(s, *self._data(t, s), f, with_bc_data=True)[0]
+            lo, hi = self.decomp.owned_columns(s + 1)
+            a = sv.span[0]
             u[lo:hi, :] = v[lo - a:hi - a, :]
         return u
 

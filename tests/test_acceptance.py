@@ -47,7 +47,8 @@ def test_acceptance_1_structural_identities():
     results = []
     for n in range(2, 7):
         system = make_case(n, cells_per_strip=6)
-        ow = dense_matrix(system.apply_oneway, system.layout)
+        _, p = dense_parts(system)
+        ow = p["ml"] + p["mr"]
         p = np.linalg.matrix_power(ow, n - 1)
         rel = np.linalg.norm(p) / max(np.linalg.norm(ow) ** (n - 1), 1.0)
         check(results, f"one-way nilpotency N={n}", rel <= 1e-13, f"rel {rel:.2e}")

@@ -82,7 +82,6 @@ def test_problem_geometry_and_sources():
 def test_run_and_outputs(tmp_path):
     record = run(tiny_spec(out_dir=str(tmp_path)))
     assert record.converged
-    assert not record.long_running
     assert isinstance(record.counts["1e-08"], int)
 
     lines = (tmp_path / "residuals.csv").read_text().strip().splitlines()

@@ -102,3 +102,21 @@ def test_wall_time_recorded(rng):
     a, b = dense_problem(rng)
     rep = gmres_right(lambda v: a @ v, b, tol=1e-8, maxit=50)
     assert rep.wall_time >= 0.0
+
+
+def test_non_finite_vectors_raise_naming_the_iteration(rng):
+    a, b = dense_problem(rng)
+    calls = []
+
+    def poisoned(v):
+        calls.append(1)
+        out = a @ v
+        if len(calls) == 3:
+            out[0] = np.nan
+        return out
+
+    with pytest.raises(FloatingPointError, match="operator at iteration 3"):
+        gmres_right(poisoned, b, tol=1e-14, maxit=50)
+    with pytest.raises(FloatingPointError, match="preconditioner at iteration 1"):
+        gmres_right(lambda v: a @ v, b, apply_precond=lambda v: np.full_like(v, np.inf),
+                    tol=1e-14, maxit=50)

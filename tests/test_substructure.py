@@ -10,25 +10,26 @@ from conftest import make_case
 
 def test_layout_slots_and_order():
     lay = TraceLayout(4, 9)
-    assert lay.nblocks == 6
+    assert lay.shape == (2, 3, 9)
     assert lay.size == 54
-    # left-data blocks for strips 2..N first, then right-data for 1..N-1
-    assert [lay.slot("left", i) for i in (2, 3, 4)] == [0, 1, 2]
-    assert [lay.slot("right", i) for i in (1, 2, 3)] == [3, 4, 5]
-    order = list(lay.blocks())
-    assert order == [("left", 2), ("left", 3), ("left", 4),
-                     ("right", 1), ("right", 2), ("right", 3)]
+    # left-data blocks for strips 2..N first, then right-data for 1..N-1:
+    # block [0, i-2] (left of strip i) and [1, i-1] (right of strip i)
+    # start at flat offsets 9 * slot
+    v = TraceVector(lay, np.arange(54, dtype=np.complex128))
+    order = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert [int(v.blocks[side, j][0].real) for side, j in order] == [0, 9, 18, 27, 36, 45]
+    assert np.shares_memory(v.blocks, v.data)
     with pytest.raises(ValueError):
-        lay.slot("left", 1)
+        TraceLayout(1, 9)
     with pytest.raises(ValueError):
-        lay.slot("right", 4)
+        TraceLayout(3, 0)
 
 
 def test_trace_vector_views_and_arithmetic(rng):
     lay = TraceLayout(3, 4)
     v = TraceVector.zeros(lay)
-    v.block("left", 2)[:] = 1.0 + 2.0j
-    assert v.data[0] == 1.0 + 2.0j
+    v.blocks[0, 0] = 1.0 + 2.0j
+    assert np.all(v.data[:4] == 1.0 + 2.0j) and np.all(v.data[4:] == 0.0)
     w = 2.0 * v - v
     assert np.allclose(w.data, v.data)
     assert v.norm() == pytest.approx(np.linalg.norm(v.data))
@@ -43,10 +44,10 @@ def global_traces(system):
     span = (0, grid.nx)
     for i in range(2, decomp.nstrips + 1):
         col = decomp.left_interface(i)
-        h.block("left", i)[:] = extract_trace(u, span, col, "left", kfield, grid.h)
+        h.blocks[0, i - 2] = extract_trace(u, span, col, "left", kfield, grid.h)
     for i in range(1, decomp.nstrips):
         col = decomp.right_interface(i)
-        h.block("right", i)[:] = extract_trace(u, span, col, "right", kfield, grid.h)
+        h.blocks[1, i - 1] = extract_trace(u, span, col, "right", kfield, grid.h)
     return u, h
 
 
@@ -80,10 +81,17 @@ def test_exchange_linear_and_zero():
     assert (lhs - rhs).norm() <= 1e-12 * max(lhs.norm(), 1.0)
 
 
+def dense_parts(system):
+    t = dense_matrix(system.apply_exchange, system.layout)
+    masks = part_masks(system.layout)
+    return {name: np.where(m, t, 0.0) for name, m in masks.items()}
+
+
 @pytest.mark.parametrize("nstrips", [2, 3, 4, 5, 6])
 def test_oneway_part_nilpotent(nstrips):
     system = make_case(nstrips, cells_per_strip=6)
-    t = dense_matrix(system.apply_oneway, system.layout)
+    parts = dense_parts(system)
+    t = parts["ml"] + parts["mr"]
     p = np.linalg.matrix_power(t, nstrips - 1)
     scale = max(np.linalg.norm(t) ** (nstrips - 1), 1.0)
     assert np.linalg.norm(p) <= 1e-13 * scale
@@ -93,33 +101,11 @@ def test_oneway_solver_is_two_sided_inverse():
     system = make_case(4, cells_per_strip=6)
     n = system.layout.size
     eye = np.eye(n)
-    a = eye - dense_matrix(system.apply_oneway, system.layout)
+    p = dense_parts(system)
+    a = eye - (p["ml"] + p["mr"])
     s = dense_matrix(system.solve_oneway, system.layout)
     assert np.linalg.norm(s @ a - eye) <= 1e-10
     assert np.linalg.norm(a @ s - eye) <= 1e-10
-
-
-def test_exchange_splits_into_oneway_plus_reflection():
-    system = make_case(3)
-    t = dense_matrix(system.apply_exchange, system.layout)
-    ow = dense_matrix(system.apply_oneway, system.layout)
-    rf = dense_matrix(system.apply_reflection, system.layout)
-    assert np.linalg.norm(t - ow - rf) <= 1e-12 * np.linalg.norm(t)
-
-
-def test_part_sparsity_patterns():
-    system = make_case(3)
-    masks = part_masks(system.layout)
-    ow = dense_matrix(system.apply_oneway, system.layout)
-    rf = dense_matrix(system.apply_reflection, system.layout)
-    assert np.max(np.abs(ow[~(masks["ml"] | masks["mr"])])) == 0.0
-    assert np.max(np.abs(rf[~(masks["al"] | masks["ar"])])) == 0.0
-
-
-def dense_parts(system):
-    t = dense_matrix(system.apply_exchange, system.layout)
-    masks = part_masks(system.layout)
-    return {name: np.where(m, t, 0.0) for name, m in masks.items()}
 
 
 def test_double_sweep_solves_block_cascade(rng):
@@ -148,10 +134,11 @@ def test_oneway_residual_operator_identity():
     system = make_case(3)
     n = system.layout.size
     eye = np.eye(n)
-    t = dense_matrix(system.apply_exchange, system.layout)
-    ow = dense_matrix(system.apply_oneway, system.layout)
+    p = dense_parts(system)
+    ow = p["ml"] + p["mr"]
+    t = ow + p["al"] + p["ar"]
     r_direct = np.linalg.solve(eye - ow, t - ow)
-    op = lambda v: system.solve_oneway(system.apply_reflection(v))
+    op = lambda v: v - system.solve_oneway(system.apply_interface_system(v))
     r_swept = dense_matrix(op, system.layout)
     assert np.linalg.norm(r_swept - r_direct) <= 1e-11 * max(np.linalg.norm(r_direct), 1.0)
 
@@ -181,10 +168,9 @@ def test_source_traces_local_to_strip_with_data():
     # only strip 1 touches the driven edge, so only its outgoing block is set
     system = make_case(4)
     g = system.source_traces(None)
-    assert np.max(np.abs(g.block("left", 2))) > 0.0
-    for side, i in system.layout.blocks():
-        if (side, i) != ("left", 2):
-            assert np.max(np.abs(g.block(side, i))) == 0.0
+    assert np.max(np.abs(g.blocks[0, 0])) > 0.0
+    g.blocks[0, 0] = 0.0
+    assert np.max(np.abs(g.data)) == 0.0
 
 
 def test_fixed_point_zero_source():
@@ -217,3 +203,30 @@ def test_fixed_point_history_is_residual_of_iterate():
     assert converged
     res = (system.apply_interface_system(h) - g).norm() / g.norm()
     assert res == pytest.approx(history[-1], rel=1e-12, abs=1e-15)
+
+
+def strip_solves(system, call):
+    before = sum(sv.solve_count for sv in system.solvers)
+    call()
+    return sum(sv.solve_count for sv in system.solvers) - before
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_strip_solves_per_call(n, rng):
+    system = make_case(n, cells_per_strip=6)
+    size = system.layout.size
+    h = TraceVector(system.layout, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    expected = {
+        "apply_exchange": (lambda: system.apply_exchange(h), n),
+        "source_traces": (lambda: system.source_traces(None), n),
+        "reconstruct": (lambda: system.reconstruct(h), n),
+        "solve_oneway": (lambda: system.solve_oneway(h), 2 * n - 4),
+        "solve_double_sweep": (lambda: system.solve_double_sweep(h), 2 * n - 2),
+    }
+    for name, (call, solves) in expected.items():
+        assert strip_solves(system, call) == solves, name
+    # one osds step: maxit=1 does one step more than maxit=0
+    g = system.source_traces(None)
+    steps = [strip_solves(system, lambda m=m: system.fixed_point(g, "osds", tol=0.0, maxit=m))
+             for m in (0, 1)]
+    assert steps[1] - steps[0] == 3 * n - 4
