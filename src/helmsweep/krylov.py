@@ -62,10 +62,15 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
 
     apply_precond, when given, acts as the right preconditioner M: the
     Arnoldi process runs on op(M(.)) and the returned solution is M applied
-    to the Krylov combination.  Convergence is declared when the relative
-    residual |g_{j+1}| / ||b|| reaches tol, or on lucky breakdown of the
-    Arnoldi recurrence.  A non-finite vector from the operator or the
-    preconditioner raises FloatingPointError naming the iteration.
+    to the Krylov combination.  Convergence is declared only when the
+    relative residual |g_{j+1}| / ||b|| reaches tol.  A breakdown of the
+    Arnoldi recurrence (the Krylov space invariant to working precision)
+    stops the iteration with h_{j+1,j} taken as zero: the least-squares
+    residual then vanishes, unless the new column adds no direction either
+    (op(M(.)) singular on the Krylov space).  That column is left out, the
+    residual stays where it was and the run is not converged.  A non-finite
+    vector from the operator or the preconditioner raises FloatingPointError
+    naming the iteration.
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=np.complex128)
@@ -84,7 +89,6 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
     cs: list[float] = []
     sn: list[complex] = []
     g = [bnorm + 0.0j]
-    converged = False
 
     for j in range(maxit):
         z = vecs[j] if apply_precond is None else _finite(
@@ -104,17 +108,22 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
                 w = w - corr[i] * vecs[i]
             hcol[:j + 1] += corr
         hnext = float(np.linalg.norm(w))
-        hcol[j + 1] = hnext
         breakdown = hnext == 0.0 or (wnorm0 > 0.0 and hnext < BREAKDOWN_RATIO * wnorm0)
+        hcol[j + 1] = 0.0 if breakdown else hnext
 
         for i in range(j):
             t = cs[i] * hcol[i] + sn[i] * hcol[i + 1]
             hcol[i + 1] = -np.conj(sn[i]) * hcol[i] + cs[i] * hcol[i + 1]
             hcol[i] = t
         c, s = _givens(hcol[j], hcol[j + 1])
+        diag = c * hcol[j] + s * hcol[j + 1]
+        if abs(diag) <= BREAKDOWN_RATIO * wnorm0:
+            # singular breakdown: the residual cannot drop below |g_j|
+            history.append(history[-1])
+            break
         cs.append(c)
         sn.append(s)
-        hcol[j] = c * hcol[j] + s * hcol[j + 1]
+        hcol[j] = diag
         hcol[j + 1] = 0.0
         hcols.append(hcol)
         g.append(-np.conj(s) * g[j])
@@ -122,7 +131,6 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
         history.append(abs(g[j + 1]) / bnorm)
 
         if history[-1] <= tol or breakdown:
-            converged = True
             break
         vecs.append(w / hnext)
 
@@ -142,5 +150,5 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
     basis = np.array(vecs)
     gram = basis.conj() @ basis.T
     defect = float(np.max(np.abs(gram - np.eye(len(vecs)))))
-    return KrylovReport(x, len(history) - 1, history, converged,
+    return KrylovReport(x, len(history) - 1, history, bool(history[-1] <= tol),
                         time.perf_counter() - start, defect)

@@ -98,6 +98,24 @@ def test_happy_breakdown(rng):
     assert np.allclose(rep.solution, b / 3.0)
 
 
+@pytest.mark.parametrize("a, b, residual", [
+    # op(b) = 0: the Krylov space closes at once and nothing reduces the residual
+    ([[0, 1, 0], [0, 0, 0], [0, 0, 1]], [1, 0, 0], 1.0),
+    # it closes at the second step, on the part of b the operator cannot reach
+    ([[0, 1, 0], [0, 0, 0], [0, 0, 1]], [1, 0, 1], np.sqrt(0.5)),
+], ids=["closes-at-once", "closes-at-step-2"])
+def test_singular_breakdown_is_not_convergence(a, b, residual):
+    a = np.array(a, dtype=np.complex128)
+    b = np.array(b, dtype=np.complex128)
+    rep = gmres_right(lambda v: a @ v, b, tol=1e-6, maxit=10)
+    assert not rep.converged
+    assert np.all(np.isfinite(rep.solution))
+    assert rep.history[-1] == pytest.approx(residual, rel=1e-14)
+    assert rep.history[-1] == rep.history[-2]
+    err = np.linalg.norm(b - a @ rep.solution) / np.linalg.norm(b)
+    assert err == pytest.approx(residual, rel=1e-14)
+
+
 def test_wall_time_recorded(rng):
     a, b = dense_problem(rng)
     rep = gmres_right(lambda v: a @ v, b, tol=1e-8, maxit=50)

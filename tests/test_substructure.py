@@ -143,6 +143,19 @@ def test_oneway_residual_operator_identity():
     assert np.linalg.norm(r_swept - r_direct) <= 1e-11 * max(np.linalg.norm(r_direct), 1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_fused_preconditioned_operator(n):
+    # (Id - T) inv(Id - OW) from the sweep's own reflections, probed densely
+    system = make_case(n, cells_per_strip=6)
+    eye = np.eye(system.layout.size)
+    p = dense_parts(system)
+    t = sum(p.values())
+    expect = (eye - t) @ np.linalg.inv(eye - (p["ml"] + p["mr"]))
+    fused = dense_matrix(lambda x: system.apply_interface_system(system.solve_oneway(x)),
+                         system.layout)
+    assert np.linalg.norm(fused - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
 def test_discrete_block_cancellations():
     system = make_case(3)
     p = dense_parts(system)
@@ -225,6 +238,26 @@ def test_strip_solves_per_call(n, rng):
     }
     for name, (call, solves) in expected.items():
         assert strip_solves(system, call) == solves, name
+
+    # the preconditioned product reuses the sweep's reflections, once
+    assert strip_solves(system, lambda: system.apply_interface_system(
+        system.solve_oneway(h))) == 2 * n - 2
+    y = system.solve_oneway(h)
+    system.apply_interface_system(y)
+    assert strip_solves(system, lambda: system.apply_interface_system(y)) == n
+    others = {name: call for name, (call, _) in expected.items() if name != "solve_oneway"}
+    others["fixed_point"] = lambda: system.fixed_point(TraceVector.zeros(system.layout))
+    for name, call in others.items():
+        y = system.solve_oneway(h)
+        call()
+        assert strip_solves(system, lambda: system.apply_interface_system(y)) == n, name
+    # any other vector takes the full exchange, bit for bit
+    changed = TraceVector(system.layout, system.solve_oneway(h).data.copy())
+    changed.data[0] += 1.0
+    assert strip_solves(system, lambda: system.apply_interface_system(changed)) == n
+    system.solve_oneway(h)
+    got = system.apply_interface_system(changed)
+    assert np.array_equal(got.data, (changed - system.apply_exchange(changed)).data)
     # one osds step: maxit=1 does one step more than maxit=0
     g = system.source_traces(None)
     steps = [strip_solves(system, lambda m=m: system.fixed_point(g, "osds", tol=0.0, maxit=m))

@@ -159,3 +159,41 @@ def test_vanishing_overlap_search_fields():
     assert 0.0 < res.delta <= 0.5 + 1e-12
     assert isinstance(res.holds, bool)
     assert res.worst_excess >= 0.0
+
+
+def test_vanishing_bound_excess_is_not_roundoff():
+    # find_vanishing_overlap's bound |rho| < e^{-2 delta lambda} fails by a
+    # positive margin that 50-digit arithmetic reproduces: |A_r||A_l| is
+    # e^{-2 lambda delta} (1 + 2 e^{-lambda (w - delta)}) to leading order,
+    # above the bound at every overlap, and the float64 factor is accurate
+    mp = pytest.importorskip("mpmath")
+    k, width = 20.0, 1.0
+    deltas = [width / 32 * 2 ** i for i in range(4)] + [np.nextafter(width / 2, 0.0)]
+
+    def excesses(xi, delta, n):
+        """Relative excess over e^{-2 delta lambda} of |A_r||A_l| and of rho_factor."""
+        with mp.workdps(50):
+            kk, x, d, w = (mp.mpf(v) for v in (k, xi, delta, width))
+            lam = mp.sqrt(x * x - kk * kk)
+            rj = (lam - 1j * kk) / (lam + 1j * kk)
+            den = 1 - rj * rj * mp.exp(-2 * lam * w)
+            a = abs(rj * (mp.exp(-lam * d) + mp.exp(-lam * w)) / den) ** 2
+            m = abs(mp.exp(-lam * (w - d)) * (1 - rj * rj) / den) if n > 2 else 0
+            rho = a * sum(m ** i for i in range(n - 1)) ** 2
+            bound = mp.exp(-2 * d * lam)
+            return lam, a / bound - 1, rho, rho / bound - 1
+
+    for n in (2, 4, 8):
+        strips = tuple((i * width, (i + 1) * width) for i in range(n))
+        for delta in deltas:
+            for xi in np.linspace(1.5 * k, 4.0 * k, 50):
+                lam, excess_a, rho, excess = excesses(float(xi), delta, n)
+                leading = 2 * mp.exp(-lam * (width - delta))
+                assert 0 < excess_a and excess_a <= excess
+                assert abs(excess_a / leading - 1) <= 1e-4
+                got = rho_factor(SymbolParams(k=k, xi=float(xi), strips=strips, delta=delta))
+                assert abs(got - rho) <= 1e-13 * rho
+        assert not find_vanishing_overlap(k, width, n).holds
+    # the measured margins: 7.8e-10 at delta = w/32 and 2.8e-5 at w/2, xi = 1.5k
+    assert float(excesses(1.5 * k, width / 32, 2)[1]) == pytest.approx(7.823e-10, rel=1e-3)
+    assert float(excesses(1.5 * k, deltas[-1], 2)[1]) == pytest.approx(2.789e-5, rel=1e-3)
