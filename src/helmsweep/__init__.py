@@ -9,7 +9,6 @@ and a benchmark harness reproduces waveguide, open-cavity, and wedge
 experiments.
 """
 
-from .banded import BandedLU, band_storage
 from .grid import (BoundarySpec, EdgeCondition, Grid, HomogeneousModel,
                    SparseSystem, WavenumberField, WedgeModel, assemble_global,
                    build_grid, build_wavenumber, dirichlet, robin,
@@ -29,7 +28,6 @@ from .bench import (ProblemSpec, RunRecord, build_problem, iterations_at,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedLU", "band_storage",
     "BoundarySpec", "EdgeCondition", "Grid", "HomogeneousModel",
     "SparseSystem", "WavenumberField", "WedgeModel", "assemble_global",
     "build_grid", "build_wavenumber", "dirichlet", "robin", "solve_direct",

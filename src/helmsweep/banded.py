@@ -61,25 +61,3 @@ class BandedLU:
             raise ValueError(f"banded back-substitution failed, zgbtrs info={info}")
         self.solve_count += 1
         return x
-
-    def reconstruct_dense(self) -> ComplexArray:
-        """Rebuild the factored matrix as P_0 L_0 P_1 L_1 ... U (small n only).
-
-        gbtrf stores multipliers in place without retroactive pivot swaps, so
-        the factorization is the interleaved product above, with scipy's ipiv
-        zero-based.
-        """
-        n, kl, ku = self.n, self.kl, self.ku
-        full = np.zeros((n, n), dtype=np.complex128)
-        for j in range(n):
-            for i in range(max(0, j - (kl + ku)), j + 1):
-                full[i, j] = self._lu[kl + ku + i - j, j]
-        for j in range(n - 2, -1, -1):
-            lj = np.eye(n, dtype=np.complex128)
-            for i in range(j + 1, min(n, j + kl + 1)):
-                lj[i, j] = self._lu[kl + ku + i - j, j]
-            full = lj @ full
-            piv = self._ipiv[j]
-            if piv != j:
-                full[[j, piv], :] = full[[piv, j], :]
-        return full

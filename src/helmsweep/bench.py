@@ -61,6 +61,8 @@ class ProblemSpec:
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.solver == "fixed_point" and self.preconditioner == "ds":
+            raise ValueError("fixed_point supports jacobi and osds only")
         if self.problem == "wedge":
             if self.omega is None:
                 raise ValueError("wedge runs need omega")
@@ -111,6 +113,7 @@ class RunRecord:
     trace_size: int
     build_time: float
     solve_time: float
+    true_residual: float = 0.0
     ortho_defect: float = 0.0
     solution: Optional[ComplexArray] = None
     grid: Optional[Grid] = None
@@ -200,11 +203,15 @@ class BenchContext:
             history, converged = report.history, report.converged
             defect = report.ortho_defect
         else:
-            if spec.preconditioner == "ds":
-                raise ValueError("fixed_point supports jacobi and osds only")
             h, history, converged = system.fixed_point(
                 self.g, method=spec.preconditioner, tol=tol, maxit=spec.maxit)
         solve_time = time.perf_counter() - t0
+        # converged means ||g - (Id - T) h|| <= tol ||g||, checked with a full
+        # exchange rather than taken from the solver's own recurrence
+        true_residual = (self.g - (h - system.apply_exchange(h))).norm()
+        if self.g.norm() > 0:
+            true_residual /= self.g.norm()
+        converged = converged and true_residual <= tol
         counts = {f"{t:g}": iterations_at(history, t, spec.maxit)
                   for t in spec.tolerances}
         u = system.reconstruct(h, self.f)
@@ -212,7 +219,8 @@ class BenchContext:
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=layout.size,
                          build_time=self.build_time, solve_time=solve_time,
-                         ortho_defect=defect, solution=u, grid=self.grid)
+                         true_residual=true_residual, ortho_defect=defect,
+                         solution=u, grid=self.grid)
 
 
 def write_outputs(record: RunRecord, out_dir) -> None:
@@ -235,6 +243,7 @@ def write_outputs(record: RunRecord, out_dir) -> None:
         "trace_size": record.trace_size,
         "build_time": record.build_time,
         "solve_time": record.solve_time,
+        "true_residual": record.true_residual,
         "ortho_defect": record.ortho_defect,
     }
     with open(out / "manifest.json", "w") as fh:

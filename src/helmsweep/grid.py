@@ -5,8 +5,11 @@ Conventions, relied on by every module downstream:
 - Domain [x0, x1] x [y0, y1] with square cells of side h: nx cells in x, ny
   cells in y, nodes (ix, iy) for 0 <= ix <= nx, 0 <= iy <= ny located at
   (x0 + ix*h, y0 + iy*h).
-- Flat node index n = ix*(ny+1) + iy (column-major, y fastest), so the
-  assembled matrix has bandwidth ny+1.
+- Nodal arrays have shape (nx+1, ny+1), indexed [ix, iy].  Flattened (field
+  files, Grid.index) they are column-major: n = ix*(ny+1) + iy.  The matrix
+  numbering is RectStencil's own: it runs along the shorter direction to keep
+  the band narrow, and RectStencil.to_grid turns a flat vector in that
+  numbering into a nodal array.
 - Equation (-k^2 - Lap) u = f with k = k(x, y).  Absorbing edges carry the
   impedance condition (d/dn + i*k) u = g with outward normal n; Dirichlet
   edges carry u = 0 (homogeneous only).
@@ -26,7 +29,7 @@ Conventions, relied on by every module downstream:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -253,6 +256,17 @@ class BoundarySpec:
         return arr
 
 
+# each side's nodes as an index into a (w+1, ny+1) nodal array
+_EDGES = {"left": np.s_[0, :], "right": np.s_[-1, :],
+         "bottom": np.s_[:, 0], "top": np.s_[:, -1]}
+# (side behind the node, node slice, neighbour slice) for the four couplings;
+# a ghost on the side behind the node mirrors onto that neighbour
+_NEIGHBOURS = (("left", np.s_[:-1, :], np.s_[1:, :]),
+               ("right", np.s_[1:, :], np.s_[:-1, :]),
+               ("bottom", np.s_[:, :-1], np.s_[:, 1:]),
+               ("top", np.s_[:, 1:], np.s_[:, :-1]))
+
+
 class RectStencil:
     """Helmholtz operator on the grid columns a..b with per-side conditions.
 
@@ -263,13 +277,13 @@ class RectStencil:
     (physical conditions on all four sides) and for strip subproblems, where
     an interior vertical side is an interface carrying trace data.
 
-    Node ordering is 'xy' (column-major, bandwidth ny+1) or 'yx' (row-major,
-    bandwidth w+1); default picks the smaller bandwidth.
+    Callers see (w+1, ny+1) nodal arrays only.  The matrix numbers the nodes
+    along whichever direction is shorter, so its bandwidth is min(w, ny)+1;
+    to_grid is the one place that knows that numbering.
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField,
-                 side_kinds: dict[str, str], cols: tuple[int, int] | None = None,
-                 order: str | None = None):
+                 side_kinds: dict[str, str], cols: tuple[int, int] | None = None):
         a, b = cols if cols is not None else (0, grid.nx)
         if not (0 <= a < b <= grid.nx):
             raise ValueError(f"bad column range [{a}, {b}]")
@@ -278,135 +292,85 @@ class RectStencil:
         self.w = b - a
         self.ny = grid.ny
         self.nloc = (self.w + 1) * (self.ny + 1)
-        if order is None:
-            order = "xy" if self.ny <= self.w else "yx"
-        if order not in ("xy", "yx"):
-            raise ValueError(f"unknown ordering {order!r}")
-        self.order = order
-        self.bandwidth = (self.ny + 1) if order == "xy" else (self.w + 1)
+        self.bandwidth = min(self.w, self.ny) + 1
         self.side_kinds = dict(side_kinds)
         for s in SIDES:
             if self.side_kinds.get(s) not in ("dirichlet", "robin"):
                 raise ValueError(f"side {s} needs a condition")
         self._assemble(kfield)
 
-    # flat index of local node (jx, iy)
-    def _flat(self, jx, iy):
-        if self.order == "xy":
-            return jx * (self.ny + 1) + iy
-        return iy * (self.w + 1) + jx
-
     def to_grid(self, x: ComplexArray) -> ComplexArray:
-        """Reshape a flat vector to a (w+1, ny+1) nodal array."""
-        if self.order == "xy":
+        """View a flat vector in matrix numbering as a (w+1, ny+1) nodal array."""
+        if self.ny <= self.w:
             return x.reshape(self.w + 1, self.ny + 1)
         return x.reshape(self.ny + 1, self.w + 1).T
-
-    def from_grid(self, f: ComplexArray) -> ComplexArray:
-        if self.order == "xy":
-            return np.ascontiguousarray(f).ravel()
-        return np.ascontiguousarray(f.T).ravel()
-
-    def _node_sides(self, jx, iy):
-        sides = []
-        if jx == 0:
-            sides.append("left")
-        if jx == self.w:
-            sides.append("right")
-        if iy == 0:
-            sides.append("bottom")
-        if iy == self.ny:
-            sides.append("top")
-        return sides
 
     def _assemble(self, kfield: WavenumberField):
         a, _ = self.cols
         w, ny, h = self.w, self.ny, self.grid.h
-        kv = kfield.values[a:a + w + 1, :]
+        k = kfield.values[a:a + w + 1, :]
+        node = self.to_grid(np.arange(self.nloc))
 
-        dir_mask = np.zeros((w + 1, ny + 1), dtype=bool)
-        for jx in range(w + 1):
-            for iy in range(ny + 1):
-                if any(self.side_kinds[s] == "dirichlet" for s in self._node_sides(jx, iy)):
-                    dir_mask[jx, iy] = True
-        self.dirichlet_mask = dir_mask
+        dirichlet_mask = np.zeros((w + 1, ny + 1), dtype=bool)
+        ghosts = np.zeros((w + 1, ny + 1), dtype=int)
+        for s in SIDES:
+            if self.side_kinds[s] == "dirichlet":
+                dirichlet_mask[_EDGES[s]] = True
+            else:
+                ghosts[_EDGES[s]] += 1
+        free = ~dirichlet_mask
+        # each eliminated ghost halves the row, which keeps A = A^T
+        row_scale = np.where(free, 0.5 ** ghosts, 0.0)
+        # a ghost adds i*2k/h; a real factor keeps the rounding of 2ik/h
+        diag = (4.0 / h**2 - k**2) + 1j * (ghosts * (2.0 * k / h))
+        # Dirichlet rows are identity rows
+        diag = np.where(free, row_scale * diag, 1.0)
 
-        rows, cols, vals = [], [], []
-        row_scale = np.zeros(self.nloc)
-        side_weight = {
-            "left": np.zeros(ny + 1), "right": np.zeros(ny + 1),
-            "bottom": np.zeros(w + 1), "top": np.zeros(w + 1),
-        }
-        inward = {"left": (1, 0), "right": (-1, 0), "bottom": (0, 1), "top": (0, -1)}
-
-        for jx in range(w + 1):
-            for iy in range(ny + 1):
-                n = self._flat(jx, iy)
-                if dir_mask[jx, iy]:
-                    rows.append(n); cols.append(n); vals.append(1.0 + 0.0j)
-                    continue
-                k = kv[jx, iy]
-                ghosts = self._node_sides(jx, iy)  # all Robin here
-                scale = 0.5 ** len(ghosts)
-                diag = 4.0 / h**2 - k**2
-                coeffs: dict[int, complex] = {}
-
-                def couple(tx, ty, c):
-                    if dir_mask[tx, ty]:
-                        return  # value is 0, drop the coupling
-                    m = self._flat(tx, ty)
-                    coeffs[m] = coeffs.get(m, 0.0) + c
-
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    tx, ty = jx + dx, iy + dy
-                    if 0 <= tx <= w and 0 <= ty <= ny:
-                        couple(tx, ty, -1.0 / h**2)
-                for s in ghosts:
-                    dx, dy = inward[s]
-                    couple(jx + dx, iy + dy, -1.0 / h**2)
-                    diag += 2j * k / h
-                    pos = iy if s in ("left", "right") else jx
-                    side_weight[s][pos] += scale * (2.0 / h)
-
-                rows.append(n); cols.append(n); vals.append(scale * diag)
-                for m, c in coeffs.items():
-                    rows.append(n); cols.append(m); vals.append(scale * c)
-                row_scale[n] = scale
+        rows, cols, vals = [node.ravel()], [node.ravel()], [diag.ravel()]
+        for behind, at, to in _NEIGHBOURS:
+            # couplings into Dirichlet nodes are dropped: their value is 0
+            link = free[at] & free[to]
+            coupling = np.full((w + 1, ny + 1), -1.0 / h**2)
+            coupling[_EDGES[behind]] *= 2.0
+            rows.append(node[at][link])
+            cols.append(node[to][link])
+            vals.append((row_scale * coupling)[at][link])
 
         self.matrix = csr_matrix(
-            (np.array(vals, dtype=np.complex128), (rows, cols)),
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.nloc, self.nloc),
         )
+        self.dirichlet_mask = dirichlet_mask
         self.row_scale = row_scale
-        self.side_weight = side_weight
+        self.side_weight = {s: row_scale[_EDGES[s]] * (2.0 / h) for s in SIDES}
 
     def rhs(self, f: ComplexArray | None = None,
             side_data: dict[str, ComplexArray] | None = None) -> ComplexArray:
-        """Assemble the right-hand side for a volume source and side data.
+        """Assemble the flat right-hand side for a volume source and side data.
 
         f is a (w+1, ny+1) nodal array (or None); side_data maps side names
         to nodal data arrays along that side (missing sides are homogeneous).
         """
-        out = np.zeros((self.w + 1, self.ny + 1), dtype=np.complex128)
+        flat = np.zeros(self.nloc, dtype=np.complex128)
+        out = self.to_grid(flat)
         if f is not None:
-            out += self.to_grid(self.row_scale) * np.asarray(f, dtype=np.complex128)
-        edges = {"left": out[0, :], "right": out[-1, :],
-                 "bottom": out[:, 0], "top": out[:, -1]}
+            out += self.row_scale * np.asarray(f, dtype=np.complex128)
         for side, data in (side_data or {}).items():
             if data is not None:
-                edges[side] += self.side_weight[side] * np.asarray(data, dtype=np.complex128)
-        return self.from_grid(out)
+                out[_EDGES[side]] += self.side_weight[side] * np.asarray(data, dtype=np.complex128)
+        return flat
 
 
 @dataclass
 class SparseSystem:
-    """Assembled global system: dimension, sparse matrix, right-hand side."""
+    """Assembled global system: the stencil and its flat right-hand side."""
 
-    n: int
-    matrix: csr_matrix
+    stencil: RectStencil
     rhs: ComplexArray
-    grid: Grid = field(repr=False, default=None)
-    bandwidth: int = 0
+
+    @property
+    def matrix(self) -> csr_matrix:
+        return self.stencil.matrix
 
 
 def _volume_source(grid: Grid, f) -> ComplexArray | None:
@@ -423,19 +387,18 @@ def _volume_source(grid: Grid, f) -> ComplexArray | None:
 
 def assemble_global(grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
                     f=None) -> SparseSystem:
-    """Assemble the monodomain Helmholtz system in column-major ordering."""
+    """Assemble the monodomain Helmholtz system."""
     if kfield.values.shape != grid.shape:
         raise ValueError("wavenumber field does not match the grid")
     kinds = {s: bc.kind(s) for s in SIDES}
-    stencil = RectStencil(grid, kfield, kinds, cols=(0, grid.nx), order="xy")
+    stencil = RectStencil(grid, kfield, kinds)
     side_data = {s: bc.edge_values(grid, s) for s in SIDES if kinds[s] == "robin"}
-    rhs = stencil.rhs(_volume_source(grid, f), side_data)
-    return SparseSystem(n=stencil.nloc, matrix=stencil.matrix, rhs=rhs,
-                        grid=grid, bandwidth=stencil.bandwidth)
+    return SparseSystem(stencil, stencil.rhs(_volume_source(grid, f), side_data))
 
 
 def solve_direct(system: SparseSystem) -> ComplexArray:
-    """Banded direct solve of the assembled global system."""
-    kl = ku = system.bandwidth
-    lu = BandedLU(system.matrix, kl, ku, label="global system")
-    return lu.solve(system.rhs)
+    """Banded direct solve of the global system: the (nx+1, ny+1) field."""
+    stencil = system.stencil
+    lu = BandedLU(stencil.matrix, stencil.bandwidth, stencil.bandwidth,
+                  label="global system")
+    return stencil.to_grid(lu.solve(system.rhs))

@@ -32,6 +32,29 @@ def make_case(nstrips, k=5.0, ny=8, cells_per_strip=8, overlap_cells=2,
     return SubstructuredSystem(grid, kfield, bc, decomp)
 
 
+def reconstruct_dense(lu):
+    """Rebuild a BandedLU's factored matrix as P_0 L_0 P_1 L_1 ... U (small n).
+
+    gbtrf stores multipliers in place without retroactive pivot swaps, so
+    the factorization is the interleaved product above, with scipy's ipiv
+    zero-based.
+    """
+    n, kl, ku = lu.n, lu.kl, lu.ku
+    full = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        for i in range(max(0, j - (kl + ku)), j + 1):
+            full[i, j] = lu._lu[kl + ku + i - j, j]
+    for j in range(n - 2, -1, -1):
+        lj = np.eye(n, dtype=np.complex128)
+        for i in range(j + 1, min(n, j + kl + 1)):
+            lj[i, j] = lu._lu[kl + ku + i - j, j]
+        full = lj @ full
+        piv = lu._ipiv[j]
+        if piv != j:
+            full[[j, piv], :] = full[[piv, j], :]
+    return full
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from helmsweep import bench
 from helmsweep.bench import (ProblemSpec, build_problem, iterations_at, run,
                              run_methods, sweep_study, write_field, read_field)
 from helmsweep.cli import main
+from helmsweep.grid import assemble_global, solve_direct
+from helmsweep.krylov import KrylovReport
 
 
 def tiny_spec(**overrides):
@@ -41,6 +44,9 @@ def test_spec_validation():
         ProblemSpec(problem="waveguide")  # needs k or omega
     with pytest.raises(ValueError):
         tiny_spec(preconditioner="ilu")
+    # rejected before any strip is factored
+    with pytest.raises(ValueError, match="fixed_point"):
+        tiny_spec(solver="fixed_point", preconditioner="ds")
     # unit background velocity makes omega and k interchangeable
     assert ProblemSpec(problem="cavity", omega=7.0).homogeneous_k == 7.0
 
@@ -95,6 +101,8 @@ def test_run_and_outputs(tmp_path):
     assert manifest["converged"] is True
     assert manifest["counts"]["1e-08"] == record.counts["1e-08"]
     assert "unknowns" in manifest and "trace_size" in manifest
+    assert manifest["true_residual"] == record.true_residual
+    assert record.true_residual <= 1e-8
 
     nx, ny, h, u = read_field(tmp_path / "solution.field")
     assert (nx, ny) == (record.grid.nx, record.grid.ny)
@@ -126,6 +134,41 @@ def test_overflow_notation():
     record = run(tiny_spec(maxit=1))
     assert not record.converged
     assert record.counts["1e-08"] == "+1"
+    assert record.true_residual > 1e-8
+
+
+def test_converged_needs_true_residual(monkeypatch):
+    # a solver that claims convergence at the zero vector is not believed
+    def claims_converged(apply_op, b, precond, tol, maxit):
+        return KrylovReport(solution=np.zeros_like(b), iterations=1,
+                            history=[1.0, 0.0], converged=True)
+
+    monkeypatch.setattr(bench, "gmres_right", claims_converged)
+    record = run(tiny_spec())
+    assert record.true_residual == 1.0
+    assert not record.converged
+
+
+RECONSTRUCT_SPECS = {
+    "waveguide": dict(problem="waveguide", k=10.0, nppwl=10),
+    "cavity": dict(problem="cavity", k=10.0, nppwl=10),
+    # a 21 x 35 cell grid: taller than wide, so the direct solve numbers yx
+    "wedge": dict(problem="wedge", omega=12.0 * np.pi, nppwl=8),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(RECONSTRUCT_SPECS))
+def test_reconstruct_matches_direct_per_preconditioner(problem):
+    tol = 1e-10
+    spec = ProblemSpec(**RECONSTRUCT_SPECS[problem], subdomains=3,
+                       overlap_cells=2, tolerances=(tol,))
+    grid, kfield, bc, f = build_problem(spec)
+    direct = solve_direct(assemble_global(grid, kfield, bc, f))
+    assert direct.shape == grid.shape
+    for p, record in run_methods(spec).items():
+        assert record.converged and record.true_residual <= tol, p
+        err = np.linalg.norm(record.solution - direct) / np.linalg.norm(direct)
+        assert err <= 10 * tol, (p, err)
 
 
 def test_fixed_point_solver_path():

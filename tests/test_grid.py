@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from helmsweep.banded import band_storage
 from helmsweep.grid import (Grid, HomogeneousModel, WedgeModel, BoundarySpec,
-                            robin, dirichlet, build_grid, build_wavenumber,
-                            assemble_global, solve_direct)
+                            RectStencil, SIDES, robin, dirichlet, build_grid,
+                            build_wavenumber, assemble_global, solve_direct)
 
 
 def test_build_grid_round_case():
@@ -62,9 +66,10 @@ def test_dirichlet_rows_are_identity():
     kfield = build_wavenumber(grid, HomogeneousModel(5.0))
     system = assemble_global(grid, kfield, waveguide_bc())
     a = system.matrix.tocsr()
+    node = system.stencil.to_grid(np.arange(grid.npoints))
     for ix in range(grid.nx + 1):
         for iy in (0, grid.ny):
-            n = grid.index(ix, iy)
+            n = node[ix, iy]
             row = a.getrow(n)
             assert row.nnz == 1
             assert row[0, n] == 1.0
@@ -81,11 +86,12 @@ def test_zero_data_gives_zero_solution():
     assert np.max(np.abs(u)) == 0.0
 
 
-def mode_error(ny):
+def mode_error(ny, length=1.0):
     """Discretization error against an exact single-mode guide solution."""
     k = 5.0
     beta = np.sqrt(k * k - np.pi * np.pi)
-    grid = Grid(0.0, 1.0, 0.0, 1.0, ny, ny, 1.0 / ny)
+    nx = round(length * ny)
+    grid = Grid(0.0, nx / ny, 0.0, 1.0, nx, ny, 1.0 / ny)
     kfield = build_wavenumber(grid, HomogeneousModel(k))
 
     def exact(x, y):
@@ -104,8 +110,143 @@ def mode_error(ny):
 
 
 def test_second_order_convergence():
-    e1, e2 = mode_error(16), mode_error(32)
-    assert 3.0 <= e1 / e2 <= 5.0
+    # a square guide and one taller than wide: both matrix numberings
+    for length in (1.0, 0.5):
+        e1, e2 = mode_error(16, length), mode_error(32, length)
+        assert 3.0 <= e1 / e2 <= 5.0
+
+
+def reference_stencil(grid, kfield, kinds, cols):
+    """The stencil assembled node by node, as the grid module states it.
+
+    Returns (node, matrix, row_scale, side_weight, dirichlet_mask, rhs) with
+    node[jx, iy] the matrix index of local node (jx, iy): nodes are numbered
+    along the shorter direction.  row_scale is nodal and rhs(f, side_data)
+    returns the flat right-hand side.
+    """
+    a, b = cols
+    w, ny, h = b - a, grid.ny, grid.h
+    kv = kfield.values[a:b + 1, :]
+    node = np.zeros((w + 1, ny + 1), dtype=int)
+    for jx in range(w + 1):
+        for iy in range(ny + 1):
+            node[jx, iy] = jx * (ny + 1) + iy if ny <= w else iy * (w + 1) + jx
+
+    def node_sides(jx, iy):
+        return [s for s, on in (("left", jx == 0), ("right", jx == w),
+                                ("bottom", iy == 0), ("top", iy == ny)) if on]
+
+    dmask = np.zeros((w + 1, ny + 1), dtype=bool)
+    for jx in range(w + 1):
+        for iy in range(ny + 1):
+            dmask[jx, iy] = any(kinds[s] == "dirichlet" for s in node_sides(jx, iy))
+    rows, cols_, vals = [], [], []
+    row_scale = np.zeros((w + 1, ny + 1))
+    side_weight = {"left": np.zeros(ny + 1), "right": np.zeros(ny + 1),
+                   "bottom": np.zeros(w + 1), "top": np.zeros(w + 1)}
+    inward = {"left": (1, 0), "right": (-1, 0), "bottom": (0, 1), "top": (0, -1)}
+    for jx in range(w + 1):
+        for iy in range(ny + 1):
+            n = node[jx, iy]
+            if dmask[jx, iy]:
+                rows.append(n); cols_.append(n); vals.append(1.0 + 0.0j)
+                continue
+            k = kv[jx, iy]
+            ghosts = node_sides(jx, iy)  # all Robin here
+            scale = 0.5 ** len(ghosts)
+            diag = 4.0 / h**2 - k**2
+            coeffs = {}
+            targets = [(jx + dx, iy + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                       if 0 <= jx + dx <= w and 0 <= iy + dy <= ny]
+            for s in ghosts:
+                dx, dy = inward[s]
+                targets.append((jx + dx, iy + dy))
+                diag += 2j * k / h
+                side_weight[s][iy if s in ("left", "right") else jx] += scale * (2.0 / h)
+            for tx, ty in targets:
+                if not dmask[tx, ty]:  # value is 0, drop the coupling
+                    m = node[tx, ty]
+                    coeffs[m] = coeffs.get(m, 0.0) - 1.0 / h**2
+            rows.append(n); cols_.append(n); vals.append(scale * diag)
+            for m, c in coeffs.items():
+                rows.append(n); cols_.append(m); vals.append(scale * c)
+            row_scale[jx, iy] = scale
+    nloc = (w + 1) * (ny + 1)
+    matrix = csr_matrix((np.array(vals, dtype=np.complex128), (rows, cols_)),
+                        shape=(nloc, nloc))
+
+    def rhs(f=None, side_data=None):
+        out = np.zeros((w + 1, ny + 1), dtype=np.complex128)
+        if f is not None:
+            out += row_scale * f
+        edges = {"left": out[0, :], "right": out[-1, :],
+                 "bottom": out[:, 0], "top": out[:, -1]}
+        for side, data in (side_data or {}).items():
+            edges[side] += side_weight[side] * data
+        flat = np.zeros(nloc, dtype=np.complex128)
+        flat[node] = out
+        return flat
+
+    return node, matrix, row_scale, side_weight, dmask, rhs
+
+
+def assert_bitwise(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+def canonical(matrix):
+    m = matrix.tocsr(copy=True)
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
+WEDGE_H = 1000.0 / 35.0
+ORACLE_GRIDS = {
+    # full range numbered xy, narrow ranges yx
+    "homogeneous": (Grid(0.0, 2.0, 0.0, 1.0, 12, 6, 1.0 / 6.0), HomogeneousModel(5.0), None),
+    # three velocity layers; full range numbered xy, narrow ranges yx
+    "wedge-wide": (Grid(0.0, 600.0, 400.0, 800.0, 21, 14, WEDGE_H), WedgeModel(), 12.0 * np.pi),
+    # taller than wide: every range numbered yx
+    "wedge-tall": (Grid(0.0, 600.0, 0.0, 1000.0, 21, 35, WEDGE_H), WedgeModel(), 12.0 * np.pi),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_GRIDS))
+def test_stencil_matches_node_by_node_reference(case, rng):
+    grid, model, omega = ORACLE_GRIDS[case]
+    kfield = build_wavenumber(grid, model, omega=omega)
+    nx = grid.nx
+    # full, interior, and one-cell column ranges at both ends and inside
+    ranges = [(0, nx), (1, nx - 1), (2, 5), (0, 1), (nx - 1, nx), (nx // 2, nx // 2 + 1)]
+    numberings = set()
+    for kinds_tuple in itertools.product(("dirichlet", "robin"), repeat=4):
+        kinds = dict(zip(SIDES, kinds_tuple))
+        for cols in ranges:
+            stencil = RectStencil(grid, kfield, kinds, cols=cols)
+            node, matrix, row_scale, side_weight, dmask, rhs = reference_stencil(
+                grid, kfield, kinds, cols)
+            numberings.add("xy" if node[0, 1] == 1 else "yx")
+            assert np.array_equal(stencil.to_grid(np.arange(stencil.nloc)), node)
+            got, ref = canonical(stencil.matrix), canonical(matrix)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert_bitwise(got.data, ref.data)
+            bw = stencil.bandwidth
+            assert_bitwise(band_storage(stencil.matrix, bw, bw), band_storage(matrix, bw, bw))
+            assert_bitwise(stencil.row_scale, row_scale)
+            assert_bitwise(stencil.dirichlet_mask, dmask)
+            for s in SIDES:
+                assert_bitwise(stencil.side_weight[s], side_weight[s])
+            shape = (stencil.w + 1, grid.ny + 1)
+            f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            data = {s: rng.standard_normal(len(side_weight[s]))
+                    + 1j * rng.standard_normal(len(side_weight[s])) for s in SIDES}
+            assert_bitwise(stencil.rhs(f, data), rhs(f, data))
+            assert_bitwise(stencil.rhs(None, {"top": data["top"]}), rhs(None, {"top": data["top"]}))
+    assert numberings == ({"yx"} if case == "wedge-tall" else {"xy", "yx"})
 
 
 def test_wedge_model_layers_and_ties():

@@ -5,7 +5,7 @@ from helmsweep.grid import (HomogeneousModel, BoundarySpec, robin, dirichlet,
                             build_wavenumber, assemble_global, solve_direct)
 from helmsweep.strips import build_strips
 from helmsweep.subdomain import LocalSolver, extract_trace
-from conftest import make_grid, left_bump
+from conftest import make_grid, left_bump, reconstruct_dense
 
 
 def small_setup(nstrips=3, k=5.0):
@@ -122,6 +122,6 @@ def test_local_matrix_symmetric_and_banded():
 def test_factored_matrix_reproduced():
     grid, kfield, bc, decomp = small_setup()
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
-    dense = solver._lu.reconstruct_dense()
+    dense = reconstruct_dense(solver._lu)
     err = np.linalg.norm(dense - solver.matrix.toarray())
     assert err <= 1e-10 * np.linalg.norm(dense)
