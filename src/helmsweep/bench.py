@@ -217,7 +217,7 @@ class BenchContext:
         u = system.reconstruct(h, self.f)
         return RunRecord(spec=spec, counts=counts, history=list(history),
                          converged=converged, unknowns=self.grid.npoints,
-                         trace_size=layout.size,
+                         trace_size=self.g.data.size,
                          build_time=self.build_time, solve_time=solve_time,
                          true_residual=true_residual, ortho_defect=defect,
                          solution=u, grid=self.grid)
@@ -253,20 +253,18 @@ def write_outputs(record: RunRecord, out_dir) -> None:
 
 def write_field(u: ComplexArray, grid: Grid, path) -> None:
     """Column-major node dump, 're im' per line after an 'nx ny h' header."""
-    with open(path, "w") as fh:
-        fh.write(f"{grid.nx} {grid.ny} {grid.h:.17g}\n")
-        for v in np.asarray(u).ravel():
-            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
+    pairs = np.asarray(u, dtype=np.complex128).ravel().view(np.float64)
+    np.savetxt(path, pairs.reshape(-1, 2), fmt="%.17g", comments="",
+               header=f"{grid.nx} {grid.ny} {grid.h:.17g}")
 
 
 def read_field(path):
     """Inverse of write_field: returns (nx, ny, h, values)."""
     with open(path) as fh:
-        first = fh.readline().split()
-        nx, ny, h = int(first[0]), int(first[1]), float(first[2])
-        vals = np.array([complex(float(a), float(b))
-                         for a, b in (line.split() for line in fh if line.strip())])
-    return nx, ny, h, vals.reshape(nx + 1, ny + 1)
+        nx, ny, h = fh.readline().split()
+        values = np.loadtxt(fh, ndmin=2).view(np.complex128)
+    nx, ny = int(nx), int(ny)
+    return nx, ny, float(h), values.reshape(nx + 1, ny + 1)
 
 
 def run(spec: ProblemSpec) -> RunRecord:

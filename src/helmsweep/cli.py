@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .bench import PRECONDITIONERS, ProblemSpec, run, sweep_study
-from .symbols import C_factor, SymbolParams, lambda_symbol, lambda_waveguide, rho_factor
+from .symbols import C_factor, SymbolParams, rho_factor
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -33,7 +33,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 def _parse_line(text: str) -> tuple:
     vals = [float(v) for v in text.split(",")]
     if len(vals) != 4:
-        raise SystemExit("velocity lines take four numbers: x0,y0,x1,y1")
+        raise ValueError("velocity lines take four numbers: x0,y0,x1,y1")
     return ((vals[0], vals[1]), (vals[2], vals[3]))
 
 
@@ -53,7 +53,7 @@ def _spec_from_args(args: argparse.Namespace) -> ProblemSpec:
         overrides["wedge_lower"] = _parse_line(args.wedge_lower)
     merged = {**base, **overrides}
     if "problem" not in merged:
-        raise SystemExit("--problem (or a config file naming one) is required")
+        raise ValueError("--problem (or a config file naming one) is required")
     return ProblemSpec.from_dict(merged)
 
 
@@ -93,35 +93,31 @@ def _cmd_symbols(args: argparse.Namespace) -> int:
     strips = tuple((i * width, (i + 1) * width) for i in range(args.strips))
     if args.mode == "waveguide":
         if args.length is None:
-            raise SystemExit("waveguide mode needs --length")
+            raise ValueError("waveguide mode needs --length")
         lo = max(1, int(np.ceil(args.xi_min)))
         xis = np.arange(lo, int(np.floor(args.xi_max)) + 1, dtype=float)
     else:
         xis = np.linspace(args.xi_min, args.xi_max, args.samples)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(["xi", "lambda_re", "lambda_im", "rho_j_abs", "rho", "C"])
-        for xi in xis:
-            if args.mode == "waveguide":
-                lam, degenerate = lambda_waveguide(int(xi), args.k, args.length)
-            else:
-                lam, degenerate = lambda_symbol(float(xi), args.k)
-            if degenerate:
-                w.writerow([f"{xi:g}", f"{lam.real:.17g}", f"{lam.imag:.17g}",
-                            "nan", "nan", "nan"])
-                continue
-            params = SymbolParams(k=args.k, xi=float(xi), strips=strips,
-                                  delta=args.overlap, mode=args.mode,
-                                  length=args.length)
-            rho_j = abs(params.rho_j())
-            rho = rho_factor(params)
-            c = C_factor(params)
-            w.writerow([f"{xi:g}", f"{lam.real:.17g}", f"{lam.imag:.17g}",
-                        f"{rho_j:.17g}", f"{rho:.17g}", f"{c:.17g}"])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # every row is computed before the output is opened, so invalid
+    # arguments leave no file behind
+    rows = [["xi", "lambda_re", "lambda_im", "rho_j_abs", "rho", "C"]]
+    for xi in xis:
+        params = SymbolParams(k=args.k, xi=float(xi), strips=strips,
+                              delta=args.overlap, mode=args.mode,
+                              length=args.length)
+        lam, degenerate = params.lam()
+        row = [f"{xi:g}", f"{lam.real:.17g}", f"{lam.imag:.17g}"]
+        if degenerate:
+            row += ["nan"] * 3
+        else:
+            row += [f"{v:.17g}" for v in (abs(params.rho_j()), rho_factor(params),
+                                          C_factor(params))]
+        rows.append(row)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    else:
+        csv.writer(sys.stdout).writerows(rows)
     return 0
 
 
@@ -164,7 +160,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "xi_max", None) is None and args.command == "analyze-symbols":
         args.xi_max = 2.0 * args.k
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

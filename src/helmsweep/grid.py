@@ -121,9 +121,6 @@ class HomogeneousModel:
 
     k: float
 
-    def velocity(self, x: float, y: float) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class WedgeModel:

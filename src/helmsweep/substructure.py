@@ -48,44 +48,25 @@ from .strips import StripDecomposition
 from .subdomain import LocalSolver
 
 
-@dataclass(frozen=True)
-class TraceLayout:
-    """Shape of a trace vector: 2(N-1) blocks of ny+1 values."""
-
-    nstrips: int
-    block_len: int
-
-    def __post_init__(self):
-        if self.nstrips < 2:
-            raise ValueError("need at least 2 strips")
-        if self.block_len < 1:
-            raise ValueError("blocks must be nonempty")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (2, self.nstrips - 1, self.block_len)
-
-    @property
-    def size(self) -> int:
-        return 2 * (self.nstrips - 1) * self.block_len
-
-
 @dataclass
 class TraceVector:
-    """Stacked interface data with Euclidean vector-space operations."""
+    """Stacked interface data with Euclidean vector-space operations.
 
-    layout: TraceLayout
+    layout is the (2, N-1, ny+1) block shape of SubstructuredSystem.layout.
+    """
+
+    layout: tuple[int, int, int]
     data: ComplexArray
 
     @classmethod
-    def zeros(cls, layout: TraceLayout) -> "TraceVector":
-        return cls(layout, np.zeros(layout.size, dtype=np.complex128))
+    def zeros(cls, layout: tuple[int, int, int]) -> "TraceVector":
+        return cls(layout, np.zeros(layout, dtype=np.complex128).ravel())
 
     @property
     def blocks(self) -> ComplexArray:
         """data as a (2, N-1, ny+1) view: [0, i-2] is strip i's left datum,
         [1, i-1] its right datum."""
-        return self.data.reshape(self.layout.shape)
+        return self.data.reshape(self.layout)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -112,6 +93,8 @@ class SubstructuredSystem:
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
                  decomp: StripDecomposition):
+        if decomp.nstrips < 2:
+            raise ValueError("need at least 2 strips")
         self.grid = grid
         self.kfield = kfield
         self.bc = bc
@@ -119,7 +102,7 @@ class SubstructuredSystem:
         self.nstrips = decomp.nstrips
         self.solvers = [LocalSolver(grid, kfield, bc, decomp, i)
                         for i in range(1, decomp.nstrips + 1)]
-        self.layout = TraceLayout(decomp.nstrips, grid.ny + 1)
+        self.layout = (2, decomp.nstrips - 1, grid.ny + 1)
         # (r, y, partial R y) of the last solve_oneway, for one
         # apply_interface_system on y
         self._sweep = None
@@ -185,7 +168,7 @@ class SubstructuredSystem:
             return h - self.apply_exchange(h)
         r, y, ry = sweep
         n = self.nstrips
-        t, o = y.reshape(self.layout.shape), ry.blocks
+        t, o = y.reshape(self.layout), ry.blocks
         o[1, n - 2] = self._respond(n - 1, left=t[0, n - 2])[1]
         o[0, 0] = self._respond(0, right=t[1, 0])[0]
         return TraceVector(self.layout, r - ry.data)
@@ -290,34 +273,3 @@ class SubstructuredSystem:
             a = sv.span[0]
             u[lo:hi, :] = v[lo - a:hi - a, :]
         return u
-
-
-def dense_matrix(op, layout: TraceLayout) -> ComplexArray:
-    """Materialize a trace operator densely by probing unit vectors."""
-    n = layout.size
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        e = TraceVector.zeros(layout)
-        e.data[j] = 1.0
-        mat[:, j] = op(e).data
-    return mat
-
-
-def part_masks(layout: TraceLayout) -> dict[str, np.ndarray]:
-    """Boolean masks of the four parts of T in the trace basis.
-
-    'ml': left rows/left cols, 'ar': right rows/left cols, 'mr': right
-    rows/right cols, 'al': left rows/right cols.
-    """
-    nleft = (layout.nstrips - 1) * layout.block_len
-    total = layout.size
-    is_left = np.zeros(total, dtype=bool)
-    is_left[:nleft] = True
-    row_l = is_left[:, None]
-    col_l = is_left[None, :]
-    return {
-        "ml": row_l & col_l,
-        "al": row_l & ~col_l,
-        "ar": ~row_l & col_l,
-        "mr": ~row_l & ~col_l,
-    }

@@ -70,24 +70,6 @@ def lambda_waveguide(xi: int, k: float, length: float) -> tuple[complex, bool]:
     return 1j * np.sqrt(-t), False
 
 
-def _rho(lam: complex, lam_j: complex) -> complex:
-    if lam + lam_j == 0:
-        raise ZeroDivisionError("interface symbol equals -lambda(xi)")
-    return (lam - lam_j) / (lam + lam_j)
-
-
-def rho_two_domain(xi: float, k: float, lambda_j: Optional[complex] = None) -> complex:
-    """Two-half-space convergence factor (lambda - lambda_j)/(lambda + lambda_j).
-
-    With the default lambda_j = Ik this is 0 at xi = 0, of modulus < 1 for
-    propagative modes, exactly 1 in modulus for vanishing modes, and -1 at
-    the cutoff.
-    """
-    lam, _ = lambda_symbol(xi, k)
-    lj = 1j * k if lambda_j is None else lambda_j
-    return _rho(lam, lj)
-
-
 @dataclass(frozen=True)
 class SymbolParams:
     """Mode-wise evaluation point: wavenumber, Fourier number, geometry.
@@ -103,7 +85,6 @@ class SymbolParams:
     xi: float
     strips: tuple
     delta: float
-    lambda_j: Optional[complex] = None
     mode: str = "plane"
     length: Optional[float] = None
 
@@ -140,9 +121,11 @@ class SymbolParams:
         return lambda_symbol(self.xi, self.k)
 
     def rho_j(self) -> complex:
+        """Two-half-space factor (lambda - Ik)/(lambda + Ik): 0 at xi = 0,
+        of modulus < 1 for propagative modes, 1 for vanishing modes and -1
+        at the cutoff."""
         lam, _ = self.lam()
-        lj = 1j * self.k if self.lambda_j is None else self.lambda_j
-        return _rho(lam, lj)
+        return (lam - 1j * self.k) / (lam + 1j * self.k)
 
 
 @dataclass
@@ -175,8 +158,7 @@ def symbol_matrices(params: SymbolParams) -> SymbolMatrices:
     lam, degenerate = params.lam()
     if degenerate:
         raise ValueError("cutoff Fourier number, mode matrices are singular there")
-    lj = 1j * params.k if params.lambda_j is None else params.lambda_j
-    rho = _rho(lam, lj)
+    rho = params.rho_j()
     w = params.widths
     d = params.delta
     n = params.nstrips
@@ -209,8 +191,17 @@ def _max_entry(m: np.ndarray) -> float:
 
 
 def _geom_sum(x: float, nterms: int) -> float:
-    # sum_{i=0}^{nterms-1} x^i with the empty-power convention 0^0 = 1
-    return float(sum(x ** i if i > 0 else 1.0 for i in range(nterms)))
+    # sum_{i=0}^{nterms-1} x^i; Python's 0.0 ** 0 is 1.0
+    return float(sum(x ** i for i in range(nterms)))
+
+
+def _contraction(params: SymbolParams) -> tuple[float, float, float]:
+    """(||A_r||, ||A_l||, rho_factor) from one evaluation of the matrices."""
+    mats = symbol_matrices(params)
+    n = params.nstrips
+    nar, nal = _max_entry(mats.a_r), _max_entry(mats.a_l)
+    return nar, nal, (nar * nal * _geom_sum(_max_entry(mats.m_l), n - 1)
+                      * _geom_sum(_max_entry(mats.m_r), n - 1))
 
 
 def rho_factor(params: SymbolParams) -> float:
@@ -220,11 +211,7 @@ def rho_factor(params: SymbolParams) -> float:
     with the maximum-absolute-entry norm; each matrix holds a single
     nonzero diagonal so max-entry, spectral, and row-sum norms coincide.
     """
-    mats = symbol_matrices(params)
-    n = params.nstrips
-    return (_max_entry(mats.a_r) * _max_entry(mats.a_l)
-            * _geom_sum(_max_entry(mats.m_l), n - 1)
-            * _geom_sum(_max_entry(mats.m_r), n - 1))
+    return _contraction(params)[2]
 
 
 def C_factor(params: SymbolParams) -> float:
@@ -234,14 +221,9 @@ def C_factor(params: SymbolParams) -> float:
     the A-norms vanish and the value is returned as inf (the limit from
     xi > 0 is finite and is what the growth statements refer to).
     """
-    mats = symbol_matrices(params)
-    n = params.nstrips
-    nal = _max_entry(mats.a_l)
-    nar = _max_entry(mats.a_r)
+    nar, nal, rho = _contraction(params)
     if nal == 0.0 or nar == 0.0:
         return float("inf")
-    rho = (nar * nal * _geom_sum(_max_entry(mats.m_l), n - 1)
-           * _geom_sum(_max_entry(mats.m_r), n - 1))
     return (1.0 + rho / nal) * (1.0 + rho / nar + rho / (nar * nal))
 
 

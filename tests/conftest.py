@@ -1,4 +1,7 @@
-"""Shared builders for small strip-decomposed test problems."""
+"""Shared builders for small strip-decomposed test problems, and the dense
+oracles of the trace operators."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from helmsweep.grid import (Grid, HomogeneousModel, BoundarySpec, robin,
                             dirichlet, build_wavenumber)
 from helmsweep.strips import build_strips
-from helmsweep.substructure import SubstructuredSystem
+from helmsweep.substructure import SubstructuredSystem, TraceVector
 
 
 def left_bump(x, y):
@@ -30,6 +33,43 @@ def make_case(nstrips, k=5.0, ny=8, cells_per_strip=8, overlap_cells=2,
                           bottom=dirichlet(), top=dirichlet())
     decomp = build_strips(grid.nx, nstrips, overlap_cells)
     return SubstructuredSystem(grid, kfield, bc, decomp)
+
+
+def dense_matrix(op, layout):
+    """Materialize a trace operator densely by probing unit vectors."""
+    n = math.prod(layout)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        e = TraceVector.zeros(layout)
+        e.data[j] = 1.0
+        mat[:, j] = op(e).data
+    return mat
+
+
+def part_masks(layout):
+    """Boolean masks of the four parts of T in the trace basis.
+
+    The first half of a trace vector holds the left data.  'ml': left
+    rows/left cols, 'ar': right rows/left cols, 'mr': right rows/right
+    cols, 'al': left rows/right cols.
+    """
+    total = math.prod(layout)
+    is_left = np.arange(total) < total // 2
+    row_l = is_left[:, None]
+    col_l = is_left[None, :]
+    return {
+        "ml": row_l & col_l,
+        "al": row_l & ~col_l,
+        "ar": ~row_l & col_l,
+        "mr": ~row_l & ~col_l,
+    }
+
+
+def dense_parts(system):
+    """Dense exchange T of system and its four parts masked out of it."""
+    t = dense_matrix(system.apply_exchange, system.layout)
+    masks = part_masks(system.layout)
+    return t, {name: np.where(m, t, 0.0) for name, m in masks.items()}
 
 
 def reconstruct_dense(lu):

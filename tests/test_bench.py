@@ -9,6 +9,8 @@ from helmsweep.bench import (ProblemSpec, build_problem, iterations_at, run,
 from helmsweep.cli import main
 from helmsweep.grid import assemble_global, solve_direct
 from helmsweep.krylov import KrylovReport
+from helmsweep.symbols import (C_factor, SymbolParams, lambda_symbol,
+                               lambda_waveguide, rho_factor)
 
 
 def tiny_spec(**overrides):
@@ -114,13 +116,18 @@ def test_field_round_trip(tmp_path, rng):
     record = run(tiny_spec())
     grid = record.grid
     u = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    # signed zeros and non-finite values survive the text format bit for bit
+    u.ravel()[:5] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.inf, -np.inf),
+                     complex(np.nan, 1.0), complex(-1e-300, np.nan)]
     path = tmp_path / "x.field"
     write_field(u, grid, path)
     header = path.read_text().splitlines()[0]
     assert header.split() == [str(grid.nx), str(grid.ny), f"{grid.h:.17g}"]
     nx, ny, h, v = read_field(path)
     assert (nx, ny, h) == (grid.nx, grid.ny, grid.h)
-    assert np.allclose(v, u, rtol=1e-15, atol=0.0)
+    a, b = u.view(np.float64), v.view(np.float64)
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_runs_are_deterministic():
@@ -234,3 +241,50 @@ def test_cli_symbols(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "xi,lambda_re,lambda_im,rho_j_abs,rho,C"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("mode, k, extra", [
+    # xi = 0 (C is inf) and xi = k (the cutoff) are among the samples
+    ("plane", 20.0, ["--xi-min", "0", "--xi-max", "40", "--samples", "5"]),
+    # kL/pi = 3: mode 3 sits at the waveguide cutoff
+    ("waveguide", 3.0 * np.pi, ["--length", "1", "--xi-min", "1", "--xi-max", "5"]),
+])
+def test_cli_symbols_match_library(mode, k, extra, capsys):
+    rc = main(["analyze-symbols", "--k", repr(k), "--strips", "3", "--width", "0.5",
+               "--overlap", "0.1", "--mode", mode, *extra])
+    assert rc == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 6
+    strips = ((0.0, 0.5), (0.5, 1.0), (1.0, 1.5))
+    length = 1.0 if mode == "waveguide" else None
+    cutoffs = 0
+    for row in rows[1:]:
+        xi = float(row[0])
+        if mode == "waveguide":
+            lam, cut = lambda_waveguide(int(xi), k, length)
+        else:
+            lam, cut = lambda_symbol(xi, k)
+        p = SymbolParams(k=k, xi=xi, strips=strips, delta=0.1, mode=mode, length=length)
+        expect = [f"{lam.real:.17g}", f"{lam.imag:.17g}"]
+        expect += ["nan"] * 3 if cut else [
+            f"{v:.17g}" for v in (abs(p.rho_j()), rho_factor(p), C_factor(p))]
+        assert row[1:] == expect, xi
+        cutoffs += cut
+    assert cutoffs == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--problem", "wedge"], "omega"),
+    (["analyze-symbols", "--k", "20", "--overlap", "0.6"], "twice the overlap"),
+    (["analyze-symbols", "--k", "20", "--mode", "waveguide"], "--length"),
+    (["solve", "--config", "no-such-config.json"], "no-such-config.json"),
+], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
+        "missing-config"])
+def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
+    # a message and exit code 2, not a traceback; and no output left behind
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,32 +1,32 @@
+import math
+
 import numpy as np
 import pytest
 
 from helmsweep.grid import assemble_global, solve_direct
+from helmsweep.strips import StripDecomposition
 from helmsweep.subdomain import extract_trace
-from helmsweep.substructure import (TraceLayout, TraceVector, dense_matrix,
-                                    part_masks)
-from conftest import make_case
+from helmsweep.substructure import SubstructuredSystem, TraceVector
+from conftest import dense_matrix, dense_parts, make_case
 
 
 def test_layout_slots_and_order():
-    lay = TraceLayout(4, 9)
-    assert lay.shape == (2, 3, 9)
-    assert lay.size == 54
+    system = make_case(4, ny=8)
+    assert system.layout == (2, 3, 9)
     # left-data blocks for strips 2..N first, then right-data for 1..N-1:
     # block [0, i-2] (left of strip i) and [1, i-1] (right of strip i)
     # start at flat offsets 9 * slot
-    v = TraceVector(lay, np.arange(54, dtype=np.complex128))
+    v = TraceVector(system.layout, np.arange(54, dtype=np.complex128))
     order = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert [int(v.blocks[side, j][0].real) for side, j in order] == [0, 9, 18, 27, 36, 45]
     assert np.shares_memory(v.blocks, v.data)
-    with pytest.raises(ValueError):
-        TraceLayout(1, 9)
-    with pytest.raises(ValueError):
-        TraceLayout(3, 0)
+    one_strip = StripDecomposition(nx=8, overlap_cells=2, cuts=(0, 8), spans=((0, 8),))
+    with pytest.raises(ValueError, match="2 strips"):
+        SubstructuredSystem(system.grid, system.kfield, system.bc, one_strip)
 
 
 def test_trace_vector_views_and_arithmetic(rng):
-    lay = TraceLayout(3, 4)
+    lay = (2, 2, 4)
     v = TraceVector.zeros(lay)
     v.blocks[0, 0] = 1.0 + 2.0j
     assert np.all(v.data[:4] == 1.0 + 2.0j) and np.all(v.data[4:] == 0.0)
@@ -72,25 +72,20 @@ def test_exchange_linear_and_zero():
     z = system.apply_exchange(TraceVector.zeros(system.layout))
     assert z.norm() == 0.0
     rng = np.random.default_rng(7)
-    a = TraceVector(system.layout, rng.standard_normal(system.layout.size)
-                    + 1j * rng.standard_normal(system.layout.size))
-    b = TraceVector(system.layout, rng.standard_normal(system.layout.size)
-                    + 1j * rng.standard_normal(system.layout.size))
+    size = math.prod(system.layout)
+    a = TraceVector(system.layout, rng.standard_normal(size)
+                    + 1j * rng.standard_normal(size))
+    b = TraceVector(system.layout, rng.standard_normal(size)
+                    + 1j * rng.standard_normal(size))
     lhs = system.apply_exchange(2.0 * a - 1j * b)
     rhs = 2.0 * system.apply_exchange(a) - 1j * system.apply_exchange(b)
     assert (lhs - rhs).norm() <= 1e-12 * max(lhs.norm(), 1.0)
 
 
-def dense_parts(system):
-    t = dense_matrix(system.apply_exchange, system.layout)
-    masks = part_masks(system.layout)
-    return {name: np.where(m, t, 0.0) for name, m in masks.items()}
-
-
 @pytest.mark.parametrize("nstrips", [2, 3, 4, 5, 6])
 def test_oneway_part_nilpotent(nstrips):
     system = make_case(nstrips, cells_per_strip=6)
-    parts = dense_parts(system)
+    _, parts = dense_parts(system)
     t = parts["ml"] + parts["mr"]
     p = np.linalg.matrix_power(t, nstrips - 1)
     scale = max(np.linalg.norm(t) ** (nstrips - 1), 1.0)
@@ -99,9 +94,9 @@ def test_oneway_part_nilpotent(nstrips):
 
 def test_oneway_solver_is_two_sided_inverse():
     system = make_case(4, cells_per_strip=6)
-    n = system.layout.size
+    n = math.prod(system.layout)
     eye = np.eye(n)
-    p = dense_parts(system)
+    _, p = dense_parts(system)
     a = eye - (p["ml"] + p["mr"])
     s = dense_matrix(system.solve_oneway, system.layout)
     assert np.linalg.norm(s @ a - eye) <= 1e-10
@@ -110,12 +105,11 @@ def test_oneway_solver_is_two_sided_inverse():
 
 def test_double_sweep_solves_block_cascade(rng):
     system = make_case(3)
-    p = dense_parts(system)
-    n = system.layout.size
+    _, p = dense_parts(system)
+    n = math.prod(system.layout)
     eye = np.eye(n)
-    nleft = (system.layout.nstrips - 1) * system.layout.block_len
     sel_l = np.zeros(n)
-    sel_l[:nleft] = 1.0
+    sel_l[:n // 2] = 1.0
 
     r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     r_l, r_r = sel_l * r, (1.0 - sel_l) * r
@@ -132,9 +126,9 @@ def test_oneway_residual_operator_identity():
     # solving the one-way part exactly leaves the preconditioned iteration
     # matrix inv(Id - OW) @ (T - OW)
     system = make_case(3)
-    n = system.layout.size
+    n = math.prod(system.layout)
     eye = np.eye(n)
-    p = dense_parts(system)
+    _, p = dense_parts(system)
     ow = p["ml"] + p["mr"]
     t = ow + p["al"] + p["ar"]
     r_direct = np.linalg.solve(eye - ow, t - ow)
@@ -147,8 +141,8 @@ def test_oneway_residual_operator_identity():
 def test_fused_preconditioned_operator(n):
     # (Id - T) inv(Id - OW) from the sweep's own reflections, probed densely
     system = make_case(n, cells_per_strip=6)
-    eye = np.eye(system.layout.size)
-    p = dense_parts(system)
+    eye = np.eye(math.prod(system.layout))
+    _, p = dense_parts(system)
     t = sum(p.values())
     expect = (eye - t) @ np.linalg.inv(eye - (p["ml"] + p["mr"]))
     fused = dense_matrix(lambda x: system.apply_interface_system(system.solve_oneway(x)),
@@ -158,8 +152,8 @@ def test_fused_preconditioned_operator(n):
 
 def test_discrete_block_cancellations():
     system = make_case(3)
-    p = dense_parts(system)
-    nm1 = system.layout.nstrips - 1
+    _, p = dense_parts(system)
+    nm1 = system.nstrips - 1
     scale = max(max(np.linalg.norm(m) for m in p.values()) ** 2, 1.0)
     products = {
         "Ml^(N-1)": np.linalg.matrix_power(p["ml"], nm1),
@@ -227,7 +221,7 @@ def strip_solves(system, call):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_strip_solves_per_call(n, rng):
     system = make_case(n, cells_per_strip=6)
-    size = system.layout.size
+    size = math.prod(system.layout)
     h = TraceVector(system.layout, rng.standard_normal(size) + 1j * rng.standard_normal(size))
     expected = {
         "apply_exchange": (lambda: system.apply_exchange(h), n),

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helmsweep.substructure import TraceLayout, part_masks
 from helmsweep.symbols import (SymbolParams, lambda_symbol, lambda_waveguide,
-                               rho_two_domain, symbol_matrices, rho_factor,
+                               symbol_matrices, rho_factor,
                                C_factor, verify_symbol_algebra,
                                find_vanishing_overlap)
+from conftest import part_masks
 
 
 def equal_strips(n, width=1.0):
@@ -54,13 +54,17 @@ def test_waveguide_resonance_flag():
 
 def test_interface_reflection_coefficient():
     k = 20.0
-    assert rho_two_domain(0.0, k) == pytest.approx(0.0)
+
+    def rho_j(xi):
+        return SymbolParams(k=k, xi=xi, strips=equal_strips(2), delta=0.1).rho_j()
+
+    assert rho_j(0.0) == pytest.approx(0.0)
     # vanishing modes reflect with modulus exactly one
-    assert abs(rho_two_domain(1.5 * k, k)) == pytest.approx(1.0, rel=1e-13)
+    assert abs(rho_j(1.5 * k)) == pytest.approx(1.0, rel=1e-13)
     for xi in (5.0, 12.0, 19.5):
-        assert abs(rho_two_domain(xi, k)) < 1.0
+        assert abs(rho_j(xi)) < 1.0
     # at cutoff the interface condition reflects everything, sign flipped
-    assert rho_two_domain(k, k) == pytest.approx(-1.0)
+    assert rho_j(k) == pytest.approx(-1.0)
 
 
 def test_params_validation():
@@ -89,7 +93,7 @@ def test_matrix_sparsity_matches_trace_masks():
     n = 4
     p = SymbolParams(k=20.0, xi=7.0, strips=equal_strips(n), delta=0.1)
     m = symbol_matrices(p)
-    masks = part_masks(TraceLayout(n, 1))
+    masks = part_masks((2, n - 1, 1))
     for mat, name in ((m.a_l, "al"), (m.a_r, "ar"), (m.m_l, "ml"), (m.m_r, "mr")):
         assert np.max(np.abs(mat[~masks[name]])) == 0.0
     total = m.a_l + m.a_r + m.m_l + m.m_r
@@ -143,7 +147,7 @@ def test_propagative_contraction_bound():
     for xi in np.linspace(0.5, 0.9 * k, 9):
         p = SymbolParams(k=k, xi=float(xi), strips=equal_strips(n), delta=0.05)
         rho = rho_factor(p)
-        rj2 = abs(rho_two_domain(float(xi), k)) ** 2
+        rj2 = abs(p.rho_j()) ** 2
         bound = rj2 * 4.0 / (1.0 - rj2) ** 2 * (n - 1) ** 2
         assert rho <= bound * (1.0 + 1e-12)
 
