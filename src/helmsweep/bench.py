@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,16 @@ class ProblemSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.solver == "fixed_point" and self.preconditioner == "ds":
             raise ValueError("fixed_point supports jacobi and osds only")
+        for name in ("subdomains", "overlap_cells", "nppwl", "maxit"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.maxit < 0:
+            raise ValueError(f"maxit must be non-negative, got {self.maxit}")
+        for name in ("k", "omega"):
+            v = getattr(self, name)
+            if v is not None and (not isinstance(v, numbers.Real) or isinstance(v, bool)):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if self.problem == "wedge":
             if self.omega is None:
                 raise ValueError("wedge runs need omega")
@@ -278,12 +289,11 @@ def run(spec: ProblemSpec) -> RunRecord:
 
 def run_methods(spec: ProblemSpec, preconditioners=PRECONDITIONERS) -> dict:
     """One record per preconditioner, sharing the factored strips."""
+    # every spec is validated before anything is built or factored
+    specs = {p: dataclasses.replace(spec, preconditioner=p, out_dir=None)
+             for p in preconditioners}
     ctx = BenchContext(spec)
-    records = {}
-    for p in preconditioners:
-        records[p] = ctx.solve(dataclasses.replace(spec, preconditioner=p,
-                                                   out_dir=None))
-    return records
+    return {p: ctx.solve(s) for p, s in specs.items()}
 
 
 def sweep_study(spec: ProblemSpec, vary: str, values,

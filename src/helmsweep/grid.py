@@ -21,6 +21,11 @@ Conventions, relied on by every module downstream:
   Each row is then scaled by 1/2 per eliminated ghost (1/4 at a corner of two
   absorbing edges); the scaling makes the matrix complex symmetric (A = A^T,
   no conjugation) without changing the solution.
+- The problem's data therefore enters as one nodal load, f + (2/h) g on the
+  Robin edges (problem_load), times each row's scale.  A strip's impedance
+  interface is an absorbing edge too: its data enters its edge column the
+  same way (RectStencil.rhs).  This module alone turns data into a
+  right-hand side.
 - Dirichlet rows are identity rows with zero right-hand side, and couplings
   into Dirichlet nodes are dropped (their value is 0), preserving symmetry.
   A corner shared by a Dirichlet edge and an absorbing edge is Dirichlet.
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -198,8 +202,8 @@ def build_wavenumber(grid: Grid, model, omega: float | None = None) -> Wavenumbe
 class EdgeCondition:
     """One edge's boundary condition: 'dirichlet' (u = 0) or 'robin'.
 
-    Robin data may be None (homogeneous), a callable g(x, y), or a nodal
-    array along the edge.
+    Robin data is None (homogeneous) or a callable g(x, y) evaluated at the
+    edge's nodes.
     """
 
     kind: str
@@ -210,6 +214,8 @@ class EdgeCondition:
             raise ValueError(f"unknown edge condition kind {self.kind!r}")
         if self.kind == "dirichlet" and self.data is not None:
             raise ValueError("only homogeneous Dirichlet edges are supported")
+        if self.data is not None and not callable(self.data):
+            raise ValueError("Robin edge data must be None or a callable g(x, y)")
 
 
 def dirichlet() -> EdgeCondition:
@@ -229,28 +235,6 @@ class BoundarySpec:
 
     def kind(self, side: str) -> str:
         return getattr(self, side).kind
-
-    def edge_values(self, grid: Grid, side: str) -> ComplexArray:
-        """Evaluate a Robin edge's data at that edge's nodes."""
-        cond = getattr(self, side)
-        if cond.kind != "robin":
-            raise ValueError(f"{side} edge is not a Robin edge")
-        if side in ("left", "right"):
-            coords = grid.ys()
-            fixed = grid.x0 if side == "left" else grid.x1
-            pts = [(fixed, c) for c in coords]
-        else:
-            coords = grid.xs()
-            fixed = grid.y0 if side == "bottom" else grid.y1
-            pts = [(c, fixed) for c in coords]
-        if cond.data is None:
-            return np.zeros(len(pts), dtype=np.complex128)
-        if callable(cond.data):
-            return np.array([cond.data(x, y) for (x, y) in pts], dtype=np.complex128)
-        arr = np.asarray(cond.data, dtype=np.complex128)
-        if arr.shape != (len(pts),):
-            raise ValueError(f"{side} edge data has shape {arr.shape}, expected ({len(pts)},)")
-        return arr
 
 
 # each side's nodes as an index into a (w+1, ny+1) nodal array
@@ -339,22 +323,23 @@ class RectStencil:
         )
         self.dirichlet_mask = dirichlet_mask
         self.row_scale = row_scale
-        self.side_weight = {s: row_scale[_EDGES[s]] * (2.0 / h) for s in SIDES}
 
-    def rhs(self, f: ComplexArray | None = None,
-            side_data: dict[str, ComplexArray] | None = None) -> ComplexArray:
-        """Assemble the flat right-hand side for a volume source and side data.
+    def rhs(self, load: ComplexArray | None = None,
+            left: ComplexArray | None = None,
+            right: ComplexArray | None = None) -> ComplexArray:
+        """Flat right-hand side for a nodal load and edge-column impedance data.
 
-        f is a (w+1, ny+1) nodal array (or None); side_data maps side names
-        to nodal data arrays along that side (missing sides are homogeneous).
+        load is a (w+1, ny+1) nodal array (a slice of problem_load) or None.
+        left and right are the data g of (d/dn + i*k) v = g on the first and
+        last columns; each enters as the load (2/h) g on its column alone.
         """
         flat = np.zeros(self.nloc, dtype=np.complex128)
         out = self.to_grid(flat)
-        if f is not None:
-            out += self.row_scale * np.asarray(f, dtype=np.complex128)
-        for side, data in (side_data or {}).items():
+        if load is not None:
+            out += self.row_scale * load
+        for col, data in ((0, left), (-1, right)):
             if data is not None:
-                out[_EDGES[side]] += self.side_weight[side] * np.asarray(data, dtype=np.complex128)
+                out[col] += self.row_scale[col] * ((2.0 / self.grid.h) * data)
         return flat
 
 
@@ -370,27 +355,37 @@ class SparseSystem:
         return self.stencil.matrix
 
 
-def _volume_source(grid: Grid, f) -> ComplexArray | None:
+def problem_load(grid: Grid, bc: BoundarySpec, f=None) -> ComplexArray:
+    """The true problem's data as one (nx+1, ny+1) nodal load.
+
+    f is the volume source: None or an (nx+1, ny+1) array.  Each Robin
+    edge's data g adds (2/h) g on that edge's nodes, in SIDES order, onto a
+    copy of f.
+    """
     if f is None:
-        return None
-    if callable(f):
-        xs, ys = grid.xs(), grid.ys()
-        return np.array([[f(x, y) for y in ys] for x in xs], dtype=np.complex128)
-    arr = np.asarray(f, dtype=np.complex128)
-    if arr.shape != grid.shape:
-        raise ValueError(f"volume source shape {arr.shape} != grid shape {grid.shape}")
-    return arr
+        load = np.zeros(grid.shape, dtype=np.complex128)
+    else:
+        load = np.array(f, dtype=np.complex128)
+        if load.shape != grid.shape:
+            raise ValueError(f"volume source shape {load.shape} != grid shape {grid.shape}")
+    xs, ys = grid.xs(), grid.ys()
+    nodes = {"left": [(grid.x0, y) for y in ys], "right": [(grid.x1, y) for y in ys],
+             "bottom": [(x, grid.y0) for x in xs], "top": [(x, grid.y1) for x in xs]}
+    for s in SIDES:
+        cond = getattr(bc, s)
+        if cond.kind == "robin":
+            g = [0.0 if cond.data is None else cond.data(x, y) for x, y in nodes[s]]
+            load[_EDGES[s]] += (2.0 / grid.h) * np.array(g, dtype=np.complex128)
+    return load
 
 
 def assemble_global(grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
                     f=None) -> SparseSystem:
-    """Assemble the monodomain Helmholtz system."""
+    """Assemble the monodomain Helmholtz system for the volume source f."""
     if kfield.values.shape != grid.shape:
         raise ValueError("wavenumber field does not match the grid")
-    kinds = {s: bc.kind(s) for s in SIDES}
-    stencil = RectStencil(grid, kfield, kinds)
-    side_data = {s: bc.edge_values(grid, s) for s in SIDES if kinds[s] == "robin"}
-    return SparseSystem(stencil, stencil.rhs(_volume_source(grid, f), side_data))
+    stencil = RectStencil(grid, kfield, {s: bc.kind(s) for s in SIDES})
+    return SparseSystem(stencil, stencil.rhs(problem_load(grid, bc, f)))
 
 
 def solve_direct(system: SparseSystem) -> ComplexArray:

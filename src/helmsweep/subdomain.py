@@ -10,6 +10,10 @@ solution reproduce that solution on the strip exactly (to solver roundoff),
 because eliminating the ghost with the trace of the global solution recovers
 the global interior row at the interface column.
 
+A solve takes the interface data and, for the true problem, the strip's
+columns of grid.problem_load, which already holds the volume source and the
+physical Robin data; the homogeneous exchange passes no load.
+
 Traces are sampled on whole interface columns (ny+1 values, Dirichlet end
 nodes included; their rows ignore the datum).  extract_trace evaluates the
 outgoing impedance data of a field that lives on a strip containing the
@@ -65,34 +69,18 @@ class LocalSolver:
         self.span = decomp.spans[strip - 1]
         self.has_left = strip >= 2
         self.has_right = strip <= decomp.nstrips - 1
-        a, b = self.span
 
         kinds = {s: bc.kind(s) for s in SIDES}
         if self.has_left:
             kinds["left"] = "robin"  # interface
         if self.has_right:
             kinds["right"] = "robin"
-        self.stencil = RectStencil(grid, kfield, kinds, cols=(a, b))
+        self.stencil = RectStencil(grid, kfield, kinds, cols=self.span)
         try:
             self._lu = BandedLU(self.stencil.matrix, self.stencil.bandwidth,
                                 self.stencil.bandwidth, label=f"strip {strip}")
         except ValueError as err:
             raise ValueError(f"strip {strip}: local factorization failed") from err
-
-        # physical boundary data restricted to this strip (used when the
-        # solve carries the true problem data, e.g. for the source traces)
-        self._bc_side_data: dict[str, ComplexArray] = {}
-        for s in SIDES:
-            if kinds[s] != "robin" or bc.kind(s) != "robin":
-                continue
-            if s == "left" and self.has_left:
-                continue
-            if s == "right" and self.has_right:
-                continue
-            data = bc.edge_values(grid, s)
-            if s in ("bottom", "top"):
-                data = data[a:b + 1]
-            self._bc_side_data[s] = data
 
     @property
     def factor_count(self) -> int:
@@ -112,30 +100,20 @@ class LocalSolver:
 
     def solve(self, left: ComplexArray | None = None,
               right: ComplexArray | None = None,
-              f: ComplexArray | None = None,
-              with_bc_data: bool = False) -> ComplexArray:
-        """Solve the strip problem for interface data and a volume source.
+              load: ComplexArray | None = None) -> ComplexArray:
+        """Solve the strip problem for interface data and a nodal load.
 
-        left/right are trace data on the strip's interface columns (ignored
-        with a check if the strip has no such interface); f is a (w+1, ny+1)
-        nodal source restricted to the strip.  with_bc_data adds the grid's
-        physical Robin data, which belongs to solves of the true problem but
-        not to applications of the (homogeneous) interface exchange operator.
-        Returns the (w+1, ny+1) nodal solution.
+        left/right are trace data on the strip's interface columns (rejected
+        if the strip has no such interface).  load is the strip's (w+1, ny+1)
+        columns of grid.problem_load for solves of the true problem, and None
+        for the homogeneous interface exchange.  Returns the (w+1, ny+1)
+        nodal solution.
         """
-        side_data: dict[str, ComplexArray] = {}
-        if left is not None:
-            if not self.has_left:
-                raise ValueError(f"strip {self.strip} has no left interface")
-            side_data["left"] = left
-        if right is not None:
-            if not self.has_right:
-                raise ValueError(f"strip {self.strip} has no right interface")
-            side_data["right"] = right
-        if with_bc_data:
-            for s, data in self._bc_side_data.items():
-                side_data[s] = side_data.get(s, 0) + data
-        rhs = self.stencil.rhs(f, side_data)
+        if left is not None and not self.has_left:
+            raise ValueError(f"strip {self.strip} has no left interface")
+        if right is not None and not self.has_right:
+            raise ValueError(f"strip {self.strip} has no right interface")
+        rhs = self.stencil.rhs(load, left, right)
         return self.stencil.to_grid(self._lu.solve(rhs))
 
     def trace_from(self, field: ComplexArray, column: int, side: str) -> ComplexArray:

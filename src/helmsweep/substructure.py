@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoundarySpec, ComplexArray, Grid, WavenumberField
+from .grid import BoundarySpec, ComplexArray, Grid, WavenumberField, problem_load
 from .strips import StripDecomposition
 from .subdomain import LocalSolver
 
@@ -107,17 +107,15 @@ class SubstructuredSystem:
         # apply_interface_system on y
         self._sweep = None
 
-    def _solve(self, s: int, left=None, right=None, f=None,
-               with_bc_data: bool = False) -> ComplexArray:
-        """Field of strip s on its data; f is a whole-grid source, restricted here."""
+    def _solve(self, s: int, left=None, right=None, load=None) -> ComplexArray:
+        """Field of strip s on its data; load is a whole-grid problem_load."""
         sv = self.solvers[s]
-        if f is not None:
+        if load is not None:
             a, b = sv.span
-            f = np.asarray(f, dtype=np.complex128)[a:b + 1, :]
-        return sv.solve(left=left, right=right, f=f, with_bc_data=with_bc_data)
+            load = load[a:b + 1]
+        return sv.solve(left, right, load)
 
-    def _respond(self, s: int, left=None, right=None, f=None,
-                 with_bc_data: bool = False):
+    def _respond(self, s: int, left=None, right=None, load=None):
         """Solve strip s on its data; return (to_right, to_left).
 
         to_right is the trace strip s sends to strip s+1's left interface,
@@ -125,7 +123,7 @@ class SubstructuredSystem:
         either end.
         """
         sv = self.solvers[s]
-        v = self._solve(s, left, right, f, with_bc_data)
+        v = self._solve(s, left, right, load)
         to_right = to_left = None
         if s < self.nstrips - 1:
             to_right = sv.trace_from(v, self.decomp.left_interface(s + 2), "left")
@@ -138,14 +136,14 @@ class SubstructuredSystem:
         return (t[0, s - 1] if s > 0 else None,
                 t[1, s] if s < self.nstrips - 1 else None)
 
-    def _exchange(self, t=None, f=None, with_bc_data: bool = False) -> TraceVector:
+    def _exchange(self, t=None, load=None) -> TraceVector:
         """Every strip responds once to its data in t (none if t is None)."""
         self._sweep = None
         out = TraceVector.zeros(self.layout)
         o = out.blocks
         for s in range(self.nstrips):
             left, right = (None, None) if t is None else self._data(t, s)
-            to_right, to_left = self._respond(s, left, right, f, with_bc_data)
+            to_right, to_left = self._respond(s, left, right, load)
             if to_right is not None:
                 o[0, s] = to_right
             if to_left is not None:
@@ -175,7 +173,7 @@ class SubstructuredSystem:
 
     def source_traces(self, f=None) -> TraceVector:
         """Right-hand side G: outgoing traces of the true local sources."""
-        return self._exchange(f=f, with_bc_data=True)
+        return self._exchange(load=problem_load(self.grid, self.bc, f))
 
     def _forward(self, r: TraceVector) -> tuple[TraceVector, TraceVector]:
         """r with its left blocks replaced by the solution x of
@@ -265,10 +263,11 @@ class SubstructuredSystem:
         global field takes each strip's values on its owned cut columns.
         """
         self._sweep = None
+        load = problem_load(self.grid, self.bc, f)
         u = np.zeros(self.grid.shape, dtype=np.complex128)
         t = h.blocks
         for s, sv in enumerate(self.solvers):
-            v = self._solve(s, *self._data(t, s), f, with_bc_data=True)
+            v = self._solve(s, *self._data(t, s), load)
             lo, hi = self.decomp.owned_columns(s + 1)
             a = sv.span[0]
             u[lo:hi, :] = v[lo - a:hi - a, :]

@@ -186,6 +186,21 @@ def test_fixed_point_solver_path():
         run(tiny_spec(solver="fixed_point", preconditioner="ds"))
 
 
+def test_run_methods_validates_before_building(monkeypatch):
+    class NoBuild:
+        def __init__(self, spec):
+            raise AssertionError("strips built before the specs were checked")
+
+    monkeypatch.setattr(bench, "BenchContext", NoBuild)
+    with pytest.raises(ValueError, match="preconditioner"):
+        run_methods(tiny_spec(), preconditioners=("jacobi", "ilu"))
+    with pytest.raises(ValueError, match="fixed_point"):
+        run_methods(tiny_spec(solver="fixed_point", preconditioner="osds"),
+                    preconditioners=("osds", "ds"))
+    with pytest.raises(ValueError, match="preconditioner"):
+        sweep_study(tiny_spec(), "subdomains", [2], preconditioners=("ilu",))
+
+
 def test_run_methods_shares_problem():
     recs = run_methods(tiny_spec(), preconditioners=("jacobi", "osds"))
     assert set(recs) == {"jacobi", "osds"}
@@ -273,16 +288,35 @@ def test_cli_symbols_match_library(mode, k, extra, capsys):
     assert cutoffs == 1
 
 
+WAVEGUIDE_CONFIG = {"problem": "waveguide", "k": 2.5, "subdomains": 2,
+                    "overlap_cells": 2, "nppwl": 8}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--problem", "wedge"], "omega"),
     (["analyze-symbols", "--k", "20", "--overlap", "0.6"], "twice the overlap"),
     (["analyze-symbols", "--k", "20", "--mode", "waveguide"], "--length"),
     (["solve", "--config", "no-such-config.json"], "no-such-config.json"),
+    # a dict stands for a --config file holding it
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "subdomains": 3.0}], "subdomains"),
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "overlap_cells": 2.0}], "overlap_cells"),
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "maxit": "40"}], "maxit"),
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "maxit": -3}], "maxit"),
+    (["sweep", "--vary", "subdomains", "--values", "2",
+      "--config", {**WAVEGUIDE_CONFIG, "maxit": True}], "maxit"),
+    (["solve", "--config", {"problem": "wedge", "omega": "30"}], "omega"),
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "k": "2.5"}], "k must"),
 ], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
-        "missing-config"])
+        "missing-config", "float-subdomains", "float-overlap", "string-maxit",
+        "negative-maxit", "bool-maxit", "string-omega", "string-k"])
 def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
     # a message and exit code 2, not a traceback; and no output left behind
     out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+            argv = [*argv[:i], str(cfg), *argv[i + 1:]]
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2

@@ -6,8 +6,9 @@ from scipy.sparse import csr_matrix
 
 from helmsweep.banded import band_storage
 from helmsweep.grid import (Grid, HomogeneousModel, WedgeModel, BoundarySpec,
-                            RectStencil, SIDES, robin, dirichlet, build_grid,
-                            build_wavenumber, assemble_global, solve_direct)
+                            EdgeCondition, RectStencil, SIDES, robin, dirichlet,
+                            build_grid, build_wavenumber, assemble_global,
+                            problem_load, solve_direct)
 
 
 def test_build_grid_round_case():
@@ -203,6 +204,13 @@ def canonical(matrix):
     return m
 
 
+def on_nodes(values, axis, grid):
+    """Robin data g(x, y) that is values[i] at an edge's i-th node; the
+    edge runs along x (axis 0) or y (axis 1)."""
+    start = (grid.x0, grid.y0)[axis]
+    return lambda x, y: values[round(((x, y)[axis] - start) / grid.h)]
+
+
 WEDGE_H = 1000.0 / 35.0
 ORACLE_GRIDS = {
     # full range numbered xy, narrow ranges yx
@@ -222,6 +230,8 @@ def test_stencil_matches_node_by_node_reference(case, rng):
     # full, interior, and one-cell column ranges at both ends and inside
     ranges = [(0, nx), (1, nx - 1), (2, 5), (0, 1), (nx - 1, nx), (nx // 2, nx // 2 + 1)]
     numberings = set()
+    edges = {"left": np.s_[0, :], "right": np.s_[-1, :],
+             "bottom": np.s_[:, 0], "top": np.s_[:, -1]}
     for kinds_tuple in itertools.product(("dirichlet", "robin"), repeat=4):
         kinds = dict(zip(SIDES, kinds_tuple))
         for cols in ranges:
@@ -238,15 +248,38 @@ def test_stencil_matches_node_by_node_reference(case, rng):
             assert_bitwise(band_storage(stencil.matrix, bw, bw), band_storage(matrix, bw, bw))
             assert_bitwise(stencil.row_scale, row_scale)
             assert_bitwise(stencil.dirichlet_mask, dmask)
-            for s in SIDES:
-                assert_bitwise(stencil.side_weight[s], side_weight[s])
             shape = (stencil.w + 1, grid.ny + 1)
             f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             data = {s: rng.standard_normal(len(side_weight[s]))
                     + 1j * rng.standard_normal(len(side_weight[s])) for s in SIDES}
-            assert_bitwise(stencil.rhs(f, data), rhs(f, data))
-            assert_bitwise(stencil.rhs(None, {"top": data["top"]}), rhs(None, {"top": data["top"]}))
+            # side data enters the load as (2/h) g on the edge, in SIDES order
+            load = f.copy()
+            for s in SIDES:
+                load[edges[s]] += (2.0 / grid.h) * data[s]
+            assert_bitwise(stencil.rhs(load), rhs(f, data))
+            assert_bitwise(stencil.rhs(f, data["left"], data["right"]),
+                           rhs(f, {"left": data["left"], "right": data["right"]}))
+            assert_bitwise(stencil.rhs(None, right=data["right"]),
+                           rhs(None, {"right": data["right"]}))
+            if cols == (0, nx):
+                # the true problem's load, with Robin data from callables
+                conds = {s: dirichlet() for s in SIDES}
+                for s in SIDES:
+                    if kinds[s] == "robin":
+                        axis = 1 if s in ("left", "right") else 0
+                        conds[s] = robin(on_nodes(data[s], axis, grid))
+                bc = BoundarySpec(**conds)
+                robin_data = {s: data[s] for s in SIDES if kinds[s] == "robin"}
+                assert_bitwise(stencil.rhs(problem_load(grid, bc, f)), rhs(f, robin_data))
     assert numberings == ({"yx"} if case == "wedge-tall" else {"xy", "yx"})
+
+
+def test_robin_data_is_none_or_callable():
+    assert robin().data is None
+    with pytest.raises(ValueError, match="callable"):
+        robin(np.ones(9))
+    with pytest.raises(ValueError, match="Dirichlet"):
+        EdgeCondition("dirichlet", lambda x, y: 1.0)
 
 
 def test_wedge_model_layers_and_ties():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helmsweep.grid import (HomogeneousModel, BoundarySpec, robin, dirichlet,
-                            build_wavenumber, assemble_global, solve_direct)
+                            build_wavenumber, assemble_global, problem_load,
+                            solve_direct)
 from helmsweep.strips import build_strips
 from helmsweep.subdomain import LocalSolver, extract_trace
 from conftest import make_grid, left_bump, reconstruct_dense
@@ -21,6 +22,7 @@ def test_local_solve_consistent_with_global():
     grid, kfield, bc, decomp = small_setup()
     u = solve_direct(assemble_global(grid, kfield, bc)).reshape(grid.shape)
     full_span = (0, grid.nx)
+    load = problem_load(grid, bc)
     for i in range(1, 4):
         solver = LocalSolver(grid, kfield, bc, decomp, i)
         left = None
@@ -31,8 +33,8 @@ def test_local_solve_consistent_with_global():
         if i <= 2:
             col = decomp.right_interface(i)
             right = extract_trace(u, full_span, col, "right", kfield, grid.h)
-        w = solver.solve(left=left, right=right, with_bc_data=True)
         a, b = decomp.spans[i - 1]
+        w = solver.solve(left=left, right=right, load=load[a:b + 1])
         err = np.linalg.norm(w - u[a:b + 1, :]) / np.linalg.norm(u)
         assert err <= 1e-10
 

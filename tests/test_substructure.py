@@ -180,6 +180,18 @@ def test_source_traces_local_to_strip_with_data():
     assert np.max(np.abs(g.data)) == 0.0
 
 
+@pytest.mark.parametrize("method", ["source_traces", "reconstruct"])
+def test_misshapen_volume_source_rejected(method):
+    # a column would broadcast and extra rows would be cut off unseen
+    system = make_case(3)
+    nx1, ny1 = system.grid.shape
+    call = {"source_traces": system.source_traces,
+            "reconstruct": lambda f: system.reconstruct(TraceVector.zeros(system.layout), f)}
+    for shape in ((nx1, 1), (nx1 + 1, ny1)):
+        with pytest.raises(ValueError, match="shape"):
+            call[method](np.ones(shape))
+
+
 def test_fixed_point_zero_source():
     system = make_case(3)
     h, history, converged = system.fixed_point(TraceVector.zeros(system.layout))

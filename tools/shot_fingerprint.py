@@ -1,0 +1,61 @@
+"""Fingerprint the benchmark's first shots, to compare two checkouts bitwise.
+
+    python3 tools/shot_fingerprint.py ROOT
+
+ROOT is a helmsweep checkout.  Its ``src`` and ``perfbench/adapter.py`` are
+imported (nothing is written under ROOT), and shots 0-2 of seed 1 run on
+every benchmark workload through ``adapter.shot``, the benchmark's own solve
+path.  Each shot prints one line: GMRES iterations, strip solves, the first
+16 hex digits of the sha256 of the bytes of g (trace right-hand side), h
+(trace solution) and the field, and the true residual ||g - (Id - T) h||/||g||
+in full precision.  Two checkouts whose printouts are identical agree
+bitwise on all of these.
+"""
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+SEED = 1
+SHOTS = (0, 1, 2)
+
+
+def digest(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    if not (root / "src" / "helmsweep" / "__init__.py").is_file():
+        print(f"shot_fingerprint: no helmsweep sources under {root}/src",
+              file=sys.stderr)
+        return 2
+    # one BLAS thread, as the benchmark pins it, so reductions run in one order
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from perfbench import adapter
+
+    for workload in adapter.WORKLOADS:
+        problem = adapter.setup(workload)
+        for i in SHOTS:
+            f = adapter.source(problem, SEED, i)
+            before = adapter.solve_count(problem)
+            shot = adapter.shot(problem, f)
+            solves = adapter.solve_count(problem) - before
+            residual = adapter.true_residual(problem, shot.g, shot.h)
+            print(f"{workload} shot {i}: iterations {shot.iterations}, "
+                  f"strip solves {solves}, g {digest(shot.g)}, "
+                  f"h {digest(shot.h)}, field {digest(shot.field)}, "
+                  f"true residual {residual!r}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
