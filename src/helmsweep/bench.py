@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 
 from .grid import (BoundarySpec, ComplexArray, Grid, HomogeneousModel,
                    WedgeModel, build_grid, build_wavenumber, dirichlet, robin)
-from .krylov import gmres_right
+from .krylov import gmres_right, richardson
 from .strips import build_strips
 from .substructure import SubstructuredSystem, TraceVector
 
@@ -34,6 +35,29 @@ PROBLEMS = ("waveguide", "cavity", "wedge")
 PRECONDITIONERS = ("jacobi", "ds", "osds")
 SOLVERS = ("gmres", "fixed_point")
 WEDGE_DOMAIN = ((0.0, 600.0), (0.0, 1000.0))
+
+
+# name: (nested lengths, None for any but 0; positive; what it must be)
+_REAL_FIELDS = {
+    "k": ((), True, "a finite positive number"),
+    "omega": ((), True, "a finite positive number"),
+    "tolerances": ((None,), True, "a non-empty list of finite positive numbers"),
+    "wedge_upper": ((2, 2), False, "two (x, y) points of finite numbers"),
+    "wedge_lower": ((2, 2), False, "two (x, y) points of finite numbers"),
+    "wedge_velocities": ((3,), True, "three finite positive numbers"),
+}
+
+
+def _reals(value, lengths, positive, error):
+    """value as nested tuples of finite floats, or ValueError(error)."""
+    if not lengths:
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value) and (value > 0 or not positive)):
+            return float(value)
+    elif (isinstance(value, (list, tuple)) and value
+          and len(value) == (lengths[0] or len(value))):
+        return tuple(_reals(v, lengths[1:], positive, error) for v in value)
+    raise ValueError(error)
 
 
 @dataclass(frozen=True)
@@ -70,25 +94,18 @@ class ProblemSpec:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.maxit < 0:
             raise ValueError(f"maxit must be non-negative, got {self.maxit}")
-        for name in ("k", "omega"):
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
+        for name, (lengths, positive, what) in _REAL_FIELDS.items():
             v = getattr(self, name)
-            if v is not None and (not isinstance(v, numbers.Real) or isinstance(v, bool)):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
+            if v is not None or lengths:
+                error = f"{name} must be {what}, got {v!r}"
+                object.__setattr__(self, name, _reals(v, lengths, positive, error))
         if self.problem == "wedge":
             if self.omega is None:
                 raise ValueError("wedge runs need omega")
         elif self.k is None and self.omega is None:
             raise ValueError(f"{self.problem} runs need k (or omega with unit speed)")
-        tols = tuple(float(t) for t in self.tolerances)
-        if not tols or min(tols) <= 0:
-            raise ValueError("tolerances must be positive")
-        object.__setattr__(self, "tolerances", tols)
-        object.__setattr__(self, "wedge_upper",
-                           tuple(tuple(float(v) for v in p) for p in self.wedge_upper))
-        object.__setattr__(self, "wedge_lower",
-                           tuple(tuple(float(v) for v in p) for p in self.wedge_lower))
-        object.__setattr__(self, "wedge_velocities",
-                           tuple(float(v) for v in self.wedge_velocities))
 
     @property
     def homogeneous_k(self) -> float:
@@ -192,45 +209,35 @@ class BenchContext:
         self.spec = spec
 
     def solve(self, spec: ProblemSpec) -> RunRecord:
-        system = self.system
-        layout = system.layout
+        system, layout = self.system, self.system.layout
         tol = min(spec.tolerances)
-        t0 = time.perf_counter()
-        defect = 0.0
-        if spec.solver == "gmres":
-            def apply_flat(x):
-                return system.apply_interface_system(TraceVector(layout, x)).data
+        sweep = {"jacobi": None, "ds": system.solve_double_sweep,
+                 "osds": system.solve_oneway}[spec.preconditioner]
 
-            precond = None
-            if spec.preconditioner == "ds":
-                def precond(x):
-                    return system.solve_double_sweep(TraceVector(layout, x)).data
-            elif spec.preconditioner == "osds":
-                def precond(x):
-                    return system.solve_oneway(TraceVector(layout, x)).data
-            report = gmres_right(apply_flat, self.g.data, precond,
-                                 tol=tol, maxit=spec.maxit)
-            h = TraceVector(layout, report.solution)
-            history, converged = report.history, report.converged
-            defect = report.ortho_defect
-        else:
-            h, history, converged = system.fixed_point(
-                self.g, method=spec.preconditioner, tol=tol, maxit=spec.maxit)
+        def apply_op(x):
+            return system.apply_interface_system(TraceVector(layout, x)).data
+
+        precond = None if sweep is None else (lambda x: sweep(TraceVector(layout, x)).data)
+        solver = gmres_right if spec.solver == "gmres" else richardson
+        t0 = time.perf_counter()
+        report = solver(apply_op, self.g.data, precond, tol=tol, maxit=spec.maxit)
         solve_time = time.perf_counter() - t0
+        h = TraceVector(layout, report.solution)
         # converged means ||g - (Id - T) h|| <= tol ||g||, checked with a full
         # exchange rather than taken from the solver's own recurrence
         true_residual = (self.g - (h - system.apply_exchange(h))).norm()
         if self.g.norm() > 0:
             true_residual /= self.g.norm()
-        converged = converged and true_residual <= tol
-        counts = {f"{t:g}": iterations_at(history, t, spec.maxit)
+        converged = report.converged and true_residual <= tol
+        counts = {f"{t:g}": iterations_at(report.history, t, spec.maxit)
                   for t in spec.tolerances}
         u = system.reconstruct(h, self.f)
-        return RunRecord(spec=spec, counts=counts, history=list(history),
+        return RunRecord(spec=spec, counts=counts, history=list(report.history),
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=self.g.data.size,
                          build_time=self.build_time, solve_time=solve_time,
-                         true_residual=true_residual, ortho_defect=defect,
+                         true_residual=true_residual,
+                         ortho_defect=report.ortho_defect,
                          solution=u, grid=self.grid)
 
 
@@ -313,16 +320,12 @@ def sweep_study(spec: ProblemSpec, vary: str, values,
                        for t in spec.tolerances]
     rows = [header]
     records = {}
+    key = "subdomains" if vary == "subdomains" else "overlap_cells"
     for v in values:
-        key = "subdomains" if vary == "subdomains" else "overlap_cells"
         sub = dataclasses.replace(spec, **{key: int(v)}, out_dir=None)
-        recs = run_methods(sub, preconds)
-        records[v] = recs
-        row = [v]
-        for p in preconds:
-            for t in spec.tolerances:
-                row.append(recs[p].counts[f"{t:g}"])
-        rows.append(row)
+        records[v] = recs = run_methods(sub, preconds)
+        rows.append([v] + [recs[p].counts[f"{t:g}"] for p in preconds
+                           for t in spec.tolerances])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,13 @@
-"""Right-preconditioned GMRES on flat complex vectors.
+"""Flexible GMRES and a preconditioned Richardson iteration for op(x) = b.
 
-Full GMRES (no restart) with modified Gram-Schmidt and one conditional
-reorthogonalization pass, Givens rotations kept in the complex form with a
-real cosine, and the preconditioner applied on the right so the recorded
-residuals are those of the unpreconditioned system.  The iteration history
-starts at 1 (the relative residual of the zero initial guess) and is
-monotone by construction since each rotation scales the trailing entry of
-the reduced right-hand side by |s| <= 1.
+gmres_right is full flexible GMRES (Saad 1993, no restart): the basis V and
+the preconditioned vectors Z = [M v_j] are arrays, each new vector gets two
+classical Gram-Schmidt passes, the Givens rotations have a real cosine, and
+x = Z y, so M runs once per iteration and never on the solution.  Its
+history holds the unpreconditioned residuals, starts at 1 and is monotone
+(each rotation scales the trailing entry of the reduced right-hand side by
+|s| <= 1).  richardson iterates x <- x + M(b - op(x)); its history is the
+true residual of each iterate.
 """
 
 from __future__ import annotations
@@ -16,16 +17,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .grid import ComplexArray
 
-REORTH_THRESHOLD = 1e-8
 BREAKDOWN_RATIO = 1e-14
+Operator = Callable[[ComplexArray], ComplexArray]
 
 
 @dataclass
 class KrylovReport:
-    """Outcome of a GMRES run."""
+    """Outcome of a solver run."""
 
     solution: ComplexArray
     iterations: int
@@ -49,64 +51,61 @@ def _givens(h1: complex, h2: complex):
 def _finite(v: ComplexArray, what: str) -> ComplexArray:
     v = np.asarray(v, dtype=np.complex128)
     if not np.all(np.isfinite(v)):
-        raise FloatingPointError(f"GMRES: {what} returned a non-finite vector")
+        raise FloatingPointError(f"{what} returned a non-finite vector")
     return v
 
 
-def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
-                b: ComplexArray,
-                apply_precond: Optional[Callable[[ComplexArray], ComplexArray]] = None,
-                tol: float = 1e-6,
-                maxit: int = 400) -> KrylovReport:
+def _grow(a: ComplexArray, rows: int) -> ComplexArray:
+    """a with at least rows rows, its row count doubled when it is full."""
+    return a if rows <= len(a) else np.concatenate([a, np.empty_like(a)])
+
+
+def gmres_right(apply_op: Operator, b: ComplexArray,
+                apply_precond: Optional[Operator] = None,
+                tol: float = 1e-6, maxit: int = 400) -> KrylovReport:
     """Solve op(x) = b from a zero initial guess.
 
     apply_precond, when given, acts as the right preconditioner M: the
-    Arnoldi process runs on op(M(.)) and the returned solution is M applied
-    to the Krylov combination.  Convergence is declared only when the
-    relative residual |g_{j+1}| / ||b|| reaches tol.  A breakdown of the
-    Arnoldi recurrence (the Krylov space invariant to working precision)
-    stops the iteration with h_{j+1,j} taken as zero: the least-squares
-    residual then vanishes, unless the new column adds no direction either
-    (op(M(.)) singular on the Krylov space).  That column is left out, the
-    residual stays where it was and the run is not converged.  A non-finite
-    vector from the operator or the preconditioner raises FloatingPointError
+    Arnoldi process runs on op(M(.)), and the solution is the combination
+    of the stored M v_j.  Convergence is declared only when the relative
+    residual |g_{j+1}| / ||b|| reaches tol.  A breakdown of the Arnoldi
+    recurrence (the Krylov space invariant to working precision) stops the
+    iteration with h_{j+1,j} taken as zero: the least-squares residual then
+    vanishes, unless the new column adds no direction either (op(M(.))
+    singular on the Krylov space).  That column is left out, the residual
+    stays where it was and the run is not converged.  A non-finite vector
+    from the operator or the preconditioner raises FloatingPointError
     naming the iteration.
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=np.complex128)
-    n = b.size
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return KrylovReport(np.zeros(n, dtype=np.complex128), 0, [0.0], True,
-                            time.perf_counter() - start, 0.0)
-    history = [1.0]
-    if history[0] <= tol:
-        return KrylovReport(np.zeros(n, dtype=np.complex128), 0, history, True,
-                            time.perf_counter() - start, 0.0)
+    history = [1.0 if bnorm > 0.0 else 0.0]
+    if bnorm == 0.0 or history[0] <= tol:
+        return KrylovReport(np.zeros(b.size, dtype=np.complex128), 0, history, True,
+                            time.perf_counter() - start)
 
-    vecs = [b / bnorm]
-    hcols = []
-    cs: list[float] = []
-    sn: list[complex] = []
+    # rows 0..nv-1 of V are the basis, rows 0..j of Z its preconditioned images
+    V = (b / bnorm)[None, :]
+    Z = np.empty_like(V)
+    nv = 1
+    hcols, cs, sn = [], [], []   # R's columns, cosines (real), sines
     g = [bnorm + 0.0j]
 
     for j in range(maxit):
-        z = vecs[j] if apply_precond is None else _finite(
-            apply_precond(vecs[j]), f"preconditioner at iteration {j + 1}")
-        w = _finite(apply_op(z), f"operator at iteration {j + 1}")
+        z = V[j]
+        if apply_precond is not None:
+            z = _finite(apply_precond(z), f"GMRES: preconditioner at iteration {j + 1}")
+            Z = _grow(Z, j + 1)
+            Z[j] = z
+        w = _finite(apply_op(z), f"GMRES: operator at iteration {j + 1}")
         wnorm0 = float(np.linalg.norm(w))
+        basis = V[:nv]
         hcol = np.zeros(j + 2, dtype=np.complex128)
-        for i in range(j + 1):
-            hij = np.vdot(vecs[i], w)
-            hcol[i] = hij
-            w = w - hij * vecs[i]
-        # one extra pass when the first sweep left visible components
-        corr = np.array([np.vdot(v, w) for v in vecs], dtype=np.complex128)
-        wcur = float(np.linalg.norm(w))
-        if wcur > 0.0 and np.max(np.abs(corr)) / wcur > REORTH_THRESHOLD:
-            for i in range(j + 1):
-                w = w - corr[i] * vecs[i]
-            hcol[:j + 1] += corr
+        for _ in range(2):
+            proj = basis.conj() @ w
+            w = w - proj @ basis
+            hcol[:j + 1] += proj
         hnext = float(np.linalg.norm(w))
         breakdown = hnext == 0.0 or (wnorm0 > 0.0 and hnext < BREAKDOWN_RATIO * wnorm0)
         hcol[j + 1] = 0.0 if breakdown else hnext
@@ -124,31 +123,54 @@ def gmres_right(apply_op: Callable[[ComplexArray], ComplexArray],
         cs.append(c)
         sn.append(s)
         hcol[j] = diag
-        hcol[j + 1] = 0.0
-        hcols.append(hcol)
+        hcols.append(hcol[:j + 1])
         g.append(-np.conj(s) * g[j])
         g[j] = c * g[j]
         history.append(abs(g[j + 1]) / bnorm)
 
         if history[-1] <= tol or breakdown:
             break
-        vecs.append(w / hnext)
+        V = _grow(V, nv + 1)
+        V[nv] = w / hnext
+        nv += 1
 
     m = len(hcols)
-    y = np.zeros(m, dtype=np.complex128)
-    for i in range(m - 1, -1, -1):
-        acc = g[i]
-        for k in range(i + 1, m):
-            acc -= hcols[k][i] * y[k]
-        y[i] = acc / hcols[i][i]
-    u = np.zeros(n, dtype=np.complex128)
-    for i in range(m):
-        u += y[i] * vecs[i]
-    x = u if apply_precond is None else _finite(
-        apply_precond(u), f"preconditioner on the solution after iteration {m}")
+    r = np.zeros((m, m), dtype=np.complex128)
+    for k, col in enumerate(hcols):
+        r[:k + 1, k] = col
+    y = solve_triangular(r, np.array(g[:m]))
+    x = y @ (V if apply_precond is None else Z)[:m]
 
-    basis = np.array(vecs)
-    gram = basis.conj() @ basis.T
-    defect = float(np.max(np.abs(gram - np.eye(len(vecs)))))
+    gram = V[:nv].conj() @ V[:nv].T
+    defect = float(np.max(np.abs(gram - np.eye(nv))))
     return KrylovReport(x, len(history) - 1, history, bool(history[-1] <= tol),
                         time.perf_counter() - start, defect)
+
+
+def richardson(apply_op: Operator, b: ComplexArray,
+               apply_precond: Optional[Operator] = None,
+               tol: float = 1e-6, maxit: int = 400) -> KrylovReport:
+    """Solve op(x) = b by x <- x + M(b - op(x)) from x = 0.
+
+    M is apply_precond, or the identity when it is None (for op = Id - T
+    the step is then x <- T x + b).  history[j] is ||b - op(x_j)|| / ||b||,
+    the true residual of iterate j, so each step costs one M and one op.
+    A non-finite vector raises FloatingPointError naming the iteration.
+    """
+    start = time.perf_counter()
+    b = np.asarray(b, dtype=np.complex128)
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros(b.size, dtype=np.complex128)
+    if bnorm == 0.0:
+        return KrylovReport(x, 0, [0.0], True, time.perf_counter() - start)
+    r, history = b, [1.0]
+    for j in range(1, maxit + 1):
+        if history[-1] <= tol:
+            break
+        z = r if apply_precond is None else _finite(
+            apply_precond(r), f"Richardson: preconditioner at iteration {j}")
+        x = x + z
+        r = b - _finite(apply_op(x), f"Richardson: operator at iteration {j}")
+        history.append(float(np.linalg.norm(r)) / bnorm)
+    return KrylovReport(x, len(history) - 1, history, bool(history[-1] <= tol),
+                        time.perf_counter() - start)

@@ -227,35 +227,6 @@ class SubstructuredSystem:
                 o[0, s] = rl[s] + to_right
         return out
 
-    def fixed_point(self, g: TraceVector, method: str = "jacobi",
-                    tol: float = 1e-6, maxit: int = 1000):
-        """Stationary iteration diagnostic; returns (h, history, converged).
-
-        jacobi: h <- T h + g.  osds: h <- h - solve_oneway((Id - T) h - g),
-        which equals solve_oneway((T - oneway) h + g): the one-way part is
-        inverted exactly every step.  history[j] is the relative residual
-        ||(Id - T) h_j - g|| / ||g|| of iterate j.
-        """
-        if method not in ("jacobi", "osds"):
-            raise ValueError(f"unknown fixed-point method {method!r}")
-        self._sweep = None
-        gnorm = g.norm()
-        h = TraceVector.zeros(self.layout)
-        if gnorm == 0.0:
-            return h, [0.0], True
-        history = []
-        converged = False
-        for it in range(maxit + 1):
-            t = self.apply_exchange(h)
-            residual = h - t - g
-            history.append(residual.norm() / gnorm)
-            if history[-1] <= tol:
-                converged = True
-                break
-            if it < maxit:
-                h = t + g if method == "jacobi" else h - self.solve_oneway(residual)
-        return h, history, converged
-
     def reconstruct(self, h: TraceVector, f=None) -> ComplexArray:
         """Assemble the volume solution from converged traces.
 

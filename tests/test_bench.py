@@ -290,6 +290,9 @@ def test_cli_symbols_match_library(mode, k, extra, capsys):
 
 WAVEGUIDE_CONFIG = {"problem": "waveguide", "k": 2.5, "subdomains": 2,
                     "overlap_cells": 2, "nppwl": 8}
+WAVEGUIDE_FLAGS = ["--problem", "waveguide", "--subdomains", "2",
+                   "--overlap-cells", "2", "--nppwl", "8"]
+WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -306,19 +309,35 @@ WAVEGUIDE_CONFIG = {"problem": "waveguide", "k": 2.5, "subdomains": 2,
       "--config", {**WAVEGUIDE_CONFIG, "maxit": True}], "maxit"),
     (["solve", "--config", {"problem": "wedge", "omega": "30"}], "omega"),
     (["solve", "--config", {**WAVEGUIDE_CONFIG, "k": "2.5"}], "k must"),
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "tolerances": 1e-6}], "tolerances"),
+    (["solve", "--config", {**WEDGE_CONFIG, "wedge_upper": 5}], "wedge_upper"),
+    (["solve", "--config", {**WEDGE_CONFIG, "wedge_lower": 5}], "wedge_lower"),
+    (["solve", "--config", {**WEDGE_CONFIG, "wedge_velocities": 5}], "wedge_velocities"),
+    # with no --out, so the config's value is the one used
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "out_dir": 5}], "out_dir"),
+    (["solve", *WAVEGUIDE_FLAGS, "--k", "inf"], "k must"),
+    (["solve", "--config", {**WEDGE_CONFIG, "omega": float("inf")}], "omega must"),
+    (["solve", *WAVEGUIDE_FLAGS, "--k", "nan"], "k must"),
+    (["solve", *WAVEGUIDE_FLAGS, "--k", "2.5", "--tol", "nan"], "tolerances"),
 ], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
         "missing-config", "float-subdomains", "float-overlap", "string-maxit",
-        "negative-maxit", "bool-maxit", "string-omega", "string-k"])
+        "negative-maxit", "bool-maxit", "string-omega", "string-k",
+        "scalar-tolerances", "scalar-wedge-upper", "scalar-wedge-lower",
+        "scalar-wedge-velocities", "int-out-dir", "infinite-k", "infinite-omega",
+        "nan-k", "nan-tol"])
 def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
     # a message and exit code 2, not a traceback; and no output left behind
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
+    out_flag = ["--out", str(out)]
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):
             cfg.write_text(json.dumps(arg))
             argv = [*argv[:i], str(cfg), *argv[i + 1:]]
+            if "out_dir" in arg:
+                out_flag = []
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(out)])
+        main([*argv, *out_flag])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmsweep.krylov import gmres_right
+from helmsweep.krylov import gmres_right, richardson
 
 
 def dense_problem(rng, n=20):
@@ -138,3 +138,93 @@ def test_non_finite_vectors_raise_naming_the_iteration(rng):
     with pytest.raises(FloatingPointError, match="preconditioner at iteration 1"):
         gmres_right(lambda v: a @ v, b, apply_precond=lambda v: np.full_like(v, np.inf),
                     tol=1e-14, maxit=50)
+
+
+@pytest.mark.parametrize("tol, maxit", [(1e-11, 50), (1e-14, 4)],
+                         ids=["converged", "maxit"])
+def test_preconditioner_runs_once_per_iteration(rng, tol, maxit):
+    # the solution is the combination of the stored M v_j: no closing M
+    a, b = dense_problem(rng)
+    d = 1.0 + np.arange(len(b)) / len(b)
+    calls = []
+
+    def minv(v):
+        calls.append(1)
+        return v / d
+
+    rep = gmres_right(lambda v: a @ v, b, apply_precond=minv, tol=tol, maxit=maxit)
+    assert len(calls) == rep.iterations
+    assert np.linalg.norm(b - a @ rep.solution) / np.linalg.norm(b) == pytest.approx(
+        rep.history[-1], rel=1e-6, abs=1e-15)
+
+
+def test_richardson_exact_inverse_is_one_step(rng):
+    a, b = dense_problem(rng)
+    ainv = np.linalg.inv(a)
+    rep = richardson(lambda v: a @ v, b, apply_precond=lambda v: ainv @ v,
+                     tol=1e-12, maxit=10)
+    assert rep.converged
+    assert rep.iterations == 1
+    assert rep.history[0] == 1.0 and rep.history[1] <= 1e-13
+    assert np.allclose(rep.solution, np.linalg.solve(a, b), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("preconditioned", [False, True], ids=["plain", "diagonal"])
+def test_richardson_history_is_residual_of_each_iterate(rng, preconditioned):
+    a, b = dense_problem(rng)
+    d = 1.0 + np.arange(len(b)) / len(b)
+    iterates = []
+
+    def op(v):
+        iterates.append(v.copy())
+        return a @ v
+
+    rep = richardson(op, b, apply_precond=(lambda v: v / d) if preconditioned else None,
+                     tol=1e-10, maxit=200)
+    assert rep.converged
+    assert len(rep.history) == len(iterates) + 1 == rep.iterations + 1
+    expect = [1.0] + [np.linalg.norm(b - a @ x) / np.linalg.norm(b) for x in iterates]
+    assert rep.history == pytest.approx(expect, rel=1e-14, abs=0.0)
+    assert np.array_equal(rep.solution, iterates[-1])
+    # x_{j+1} = x_j + M(b - A x_j), from x_0 = 0
+    m = (lambda v: v / d) if preconditioned else (lambda v: v)
+    x = np.zeros_like(b)
+    for got in iterates[:3]:
+        x = x + m(b - a @ x)
+        assert np.allclose(got, x, rtol=1e-13, atol=0.0)
+
+
+def test_richardson_zero_rhs():
+    calls = []
+    rep = richardson(lambda v: calls.append(1) or 2.0 * v, np.zeros(8, dtype=np.complex128))
+    assert rep.converged
+    assert rep.iterations == 0 and rep.history == [0.0]
+    assert np.max(np.abs(rep.solution)) == 0.0
+    assert calls == []
+
+
+def test_richardson_maxit_reported_not_converged(rng):
+    a, b = dense_problem(rng)
+    rep = richardson(lambda v: a @ v, b, tol=1e-14, maxit=3)
+    assert not rep.converged
+    assert rep.iterations == 3
+    assert len(rep.history) == 4
+    assert rep.history[-1] > 1e-14
+
+
+def test_richardson_non_finite_vectors_raise_naming_the_iteration(rng):
+    a, b = dense_problem(rng)
+    calls = []
+
+    def poisoned(v):
+        calls.append(1)
+        out = a @ v
+        if len(calls) == 3:
+            out[0] = np.nan
+        return out
+
+    with pytest.raises(FloatingPointError, match="operator at iteration 3"):
+        richardson(poisoned, b, tol=1e-14, maxit=50)
+    with pytest.raises(FloatingPointError, match="preconditioner at iteration 1"):
+        richardson(lambda v: a @ v, b, apply_precond=lambda v: np.full_like(v, np.inf),
+                   tol=1e-14, maxit=50)

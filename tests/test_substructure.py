@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helmsweep.grid import assemble_global, solve_direct
+from helmsweep.krylov import gmres_right, richardson
 from helmsweep.strips import StripDecomposition
 from helmsweep.subdomain import extract_trace
 from helmsweep.substructure import SubstructuredSystem, TraceVector
@@ -192,9 +193,21 @@ def test_misshapen_volume_source_rejected(method):
             call[method](np.ones(shape))
 
 
+def fixed_point(system, g, preconditioner, tol, maxit):
+    """Richardson on (Id - T) h = g with the system's own operators:
+    jacobi has no M, osds has M = solve_oneway."""
+    layout = system.layout
+    sweep = {"jacobi": None, "osds": system.solve_oneway}[preconditioner]
+    precond = None if sweep is None else (lambda x: sweep(TraceVector(layout, x)).data)
+    rep = richardson(lambda x: system.apply_interface_system(TraceVector(layout, x)).data,
+                     g.data, precond, tol=tol, maxit=maxit)
+    return TraceVector(layout, rep.solution), rep.history, rep.converged
+
+
 def test_fixed_point_zero_source():
     system = make_case(3)
-    h, history, converged = system.fixed_point(TraceVector.zeros(system.layout))
+    h, history, converged = fixed_point(system, TraceVector.zeros(system.layout),
+                                        "jacobi", tol=1e-6, maxit=1000)
     assert converged
     assert history == [0.0]
     assert h.norm() == 0.0
@@ -204,21 +217,19 @@ def test_fixed_point_methods():
     # k above the first duct cutoff so a mode actually propagates
     system = make_case(5, k=5.0)
     g = system.source_traces(None)
-    h_j, hist_j, ok_j = system.fixed_point(g, method="jacobi", tol=1e-8, maxit=500)
-    h_o, hist_o, ok_o = system.fixed_point(g, method="osds", tol=1e-8, maxit=500)
+    h_j, hist_j, ok_j = fixed_point(system, g, "jacobi", tol=1e-8, maxit=500)
+    h_o, hist_o, ok_o = fixed_point(system, g, "osds", tol=1e-8, maxit=500)
     assert ok_j and ok_o
     # exact one-way solves beat plain exchange iteration
     assert len(hist_o) < len(hist_j)
     # both land on the same interface data
     assert (h_j - h_o).norm() <= 1e-5 * g.norm()
-    with pytest.raises(ValueError, match="fixed-point"):
-        system.fixed_point(g, method="ds")
 
 
 def test_fixed_point_history_is_residual_of_iterate():
     system = make_case(3, k=2.5)
     g = system.source_traces(None)
-    h, history, converged = system.fixed_point(g, method="osds", tol=1e-10, maxit=200)
+    h, history, converged = fixed_point(system, g, "osds", tol=1e-10, maxit=200)
     assert converged
     res = (system.apply_interface_system(h) - g).norm() / g.norm()
     assert res == pytest.approx(history[-1], rel=1e-12, abs=1e-15)
@@ -252,7 +263,6 @@ def test_strip_solves_per_call(n, rng):
     system.apply_interface_system(y)
     assert strip_solves(system, lambda: system.apply_interface_system(y)) == n
     others = {name: call for name, (call, _) in expected.items() if name != "solve_oneway"}
-    others["fixed_point"] = lambda: system.fixed_point(TraceVector.zeros(system.layout))
     for name, call in others.items():
         y = system.solve_oneway(h)
         call()
@@ -264,8 +274,25 @@ def test_strip_solves_per_call(n, rng):
     system.solve_oneway(h)
     got = system.apply_interface_system(changed)
     assert np.array_equal(got.data, (changed - system.apply_exchange(changed)).data)
-    # one osds step: maxit=1 does one step more than maxit=0
+    # osds Richardson: the first step's product is the fused one, each later
+    # step a sweep and a full exchange
     g = system.source_traces(None)
-    steps = [strip_solves(system, lambda m=m: system.fixed_point(g, "osds", tol=0.0, maxit=m))
-             for m in (0, 1)]
-    assert steps[1] - steps[0] == 3 * n - 4
+    steps = [strip_solves(system, lambda m=m: fixed_point(system, g, "osds", tol=0.0, maxit=m))
+             for m in (0, 1, 2)]
+    assert steps[:2] == [0, 2 * n - 2]
+    assert steps[2] - steps[1] == 3 * n - 4
+
+
+def test_osds_gmres_costs_2n_minus_2_solves_per_iteration():
+    # each iteration is one fused preconditioned product; the solution is
+    # the stored preconditioned vectors, so no closing sweep
+    system = make_case(5, cells_per_strip=6)
+    layout = system.layout
+    g = system.source_traces(None)
+    before = sum(sv.solve_count for sv in system.solvers)
+    rep = gmres_right(lambda x: system.apply_interface_system(TraceVector(layout, x)).data,
+                      g.data, lambda x: system.solve_oneway(TraceVector(layout, x)).data,
+                      tol=1e-10, maxit=50)
+    assert rep.converged and rep.iterations > 1
+    solves = sum(sv.solve_count for sv in system.solvers) - before
+    assert solves == rep.iterations * (2 * system.nstrips - 2)

@@ -1,4 +1,4 @@
-"""Fingerprint the benchmark's first shots, to compare two checkouts bitwise.
+"""Fingerprint benchmark shots and quick-start solver paths of a checkout.
 
     python3 tools/shot_fingerprint.py ROOT
 
@@ -10,6 +10,13 @@ path.  Each shot prints one line: GMRES iterations, strip solves, the first
 (trace solution) and the field, and the true residual ||g - (Id - T) h||/||g||
 in full precision.  Two checkouts whose printouts are identical agree
 bitwise on all of these.
+
+Then the README quick-start waveguide (k=20, N=5, nppwl 16, tol 1e-6) runs
+along ``run_methods``' path, one ``BenchContext`` and one ``solve`` per
+preconditioner: gmres with jacobi, ds and osds, and fixed_point with jacobi
+and osds.  Each prints its iterations, the strip solves of the whole
+``solve`` (the solver, the true-residual check and the reconstruction) and
+the true residual.
 """
 
 import hashlib
@@ -19,6 +26,9 @@ from pathlib import Path
 
 SEED = 1
 SHOTS = (0, 1, 2)
+QUICKSTART = dict(problem="waveguide", k=20.0, subdomains=5, overlap_cells=4,
+                  nppwl=16, tolerances=(1e-6,))
+PATHS = {"gmres": ("jacobi", "ds", "osds"), "fixed_point": ("jacobi", "osds")}
 
 
 def digest(a) -> str:
@@ -40,6 +50,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root)]
+    from helmsweep import bench
     from perfbench import adapter
 
     for workload in adapter.WORKLOADS:
@@ -54,6 +65,17 @@ def main(argv=None) -> int:
                   f"strip solves {solves}, g {digest(shot.g)}, "
                   f"h {digest(shot.h)}, field {digest(shot.field)}, "
                   f"true residual {residual!r}", flush=True)
+
+    for solver, preconditioners in PATHS.items():
+        ctx = bench.BenchContext(bench.ProblemSpec(**QUICKSTART, solver=solver))
+        for p in preconditioners:
+            before = sum(sv.solve_count for sv in ctx.system.solvers)
+            record = ctx.solve(bench.ProblemSpec(**QUICKSTART, solver=solver,
+                                                 preconditioner=p))
+            solves = sum(sv.solve_count for sv in ctx.system.solvers) - before
+            print(f"quick-start {solver} {p}: iterations {len(record.history) - 1}, "
+                  f"strip solves {solves}, "
+                  f"true residual {record.true_residual!r}", flush=True)
     return 0
 
 
