@@ -104,8 +104,11 @@ class ProblemSpec:
         if self.problem == "wedge":
             if self.omega is None:
                 raise ValueError("wedge runs need omega")
-        elif self.k is None and self.omega is None:
-            raise ValueError(f"{self.problem} runs need k (or omega with unit speed)")
+            if self.k is not None:
+                raise ValueError("wedge runs take omega, not k")
+        elif (self.k is None) == (self.omega is None):
+            raise ValueError(f"{self.problem} runs need k or omega (unit speed), "
+                             "not both")
 
     @property
     def homogeneous_k(self) -> float:
@@ -143,6 +146,9 @@ class RunRecord:
     solve_time: float
     true_residual: float = 0.0
     ortho_defect: float = 0.0
+    strip_solves: int = 0
+    factorizations: int = 0
+    lu_bytes: int = 0
     solution: Optional[ComplexArray] = None
     grid: Optional[Grid] = None
 
@@ -211,6 +217,7 @@ class BenchContext:
     def solve(self, spec: ProblemSpec) -> RunRecord:
         system, layout = self.system, self.system.layout
         tol = min(spec.tolerances)
+        solves_before = sum(sv.solve_count for sv in system.solvers)
         sweep = {"jacobi": None, "ds": system.solve_double_sweep,
                  "osds": system.solve_oneway}[spec.preconditioner]
 
@@ -238,6 +245,10 @@ class BenchContext:
                          build_time=self.build_time, solve_time=solve_time,
                          true_residual=true_residual,
                          ortho_defect=report.ortho_defect,
+                         strip_solves=sum(sv.solve_count for sv in system.solvers)
+                         - solves_before,
+                         factorizations=sum(sv.factor_count for sv in system.solvers),
+                         lu_bytes=sum(sv.lu_bytes for sv in system.solvers),
                          solution=u, grid=self.grid)
 
 
@@ -263,6 +274,9 @@ def write_outputs(record: RunRecord, out_dir) -> None:
         "solve_time": record.solve_time,
         "true_residual": record.true_residual,
         "ortho_defect": record.ortho_defect,
+        "strip_solves": record.strip_solves,
+        "factorizations": record.factorizations,
+        "lu_bytes": record.lu_bytes,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

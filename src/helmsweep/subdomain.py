@@ -91,6 +91,11 @@ class LocalSolver:
         return self._lu.solve_count
 
     @property
+    def lu_bytes(self) -> int:
+        """Bytes of the stored LU factors and pivot indices."""
+        return self._lu.nbytes
+
+    @property
     def matrix(self):
         return self.stencil.matrix
 

@@ -73,11 +73,11 @@ def dense_parts(system):
 
 
 def reconstruct_dense(lu):
-    """Rebuild a BandedLU's factored matrix as P_0 L_0 P_1 L_1 ... U (small n).
+    """Rebuild a BandedLU's factored matrix as P_0 L_0 P_1 L_1 ... U (dense).
 
     gbtrf stores multipliers in place without retroactive pivot swaps, so
     the factorization is the interleaved product above, with scipy's ipiv
-    zero-based.
+    zero-based.  Each L_j is applied as the row update it stands for.
     """
     n, kl, ku = lu.n, lu.kl, lu.ku
     full = np.zeros((n, n), dtype=np.complex128)
@@ -85,10 +85,9 @@ def reconstruct_dense(lu):
         for i in range(max(0, j - (kl + ku)), j + 1):
             full[i, j] = lu._lu[kl + ku + i - j, j]
     for j in range(n - 2, -1, -1):
-        lj = np.eye(n, dtype=np.complex128)
-        for i in range(j + 1, min(n, j + kl + 1)):
-            lj[i, j] = lu._lu[kl + ku + i - j, j]
-        full = lj @ full
+        below = min(n, j + kl + 1)
+        full[j + 1:below] += np.outer(lu._lu[kl + ku + 1:kl + ku + below - j, j],
+                                      full[j])
         piv = lu._ipiv[j]
         if piv != j:
             full[[j, piv], :] = full[[piv, j], :]

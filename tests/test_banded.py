@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 
 from helmsweep.banded import BandedLU, band_storage
 from conftest import reconstruct_dense
@@ -12,6 +13,24 @@ def random_banded(rng, n, kl, ku):
     m = sp.diags(diags, offsets=range(-kl, ku + 1), shape=(n, n)).tocsc()
     # push mass onto the diagonal so the test matrix is comfortably regular
     return (m + sp.eye(n) * (kl + ku + 2.0)).tocsc()
+
+
+def shuffled_dominant(rng, n, kl, ku, reach):
+    """A (kl, ku) band matrix on which partial pivoting swaps rows `reach` apart.
+
+    A column diagonally dominant (kl - reach, ku - reach) matrix keeps its
+    diagonal as every pivot, so reversing its rows in blocks of reach + 1
+    makes gbtrf pivot up to exactly `reach` rows down, and the matrix stays
+    as well conditioned as the unshuffled one.
+    """
+    lo, hi = kl - reach, ku - reach
+    offsets = range(-lo, hi + 1)
+    diags = [rng.uniform(-1, 1, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+             for _ in offsets]
+    m = sp.diags(diags, offsets=offsets, shape=(n, n)).tolil()
+    m.setdiag((lo + hi + 1.0) * np.exp(2j * np.pi * rng.uniform(size=n)))
+    order = np.arange(n).reshape(-1, reach + 1)[:, ::-1].ravel()
+    return m.tocsr()[order].tocsc()
 
 
 def test_band_storage_layout(rng):
@@ -65,3 +84,45 @@ def test_non_square_rejected():
     a = sp.csc_matrix((3, 4), dtype=np.complex128)
     with pytest.raises(ValueError, match="square"):
         BandedLU(a, 1, 1)
+
+
+@pytest.mark.parametrize("kl, ku", [(3, 3), (2, 5), (5, 2)])
+def test_unpivoted_factor_drops_fill_rows(rng, kl, ku):
+    # no row swaps, so U keeps ku superdiagonals: the stored band is the
+    # kl multiplier rows plus max(kl, ku) + 1, the least gbtrs accepts
+    n = 60
+    a = shuffled_dominant(rng, n, kl, ku, reach=0)
+    lu = BandedLU(a, kl, ku)
+    assert lu._lu.shape == (kl + max(kl, ku) + 1, n)
+    assert lu._lu.flags.f_contiguous
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
+
+
+# (40, 35) takes zgbtrf's blocked path, which needs kl >= 32
+@pytest.mark.parametrize("kl, ku, reach", [(3, 1, 1), (1, 3, 1), (4, 4, 2),
+                                           (40, 35, 10)])
+def test_pivoted_factor_keeps_what_pivoting_filled(rng, kl, ku, reach):
+    n = 462  # whole blocks of reach + 1 rows
+    a = shuffled_dominant(rng, n, kl, ku, reach)
+    ab = band_storage(a, kl, ku)
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    full, ipiv, info = gbtrf(ab, kl, ku)
+    assert info == 0
+    fill = (ipiv - np.arange(n)).max()
+    assert fill == reach
+    # LAPACK's bound: U reaches ku + fill superdiagonals, so the top rows
+    # of full storage beyond that are exact zeros
+    drop = min(kl - fill, ku)
+    assert not full[:drop].any()
+
+    lu = BandedLU(a, kl, ku)
+    assert (lu.kl, lu.ku) == (kl, ku - drop)
+    assert lu._lu.shape == (2 * kl + ku + 1 - drop, n)
+    b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    ref, info = gbtrs(full, kl, ku, b, ipiv)
+    assert info == 0
+    assert np.linalg.norm(lu.solve(b) - ref) <= 1e-13 * np.linalg.norm(ref)
+    dense = a.toarray()
+    err = np.linalg.norm(reconstruct_dense(lu) - dense)
+    assert err <= 1e-13 * np.linalg.norm(dense)

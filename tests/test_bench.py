@@ -112,6 +112,24 @@ def test_run_and_outputs(tmp_path):
     assert np.allclose(u, record.solution, rtol=1e-12, atol=1e-300)
 
 
+def test_record_counts_solves_and_factor_bytes(tmp_path):
+    # the README quick-start with osds to 1e-6: 8 iterations of 2N-2 strip
+    # solves, then N for the true-residual exchange and N for the field
+    spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5,
+                       overlap_cells=4, nppwl=16, tolerances=(1e-6,))
+    ctx = bench.BenchContext(spec)
+    record = ctx.solve(spec)
+    assert (record.counts["1e-06"], record.strip_solves) == (8, 74)
+    assert record.factorizations == 5
+    lus = [sv._lu for sv in ctx.system.solvers]
+    assert record.lu_bytes == sum(lu._lu.nbytes + lu._ipiv.nbytes for lu in lus)
+
+    bench.write_outputs(record, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["strip_solves"], manifest["factorizations"],
+            manifest["lu_bytes"]) == (74, 5, record.lu_bytes)
+
+
 def test_field_round_trip(tmp_path, rng):
     record = run(tiny_spec())
     grid = record.grid
@@ -319,12 +337,14 @@ WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
     (["solve", "--config", {**WEDGE_CONFIG, "omega": float("inf")}], "omega must"),
     (["solve", *WAVEGUIDE_FLAGS, "--k", "nan"], "k must"),
     (["solve", *WAVEGUIDE_FLAGS, "--k", "2.5", "--tol", "nan"], "tolerances"),
+    (["solve", *WAVEGUIDE_FLAGS, "--k", "2.5", "--omega", "99"], "not both"),
+    (["solve", "--config", {**WEDGE_CONFIG, "k": 2.5}], "not k"),
 ], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
         "missing-config", "float-subdomains", "float-overlap", "string-maxit",
         "negative-maxit", "bool-maxit", "string-omega", "string-k",
         "scalar-tolerances", "scalar-wedge-upper", "scalar-wedge-lower",
         "scalar-wedge-velocities", "int-out-dir", "infinite-k", "infinite-omega",
-        "nan-k", "nan-tol"])
+        "nan-k", "nan-tol", "k-and-omega", "wedge-k"])
 def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
     # a message and exit code 2, not a traceback; and no output left behind
     out = tmp_path / "out"
