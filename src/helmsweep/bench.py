@@ -149,6 +149,9 @@ class RunRecord:
     strip_solves: int = 0
     factorizations: int = 0
     lu_bytes: int = 0
+    stop: str = "tol"
+    seconds: list = dataclasses.field(default_factory=list)
+    waived: list = dataclasses.field(default_factory=list)
     solution: Optional[ComplexArray] = None
     grid: Optional[Grid] = None
 
@@ -249,6 +252,8 @@ class BenchContext:
                          - solves_before,
                          factorizations=sum(sv.factor_count for sv in system.solvers),
                          lu_bytes=sum(sv.lu_bytes for sv in system.solvers),
+                         stop=report.stop, seconds=list(report.seconds),
+                         waived=[] if self.decomp.width_bound_ok else ["width_bound"],
                          solution=u, grid=self.grid)
 
 
@@ -258,9 +263,9 @@ def write_outputs(record: RunRecord, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "residuals.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["iter", "residual"])
-        for i, r in enumerate(record.history):
-            w.writerow([i, f"{r:.17g}"])
+        w.writerow(["iter", "residual", "seconds"])
+        for i, (r, t) in enumerate(zip(record.history, record.seconds)):
+            w.writerow([i, f"{r:.17g}", f"{t:.17g}"])
     if record.solution is not None:
         write_field(record.solution, record.grid, out / "solution.field")
     manifest = {
@@ -277,6 +282,8 @@ def write_outputs(record: RunRecord, out_dir) -> None:
         "strip_solves": record.strip_solves,
         "factorizations": record.factorizations,
         "lu_bytes": record.lu_bytes,
+        "stop": record.stop,
+        "waived": record.waived,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

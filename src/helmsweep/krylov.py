@@ -7,7 +7,9 @@ x = Z y, so M runs once per iteration and never on the solution.  Its
 history holds the unpreconditioned residuals, starts at 1 and is monotone
 (each rotation scales the trailing entry of the reduced right-hand side by
 |s| <= 1).  richardson iterates x <- x + M(b - op(x)); its history is the
-true residual of each iterate.
+true residual of each iterate.  Both report why they stopped ("tol",
+"maxit" or, for GMRES, "breakdown") and the perf_counter seconds since the
+start at which each history entry was reached.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ class KrylovReport:
     converged: bool = False
     wall_time: float = 0.0
     ortho_defect: float = 0.0
+    stop: str = "tol"
+    seconds: list = field(default_factory=list)
 
 
 def _givens(h1: complex, h2: complex):
@@ -81,9 +85,10 @@ def gmres_right(apply_op: Operator, b: ComplexArray,
     b = np.asarray(b, dtype=np.complex128)
     bnorm = float(np.linalg.norm(b))
     history = [1.0 if bnorm > 0.0 else 0.0]
+    seconds = [time.perf_counter() - start]
     if bnorm == 0.0 or history[0] <= tol:
         return KrylovReport(np.zeros(b.size, dtype=np.complex128), 0, history, True,
-                            time.perf_counter() - start)
+                            time.perf_counter() - start, seconds=seconds)
 
     # rows 0..nv-1 of V are the basis, rows 0..j of Z its preconditioned images
     V = (b / bnorm)[None, :]
@@ -91,6 +96,7 @@ def gmres_right(apply_op: Operator, b: ComplexArray,
     nv = 1
     hcols, cs, sn = [], [], []   # R's columns, cosines (real), sines
     g = [bnorm + 0.0j]
+    stop = "maxit"
 
     for j in range(maxit):
         z = V[j]
@@ -119,6 +125,8 @@ def gmres_right(apply_op: Operator, b: ComplexArray,
         if abs(diag) <= BREAKDOWN_RATIO * wnorm0:
             # singular breakdown: the residual cannot drop below |g_j|
             history.append(history[-1])
+            seconds.append(time.perf_counter() - start)
+            stop = "breakdown"
             break
         cs.append(c)
         sn.append(s)
@@ -127,8 +135,11 @@ def gmres_right(apply_op: Operator, b: ComplexArray,
         g.append(-np.conj(s) * g[j])
         g[j] = c * g[j]
         history.append(abs(g[j + 1]) / bnorm)
+        seconds.append(time.perf_counter() - start)
 
+        # a breakdown zeroes g[j + 1], so it stops here only as convergence
         if history[-1] <= tol or breakdown:
+            stop = "tol"
             break
         V = _grow(V, nv + 1)
         V[nv] = w / hnext
@@ -143,8 +154,8 @@ def gmres_right(apply_op: Operator, b: ComplexArray,
 
     gram = V[:nv].conj() @ V[:nv].T
     defect = float(np.max(np.abs(gram - np.eye(nv))))
-    return KrylovReport(x, len(history) - 1, history, bool(history[-1] <= tol),
-                        time.perf_counter() - start, defect)
+    return KrylovReport(x, len(history) - 1, history, stop == "tol",
+                        time.perf_counter() - start, defect, stop, seconds)
 
 
 def richardson(apply_op: Operator, b: ComplexArray,
@@ -161,8 +172,10 @@ def richardson(apply_op: Operator, b: ComplexArray,
     b = np.asarray(b, dtype=np.complex128)
     bnorm = float(np.linalg.norm(b))
     x = np.zeros(b.size, dtype=np.complex128)
+    seconds = [time.perf_counter() - start]
     if bnorm == 0.0:
-        return KrylovReport(x, 0, [0.0], True, time.perf_counter() - start)
+        return KrylovReport(x, 0, [0.0], True, time.perf_counter() - start,
+                            seconds=seconds)
     r, history = b, [1.0]
     for j in range(1, maxit + 1):
         if history[-1] <= tol:
@@ -172,5 +185,8 @@ def richardson(apply_op: Operator, b: ComplexArray,
         x = x + z
         r = b - _finite(apply_op(x), f"Richardson: operator at iteration {j}")
         history.append(float(np.linalg.norm(r)) / bnorm)
-    return KrylovReport(x, len(history) - 1, history, bool(history[-1] <= tol),
-                        time.perf_counter() - start)
+        seconds.append(time.perf_counter() - start)
+    converged = bool(history[-1] <= tol)
+    return KrylovReport(x, len(history) - 1, history, converged,
+                        time.perf_counter() - start, stop="tol" if converged else "maxit",
+                        seconds=seconds)

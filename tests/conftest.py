@@ -77,18 +77,25 @@ def reconstruct_dense(lu):
 
     gbtrf stores multipliers in place without retroactive pivot swaps, so
     the factorization is the interleaved product above, with scipy's ipiv
-    zero-based.  Each L_j is applied as the row update it stands for.
+    zero-based.  Each L_j is applied as the row update it stands for.  An
+    unswapped factor's two band triangles are stacked back into that one
+    compact layout: U's rows, then L's multiplier rows, with identity pivots.
     """
     n, kl, ku = lu.n, lu.kl, lu.ku
+    if lu._lu is None:
+        band = np.concatenate([lu._upper, lu._lower[1:]])
+        ipiv = np.arange(n)
+    else:
+        band, ipiv = lu._lu, lu._ipiv
     full = np.zeros((n, n), dtype=np.complex128)
     for j in range(n):
         for i in range(max(0, j - (kl + ku)), j + 1):
-            full[i, j] = lu._lu[kl + ku + i - j, j]
+            full[i, j] = band[kl + ku + i - j, j]
     for j in range(n - 2, -1, -1):
         below = min(n, j + kl + 1)
-        full[j + 1:below] += np.outer(lu._lu[kl + ku + 1:kl + ku + below - j, j],
+        full[j + 1:below] += np.outer(band[kl + ku + 1:kl + ku + below - j, j],
                                       full[j])
-        piv = lu._ipiv[j]
+        piv = ipiv[j]
         if piv != j:
             full[[j, piv], :] = full[[piv, j], :]
     return full

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from helmsweep.banded import BandedLU, band_storage
-from conftest import reconstruct_dense
+from helmsweep.grid import HomogeneousModel, RectStencil, build_wavenumber
+from conftest import make_grid, reconstruct_dense
 
 
 def random_banded(rng, n, kl, ku):
@@ -88,13 +89,15 @@ def test_non_square_rejected():
 
 @pytest.mark.parametrize("kl, ku", [(3, 3), (2, 5), (5, 2)])
 def test_unpivoted_factor_drops_fill_rows(rng, kl, ku):
-    # no row swaps, so U keeps ku superdiagonals: the stored band is the
-    # kl multiplier rows plus max(kl, ku) + 1, the least gbtrs accepts
+    # no row swaps, so U keeps ku superdiagonals: it is stored in
+    # max(kl, ku) + 1 rows, the least gbtrs accepts, and L in kl + 1
     n = 60
     a = shuffled_dominant(rng, n, kl, ku, reach=0)
     lu = BandedLU(a, kl, ku)
-    assert lu._lu.shape == (kl + max(kl, ku) + 1, n)
-    assert lu._lu.flags.f_contiguous
+    assert lu._lu is None and lu._ipiv is None
+    assert lu._upper.shape == (max(kl, ku) + 1, n)
+    assert lu._lower.shape == (kl + 1, n)
+    assert lu._upper.flags.f_contiguous and lu._lower.flags.f_contiguous
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
 
@@ -126,3 +129,58 @@ def test_pivoted_factor_keeps_what_pivoting_filled(rng, kl, ku, reach):
     dense = a.toarray()
     err = np.linalg.norm(reconstruct_dense(lu) - dense)
     assert err <= 1e-13 * np.linalg.norm(dense)
+
+
+def helmholtz_strip(ny, cells, k=20.0):
+    """A Robin/Dirichlet Helmholtz strip of cells x ny cells and its band."""
+    grid = make_grid(1, ny=ny, cells_per_strip=cells)
+    kfield = build_wavenumber(grid, HomogeneousModel(k))
+    stencil = RectStencil(grid, kfield, {"left": "robin", "right": "robin",
+                                         "bottom": "dirichlet", "top": "dirichlet"})
+    return stencil.matrix, stencil.bandwidth
+
+
+# the matrix numbers nodes along the shorter side: columns of ny + 1 nodes
+# when ny <= w, rows of w + 1 when ny > w
+STRIPS = {"ny<=w": (24, 40), "ny>w": (40, 24)}
+
+
+@pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
+def test_unswapped_strip_solve_is_gbtrs_bitwise(rng, ny, cells):
+    a, band = helmholtz_strip(ny, cells)
+    n = a.shape[0]
+    lu = BandedLU(a, band, band)
+    assert lu._lu is None
+    assert lu._upper.shape == (band + 1, n) and lu._lower.shape == (band + 1, n)
+    assert lu._upper.flags.f_contiguous and lu._lower.flags.f_contiguous
+
+    ab = band_storage(a, band, band)
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    full, ipiv, info = gbtrf(ab, band, band)
+    assert info == 0 and np.array_equal(ipiv, np.arange(n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    kept = b.copy()
+    x = lu.solve(b)
+    assert np.array_equal(b, kept)
+    # zgbtrs on the band less its band empty fill rows runs the same two
+    # triangular passes with the same bandwidths
+    ref, info = gbtrs(np.asfortranarray(full[band:]), band, 0, b, ipiv)
+    assert info == 0 and np.array_equal(x, ref)
+    # on the full layout its U pass also walks band zero superdiagonals,
+    # which moves where the BLAS kernels split each column: roundoff apart
+    ref, info = gbtrs(full, band, band, b, ipiv)
+    assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_unswapped_block_rhs_solved_by_columns(rng):
+    a, band = helmholtz_strip(*STRIPS["ny>w"])
+    n = a.shape[0]
+    lu = BandedLU(a, band, band)
+    assert lu._lu is None
+    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    x = lu.solve(b)
+    assert x.shape == (n, 3)
+    for j in range(3):
+        assert np.array_equal(x[:, j], lu.solve(b[:, j]))
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,10 +94,14 @@ def test_run_and_outputs(tmp_path):
     assert isinstance(record.counts["1e-08"], int)
 
     lines = (tmp_path / "residuals.csv").read_text().strip().splitlines()
-    assert lines[0] == "iter,residual"
+    assert lines[0] == "iter,residual,seconds"
     assert len(lines) == len(record.history) + 1
     first = lines[1].split(",")
     assert int(first[0]) == 0 and float(first[1]) == 1.0
+    seconds = [float(line.split(",")[2]) for line in lines[1:]]
+    assert seconds == record.seconds
+    assert len(seconds) == len(record.history)
+    assert all(0.0 <= a <= b for a, b in zip(seconds, seconds[1:]))
 
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["spec"]["problem"] == "waveguide"
@@ -105,6 +110,7 @@ def test_run_and_outputs(tmp_path):
     assert "unknowns" in manifest and "trace_size" in manifest
     assert manifest["true_residual"] == record.true_residual
     assert record.true_residual <= 1e-8
+    assert manifest["stop"] == record.stop == "tol"
 
     nx, ny, h, u = read_field(tmp_path / "solution.field")
     assert (nx, ny) == (record.grid.nx, record.grid.ny)
@@ -121,8 +127,10 @@ def test_record_counts_solves_and_factor_bytes(tmp_path):
     record = ctx.solve(spec)
     assert (record.counts["1e-06"], record.strip_solves) == (8, 74)
     assert record.factorizations == 5
+    # no strip swaps a row, so each stores its L and U band triangles only
     lus = [sv._lu for sv in ctx.system.solvers]
-    assert record.lu_bytes == sum(lu._lu.nbytes + lu._ipiv.nbytes for lu in lus)
+    assert all(lu._lu is None and lu._ipiv is None for lu in lus)
+    assert record.lu_bytes == sum(lu._upper.nbytes + lu._lower.nbytes for lu in lus)
 
     bench.write_outputs(record, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -160,6 +168,21 @@ def test_overflow_notation():
     assert not record.converged
     assert record.counts["1e-08"] == "+1"
     assert record.true_residual > 1e-8
+    assert record.stop == "maxit"
+
+
+@pytest.mark.parametrize("spec, waived", [
+    # two strips of 7 and 6 cells against a bound of twice the 4-cell overlap
+    (dict(problem="wedge", omega=12.0, subdomains=2, nppwl=8), ["width_bound"]),
+    (dict(problem="waveguide", k=2.5, subdomains=2, overlap_cells=2, nppwl=8), []),
+], ids=["wedge", "waveguide"])
+def test_manifest_lists_waived_checks(tmp_path, spec, waived):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        record = run(ProblemSpec(**spec, tolerances=(1e-6,), out_dir=str(tmp_path)))
+    assert record.waived == waived
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["waived"] == waived
 
 
 def test_converged_needs_true_residual(monkeypatch):

@@ -228,3 +228,28 @@ def test_richardson_non_finite_vectors_raise_naming_the_iteration(rng):
     with pytest.raises(FloatingPointError, match="preconditioner at iteration 1"):
         richardson(lambda v: a @ v, b, apply_precond=lambda v: np.full_like(v, np.inf),
                    tol=1e-14, maxit=50)
+
+
+@pytest.mark.parametrize("solver", [gmres_right, richardson])
+def test_stop_reasons_tol_and_maxit(rng, solver):
+    a, b = dense_problem(rng)
+    zero = solver(lambda v: a @ v, np.zeros_like(b), tol=1e-8, maxit=10)
+    assert (zero.stop, zero.converged) == ("tol", True)
+    capped = solver(lambda v: a @ v, b, tol=1e-14, maxit=1)
+    assert (capped.stop, capped.converged) == ("maxit", False)
+
+
+def test_stop_reason_breakdown():
+    # op(b) = 0: the Krylov space closes at once on a singular operator
+    a = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=np.complex128)
+    rep = gmres_right(lambda v: a @ v, np.array([1, 0, 0], dtype=np.complex128))
+    assert (rep.stop, rep.converged) == ("breakdown", False)
+
+
+@pytest.mark.parametrize("solver", [gmres_right, richardson])
+def test_seconds_stamp_every_history_entry(rng, solver):
+    a, b = dense_problem(rng)
+    rep = solver(lambda v: a @ v, b, tol=1e-8, maxit=50)
+    assert len(rep.seconds) == len(rep.history)
+    assert all(0.0 <= s <= t for s, t in zip(rep.seconds, rep.seconds[1:]))
+    assert rep.seconds[-1] <= rep.wall_time
