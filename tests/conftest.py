@@ -78,23 +78,26 @@ def reconstruct_dense(lu):
     gbtrf stores multipliers in place without retroactive pivot swaps, so
     the factorization is the interleaved product above, with scipy's ipiv
     zero-based.  Each L_j is applied as the row update it stands for.  An
-    unswapped factor's two band triangles are stacked back into that one
-    compact layout: U's rows, then L's multiplier rows, with identity pivots.
+    L D L^T factor is the same product with identity pivots and U = D L^T,
+    built from its own band rows: D in row 0, L's multipliers below.
     """
-    n, kl, ku = lu.n, lu.kl, lu.ku
-    if lu._lu is None:
-        band = np.concatenate([lu._upper, lu._lower[1:]])
-        ipiv = np.arange(n)
-    else:
-        band, ipiv = lu._lu, lu._ipiv
+    n, kl = lu.n, lu.kl
     full = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        for i in range(max(0, j - (kl + ku)), j + 1):
-            full[i, j] = band[kl + ku + i - j, j]
+    if lu._ld is not None:
+        d, mult, ipiv = lu._ld[0], lu._ld[1:], np.arange(n)
+        for i in range(n):
+            m = min(kl, n - 1 - i)
+            full[i, i] = d[i]
+            full[i, i + 1:i + 1 + m] = d[i] * mult[:m, i]
+    else:
+        band, ipiv, top = lu._lu, lu._ipiv, kl + lu.ku
+        mult = band[top + 1:]
+        for j in range(n):
+            for i in range(max(0, j - top), j + 1):
+                full[i, j] = band[top + i - j, j]
     for j in range(n - 2, -1, -1):
         below = min(n, j + kl + 1)
-        full[j + 1:below] += np.outer(band[kl + ku + 1:kl + ku + below - j, j],
-                                      full[j])
+        full[j + 1:below] += np.outer(mult[:below - j - 1, j], full[j])
         piv = ipiv[j]
         if piv != j:
             full[[j, piv], :] = full[[piv, j], :]

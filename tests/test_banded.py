@@ -89,15 +89,14 @@ def test_non_square_rejected():
 
 @pytest.mark.parametrize("kl, ku", [(3, 3), (2, 5), (5, 2)])
 def test_unpivoted_factor_drops_fill_rows(rng, kl, ku):
-    # no row swaps, so U keeps ku superdiagonals: it is stored in
-    # max(kl, ku) + 1 rows, the least gbtrs accepts, and L in kl + 1
+    # no row swaps, but not symmetric: one compact gbtrs array whose U keeps
+    # its ku superdiagonals, in max(kl, ku) + 1 rows, the least gbtrs accepts
     n = 60
     a = shuffled_dominant(rng, n, kl, ku, reach=0)
     lu = BandedLU(a, kl, ku)
-    assert lu._lu is None and lu._ipiv is None
-    assert lu._upper.shape == (max(kl, ku) + 1, n)
-    assert lu._lower.shape == (kl + 1, n)
-    assert lu._upper.flags.f_contiguous and lu._lower.flags.f_contiguous
+    assert lu._ld is None and np.array_equal(lu._ipiv, np.arange(n))
+    assert lu._lu.shape == (kl + max(kl, ku) + 1, n)
+    assert lu._lu.flags.f_contiguous
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
 
@@ -146,30 +145,28 @@ STRIPS = {"ny<=w": (24, 40), "ny>w": (40, 24)}
 
 
 @pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
-def test_unswapped_strip_solve_is_gbtrs_bitwise(rng, ny, cells):
+def test_unswapped_strip_stored_as_ldlt(rng, ny, cells):
     a, band = helmholtz_strip(ny, cells)
     n = a.shape[0]
     lu = BandedLU(a, band, band)
-    assert lu._lu is None
-    assert lu._upper.shape == (band + 1, n) and lu._lower.shape == (band + 1, n)
-    assert lu._upper.flags.f_contiguous and lu._lower.flags.f_contiguous
+    assert lu._lu is None and lu._ipiv is None
+    assert lu._ld.shape == (band + 1, n) and lu._ld.flags.f_contiguous
+    assert lu.nbytes == (band + 1) * n * 16
 
     ab = band_storage(a, band, band)
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     full, ipiv, info = gbtrf(ab, band, band)
     assert info == 0 and np.array_equal(ipiv, np.arange(n))
+    # D is U's diagonal, L the multipliers below it, both as gbtrf left them
+    assert np.array_equal(lu._ld, full[2 * band:])
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     kept = b.copy()
     x = lu.solve(b)
     assert np.array_equal(b, kept)
-    # zgbtrs on the band less its band empty fill rows runs the same two
-    # triangular passes with the same bandwidths
-    ref, info = gbtrs(np.asfortranarray(full[band:]), band, 0, b, ipiv)
-    assert info == 0 and np.array_equal(x, ref)
-    # on the full layout its U pass also walks band zero superdiagonals,
-    # which moves where the BLAS kernels split each column: roundoff apart
+    # gbtrs solves with gbtrf's U, which is D L^T only to roundoff
     ref, info = gbtrs(full, band, band, b, ipiv)
-    assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert info == 0
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -177,10 +174,34 @@ def test_unswapped_block_rhs_solved_by_columns(rng):
     a, band = helmholtz_strip(*STRIPS["ny>w"])
     n = a.shape[0]
     lu = BandedLU(a, band, band)
-    assert lu._lu is None
+    assert lu._ld is not None
     b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     x = lu.solve(b)
     assert x.shape == (n, 3)
     for j in range(3):
         assert np.array_equal(x[:, j], lu.solve(b[:, j]))
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_swapped_symmetric_strip_keeps_gbtrs(rng):
+    # under-resolved (about 5 points per wavelength), zgbtrf swaps rows of
+    # this symmetric strip, and L D L^T no longer describes the factor
+    a, band = helmholtz_strip(16, 12)
+    n = a.shape[0]
+    lu = BandedLU(a, band, band)
+    assert lu._ld is None and (lu._ipiv - np.arange(n)).max() > 0
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+    dense = a.toarray()
+    err = np.linalg.norm(reconstruct_dense(lu) - dense)
+    assert err <= 1e-13 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_matrix_reports_label(bad):
+    n = 50
+    a = sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1],
+                 dtype=np.complex128).tolil()
+    a[17, 18] = bad
+    with pytest.raises(ValueError, match="strip 3.*non-finite"):
+        BandedLU(a.tocsr(), 1, 1, label="strip 3")

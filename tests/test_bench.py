@@ -127,10 +127,10 @@ def test_record_counts_solves_and_factor_bytes(tmp_path):
     record = ctx.solve(spec)
     assert (record.counts["1e-06"], record.strip_solves) == (8, 74)
     assert record.factorizations == 5
-    # no strip swaps a row, so each stores its L and U band triangles only
+    # no strip swaps a row, so each stores its L and D band rows only
     lus = [sv._lu for sv in ctx.system.solvers]
     assert all(lu._lu is None and lu._ipiv is None for lu in lus)
-    assert record.lu_bytes == sum(lu._upper.nbytes + lu._lower.nbytes for lu in lus)
+    assert record.lu_bytes == sum(lu._ld.nbytes for lu in lus)
 
     bench.write_outputs(record, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -217,6 +217,19 @@ def test_reconstruct_matches_direct_per_preconditioner(problem):
         assert record.converged and record.true_residual <= tol, p
         err = np.linalg.norm(record.solution - direct) / np.linalg.norm(direct)
         assert err <= 10 * tol, (p, err)
+
+
+@pytest.mark.parametrize("problem", sorted(RECONSTRUCT_SPECS))
+def test_every_strip_factor_is_ldlt(problem):
+    # every strip matrix is complex symmetric and swaps no row, so each
+    # factor keeps only L and D: (kl + 1) * n complex values.  An assembly
+    # change that breaks exact symmetry falls back to the wider gbtrs
+    # factor and fails here
+    spec = ProblemSpec(**RECONSTRUCT_SPECS[problem], subdomains=3,
+                       overlap_cells=2)
+    solvers = bench.BenchContext(spec).system.solvers
+    assert [sv.lu_bytes for sv in solvers] == [
+        (sv.bandwidth + 1) * sv.matrix.shape[0] * 16 for sv in solvers]
 
 
 def test_fixed_point_solver_path():

@@ -124,6 +124,7 @@ def test_local_matrix_symmetric_and_banded():
 def test_factored_matrix_reproduced():
     grid, kfield, bc, decomp = small_setup()
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
+    assert solver._lu._ld is not None
     dense = reconstruct_dense(solver._lu)
     err = np.linalg.norm(dense - solver.matrix.toarray())
     assert err <= 1e-10 * np.linalg.norm(dense)
