@@ -15,10 +15,9 @@ transpose, not the conjugate transpose).  The second pass re-reads an L
 still in cache: a strip solve made in turn with the other strips costs 2.1
 ms instead of 3.0 on waveguide-osds and 2.1 instead of 2.7 on wedge-jacobi.
 
-Any other matrix, swapped or not exactly symmetric, keeps one compact array
-for zgbtrs.  zgbtrf reserves kl superdiagonals of U for fill from row swaps,
-but a swap of row j with row j+p only widens U to ku+p, so the band rows
-above that reach are exact zeros and are dropped.
+Any other matrix, swapped or not exactly symmetric, keeps zgbtrf's own
+array and pivots and is solved by zgbtrs.  No benchmark strip takes this
+path.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ class BandedLU:
 
     A complex-symmetric matrix factored without a row swap is stored as one
     Fortran-contiguous (kl + 1, n) array _ld in tbsv storage: D in row 0,
-    L's multipliers in rows 1..kl.  Any other matrix keeps one compact
-    gbtrs array _lu for bandwidths (kl, self.ku), self.ku being the
-    declared ku less the dropped all-zero rows, and the pivots _ipiv.
+    L's multipliers in rows 1..kl.  Any other matrix keeps zgbtrf's
+    (2 kl + ku + 1, n) array _lu and its pivots _ipiv.
     """
 
     def __init__(self, matrix: spmatrix, kl: int, ku: int, label: str = "system"):
@@ -72,19 +70,16 @@ class BandedLU:
         lu, ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
         if info != 0:
             raise ValueError(f"{label}: banded LU failed, zgbtrf info={info}")
-        # ipiv[j] >= j, so a zero largest offset means no row was swapped
-        fill = int((ipiv - np.arange(n)).max())
-        drop = min(kl - fill, ku)
         self.n = n
         self.kl = kl
-        self.ku = ku - drop
+        self.ku = ku
         self._ld = self._lu = self._ipiv = None
-        # copies, not views: f2py would copy a strided view on every call
-        if fill == 0 and (matrix != matrix.T).nnz == 0:
+        if np.array_equal(ipiv, np.arange(n)) and (matrix != matrix.T).nnz == 0:
+            # a copy, not a view: f2py would copy a strided view on every call
             self._ld = np.asfortranarray(lu[kl + ku:])
             self._tbsv = get_blas_funcs("tbsv", (ab,))
         else:
-            self._lu = np.asfortranarray(lu[drop:])
+            self._lu = lu
             self._ipiv = ipiv
             self._gbtrs = gbtrs
         self.factor_count = 1

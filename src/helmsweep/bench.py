@@ -229,9 +229,7 @@ class BenchContext:
 
         precond = None if sweep is None else (lambda x: sweep(TraceVector(layout, x)).data)
         solver = gmres_right if spec.solver == "gmres" else richardson
-        t0 = time.perf_counter()
         report = solver(apply_op, self.g.data, precond, tol=tol, maxit=spec.maxit)
-        solve_time = time.perf_counter() - t0
         h = TraceVector(layout, report.solution)
         # converged means ||g - (Id - T) h|| <= tol ||g||, checked with a full
         # exchange rather than taken from the solver's own recurrence
@@ -245,7 +243,7 @@ class BenchContext:
         return RunRecord(spec=spec, counts=counts, history=list(report.history),
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=self.g.data.size,
-                         build_time=self.build_time, solve_time=solve_time,
+                         build_time=self.build_time, solve_time=report.wall_time,
                          true_residual=true_residual,
                          ortho_defect=report.ortho_defect,
                          strip_solves=sum(sv.solve_count for sv in system.solvers)
@@ -258,7 +256,11 @@ class BenchContext:
 
 
 def write_outputs(record: RunRecord, out_dir) -> None:
-    """residuals.csv, solution.field, manifest.json under out_dir."""
+    """residuals.csv, solution.field, manifest.json under out_dir.
+
+    The manifest holds the iteration count and every RunRecord field that
+    has no file of its own.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "residuals.csv", "w", newline="") as fh:
@@ -268,23 +270,10 @@ def write_outputs(record: RunRecord, out_dir) -> None:
             w.writerow([i, f"{r:.17g}", f"{t:.17g}"])
     if record.solution is not None:
         write_field(record.solution, record.grid, out / "solution.field")
-    manifest = {
-        "spec": record.spec.to_dict(),
-        "counts": record.counts,
-        "converged": record.converged,
-        "iterations": len(record.history) - 1,
-        "unknowns": record.unknowns,
-        "trace_size": record.trace_size,
-        "build_time": record.build_time,
-        "solve_time": record.solve_time,
-        "true_residual": record.true_residual,
-        "ortho_defect": record.ortho_defect,
-        "strip_solves": record.strip_solves,
-        "factorizations": record.factorizations,
-        "lu_bytes": record.lu_bytes,
-        "stop": record.stop,
-        "waived": record.waived,
-    }
+    manifest = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+                if f.name not in ("history", "seconds", "solution", "grid")}
+    manifest["spec"] = record.spec.to_dict()
+    manifest["iterations"] = len(record.history) - 1
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

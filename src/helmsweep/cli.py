@@ -8,20 +8,20 @@ import sys
 
 import numpy as np
 
-from .bench import PRECONDITIONERS, ProblemSpec, run, sweep_study
+from .bench import PRECONDITIONERS, PROBLEMS, SOLVERS, ProblemSpec, run, sweep_study
 from .symbols import C_factor, SymbolParams, rho_factor
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON problem spec; flags override its values")
-    p.add_argument("--problem", choices=("waveguide", "cavity", "wedge"))
+    p.add_argument("--problem", choices=PROBLEMS)
     p.add_argument("--k", type=float, help="wavenumber (homogeneous problems)")
     p.add_argument("--omega", type=float, help="angular frequency (wedge)")
     p.add_argument("--subdomains", type=int)
     p.add_argument("--overlap-cells", type=int, dest="overlap_cells")
     p.add_argument("--nppwl", type=int)
     p.add_argument("--precond", choices=PRECONDITIONERS, dest="preconditioner")
-    p.add_argument("--solver", choices=("gmres", "fixed_point"))
+    p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--tol", type=float, action="append",
                    help="stopping tolerance; repeat to record counts at several")
     p.add_argument("--max-iters", type=int, dest="maxit")

@@ -171,7 +171,6 @@ class WavenumberField:
     """Nodal wavenumber values k(x, y) = omega / c(x, y)."""
 
     values: FloatArray
-    omega: float
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -186,15 +185,11 @@ class WavenumberField:
 def build_wavenumber(grid: Grid, model, omega: float | None = None) -> WavenumberField:
     """Sample a velocity model onto the grid nodes as k = omega/c."""
     if isinstance(model, HomogeneousModel):
-        if omega is None:
-            omega = model.k
-        values = np.full(grid.shape, float(model.k))
-        return WavenumberField(values, float(omega))
+        return WavenumberField(np.full(grid.shape, float(model.k)))
     if isinstance(model, WedgeModel):
         if omega is None:
             raise ValueError("wedge model needs omega")
-        values = omega / model.velocity_grid(grid.xs(), grid.ys())
-        return WavenumberField(values, float(omega))
+        return WavenumberField(omega / model.velocity_grid(grid.xs(), grid.ys()))
     raise ValueError(f"unknown velocity model {model!r}")
 
 

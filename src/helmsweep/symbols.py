@@ -34,40 +34,35 @@ CUTOFF_TOL = 1e-9
 def lambda_symbol(xi: float, k: float) -> tuple[complex, bool]:
     """Half-space DtN symbol and a cutoff flag.
 
-    Propagative branch Ik sqrt(1 - xi^2/k^2) below the cutoff |xi| = k,
-    real branch sqrt(xi^2 - k^2) above it; both satisfy lambda^2 =
-    xi^2 - k^2.  At the cutoff the symbol vanishes and downstream
-    denominators degenerate, so the flag is set instead of raising.
+    lambda = sqrt(xi^2 - k^2), evaluated as sqrt((|xi| - k)(|xi| + k)):
+    the difference is exact near the cutoff |xi| = k, so lambda keeps full
+    relative accuracy there.  Below the cutoff it is the outgoing branch
+    I sqrt(k^2 - xi^2), above it the real one.  At the cutoff the symbol
+    vanishes and downstream denominators degenerate, so the flag is set
+    instead of raising.
     """
     if k <= 0:
         raise ValueError("wavenumber must be positive")
-    r = abs(xi) / k
-    if abs(1.0 - r) < CUTOFF_TOL:
+    a = abs(xi)
+    if abs(1.0 - a / k) < CUTOFF_TOL:
         return 0.0 + 0.0j, True
-    if r < 1.0:
-        return 1j * k * np.sqrt(1.0 - r * r), False
-    return complex(k * np.sqrt(r * r - 1.0)), False
+    t = (a - k) * (a + k)
+    if t < 0:
+        return 1j * np.sqrt(-t), False
+    return complex(np.sqrt(t)), False
 
 
 def lambda_waveguide(xi: int, k: float, length: float) -> tuple[complex, bool]:
     """DtN symbol of the half waveguide for transverse mode number xi.
 
-    sqrt(-k^2 + (xi pi / L)^2) with Re >= 0, and the positive imaginary
-    (outgoing) branch below cutoff to match the plane formula.  A vanishing
-    argument means the mode sits exactly at resonance (kL/pi integer equal
-    to xi); that is flagged, not raised.
+    The plane symbol at xi pi / L.  A mode at the cutoff sits exactly at
+    resonance (kL/pi integer equal to xi); that is flagged, not raised.
     """
     if length <= 0:
         raise ValueError("waveguide height must be positive")
     if xi < 1 or xi != int(xi):
         raise ValueError("waveguide mode number must be a positive integer")
-    t = (xi * np.pi / length) ** 2 - k * k
-    scale = max(k * k, (xi * np.pi / length) ** 2, 1.0)
-    if abs(t) < CUTOFF_TOL * scale:
-        return 0.0 + 0.0j, True
-    if t > 0:
-        return complex(np.sqrt(t)), False
-    return 1j * np.sqrt(-t), False
+    return lambda_symbol(xi * np.pi / length, k)
 
 
 @dataclass(frozen=True)

@@ -87,44 +87,32 @@ def test_non_square_rejected():
         BandedLU(a, 1, 1)
 
 
-@pytest.mark.parametrize("kl, ku", [(3, 3), (2, 5), (5, 2)])
-def test_unpivoted_factor_drops_fill_rows(rng, kl, ku):
-    # no row swaps, but not symmetric: one compact gbtrs array whose U keeps
-    # its ku superdiagonals, in max(kl, ku) + 1 rows, the least gbtrs accepts
-    n = 60
-    a = shuffled_dominant(rng, n, kl, ku, reach=0)
-    lu = BandedLU(a, kl, ku)
-    assert lu._ld is None and np.array_equal(lu._ipiv, np.arange(n))
-    assert lu._lu.shape == (kl + max(kl, ku) + 1, n)
-    assert lu._lu.flags.f_contiguous
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
-
-
-# (40, 35) takes zgbtrf's blocked path, which needs kl >= 32
-@pytest.mark.parametrize("kl, ku, reach", [(3, 1, 1), (1, 3, 1), (4, 4, 2),
+# reach 0 swaps no row but is not symmetric; (40, 35) takes zgbtrf's
+# blocked path, which needs kl >= 32
+@pytest.mark.parametrize("kl, ku, reach", [(3, 3, 0), (2, 5, 0), (5, 2, 0),
+                                           (3, 1, 1), (1, 3, 1), (4, 4, 2),
                                            (40, 35, 10)])
-def test_pivoted_factor_keeps_what_pivoting_filled(rng, kl, ku, reach):
+def test_fallback_factor_is_gbtrf_storage(rng, kl, ku, reach):
+    # any factor but L D L^T keeps zgbtrf's own array and pivots for zgbtrs
     n = 462  # whole blocks of reach + 1 rows
     a = shuffled_dominant(rng, n, kl, ku, reach)
     ab = band_storage(a, kl, ku)
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     full, ipiv, info = gbtrf(ab, kl, ku)
     assert info == 0
-    fill = (ipiv - np.arange(n)).max()
-    assert fill == reach
-    # LAPACK's bound: U reaches ku + fill superdiagonals, so the top rows
-    # of full storage beyond that are exact zeros
-    drop = min(kl - fill, ku)
-    assert not full[:drop].any()
+    assert (ipiv - np.arange(n)).max() == reach
 
     lu = BandedLU(a, kl, ku)
-    assert (lu.kl, lu.ku) == (kl, ku - drop)
-    assert lu._lu.shape == (2 * kl + ku + 1 - drop, n)
+    assert lu._ld is None and (lu.kl, lu.ku) == (kl, ku)
+    assert lu._lu.shape == (2 * kl + ku + 1, n) and lu._lu.flags.f_contiguous
+    assert np.array_equal(lu._lu, full) and np.array_equal(lu._ipiv, ipiv)
+    assert lu.nbytes == full.nbytes + ipiv.nbytes
     b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    x = lu.solve(b)
     ref, info = gbtrs(full, kl, ku, b, ipiv)
     assert info == 0
-    assert np.linalg.norm(lu.solve(b) - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
     dense = a.toarray()
     err = np.linalg.norm(reconstruct_dense(lu) - dense)
     assert err <= 1e-13 * np.linalg.norm(dense)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -42,6 +43,44 @@ def test_lambda_waveguide_substitution():
     lam_p, _ = lambda_symbol(3.0 * np.pi / length, k)
     assert not res
     assert lam_w == pytest.approx(lam_p, rel=1e-13)
+
+
+def mp_lambda(xi, k):
+    """sqrt(xi^2 - k^2) on the outgoing branch, in 50 digits."""
+    t = mpmath.mpf(xi) ** 2 - mpmath.mpf(k) ** 2
+    return mpmath.sqrt(t) if t > 0 else 1j * mpmath.sqrt(-t)
+
+
+def relative_error(lam, xi, k):
+    with mpmath.workdps(50):
+        ref = mp_lambda(xi, k)
+        return float(abs(mpmath.mpc(lam) - ref) / abs(ref))
+
+
+# relative distances to the cutoff, down to ten times the flagging tolerance
+NEAR_CUTOFF = [s * d for s in (-1, 1) for d in np.logspace(-8, -6, 9)]
+
+
+@pytest.mark.parametrize("k", [0.3, 20.0, 20.0 * np.pi, 1e3])
+def test_lambda_accurate_near_cutoff(k):
+    for xi in [k * (1 + d) for d in NEAR_CUTOFF] + [0.0, 0.5 * k, 3.0 * k]:
+        lam, cut = lambda_symbol(xi, k)
+        assert not cut
+        assert relative_error(lam, xi, k) <= 1e-15, xi
+
+
+@pytest.mark.parametrize("length", [1.0, 0.7])
+def test_lambda_waveguide_accurate_near_resonance(length):
+    # k just off the resonance of mode m, and each mode m' <= 30 at that k
+    for m in (1, 3, 17):
+        for d in NEAR_CUTOFF:
+            k = m * np.pi / length * (1 + d)
+            for mode in range(1, 31):
+                lam, cut = lambda_waveguide(mode, k, length)
+                assert (lam, cut) == lambda_symbol(mode * np.pi / length, k)
+                assert not cut
+                xi = mode * np.pi / length
+                assert relative_error(lam, xi, k) <= 1e-15, (mode, k)
 
 
 def test_waveguide_resonance_flag():

@@ -9,7 +9,10 @@ path.  Each shot prints one line: GMRES iterations, strip solves, the first
 16 hex digits of the sha256 of the bytes of g (trace right-hand side), h
 (trace solution) and the field, and the true residual ||g - (Id - T) h||/||g||
 in full precision.  Two checkouts whose printouts are identical agree
-bitwise on all of these.
+bitwise on all of these.  Each workload also prints its strip factors'
+bytes and how many strips store only the L D L^T band rows, (bandwidth +
+1) * n * 16 bytes, so a change to the factor layer shows in memory and
+layout as well as in bits.
 
 Then the README quick-start waveguide (k=20, N=5, nppwl 16, tol 1e-6) runs
 along ``run_methods``' path, one ``BenchContext`` and one ``solve`` per
@@ -55,6 +58,11 @@ def main(argv=None) -> int:
 
     for workload in adapter.WORKLOADS:
         problem = adapter.setup(workload)
+        solvers = problem.system.solvers
+        ldlt = sum(sv.lu_bytes == (sv.bandwidth + 1) * sv.stencil.nloc * 16
+                   for sv in solvers)
+        print(f"{workload}: factor bytes {sum(sv.lu_bytes for sv in solvers)}, "
+              f"L D L^T strips {ldlt} of {len(solvers)}", flush=True)
         for i in SHOTS:
             f = adapter.source(problem, SEED, i)
             before = adapter.solve_count(problem)
