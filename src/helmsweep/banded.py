@@ -10,24 +10,64 @@ swaps no row on the benchmark's strips.  Then U = D L^T with D the diagonal
 of U, so only L is kept: its kl + 1 band rows, D in row 0 where L's unit
 diagonal is never read.  That is (kl+1)*n*16 bytes, half of both triangles:
 40 MB for the five waveguide-osds strips, 36 MB for wedge-jacobi.  A solve
-is ztbsv with L, a division by D, and ztbsv with L^T (trans=1: the plain
-transpose, not the conjugate transpose).  The second pass re-reads an L
+is ztbsv with L, a division by D, and ztbsv with L^T (trans 'T': the
+plain transpose, not the conjugate transpose).  The second pass re-reads an L
 still in cache: a strip solve made in turn with the other strips costs 2.1
 ms instead of 3.0 on waveguide-osds and 2.1 instead of 2.7 on wedge-jacobi.
 
 Any other matrix, swapped or not exactly symmetric, keeps zgbtrf's own
 array and pivots and is solved by zgbtrs.  No benchmark strip takes this
 path.
+
+Both solves call their kernel (ztbsv, zgbtrs) through the function pointer
+that scipy's Cython BLAS/LAPACK API exports (scipy.linalg.cython_blas and
+cython_lapack), as a ctypes function.  A ctypes call releases the GIL, so
+strip solves on different threads run side by side; scipy's f2py wrappers
+hold it and serialize them.  Solving the five wedge-jacobi strips in turn
+on two threads costs 0.75 ms a solve against 1.30 ms on one; through the
+wrappers two threads took 1.40 ms against 1.22 ms (one BLAS thread, 2
+shared cores, BENCH_13.json).  It is the same OpenBLAS routine the
+wrappers call, so the results are bitwise equal; a lone call costs 1-4 %
+more through ctypes.  solve() may run on one factor from several threads at once, and
+counts every call under a lock.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg import cython_blas, cython_lapack, get_lapack_funcs
 from scipy.sparse import spmatrix
 
 ComplexArray = NDArray[np.complex128]
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _kernel(module, name: str, nargs: int):
+    """scipy's Cython export `name` of module as a GIL-releasing ctypes call.
+
+    Every argument is a pointer, passed as an address: the routines take
+    Fortran's by-reference characters, integers and arrays.
+    """
+    capsule = module.__pyx_capi__[name]
+    pointer = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(pointer)
+
+
+_ztbsv = _kernel(cython_blas, "ztbsv", 9)
+_zgbtrs = _kernel(cython_lapack, "zgbtrs", 11)
+
+
+def _ints(*values):
+    """References to fresh C ints holding values, for by-reference arguments."""
+    return [ctypes.byref(ctypes.c_int(v)) for v in values]
 
 
 def band_storage(matrix: spmatrix, kl: int, ku: int) -> ComplexArray:
@@ -66,7 +106,7 @@ class BandedLU:
         if not np.isfinite(matrix.data).all():
             raise ValueError(f"{label}: matrix has a non-finite entry")
         ab = band_storage(matrix, kl, ku)
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        gbtrf = get_lapack_funcs("gbtrf", (ab,))
         lu, ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
         if info != 0:
             raise ValueError(f"{label}: banded LU failed, zgbtrf info={info}")
@@ -75,36 +115,47 @@ class BandedLU:
         self.ku = ku
         self._ld = self._lu = self._ipiv = None
         if np.array_equal(ipiv, np.arange(n)) and (matrix != matrix.T).nnz == 0:
-            # a copy, not a view: f2py would copy a strided view on every call
+            # a contiguous copy: ztbsv reads the factor with leading dimension kl + 1
             self._ld = np.asfortranarray(lu[kl + ku:])
-            self._tbsv = get_blas_funcs("tbsv", (ab,))
         else:
             self._lu = lu
             self._ipiv = ipiv
-            self._gbtrs = gbtrs
         self.factor_count = 1
         self.solve_count = 0
+        self._count_lock = threading.Lock()
 
     @property
     def nbytes(self) -> int:
         """Bytes of the stored factors and pivot indices."""
         return sum(a.nbytes for a in (self._ld, self._lu, self._ipiv) if a is not None)
 
-    def _ldlt(self, b: ComplexArray) -> ComplexArray:
-        y = self._tbsv(self.kl, self._ld, b, lower=1, diag=1)
-        y /= self._ld[0]
-        return self._tbsv(self.kl, self._ld, y, lower=1, trans=1, diag=1, overwrite_x=1)
+    def _ldlt(self, x: ComplexArray) -> None:
+        """Overwrite the (n, k) Fortran-ordered x with L^-T D^-1 L^-1 x."""
+        n, k, lda, inc = _ints(self.n, self.kl, self.kl + 1, 1)
+        ld = self._ld.ctypes.data
+        for c in x.T:
+            _ztbsv(b"L", b"N", b"U", n, k, ld, lda, c.ctypes.data, inc)
+            c /= self._ld[0]
+            _ztbsv(b"L", b"T", b"U", n, k, ld, lda, c.ctypes.data, inc)
+
+    def _gbtrs(self, x: ComplexArray) -> None:
+        """Overwrite the (n, k) Fortran-ordered x with A^-1 x by zgbtrs."""
+        info = ctypes.c_int(0)
+        # zgbtrs reads LAPACK's 1-based pivot indices
+        ipiv = np.add(self._ipiv, 1, dtype=np.intc)
+        _zgbtrs(b"N", *_ints(self.n, self.kl, self.ku, x.shape[1]), self._lu.ctypes.data,
+                *_ints(2 * self.kl + self.ku + 1), ipiv.ctypes.data, x.ctypes.data,
+                *_ints(self.n), ctypes.byref(info))
+        if info.value != 0:
+            raise ValueError(f"banded back-substitution failed, zgbtrs info={info.value}")
 
     def solve(self, rhs: ComplexArray) -> ComplexArray:
         """x with A x = rhs, for a right-hand side of shape (n,) or (n, k)."""
-        b = rhs.astype(np.complex128, copy=False)
-        if self._ld is not None:
-            # tbsv takes one vector, so a block is solved column by column
-            x = (self._ldlt(b) if b.ndim == 1
-                 else np.stack([self._ldlt(c) for c in b.T], axis=1))
-        else:
-            x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv)
-            if info != 0:
-                raise ValueError(f"banded back-substitution failed, zgbtrs info={info}")
-        self.solve_count += 1
+        x = np.array(rhs, dtype=np.complex128, order="F")
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError(f"right-hand side of shape {x.shape} for order {self.n}")
+        block = x.reshape(self.n, -1, order="F")
+        (self._ldlt if self._ld is not None else self._gbtrs)(block)
+        with self._count_lock:
+            self.solve_count += 1
         return x

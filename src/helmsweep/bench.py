@@ -29,7 +29,7 @@ from .grid import (BoundarySpec, ComplexArray, Grid, HomogeneousModel,
                    WedgeModel, build_grid, build_wavenumber, dirichlet, robin)
 from .krylov import gmres_right, richardson
 from .strips import build_strips
-from .substructure import SubstructuredSystem, TraceVector
+from .substructure import WORKERS, SubstructuredSystem, TraceVector
 
 PROBLEMS = ("waveguide", "cavity", "wedge")
 PRECONDITIONERS = ("jacobi", "ds", "osds")
@@ -149,6 +149,7 @@ class RunRecord:
     strip_solves: int = 0
     factorizations: int = 0
     lu_bytes: int = 0
+    workers: int = 1
     stop: str = "tol"
     seconds: list = dataclasses.field(default_factory=list)
     waived: list = dataclasses.field(default_factory=list)
@@ -250,6 +251,7 @@ class BenchContext:
                          - solves_before,
                          factorizations=sum(sv.factor_count for sv in system.solvers),
                          lu_bytes=sum(sv.lu_bytes for sv in system.solvers),
+                         workers=WORKERS,
                          stop=report.stop, seconds=list(report.seconds),
                          waived=[] if self.decomp.width_bound_ok else ["width_bound"],
                          solution=u, grid=self.grid)

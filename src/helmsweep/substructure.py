@@ -35,10 +35,21 @@ first on its right) finish it.  solve_oneway keeps (r, y, partial R y), and
 the next apply_interface_system, if handed y, returns r - R y: 2N-2 strip
 solves per preconditioned product instead of 3N-4.  The record is used at
 most once; any other operator call drops it.
+
+Strip solves that do not depend on each other run concurrently on a pool of
+threads, one per CPU the process may run on: the N solves of an exchange
+(apply_exchange, source_traces, a full apply_interface_system), the two
+sweeps of solve_oneway, the two edge solves of the record path and the N
+solves of reconstruct.  A strip solve releases the GIL in its band kernel
+(see banded.py).  solve_double_sweep stays serial: its backward sweep reads
+what the forward one wrote.  Each solve does the same arithmetic and writes
+the same block as in a serial run, so every result is bitwise the same.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +57,10 @@ import numpy as np
 from .grid import BoundarySpec, ComplexArray, Grid, WavenumberField, problem_load
 from .strips import StripDecomposition
 from .subdomain import LocalSolver
+
+WORKERS = len(os.sched_getaffinity(0))
+# threads start on first use, not at import
+_pool = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="helmsweep-strip")
 
 
 @dataclass
@@ -141,9 +156,12 @@ class SubstructuredSystem:
         self._sweep = None
         out = TraceVector.zeros(self.layout)
         o = out.blocks
-        for s in range(self.nstrips):
+
+        def respond(s):
             left, right = (None, None) if t is None else self._data(t, s)
-            to_right, to_left = self._respond(s, left, right, load)
+            return self._respond(s, left, right, load)
+
+        for s, (to_right, to_left) in enumerate(_pool.map(respond, range(self.nstrips))):
             if to_right is not None:
                 o[0, s] = to_right
             if to_left is not None:
@@ -167,38 +185,51 @@ class SubstructuredSystem:
         r, y, ry = sweep
         n = self.nstrips
         t, o = y.reshape(self.layout), ry.blocks
-        o[1, n - 2] = self._respond(n - 1, left=t[0, n - 2])[1]
-        o[0, 0] = self._respond(0, right=t[1, 0])[0]
+        last = _pool.submit(self._respond, n - 1, left=t[0, n - 2])
+        try:
+            o[0, 0] = self._respond(0, right=t[1, 0])[0]
+        finally:
+            o[1, n - 2] = last.result()[1]
         return TraceVector(self.layout, r - ry.data)
 
     def source_traces(self, f=None) -> TraceVector:
         """Right-hand side G: outgoing traces of the true local sources."""
         return self._exchange(load=problem_load(self.grid, self.bc, f))
 
-    def _forward(self, r: TraceVector) -> tuple[TraceVector, TraceVector]:
-        """r with its left blocks replaced by the solution x of
-        (Id - M_l) x = r_l, and the reflections A_r x the sweep produced on
-        the way (all but the last strip's)."""
-        self._sweep = None
-        out = TraceVector(self.layout, np.array(r.data, dtype=np.complex128))
-        reflected = TraceVector.zeros(self.layout)
-        o, a = out.blocks, reflected.blocks
+    def _forward(self, o, a) -> None:
+        """Forward substitution sweep, in place on block views o and a.
+
+        Replaces o's left blocks by the solution x of (Id - M_l) x = o_l and
+        puts into a's right blocks the reflections A_r x the sweep produced
+        on the way (all but the last strip's).  Touches no other block.
+        """
         for s in range(1, self.nstrips - 1):
             to_right, a[1, s - 1] = self._respond(s, left=o[0, s - 1])
             o[0, s] += to_right
-        return out, reflected
+
+    def _start(self, r: TraceVector) -> tuple[TraceVector, TraceVector]:
+        """A copy of r and zero reflections, for the sweeps to fill in."""
+        self._sweep = None
+        return (TraceVector(self.layout, np.array(r.data, dtype=np.complex128)),
+                TraceVector.zeros(self.layout))
 
     def solve_oneway(self, r: TraceVector) -> TraceVector:
         """Invert Id - (M_l + M_r) by two independent substitution sweeps.
 
-        The reflections R y the sweeps produce on the way are kept for the
-        next apply_interface_system (see the module docstring).
+        The forward sweep (left blocks) runs on the strip pool while this
+        thread runs the backward sweep (right blocks).  The reflections R y
+        the sweeps produce on the way are kept for the next
+        apply_interface_system (see the module docstring).
         """
-        out, reflected = self._forward(r)
+        out, reflected = self._start(r)
         o, a = out.blocks, reflected.blocks
-        for s in range(self.nstrips - 2, 0, -1):
-            a[0, s], to_left = self._respond(s, right=o[1, s])
-            o[1, s - 1] += to_left
+        forward = _pool.submit(self._forward, o, a)
+        try:
+            for s in range(self.nstrips - 2, 0, -1):
+                a[0, s], to_left = self._respond(s, right=o[1, s])
+                o[1, s - 1] += to_left
+        finally:
+            forward.result()
         self._sweep = (np.array(r.data, dtype=np.complex128), out.data.copy(),
                        reflected)
         return out
@@ -217,8 +248,9 @@ class SubstructuredSystem:
         """
         n = self.nstrips
         rl = r.blocks[0]
-        out, _ = self._forward(r)
+        out, reflected = self._start(r)
         o = out.blocks
+        self._forward(o, reflected.blocks)
         for s in range(n - 1, -1, -1):
             to_right, to_left = self._respond(s, *self._data(o, s))
             if s > 0:
@@ -237,9 +269,12 @@ class SubstructuredSystem:
         load = problem_load(self.grid, self.bc, f)
         u = np.zeros(self.grid.shape, dtype=np.complex128)
         t = h.blocks
-        for s, sv in enumerate(self.solvers):
+
+        def fill(s):
             v = self._solve(s, *self._data(t, s), load)
             lo, hi = self.decomp.owned_columns(s + 1)
-            a = sv.span[0]
+            a = self.solvers[s].span[0]
             u[lo:hi, :] = v[lo - a:hi - a, :]
+
+        list(_pool.map(fill, range(self.nstrips)))  # waits, and re-raises
         return u

@@ -1,8 +1,13 @@
+import ctypes
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
+from helmsweep import banded
 from helmsweep.banded import BandedLU, band_storage
 from helmsweep.grid import HomogeneousModel, RectStencil, build_wavenumber
 from conftest import make_grid, reconstruct_dense
@@ -111,7 +116,9 @@ def test_fallback_factor_is_gbtrf_storage(rng, kl, ku, reach):
     x = lu.solve(b)
     ref, info = gbtrs(full, kl, ku, b, ipiv)
     assert info == 0
-    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the ctypes zgbtrs call is the routine scipy's wrapper calls
+    assert np.array_equal(x, ref)
+    assert np.array_equal(lu.solve(b[:, 1]), gbtrs(full, kl, ku, b[:, 1], ipiv)[0])
     assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
     dense = a.toarray()
     err = np.linalg.norm(reconstruct_dense(lu) - dense)
@@ -193,3 +200,69 @@ def test_non_finite_matrix_reports_label(bad):
     a[17, 18] = bad
     with pytest.raises(ValueError, match="strip 3.*non-finite"):
         BandedLU(a.tocsr(), 1, 1, label="strip 3")
+
+
+@pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
+def test_ctypes_tbsv_is_scipy_tbsv_bitwise(rng, ny, cells):
+    # the GIL-free kernel is the routine get_blas_funcs("tbsv") wraps
+    a, band = helmholtz_strip(ny, cells)
+    n = a.shape[0]
+    lu = BandedLU(a, band, band)
+    ld = lu._ld
+    tbsv = get_blas_funcs("tbsv", (ld,))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ints = [ctypes.c_int(v) for v in (n, band, band + 1, 1)]
+    refs = [ctypes.byref(i) for i in ints]
+    for trans, flag in ((0, b"N"), (1, b"T")):
+        x = b.copy()
+        banded._ztbsv(b"L", flag, b"U", *refs[:2], ld.ctypes.data, refs[2],
+                      x.ctypes.data, refs[3])
+        assert np.array_equal(x, tbsv(band, ld, b, lower=1, trans=trans, diag=1))
+    # a whole solve: L, D, then L^T, as the f2py wrapper took it
+    y = tbsv(band, ld, b, lower=1, diag=1)
+    y /= ld[0]
+    assert np.array_equal(lu.solve(b), tbsv(band, ld, y, lower=1, trans=1, diag=1))
+
+
+def test_bad_rhs_shape_rejected(rng):
+    a, band = helmholtz_strip(*STRIPS["ny>w"])
+    lu = BandedLU(a, band, band)
+    for shape in [(a.shape[0] - 1,), (), (a.shape[0], 2, 1)]:
+        with pytest.raises(ValueError, match="right-hand side"):
+            lu.solve(np.ones(shape, dtype=np.complex128))
+    assert lu.solve_count == 0
+
+
+@pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])
+def test_concurrent_solves_counted_and_bitwise(rng, kind):
+    # two threads solving with one factor lose no count and no bit
+    if kind == "ldlt":
+        a, band = helmholtz_strip(*STRIPS["ny>w"])
+        lu = BandedLU(a, band, band)
+    else:
+        lu = BandedLU(shuffled_dominant(rng, 462, 4, 4, 2), 4, 4)
+    assert (lu._ld is not None) == (kind == "ldlt")
+    n, threads, solves = lu.n, 2, 200
+    rhs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(threads)]
+    expect = [lu.solve(b) for b in rhs]
+    lu.solve_count = 0
+    bad = []
+
+    def work(t):
+        for _ in range(solves):
+            if not np.array_equal(lu.solve(rhs[t]), expect[t]):
+                bad.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert bad == []
+    assert lu.solve_count == threads * solves

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import warnings
 
 import numpy as np
@@ -150,6 +151,8 @@ def test_manifest_keys_follow_the_record(tmp_path):
     assert manifest["iterations"] == len(record.history) - 1
     assert manifest["spec"] == json.loads(json.dumps(record.spec.to_dict()))
     assert manifest["solve_time"] == record.solve_time > 0
+    # the strip pool's size, one thread per CPU the process may run on
+    assert manifest["workers"] == record.workers == len(os.sched_getaffinity(0))
 
 
 def test_field_round_trip(tmp_path, rng):

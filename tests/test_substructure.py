@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helmsweep.grid import assemble_global, solve_direct
+from helmsweep.bench import BenchContext, ProblemSpec
+from helmsweep.grid import assemble_global, problem_load, solve_direct
 from helmsweep.krylov import gmres_right, richardson
 from helmsweep.strips import StripDecomposition
 from helmsweep.subdomain import extract_trace
@@ -296,3 +298,71 @@ def test_osds_gmres_costs_2n_minus_2_solves_per_iteration():
     assert rep.converged and rep.iterations > 1
     solves = sum(sv.solve_count for sv in system.solvers) - before
     assert solves == rep.iterations * (2 * system.nstrips - 2)
+
+
+# xy numbering (columns of ny + 1 nodes) on waveguide strips, yx (rows of
+# w + 1 nodes) on the narrower wedge strips
+POOLED_SPECS = {"waveguide": dict(problem="waveguide", k=10.0, nppwl=10),
+                "wedge": dict(problem="wedge", omega=12.0 * np.pi, nppwl=8)}
+
+
+def serial_exchange(system, t=None, load=None):
+    """The exchange as one loop over _respond, strip after strip."""
+    n = system.nstrips
+    o = np.zeros(system.layout, dtype=np.complex128)
+    for s in range(n):
+        left, right = (None, None) if t is None else system._data(t, s)
+        to_right, to_left = system._respond(s, left, right, load)
+        if s < n - 1:
+            o[0, s] = to_right
+        if s > 0:
+            o[1, s - 1] = to_left
+    return o
+
+
+def serial_oneway(system, r):
+    """solve_oneway's y and the record path's r - R y, strip after strip."""
+    n = system.nstrips
+    o, a = r.reshape(system.layout).copy(), np.zeros(system.layout, dtype=np.complex128)
+    for s in range(1, n - 1):
+        to_right, a[1, s - 1] = system._respond(s, left=o[0, s - 1])
+        o[0, s] += to_right
+    for s in range(n - 2, 0, -1):
+        a[0, s], to_left = system._respond(s, right=o[1, s])
+        o[1, s - 1] += to_left
+    a[1, n - 2] = system._respond(n - 1, left=o[0, n - 2])[1]
+    a[0, 0] = system._respond(0, right=o[1, 0])[0]
+    return o.ravel(), r - a.ravel()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("problem", sorted(POOLED_SPECS))
+def test_pooled_operators_match_serial_loops_bitwise(problem, n, rng):
+    spec = ProblemSpec(**POOLED_SPECS[problem], subdomains=n, overlap_cells=2)
+    with warnings.catch_warnings():
+        # narrow wedge strips break the width bound, which the run waives
+        warnings.simplefilter("ignore", UserWarning)
+        system = BenchContext(spec).system
+    stencil = system.solvers[0].stencil
+    assert (stencil.ny > stencil.w) == (problem == "wedge")
+    size = math.prod(system.layout)
+    h = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    t = h.reshape(system.layout)
+    f = rng.standard_normal(system.grid.shape) + 1j * rng.standard_normal(system.grid.shape)
+    load = problem_load(system.grid, system.bc, f)
+
+    assert np.array_equal(system.apply_exchange(TraceVector(system.layout, h)).data,
+                          serial_exchange(system, t).ravel())
+    assert np.array_equal(system.source_traces(f).data,
+                          serial_exchange(system, load=load).ravel())
+    y, fused = serial_oneway(system, h)
+    got = system.solve_oneway(TraceVector(system.layout, h))
+    assert np.array_equal(got.data, y)
+    assert np.array_equal(system.apply_interface_system(got).data, fused)
+
+    u = np.zeros(system.grid.shape, dtype=np.complex128)
+    for s, sv in enumerate(system.solvers):
+        v = system._solve(s, *system._data(t, s), load)
+        lo, hi = system.decomp.owned_columns(s + 1)
+        u[lo:hi] = v[lo - sv.span[0]:hi - sv.span[0]]
+    assert np.array_equal(system.reconstruct(TraceVector(system.layout, h), f), u)
