@@ -37,26 +37,11 @@ SOLVERS = ("gmres", "fixed_point")
 WEDGE_DOMAIN = ((0.0, 600.0), (0.0, 1000.0))
 
 
-# name: (nested lengths, None for any but 0; positive; what it must be)
-_REAL_FIELDS = {
-    "k": ((), True, "a finite positive number"),
-    "omega": ((), True, "a finite positive number"),
-    "tolerances": ((None,), True, "a non-empty list of finite positive numbers"),
-    "wedge_upper": ((2, 2), False, "two (x, y) points of finite numbers"),
-    "wedge_lower": ((2, 2), False, "two (x, y) points of finite numbers"),
-    "wedge_velocities": ((3,), True, "three finite positive numbers"),
-}
-
-
-def _reals(value, lengths, positive, error):
-    """value as nested tuples of finite floats, or ValueError(error)."""
-    if not lengths:
-        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value) and (value > 0 or not positive)):
-            return float(value)
-    elif (isinstance(value, (list, tuple)) and value
-          and len(value) == (lengths[0] or len(value))):
-        return tuple(_reals(v, lengths[1:], positive, error) for v in value)
+def _positive(value, error: str) -> float:
+    """value as a finite positive float, or ValueError(error)."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        return float(value)
     raise ValueError(error)
 
 
@@ -74,9 +59,6 @@ class ProblemSpec:
     preconditioner: str = "osds"
     solver: str = "gmres"
     maxit: int = 400
-    wedge_upper: tuple = ((0.0, 800.0), (600.0, 600.0))
-    wedge_lower: tuple = ((0.0, 500.0), (600.0, 300.0))
-    wedge_velocities: tuple = (2000.0, 1500.0, 3000.0)
     out_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -96,24 +78,23 @@ class ProblemSpec:
             raise ValueError(f"maxit must be non-negative, got {self.maxit}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
-        for name, (lengths, positive, what) in _REAL_FIELDS.items():
+        for name in ("k", "omega"):
             v = getattr(self, name)
-            if v is not None or lengths:
-                error = f"{name} must be {what}, got {v!r}"
-                object.__setattr__(self, name, _reals(v, lengths, positive, error))
-        if self.problem == "wedge":
-            if self.omega is None:
-                raise ValueError("wedge runs need omega")
-            if self.k is not None:
-                raise ValueError("wedge runs take omega, not k")
-        elif (self.k is None) == (self.omega is None):
-            raise ValueError(f"{self.problem} runs need k or omega (unit speed), "
-                             "not both")
-
-    @property
-    def homogeneous_k(self) -> float:
-        # unit medium speed, so a bare omega doubles as the wavenumber
-        return float(self.k if self.k is not None else self.omega)
+            if v is not None:
+                error = f"{name} must be a finite positive number, got {v!r}"
+                object.__setattr__(self, name, _positive(v, error))
+        tols = self.tolerances
+        error = ("tolerances must be a non-empty list of finite positive numbers, "
+                 f"got {tols!r}")
+        if not (isinstance(tols, (list, tuple)) and tols):
+            raise ValueError(error)
+        object.__setattr__(self, "tolerances", tuple(_positive(t, error) for t in tols))
+        # the wedge is driven by a frequency, the unit-speed problems by k
+        need, other = ("omega", "k") if self.problem == "wedge" else ("k", "omega")
+        if getattr(self, need) is None:
+            raise ValueError(f"{self.problem} runs need {need}")
+        if getattr(self, other) is not None:
+            raise ValueError(f"{self.problem} runs take {need}, not {other}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -164,7 +145,7 @@ def _waveguide_source(y):
 def build_problem(spec: ProblemSpec):
     """Grid, wavenumber field, boundary conditions, volume source."""
     if spec.problem in ("waveguide", "cavity"):
-        k = spec.homogeneous_k
+        k = spec.k
         xspan = (0.0, float(spec.subdomains))
         grid = build_grid(xspan, (0.0, 1.0), k, spec.nppwl)
         kfield = build_wavenumber(grid, HomogeneousModel(k))
@@ -181,10 +162,9 @@ def build_problem(spec: ProblemSpec):
         return grid, kfield, bc, None
 
     xspan, yspan = WEDGE_DOMAIN
-    model = WedgeModel(spec.wedge_upper, spec.wedge_lower, spec.wedge_velocities)
-    k_max = spec.omega / min(spec.wedge_velocities)
+    k_max = spec.omega / min(WedgeModel.velocities)
     grid = build_grid(xspan, yspan, k_max, spec.nppwl)
-    kfield = build_wavenumber(grid, model, omega=spec.omega)
+    kfield = build_wavenumber(grid, WedgeModel(), omega=spec.omega)
     width = xspan[1] - xspan[0]
     bc = BoundarySpec(
         left=robin(None), right=robin(None), bottom=robin(None),

@@ -15,7 +15,7 @@ from .symbols import C_factor, SymbolParams, rho_factor
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON problem spec; flags override its values")
     p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--k", type=float, help="wavenumber (homogeneous problems)")
+    p.add_argument("--k", type=float, help="wavenumber (waveguide, cavity)")
     p.add_argument("--omega", type=float, help="angular frequency (wedge)")
     p.add_argument("--subdomains", type=int)
     p.add_argument("--overlap-cells", type=int, dest="overlap_cells")
@@ -25,16 +25,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, action="append",
                    help="stopping tolerance; repeat to record counts at several")
     p.add_argument("--max-iters", type=int, dest="maxit")
-    p.add_argument("--wedge-upper", help="x0,y0,x1,y1 of the upper velocity line")
-    p.add_argument("--wedge-lower", help="x0,y0,x1,y1 of the lower velocity line")
     p.add_argument("--out", dest="out_dir", help="directory for run outputs")
-
-
-def _parse_line(text: str) -> tuple:
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != 4:
-        raise ValueError("velocity lines take four numbers: x0,y0,x1,y1")
-    return ((vals[0], vals[1]), (vals[2], vals[3]))
 
 
 def _spec_from_args(args: argparse.Namespace) -> ProblemSpec:
@@ -47,10 +38,6 @@ def _spec_from_args(args: argparse.Namespace) -> ProblemSpec:
             overrides[key] = v
     if args.tol:
         overrides["tolerances"] = tuple(args.tol)
-    if getattr(args, "wedge_upper", None):
-        overrides["wedge_upper"] = _parse_line(args.wedge_upper)
-    if getattr(args, "wedge_lower", None):
-        overrides["wedge_lower"] = _parse_line(args.wedge_lower)
     merged = {**base, **overrides}
     if "problem" not in merged:
         raise ValueError("--problem (or a config file naming one) is required")

@@ -49,7 +49,7 @@ the same block as in a serial run, so every result is bitwise the same.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +59,24 @@ from .strips import StripDecomposition
 from .subdomain import LocalSolver
 
 WORKERS = len(os.sched_getaffinity(0))
-# threads start on first use, not at import
-_pool = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="helmsweep-strip")
+
+
+def _new_pool() -> None:
+    global _pool
+    # threads start on first use, not at import
+    _pool = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="helmsweep-strip")
+
+
+_new_pool()
+# a forked child inherits the pool but none of its threads
+os.register_at_fork(after_in_child=_new_pool)
+
+
+def _map(fn, n: int) -> list:
+    """[fn(0), ..., fn(n-1)] on the strip pool; a failure is re-raised once all are done."""
+    futures = [_pool.submit(fn, s) for s in range(n)]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 @dataclass
@@ -161,7 +177,7 @@ class SubstructuredSystem:
             left, right = (None, None) if t is None else self._data(t, s)
             return self._respond(s, left, right, load)
 
-        for s, (to_right, to_left) in enumerate(_pool.map(respond, range(self.nstrips))):
+        for s, (to_right, to_left) in enumerate(_map(respond, self.nstrips)):
             if to_right is not None:
                 o[0, s] = to_right
             if to_left is not None:
@@ -276,5 +292,5 @@ class SubstructuredSystem:
             a = self.solvers[s].span[0]
             u[lo:hi, :] = v[lo - a:hi - a, :]
 
-        list(_pool.map(fill, range(self.nstrips)))  # waits, and re-raises
+        _map(fill, self.nstrips)
         return u

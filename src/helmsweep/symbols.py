@@ -29,6 +29,8 @@ from typing import Optional
 import numpy as np
 
 CUTOFF_TOL = 1e-9
+RELATION_TOL = 1e-13
+POWER_TOL = 1e-12
 
 
 def lambda_symbol(xi: float, k: float) -> tuple[complex, bool]:
@@ -60,8 +62,8 @@ def lambda_waveguide(xi: int, k: float, length: float) -> tuple[complex, bool]:
     """
     if length <= 0:
         raise ValueError("waveguide height must be positive")
-    if xi < 1 or xi != int(xi):
-        raise ValueError("waveguide mode number must be a positive integer")
+    if not (xi >= 1 and float(xi).is_integer()):
+        raise ValueError(f"waveguide mode number must be a positive integer, got {xi!r}")
     return lambda_symbol(xi * np.pi / length, k)
 
 
@@ -84,12 +86,11 @@ class SymbolParams:
     length: Optional[float] = None
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
         if self.mode not in ("plane", "waveguide"):
             raise ValueError(f"mode must be 'plane' or 'waveguide', got {self.mode!r}")
         if self.mode == "waveguide" and (self.length is None or self.length <= 0):
             raise ValueError("waveguide mode needs a positive height")
+        self.lam()  # rejects k <= 0 and a waveguide xi that is not a positive integer
         strips = tuple((float(a), float(b)) for a, b in self.strips)
         object.__setattr__(self, "strips", strips)
         if len(strips) < 2:
@@ -112,7 +113,7 @@ class SymbolParams:
 
     def lam(self) -> tuple[complex, bool]:
         if self.mode == "waveguide":
-            return lambda_waveguide(int(self.xi), self.k, self.length)
+            return lambda_waveguide(self.xi, self.k, self.length)
         return lambda_symbol(self.xi, self.k)
 
     def rho_j(self) -> complex:
@@ -235,9 +236,7 @@ class AlgebraReport:
         return not self.failures
 
 
-def verify_symbol_algebra(params: SymbolParams,
-                          relation_tol: float = 1e-13,
-                          power_tol: float = 1e-12) -> AlgebraReport:
+def verify_symbol_algebra(params: SymbolParams) -> AlgebraReport:
     """Check the structural algebra of the mode matrices numerically.
 
     The ten cancellation relations (nilpotency of M_l and M_r at order
@@ -247,7 +246,7 @@ def verify_symbol_algebra(params: SymbolParams,
         R^n = (X_r X_l)^{n/2} + (X_l X_r)^{n/2},  X_s = sum M_s^i A_s,
 
     is what makes the one-way-preconditioned GMRES analysis work and is
-    verified for n = 2, 4.
+    verified for n = 2, 4.  The tolerances are RELATION_TOL and POWER_TOL.
     """
     mats = symbol_matrices(params)
     n = params.nstrips
@@ -268,7 +267,7 @@ def verify_symbol_algebra(params: SymbolParams,
     for name, prod in relations.items():
         err = _max_entry(prod)
         rep.relations[name] = err
-        if err > relation_tol:
+        if err > RELATION_TOL:
             rep.failures.append(name)
 
     x_r = sum(mp(mats.m_r, i) @ mats.a_r for i in range(n - 1))
@@ -280,7 +279,7 @@ def verify_symbol_algebra(params: SymbolParams,
         scale = max(_max_entry(lhs), 1e-300)
         err = _max_entry(lhs - rhs) / scale
         rep.power_errors[f"R^{npow}"] = err
-        if err > power_tol:
+        if err > POWER_TOL:
             rep.failures.append(f"R^{npow}")
     return rep
 
@@ -294,21 +293,17 @@ class OverlapSearch:
     worst_excess: float
 
 
-def find_vanishing_overlap(k: float, width: float, nstrips: int,
-                           eta: float = 1.5, nsamples: int = 50,
-                           xi_max_factor: float = 4.0) -> OverlapSearch:
+def find_vanishing_overlap(k: float, width: float, nstrips: int) -> OverlapSearch:
     """Search for an overlap making |rho(xi)| < e^{-2 delta lambda(xi)}.
 
     The decay estimate for vanishing modes is stated for "sufficiently
     large" overlap; this doubles delta geometrically from width/32 up to
     the width/2 ceiling allowed by the strip-width assumption and reports
-    the first delta for which the bound holds at nsamples Fourier numbers
-    in [eta k, xi_max_factor k], or the ceiling with holds=False.
+    the first delta for which the bound holds at 50 Fourier numbers in
+    [1.5 k, 4 k], all vanishing, or the ceiling with holds=False.
     worst_excess is max(|rho| - e^{-2 delta lambda}) at the returned delta.
     """
-    if eta <= 1.0:
-        raise ValueError("eta must exceed 1 (vanishing modes only)")
-    xis = np.linspace(eta * k, xi_max_factor * k, nsamples)
+    xis = np.linspace(1.5 * k, 4.0 * k, 50)
     strips = tuple((i * width, (i + 1) * width) for i in range(nstrips))
     delta = width / 32.0
     ceiling = width / 2.0

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 from helmsweep import bench
 from helmsweep.bench import (ProblemSpec, build_problem, iterations_at, run,
                              run_methods, sweep_study, write_field, read_field)
-from helmsweep.cli import main
+from helmsweep.cli import build_parser, main
 from helmsweep.grid import assemble_global, solve_direct
 from helmsweep.krylov import KrylovReport
 from helmsweep.symbols import (C_factor, SymbolParams, lambda_symbol,
@@ -46,14 +47,28 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(problem="wedge", k=20.0)  # wedge is frequency-driven
     with pytest.raises(ValueError):
-        ProblemSpec(problem="waveguide")  # needs k or omega
+        ProblemSpec(problem="waveguide")  # needs k
     with pytest.raises(ValueError):
         tiny_spec(preconditioner="ilu")
     # rejected before any strip is factored
     with pytest.raises(ValueError, match="fixed_point"):
         tiny_spec(solver="fixed_point", preconditioner="ds")
-    # unit background velocity makes omega and k interchangeable
-    assert ProblemSpec(problem="cavity", omega=7.0).homogeneous_k == 7.0
+    # the unit-speed problems take k only
+    with pytest.raises(ValueError, match="cavity runs need k"):
+        ProblemSpec(problem="cavity", omega=7.0)
+
+
+def test_option_surface():
+    # every settable value a run takes; a new knob is a deliberate edit here
+    assert [f.name for f in dataclasses.fields(ProblemSpec)] == [
+        "problem", "k", "omega", "subdomains", "overlap_cells", "nppwl",
+        "tolerances", "preconditioner", "solver", "maxit", "out_dir"]
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    flags = [f for a in commands.choices["solve"]._actions for f in a.option_strings]
+    assert flags == ["-h", "--help", "--config", "--problem", "--k", "--omega",
+                     "--subdomains", "--overlap-cells", "--nppwl", "--precond",
+                     "--solver", "--tol", "--max-iters", "--out"]
 
 
 def test_iterations_at():
@@ -402,7 +417,7 @@ WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
     (["solve", "--config", {**WEDGE_CONFIG, "omega": float("inf")}], "omega must"),
     (["solve", *WAVEGUIDE_FLAGS, "--k", "nan"], "k must"),
     (["solve", *WAVEGUIDE_FLAGS, "--k", "2.5", "--tol", "nan"], "tolerances"),
-    (["solve", *WAVEGUIDE_FLAGS, "--k", "2.5", "--omega", "99"], "not both"),
+    (["solve", *WAVEGUIDE_FLAGS, "--k", "2.5", "--omega", "99"], "not omega"),
     (["solve", "--config", {**WEDGE_CONFIG, "k": 2.5}], "not k"),
 ], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
         "missing-config", "float-subdomains", "float-overlap", "string-maxit",

@@ -1,10 +1,12 @@
 import math
+import multiprocessing
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from helmsweep.bench import BenchContext, ProblemSpec
+from helmsweep.bench import BenchContext, ProblemSpec, run
 from helmsweep.grid import assemble_global, problem_load, solve_direct
 from helmsweep.krylov import gmres_right, richardson
 from helmsweep.strips import StripDecomposition
@@ -366,3 +368,43 @@ def test_pooled_operators_match_serial_loops_bitwise(problem, n, rng):
         lo, hi = system.decomp.owned_columns(s + 1)
         u[lo:hi] = v[lo - sv.span[0]:hi - sv.span[0]]
     assert np.array_equal(system.reconstruct(TraceVector(system.layout, h), f), u)
+
+
+@pytest.mark.parametrize("operator", ["apply_exchange", "source_traces", "reconstruct"])
+def test_failing_strip_raises_after_the_other_solves(operator, monkeypatch):
+    system = make_case(5)
+    h = TraceVector.zeros(system.layout)
+    apply = {"apply_exchange": lambda: system.apply_exchange(h),
+             "source_traces": system.source_traces,
+             "reconstruct": lambda: system.reconstruct(h)}[operator]
+    solve = system._solve
+
+    def slow_or_failing(s, *args):
+        if s == 1:
+            raise RuntimeError("strip 1 failed")
+        time.sleep(0.05)
+        return solve(s, *args)
+
+    def solves():
+        return sum(sv.solve_count for sv in system.solvers)
+
+    monkeypatch.setattr(system, "_solve", slow_or_failing)
+    with pytest.raises(RuntimeError, match="strip 1"):
+        apply()
+    at_raise = solves()
+    time.sleep(0.3)
+    # no solve of the failed operator is still running
+    assert at_raise == solves() == system.nstrips - 1
+
+
+def _counts(spec):
+    return run(spec).counts
+
+
+def test_forked_child_gets_its_own_strip_pool():
+    spec = ProblemSpec(problem="waveguide", k=5.0, subdomains=3, overlap_cells=2,
+                       nppwl=8)
+    # this starts the pool's threads, which a forked child does not inherit
+    counts = run(spec).counts
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.map_async(_counts, [spec]).get(timeout=30) == [counts]

@@ -116,6 +116,18 @@ def test_params_validation():
                      mode="waveguide")
 
 
+def test_waveguide_mode_number_must_be_a_positive_integer():
+    def params(xi):
+        return SymbolParams(k=20.0, xi=xi, strips=equal_strips(3), delta=0.1,
+                            mode="waveguide", length=1.0)
+
+    for xi in (2.7, 0.0, -3.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive integer"):
+            params(xi)
+    # an integral float is that mode
+    assert params(3.0).lam() == lambda_waveguide(3, 20.0, 1.0)
+
+
 def test_two_strip_matrices():
     p = SymbolParams(k=20.0, xi=7.0, strips=equal_strips(2), delta=0.1)
     m = symbol_matrices(p)
