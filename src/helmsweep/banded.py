@@ -30,11 +30,26 @@ shared cores, BENCH_13.json).  It is the same OpenBLAS routine the
 wrappers call, so the results are bitwise equal; a lone call costs 1-4 %
 more through ctypes.  solve() may run on one factor from several threads at once, and
 counts every call under a lock.
+
+A strip solve with data on one side only need not sweep the whole factor
+(the sparse right-hand sides of Gilbert & Peierls, SISC 9(5), 1988, and
+the sparse requested entries of Amestoy, Duff, L'Excellent & Rouet, SISC
+37(2), 2015).  solve(rhs, head, keep) takes rhs[:head] == 0, so L^-1 rhs is
+zero there too and the L pass runs on rows >= head only; and it returns
+only rows >= keep, which the L^T back-substitution computes from rows >=
+keep alone, so that pass runs on the trailing n - keep rows.  Each pass is
+ztbsv on a trailing block of the factor, reached by offsetting the
+pointers, and does on the rows it keeps the arithmetic of the full pass:
+those rows are bitwise the full solve.  Rows < keep are NaN, so a read of
+one fails loudly.  The zgbtrs fallback always solves in full.  row_count
+adds up the factor columns the passes sweep, per right-hand side: 2 n for
+a full solve.
 """
 
 from __future__ import annotations
 
 import ctypes
+import operator
 import threading
 
 import numpy as np
@@ -122,6 +137,7 @@ class BandedLU:
             self._ipiv = ipiv
         self.factor_count = 1
         self.solve_count = 0
+        self.row_count = 0
         self._count_lock = threading.Lock()
 
     @property
@@ -129,14 +145,22 @@ class BandedLU:
         """Bytes of the stored factors and pivot indices."""
         return sum(a.nbytes for a in (self._ld, self._lu, self._ipiv) if a is not None)
 
-    def _ldlt(self, x: ComplexArray) -> None:
-        """Overwrite the (n, k) Fortran-ordered x with L^-T D^-1 L^-1 x."""
-        n, k, lda, inc = _ints(self.n, self.kl, self.kl + 1, 1)
+    def _ldlt(self, x: ComplexArray, head: int, keep: int) -> None:
+        """Overwrite rows >= keep of the (n, k) Fortran-ordered x with those of
+        L^-T D^-1 L^-1 x, for x[:head] == 0, and rows < keep with NaN."""
+        k, lda, inc = _ints(self.kl, self.kl + 1, 1)
+        lower, upper = _ints(self.n - head, self.n - keep)
+        # column j of the factor starts (kl + 1) entries after column j - 1
         ld = self._ld.ctypes.data
+        step = self._ld.strides[1]
+        # rows < head stay zero and rows < keep are dropped
+        start = max(head, keep)
         for c in x.T:
-            _ztbsv(b"L", b"N", b"U", n, k, ld, lda, c.ctypes.data, inc)
-            c /= self._ld[0]
-            _ztbsv(b"L", b"T", b"U", n, k, ld, lda, c.ctypes.data, inc)
+            at = c.ctypes.data
+            _ztbsv(b"L", b"N", b"U", lower, k, ld + head * step, lda, at + head * c.itemsize, inc)
+            c[start:] /= self._ld[0, start:]
+            _ztbsv(b"L", b"T", b"U", upper, k, ld + keep * step, lda, at + keep * c.itemsize, inc)
+            c[:keep] = np.nan
 
     def _gbtrs(self, x: ComplexArray) -> None:
         """Overwrite the (n, k) Fortran-ordered x with A^-1 x by zgbtrs."""
@@ -149,13 +173,26 @@ class BandedLU:
         if info.value != 0:
             raise ValueError(f"banded back-substitution failed, zgbtrs info={info.value}")
 
-    def solve(self, rhs: ComplexArray) -> ComplexArray:
-        """x with A x = rhs, for a right-hand side of shape (n,) or (n, k)."""
+    def solve(self, rhs: ComplexArray, head: int = 0, keep: int = 0) -> ComplexArray:
+        """x with A x = rhs, for a right-hand side of shape (n,) or (n, k).
+
+        rhs[:head] must be zero, and only x[keep:] is solved for: x[:keep]
+        is NaN.  The zgbtrs fallback ignores both and solves in full.
+        """
         x = np.array(rhs, dtype=np.complex128, order="F")
         if x.ndim not in (1, 2) or x.shape[0] != self.n:
             raise ValueError(f"right-hand side of shape {x.shape} for order {self.n}")
+        head, keep = operator.index(head), operator.index(keep)
+        if not (0 <= head <= self.n and 0 <= keep <= self.n):
+            raise ValueError(f"head {head} and keep {keep} must lie in 0..{self.n}")
         block = x.reshape(self.n, -1, order="F")
-        (self._ldlt if self._ld is not None else self._gbtrs)(block)
+        if self._ld is not None:
+            self._ldlt(block, head, keep)
+            rows = 2 * self.n - head - keep
+        else:
+            self._gbtrs(block)
+            rows = 2 * self.n
         with self._count_lock:
             self.solve_count += 1
+            self.row_count += rows * block.shape[1]
         return x

@@ -128,6 +128,7 @@ class RunRecord:
     true_residual: float = 0.0
     ortho_defect: float = 0.0
     strip_solves: int = 0
+    strip_rows: int = 0
     factorizations: int = 0
     lu_bytes: int = 0
     workers: int = 1
@@ -202,6 +203,7 @@ class BenchContext:
         system, layout = self.system, self.system.layout
         tol = min(spec.tolerances)
         solves_before = sum(sv.solve_count for sv in system.solvers)
+        rows_before = sum(sv.row_count for sv in system.solvers)
         sweep = {"jacobi": None, "ds": system.solve_double_sweep,
                  "osds": system.solve_oneway}[spec.preconditioner]
 
@@ -229,6 +231,8 @@ class BenchContext:
                          ortho_defect=report.ortho_defect,
                          strip_solves=sum(sv.solve_count for sv in system.solvers)
                          - solves_before,
+                         strip_rows=sum(sv.row_count for sv in system.solvers)
+                         - rows_before,
                          factorizations=sum(sv.factor_count for sv in system.solvers),
                          lu_bytes=sum(sv.lu_bytes for sv in system.solvers),
                          workers=WORKERS,

@@ -21,9 +21,22 @@ interface column strictly inside it:
 
     left-normal  (-x):  (v[g-1] - v[g+1])/(2h) + i*k[g]*v[g]
     right-normal (+x):  (v[g+1] - v[g-1])/(2h) + i*k[g]*v[g]
+
+A strip numbered along y (ny <= w, every waveguide and cavity strip) keeps
+node column i in rows i*nb .. i*nb + nb - 1, nb = ny + 1.  A solve with no
+load and a right datum alone then has a right-hand side that is zero above
+row n - nb, and a caller that reads only the node columns from c on needs
+only the rows from c*nb on: the solve asks BandedLU for just those (see
+banded.py), bitwise the full solve on the columns read.  A left datum alone
+takes the same path on a strip that its column reversal P maps onto itself
+(P A P = A exactly, checked once at factor time): the reversed datum is a
+right datum, and the field is reversed back, which moves it by roundoff.
+Any other solve, the wedge's (numbered along x) included, is a full one.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .banded import BandedLU
 from .grid import BoundarySpec, ComplexArray, Grid, RectStencil, SIDES, WavenumberField
@@ -81,6 +94,10 @@ class LocalSolver:
                                 self.stencil.bandwidth, label=f"strip {strip}")
         except ValueError as err:
             raise ValueError(f"strip {strip}: local factorization failed") from err
+        # a datum enters the first or the last nb rows only
+        self.xy = self.stencil.ny <= self.stencil.w
+        self.mirror = self.xy and _column_reversal_invariant(
+            self.stencil.matrix, self.stencil.w + 1)
 
     @property
     def factor_count(self) -> int:
@@ -89,6 +106,11 @@ class LocalSolver:
     @property
     def solve_count(self) -> int:
         return self._lu.solve_count
+
+    @property
+    def row_count(self) -> int:
+        """Factor columns the solves swept, 2 n for a full solve."""
+        return self._lu.row_count
 
     @property
     def lu_bytes(self) -> int:
@@ -105,22 +127,42 @@ class LocalSolver:
 
     def solve(self, left: ComplexArray | None = None,
               right: ComplexArray | None = None,
-              load: ComplexArray | None = None) -> ComplexArray:
+              load: ComplexArray | None = None,
+              columns: tuple[int, int] | None = None) -> ComplexArray:
         """Solve the strip problem for interface data and a nodal load.
 
         left/right are trace data on the strip's interface columns (rejected
         if the strip has no such interface).  load is the strip's (w+1, ny+1)
         columns of grid.problem_load for solves of the true problem, and None
-        for the homogeneous interface exchange.  Returns the (w+1, ny+1)
-        nodal solution.
+        for the homogeneous interface exchange.  columns = (first, last) are
+        the local node columns the caller will read, None for all; the
+        other columns may hold NaN.  Returns the (w+1, ny+1) nodal solution.
         """
         if left is not None and not self.has_left:
             raise ValueError(f"strip {self.strip} has no left interface")
         if right is not None and not self.has_right:
             raise ValueError(f"strip {self.strip} has no right interface")
         rhs = self.stencil.rhs(load, left, right)
-        return self.stencil.to_grid(self._lu.solve(rhs))
+        to_grid = self.stencil.to_grid
+        one_sided = (left is None) != (right is None)
+        if columns is None or load is not None or not (self.xy and one_sided):
+            return to_grid(self._lu.solve(rhs))
+        nb = self.stencil.ny + 1
+        head = self.stencil.nloc - nb
+        if right is not None:
+            return to_grid(self._lu.solve(rhs, head, columns[0] * nb))
+        if not self.mirror:
+            return to_grid(self._lu.solve(rhs))
+        flipped = to_grid(rhs)[::-1].ravel()
+        return to_grid(self._lu.solve(flipped, head, (self.stencil.w - columns[1]) * nb))[::-1]
 
     def trace_from(self, field: ComplexArray, column: int, side: str) -> ComplexArray:
         """extract_trace against this strip's own span."""
         return extract_trace(field, self.span, column, side, self.kfield, self.grid.h)
+
+
+def _column_reversal_invariant(matrix, columns: int) -> bool:
+    """P A P == A exactly, for P reversing the node columns of an xy-numbered
+    matrix with that many node columns."""
+    perm = np.arange(matrix.shape[0]).reshape(columns, -1)[::-1].ravel()
+    return (matrix[perm][:, perm] != matrix).nnz == 0

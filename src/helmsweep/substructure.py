@@ -44,6 +44,12 @@ solves of reconstruct.  A strip solve releases the GIL in its band kernel
 (see banded.py).  solve_double_sweep stays serial: its backward sweep reads
 what the forward one wrote.  Each solve does the same arithmetic and writes
 the same block as in a serial run, so every result is bitwise the same.
+
+_respond tells its strip solve which node columns the outgoing traces
+read.  A solve with one-sided data and no load, every sweep solve and the
+two edge solves of an exchange or of the record path, then sweeps only
+part of the strip's factor (see subdomain.py); source_traces and
+reconstruct carry a load and solve in full.
 """
 
 from __future__ import annotations
@@ -138,29 +144,31 @@ class SubstructuredSystem:
         # apply_interface_system on y
         self._sweep = None
 
-    def _solve(self, s: int, left=None, right=None, load=None) -> ComplexArray:
+    def _solve(self, s: int, left=None, right=None, load=None, columns=None) -> ComplexArray:
         """Field of strip s on its data; load is a whole-grid problem_load."""
         sv = self.solvers[s]
         if load is not None:
             a, b = sv.span
             load = load[a:b + 1]
-        return sv.solve(left, right, load)
+        return sv.solve(left, right, load, columns)
 
     def _respond(self, s: int, left=None, right=None, load=None):
         """Solve strip s on its data; return (to_right, to_left).
 
         to_right is the trace strip s sends to strip s+1's left interface,
         to_left the one it sends to strip s-1's right interface; None past
-        either end.
+        either end.  The solve is told the columns these traces read, so
+        with one-sided data it can skip the rest (see subdomain.py); an edge
+        strip sends one trace only.
         """
         sv = self.solvers[s]
-        v = self._solve(s, left, right, load)
-        to_right = to_left = None
-        if s < self.nstrips - 1:
-            to_right = sv.trace_from(v, self.decomp.left_interface(s + 2), "left")
-        if s > 0:
-            to_left = sv.trace_from(v, self.decomp.right_interface(s), "right")
-        return to_right, to_left
+        # (interface column, normal) of each trace sent, or None
+        sends = ((self.decomp.left_interface(s + 2), "left") if s < self.nstrips - 1 else None,
+                 (self.decomp.right_interface(s), "right") if s > 0 else None)
+        # extract_trace reads an interface column and its two neighbours
+        read = [column - sv.span[0] for column, _ in filter(None, sends)]
+        v = self._solve(s, left, right, load, (min(read) - 1, max(read) + 1))
+        return tuple(None if x is None else sv.trace_from(v, *x) for x in sends)
 
     def _data(self, t, s: int):
         """Strip s's (left, right) data in the block view t."""

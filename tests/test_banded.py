@@ -78,6 +78,8 @@ def test_counters(rng):
     for _ in range(3):
         lu.solve(np.ones(n, dtype=np.complex128))
     assert (lu.factor_count, lu.solve_count) == (1, 3)
+    # a full solve sweeps the factor's n columns twice
+    assert lu.row_count == 3 * 2 * n
 
 
 def test_singular_matrix_reports_label():
@@ -222,6 +224,59 @@ def test_ctypes_tbsv_is_scipy_tbsv_bitwise(rng, ny, cells):
     y = tbsv(band, ld, b, lower=1, diag=1)
     y /= ld[0]
     assert np.array_equal(lu.solve(b), tbsv(band, ld, y, lower=1, trans=1, diag=1))
+
+
+@pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
+def test_partial_solve_is_full_solve_on_kept_rows_bitwise(rng, ny, cells):
+    # with b[:head] == 0, rows >= keep of solve(b, head, keep) are those of
+    # solve(b) bit for bit, and rows < keep are NaN
+    a, band = helmholtz_strip(ny, cells)
+    n = a.shape[0]
+    lu = BandedLU(a, band, band)
+    assert lu._ld is not None
+    edges = [(0, 0), (0, n), (n, 0), (n, n), (n - band, n - 1), (1, 1)]
+    drawn = [tuple(rng.integers(0, n + 1, 2)) for _ in range(20)]
+    for head, keep in edges + drawn:
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b[:head] = 0
+        full = lu.solve(b)
+        solves, rows = lu.solve_count, lu.row_count
+        x = lu.solve(b, head, keep)
+        assert lu.solve_count == solves + 1
+        assert lu.row_count == rows + 2 * n - head - keep
+        assert np.array_equal(x[keep:], full[keep:])
+        assert np.isnan(x[:keep]).all()
+    # a block right-hand side: each column as alone, each swept once
+    head, keep = n // 3, n // 2
+    b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    b[:head] = 0
+    rows = lu.row_count
+    x = lu.solve(b, head, keep)
+    assert lu.row_count == rows + 2 * (2 * n - head - keep)
+    for j in range(2):
+        assert np.array_equal(x[keep:, j], lu.solve(b[:, j])[keep:])
+    assert np.isnan(x[:keep]).all()
+
+
+def test_fallback_solve_ignores_head_and_keep(rng):
+    lu = BandedLU(shuffled_dominant(rng, 462, 4, 4, 2), 4, 4)
+    assert lu._ld is None
+    n = lu.n
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b[:200] = 0
+    full = lu.solve(b)
+    assert np.array_equal(lu.solve(b, 200, 300), full)
+    assert (lu.solve_count, lu.row_count) == (2, 2 * 2 * n)
+
+
+def test_head_and_keep_out_of_range_rejected(rng):
+    a, band = helmholtz_strip(*STRIPS["ny<=w"])
+    lu = BandedLU(a, band, band)
+    n = lu.n
+    for head, keep in [(-1, 0), (0, -1), (n + 1, 0), (0, n + 1)]:
+        with pytest.raises(ValueError, match="head"):
+            lu.solve(np.zeros(n, dtype=np.complex128), head, keep)
+    assert (lu.solve_count, lu.row_count) == (0, 0)
 
 
 def test_bad_rhs_shape_rejected(rng):

@@ -153,6 +153,32 @@ def test_record_counts_solves_and_factor_bytes(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert (manifest["strip_solves"], manifest["factorizations"],
             manifest["lu_bytes"]) == (74, 5, record.lu_bytes)
+    assert manifest["strip_rows"] == record.strip_rows
+
+
+def strip_rows_of_full_solves(ctx, spec):
+    """(record, 2 n summed over the strip solves of ctx.solve(spec))."""
+    solves = [sv.solve_count for sv in ctx.system.solvers]
+    record = ctx.solve(spec)
+    full = sum(2 * sv.stencil.nloc * (sv.solve_count - before)
+               for sv, before in zip(ctx.system.solvers, solves))
+    return record, full
+
+
+def test_record_counts_factor_rows_swept():
+    # the wedge, numbered along x, solves every strip in full: 2 n factor
+    # columns a solve; the quick-start osds run's one-sided solves sweep fewer
+    wedge = ProblemSpec(problem="wedge", omega=12.0, subdomains=2, nppwl=8,
+                        preconditioner="jacobi", tolerances=(1e-6,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ctx = bench.BenchContext(wedge)
+    record, full = strip_rows_of_full_solves(ctx, wedge)
+    assert record.strip_solves > 0 and record.strip_rows == full
+    spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5,
+                       overlap_cells=4, nppwl=16, tolerances=(1e-6,))
+    record, full = strip_rows_of_full_solves(bench.BenchContext(spec), spec)
+    assert record.strip_solves == 74 and 0 < record.strip_rows < full
 
 
 def test_manifest_keys_follow_the_record(tmp_path):
@@ -408,6 +434,8 @@ WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
     (["solve", "--config", {"problem": "wedge", "omega": "30"}], "omega"),
     (["solve", "--config", {**WAVEGUIDE_CONFIG, "k": "2.5"}], "k must"),
     (["solve", "--config", {**WAVEGUIDE_CONFIG, "tolerances": 1e-6}], "tolerances"),
+    # the wedge geometry keys were removed from the config; a config that
+    # still names one stays rejected, as an unknown key
     (["solve", "--config", {**WEDGE_CONFIG, "wedge_upper": 5}], "wedge_upper"),
     (["solve", "--config", {**WEDGE_CONFIG, "wedge_lower": 5}], "wedge_lower"),
     (["solve", "--config", {**WEDGE_CONFIG, "wedge_velocities": 5}], "wedge_velocities"),
@@ -422,8 +450,8 @@ WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
 ], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
         "missing-config", "float-subdomains", "float-overlap", "string-maxit",
         "negative-maxit", "bool-maxit", "string-omega", "string-k",
-        "scalar-tolerances", "scalar-wedge-upper", "scalar-wedge-lower",
-        "scalar-wedge-velocities", "int-out-dir", "infinite-k", "infinite-omega",
+        "scalar-tolerances", "removed-wedge-upper", "removed-wedge-lower",
+        "removed-wedge-velocities", "int-out-dir", "infinite-k", "infinite-omega",
         "nan-k", "nan-tol", "k-and-omega", "wedge-k"])
 def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
     # a message and exit code 2, not a traceback; and no output left behind

@@ -408,3 +408,77 @@ def test_forked_child_gets_its_own_strip_pool():
     counts = run(spec).counts
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.map_async(_counts, [spec]).get(timeout=30) == [counts]
+
+
+def quickstart_system(problem, **overrides):
+    spec = ProblemSpec(**{**dict(problem=problem, k=20.0, subdomains=5, overlap_cells=4,
+                                 nppwl=16, tolerances=(1e-6,)), **overrides})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return BenchContext(spec).system
+
+
+@pytest.mark.parametrize("problem, spec, xy, mirror", [
+    ("waveguide", {}, [True] * 5, [True] * 5),
+    ("cavity", {}, [True] * 5, [True] * 4 + [False]),
+    # numbered along x: no one-sided path
+    ("wedge", dict(k=None, omega=30.0, nppwl=8, overlap_cells=2), [False] * 5, [False] * 5),
+], ids=["waveguide", "cavity", "wedge"])
+def test_one_sided_paths_per_strip(problem, spec, xy, mirror):
+    system = quickstart_system(problem, **spec)
+    assert [sv.xy for sv in system.solvers] == xy
+    assert [sv.mirror for sv in system.solvers] == mirror
+
+
+def full_response(system, s, left=None, right=None):
+    """The traces strip s sends, from a full solve of the strip."""
+    sv = system.solvers[s]
+    v = sv.solve(left, right)
+    n = system.nstrips
+    return (sv.trace_from(v, system.decomp.left_interface(s + 2), "left") if s < n - 1 else None,
+            sv.trace_from(v, system.decomp.right_interface(s), "right") if s > 0 else None)
+
+
+def test_one_sided_responses_match_full_solves(rng):
+    # a right datum takes the trailing rows, bitwise the full solve; a left
+    # datum on a mirror strip is solved reversed, to roundoff; on cavity
+    # strip 5, no mirror strip, it is the full solve
+    system = quickstart_system("cavity")
+    n, nb = system.nstrips, system.grid.ny + 1
+    for s, sv in enumerate(system.solvers):
+        d = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+        if sv.has_right:
+            got, want = system._respond(s, right=d), full_response(system, s, right=d)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or np.array_equal(a, b)
+        if sv.has_left:
+            rows = sv.row_count
+            got, want = system._respond(s, left=d), full_response(system, s, left=d)
+            swept = sv.row_count - rows - 2 * sv.stencil.nloc
+            for a, b in zip(got, want):
+                if b is None:
+                    assert a is None
+                elif sv.mirror:
+                    assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+                else:
+                    assert np.array_equal(a, b)
+            assert (swept < 2 * sv.stencil.nloc) == sv.mirror
+    assert not system.solvers[n - 1].mirror
+
+
+def test_one_trace_edge_solves_sweep_few_rows(rng):
+    # an edge strip, as in the record path's edge solves, sends one trace,
+    # overlap_cells columns in from its datum's side: the L pass sweeps the
+    # datum's nb rows, the L^T pass the overlap_cells + 2 node columns from
+    # the far neighbour of the trace's column (reversed on strip N)
+    system = quickstart_system("waveguide")
+    n, nb = system.nstrips, system.grid.ny + 1
+    d = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+    for s, data, i in [(0, dict(right=d), 0), (n - 1, dict(left=d), 1)]:
+        sv = system.solvers[s]
+        rows = sv.row_count
+        got = system._respond(s, **data)
+        assert sv.row_count - rows == (1 + 4 + 2) * nb
+        want = full_response(system, s, **data)
+        assert got[1 - i] is None
+        assert np.linalg.norm(got[i] - want[i]) <= 1e-13 * np.linalg.norm(want[i])

@@ -12,7 +12,11 @@ in full precision.  Two checkouts whose printouts are identical agree
 bitwise on all of these.  Each workload also prints its strip factors'
 bytes and how many strips store only the L D L^T band rows, (bandwidth +
 1) * n * 16 bytes, so a change to the factor layer shows in memory and
-layout as well as in bits.
+layout as well as in bits.  A second line counts the strips whose one-sided
+solves skip factor rows: those numbered along y, which solve a right datum
+alone on the trailing rows, and of those the mirror strips, which solve a
+left datum alone the same way (``subdomain.py``).  A checkout without these
+paths counts 0.
 
 Then the README quick-start waveguide (k=20, N=5, nppwl 16, tol 1e-6) runs
 along ``run_methods``' path, one ``BenchContext`` and one ``solve`` per
@@ -63,6 +67,10 @@ def main(argv=None) -> int:
                    for sv in solvers)
         print(f"{workload}: factor bytes {sum(sv.lu_bytes for sv in solvers)}, "
               f"L D L^T strips {ldlt} of {len(solvers)}", flush=True)
+        right = sum(getattr(sv, "xy", False) for sv in solvers)
+        mirror = sum(getattr(sv, "mirror", False) for sv in solvers)
+        print(f"{workload}: right-datum strips {right}, mirror strips {mirror} "
+              f"of {len(solvers)}", flush=True)
         for i in SHOTS:
             f = adapter.source(problem, SEED, i)
             before = adapter.solve_count(problem)
