@@ -187,7 +187,7 @@ class BenchContext:
 
     def __init__(self, spec: ProblemSpec):
         t0 = time.perf_counter()
-        self.grid, self.kfield, self.bc, self.f = build_problem(spec)
+        self.grid, self.kfield, self.bc, _ = build_problem(spec)
         # the wedge cuts get narrower than twice a 16-cell overlap well
         # before the decomposition itself degenerates; keep the runs legal
         self.decomp = build_strips(self.grid.nx, spec.subdomains,
@@ -195,7 +195,7 @@ class BenchContext:
                                    enforce_width_bound=spec.problem != "wedge")
         self.system = SubstructuredSystem(self.grid, self.kfield, self.bc,
                                           self.decomp)
-        self.g = self.system.source_traces(self.f)
+        self.g = self.system.source_traces()
         self.build_time = time.perf_counter() - t0
         self.spec = spec
 
@@ -222,7 +222,7 @@ class BenchContext:
         converged = report.converged and true_residual <= tol
         counts = {f"{t:g}": iterations_at(report.history, t, spec.maxit)
                   for t in spec.tolerances}
-        u = system.reconstruct(h, self.f)
+        u = system.reconstruct(h)
         return RunRecord(spec=spec, counts=counts, history=list(report.history),
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=self.g.data.size,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -31,11 +32,11 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 def _spec_from_args(args: argparse.Namespace) -> ProblemSpec:
     base = ProblemSpec.load(args.config).to_dict() if args.config else {}
     overrides = {}
-    for key in ("problem", "k", "omega", "subdomains", "overlap_cells",
-                "nppwl", "preconditioner", "solver", "maxit", "out_dir"):
-        v = getattr(args, key, None)
+    for field in dataclasses.fields(ProblemSpec):
+        v = getattr(args, field.name, None)
         if v is not None:
-            overrides[key] = v
+            overrides[field.name] = v
+    # tolerances come from the repeatable --tol flag
     if args.tol:
         overrides["tolerances"] = tuple(args.tol)
     merged = {**base, **overrides}

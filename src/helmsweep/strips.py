@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class StripDecomposition:
-    """Column ranges of the strips plus bookkeeping for ownership."""
+    """Cut positions and the node-column range of each strip."""
 
-    nx: int
-    overlap_cells: int
     cuts: tuple[int, ...]                 # c_0 = 0 < ... < c_N = nx
     spans: tuple[tuple[int, int], ...]    # (a_i, b_i) node-column ranges
     width_bound_ok: bool = True
@@ -28,23 +26,6 @@ class StripDecomposition:
     @property
     def nstrips(self) -> int:
         return len(self.spans)
-
-    def left_interface(self, i: int) -> int:
-        """Interface column of strip i's left boundary (strips numbered 1..N)."""
-        if i < 2:
-            raise ValueError("strip 1 has no left interface")
-        return self.spans[i - 1][0]
-
-    def right_interface(self, i: int) -> int:
-        if i > self.nstrips - 1:
-            raise ValueError(f"strip {self.nstrips} has no right interface")
-        return self.spans[i - 1][1]
-
-    def owned_columns(self, i: int) -> tuple[int, int]:
-        """Non-overlapping cut partition: columns [c_{i-1}, c_i)."""
-        lo = self.cuts[i - 1]
-        hi = self.cuts[i] if i < self.nstrips else self.nx + 1
-        return (lo, hi)
 
 
 def build_strips(nx: int, nstrips: int, overlap_cells: int,
@@ -83,19 +64,9 @@ def build_strips(nx: int, nstrips: int, overlap_cells: int,
             )
         if i <= nstrips - 1 and b > nx - 1:
             raise ValueError(f"strip {i}: right interface column {b} leaves the domain")
-    # interfaces must lie strictly inside the neighbor strip with both
-    # neighbor columns available there
-    for i in range(2, nstrips + 1):
-        g = spans[i - 1][0]
-        an, bn = spans[i - 2]
-        if not (an <= g - 1 and g + 1 <= bn):
-            raise ValueError(f"strip {i}: left interface {g} not interior to strip {i - 1}")
-    for i in range(1, nstrips):
-        g = spans[i - 1][1]
-        an, bn = spans[i]
-        if not (an <= g - 1 and g + 1 <= bn):
-            raise ValueError(f"strip {i}: right interface {g} not interior to strip {i + 1}")
-
+    # each interface column is then strictly inside its neighbour strip: cut
+    # spacing >= 2 and m >= 2 give a_{i+1} + 1 <= c_i + m/2 = b_i and
+    # a_{i+1} - 1 >= c_{i-1} - m/2 + 1 > a_i (a_2 >= 1 above), and alike for b_i
     width_ok = all(b - a >= 2 * overlap_cells for (a, b) in spans)
     if not width_ok:
         worst = min(b - a for (a, b) in spans)
@@ -104,6 +75,5 @@ def build_strips(nx: int, nstrips: int, overlap_cells: int,
         if enforce_width_bound:
             raise ValueError(msg)
         warnings.warn(msg, stacklevel=2)
-    return StripDecomposition(nx=nx, overlap_cells=overlap_cells,
-                              cuts=tuple(cuts), spans=tuple(spans),
+    return StripDecomposition(cuts=tuple(cuts), spans=tuple(spans),
                               width_bound_ok=width_ok)

@@ -10,9 +10,11 @@ solution reproduce that solution on the strip exactly (to solver roundoff),
 because eliminating the ghost with the trace of the global solution recovers
 the global interior row at the interface column.
 
-A solve takes the interface data and, for the true problem, the strip's
-columns of grid.problem_load, which already holds the volume source and the
-physical Robin data; the homogeneous exchange passes no load.
+A solve takes the interface data and, for the true problem, the whole
+grid's problem_load, which already holds the volume source and the physical
+Robin data; the strip reads its own columns, and the homogeneous exchange
+passes no load.  LocalSolver.respond, the step every interface operator
+repeats, solves and returns the traces the strip sends to its neighbours.
 
 Traces are sampled on whole interface columns (ny+1 values, Dirichlet end
 nodes included; their rows ignore the datum).  extract_trace evaluates the
@@ -66,22 +68,34 @@ def extract_trace(field: ComplexArray, span: tuple[int, int], column: int,
 
 
 class LocalSolver:
-    """Factored Helmholtz solve on one strip.
+    """Factored Helmholtz solve on one strip, and the traces it sends.
 
     The matrix is assembled and LU-factored once; solve() only rebuilds the
-    right-hand side, so repeated applications reuse the factorization.
+    right-hand side, so repeated applications reuse the factorization.  The
+    strip's geometry is fixed here too: sends holds the (interface column,
+    normal) of the trace for strip i+1's left interface and of the one for
+    strip i-1's right interface (None past either end), window the local
+    node columns those traces read, and owned the global columns [lo, hi)
+    the strip contributes to a reconstructed field.
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
                  decomp: StripDecomposition, strip: int):
-        if not (1 <= strip <= decomp.nstrips):
-            raise ValueError(f"strip index {strip} out of range 1..{decomp.nstrips}")
+        n = decomp.nstrips
+        if not (1 <= strip <= n):
+            raise ValueError(f"strip index {strip} out of range 1..{n}")
         self.strip = strip
         self.grid = grid
         self.kfield = kfield
         self.span = decomp.spans[strip - 1]
         self.has_left = strip >= 2
-        self.has_right = strip <= decomp.nstrips - 1
+        self.has_right = strip <= n - 1
+        self.sends = ((decomp.spans[strip][0], "left") if self.has_right else None,
+                      (decomp.spans[strip - 2][1], "right") if self.has_left else None)
+        # extract_trace reads an interface column and its two neighbours
+        read = [column - self.span[0] for column, _ in filter(None, self.sends)]
+        self.window = (min(read) - 1, max(read) + 1)
+        self.owned = (decomp.cuts[strip - 1], decomp.cuts[strip] + (strip == n))
 
         kinds = {s: bc.kind(s) for s in SIDES}
         if self.has_left:
@@ -118,10 +132,6 @@ class LocalSolver:
         return self._lu.nbytes
 
     @property
-    def matrix(self):
-        return self.stencil.matrix
-
-    @property
     def bandwidth(self) -> int:
         return self.stencil.bandwidth
 
@@ -132,16 +142,20 @@ class LocalSolver:
         """Solve the strip problem for interface data and a nodal load.
 
         left/right are trace data on the strip's interface columns (rejected
-        if the strip has no such interface).  load is the strip's (w+1, ny+1)
-        columns of grid.problem_load for solves of the true problem, and None
-        for the homogeneous interface exchange.  columns = (first, last) are
-        the local node columns the caller will read, None for all; the
-        other columns may hold NaN.  Returns the (w+1, ny+1) nodal solution.
+        if the strip has no such interface).  load is the whole grid's
+        problem_load for solves of the true problem, of which the strip
+        takes its own columns, and None for the homogeneous interface
+        exchange.  columns = (first, last) are the local node columns the
+        caller will read, None for all; the other columns may hold NaN.
+        Returns the (w+1, ny+1) nodal solution.
         """
         if left is not None and not self.has_left:
             raise ValueError(f"strip {self.strip} has no left interface")
         if right is not None and not self.has_right:
             raise ValueError(f"strip {self.strip} has no right interface")
+        if load is not None:
+            a, b = self.span
+            load = load[a:b + 1]
         rhs = self.stencil.rhs(load, left, right)
         to_grid = self.stencil.to_grid
         one_sided = (left is None) != (right is None)
@@ -156,9 +170,19 @@ class LocalSolver:
         flipped = to_grid(rhs)[::-1].ravel()
         return to_grid(self._lu.solve(flipped, head, (self.stencil.w - columns[1]) * nb))[::-1]
 
-    def trace_from(self, field: ComplexArray, column: int, side: str) -> ComplexArray:
-        """extract_trace against this strip's own span."""
-        return extract_trace(field, self.span, column, side, self.kfield, self.grid.h)
+    def respond(self, left: ComplexArray | None = None,
+                right: ComplexArray | None = None,
+                load: ComplexArray | None = None):
+        """Solve on this data; return the traces (to_right, to_left) it sends.
+
+        The solve is told the window the traces read, so with one-sided
+        data and no load it can skip the rest; an edge strip sends one
+        trace and None in place of the other.
+        """
+        v = self.solve(left, right, load, self.window)
+        return tuple(None if x is None else
+                     extract_trace(v, self.span, *x, self.kfield, self.grid.h)
+                     for x in self.sends)
 
 
 def _column_reversal_invariant(matrix, columns: int) -> bool:

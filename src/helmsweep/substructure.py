@@ -45,11 +45,11 @@ solves of reconstruct.  A strip solve releases the GIL in its band kernel
 what the forward one wrote.  Each solve does the same arithmetic and writes
 the same block as in a serial run, so every result is bitwise the same.
 
-_respond tells its strip solve which node columns the outgoing traces
-read.  A solve with one-sided data and no load, every sweep solve and the
-two edge solves of an exchange or of the record path, then sweeps only
-part of the strip's factor (see subdomain.py); source_traces and
-reconstruct carry a load and solve in full.
+Every operator is a pattern of LocalSolver.respond, which tells its strip
+solve which node columns the outgoing traces read.  A solve with one-sided
+data and no load, every sweep solve and the two edge solves of an exchange
+or of the record path, then sweeps only part of the strip's factor (see
+subdomain.py); source_traces and reconstruct carry a load and solve in full.
 """
 
 from __future__ import annotations
@@ -121,17 +121,20 @@ class TraceVector:
 class SubstructuredSystem:
     """Factored strips plus the interface operators built on them.
 
-    Every operator is a pattern of strip solves: _respond returns the traces
-    a solve sends to the neighbors, _solve (for reconstruct) the field.
-    Strips are indexed from 0 here: strip s reads its data from
-    blocks[0, s-1] and blocks[1, s], and sends to blocks[0, s] and
-    blocks[1, s-1].
+    Every operator is a pattern of solvers[s].respond, the traces strip s
+    sends to its neighbors; reconstruct keeps the fields.  Strips are
+    indexed from 0 here: strip s reads its data from blocks[0, s-1] and
+    blocks[1, s], and sends to blocks[0, s] and blocks[1, s-1].
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
                  decomp: StripDecomposition):
         if decomp.nstrips < 2:
             raise ValueError("need at least 2 strips")
+        if decomp.cuts[-1] != grid.nx:
+            raise ValueError(f"decomposition covers {decomp.cuts[-1]} cells, grid has {grid.nx}")
+        if kfield.values.shape != grid.shape:
+            raise ValueError("wavenumber field does not match the grid")
         self.grid = grid
         self.kfield = kfield
         self.bc = bc
@@ -143,32 +146,6 @@ class SubstructuredSystem:
         # (r, y, partial R y) of the last solve_oneway, for one
         # apply_interface_system on y
         self._sweep = None
-
-    def _solve(self, s: int, left=None, right=None, load=None, columns=None) -> ComplexArray:
-        """Field of strip s on its data; load is a whole-grid problem_load."""
-        sv = self.solvers[s]
-        if load is not None:
-            a, b = sv.span
-            load = load[a:b + 1]
-        return sv.solve(left, right, load, columns)
-
-    def _respond(self, s: int, left=None, right=None, load=None):
-        """Solve strip s on its data; return (to_right, to_left).
-
-        to_right is the trace strip s sends to strip s+1's left interface,
-        to_left the one it sends to strip s-1's right interface; None past
-        either end.  The solve is told the columns these traces read, so
-        with one-sided data it can skip the rest (see subdomain.py); an edge
-        strip sends one trace only.
-        """
-        sv = self.solvers[s]
-        # (interface column, normal) of each trace sent, or None
-        sends = ((self.decomp.left_interface(s + 2), "left") if s < self.nstrips - 1 else None,
-                 (self.decomp.right_interface(s), "right") if s > 0 else None)
-        # extract_trace reads an interface column and its two neighbours
-        read = [column - sv.span[0] for column, _ in filter(None, sends)]
-        v = self._solve(s, left, right, load, (min(read) - 1, max(read) + 1))
-        return tuple(None if x is None else sv.trace_from(v, *x) for x in sends)
 
     def _data(self, t, s: int):
         """Strip s's (left, right) data in the block view t."""
@@ -183,7 +160,7 @@ class SubstructuredSystem:
 
         def respond(s):
             left, right = (None, None) if t is None else self._data(t, s)
-            return self._respond(s, left, right, load)
+            return self.solvers[s].respond(left, right, load)
 
         for s, (to_right, to_left) in enumerate(_map(respond, self.nstrips)):
             if to_right is not None:
@@ -209,9 +186,9 @@ class SubstructuredSystem:
         r, y, ry = sweep
         n = self.nstrips
         t, o = y.reshape(self.layout), ry.blocks
-        last = _pool.submit(self._respond, n - 1, left=t[0, n - 2])
+        last = _pool.submit(self.solvers[n - 1].respond, left=t[0, n - 2])
         try:
-            o[0, 0] = self._respond(0, right=t[1, 0])[0]
+            o[0, 0] = self.solvers[0].respond(right=t[1, 0])[0]
         finally:
             o[1, n - 2] = last.result()[1]
         return TraceVector(self.layout, r - ry.data)
@@ -228,7 +205,7 @@ class SubstructuredSystem:
         on the way (all but the last strip's).  Touches no other block.
         """
         for s in range(1, self.nstrips - 1):
-            to_right, a[1, s - 1] = self._respond(s, left=o[0, s - 1])
+            to_right, a[1, s - 1] = self.solvers[s].respond(left=o[0, s - 1])
             o[0, s] += to_right
 
     def _start(self, r: TraceVector) -> tuple[TraceVector, TraceVector]:
@@ -250,7 +227,7 @@ class SubstructuredSystem:
         forward = _pool.submit(self._forward, o, a)
         try:
             for s in range(self.nstrips - 2, 0, -1):
-                a[0, s], to_left = self._respond(s, right=o[1, s])
+                a[0, s], to_left = self.solvers[s].respond(right=o[1, s])
                 o[1, s - 1] += to_left
         finally:
             forward.result()
@@ -276,7 +253,7 @@ class SubstructuredSystem:
         o = out.blocks
         self._forward(o, reflected.blocks)
         for s in range(n - 1, -1, -1):
-            to_right, to_left = self._respond(s, *self._data(o, s))
+            to_right, to_left = self.solvers[s].respond(*self._data(o, s))
             if s > 0:
                 o[1, s - 1] += to_left
             if s < n - 1:
@@ -295,10 +272,10 @@ class SubstructuredSystem:
         t = h.blocks
 
         def fill(s):
-            v = self._solve(s, *self._data(t, s), load)
-            lo, hi = self.decomp.owned_columns(s + 1)
-            a = self.solvers[s].span[0]
-            u[lo:hi, :] = v[lo - a:hi - a, :]
+            sv = self.solvers[s]
+            lo, hi = sv.owned
+            a = sv.span[0]
+            u[lo:hi, :] = sv.solve(*self._data(t, s), load)[lo - a:hi - a, :]
 
         _map(fill, self.nstrips)
         return u

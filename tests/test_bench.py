@@ -299,7 +299,7 @@ def test_every_strip_factor_is_ldlt(name):
         warnings.simplefilter("ignore", UserWarning)
         solvers = bench.BenchContext(ProblemSpec(**LDLT_SPECS[name])).system.solvers
     assert [sv.lu_bytes for sv in solvers] == [
-        (sv.bandwidth + 1) * sv.matrix.shape[0] * 16 for sv in solvers]
+        (sv.bandwidth + 1) * sv.stencil.matrix.shape[0] * 16 for sv in solvers]
 
 
 def test_fixed_point_solver_path():

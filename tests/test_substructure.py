@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from helmsweep.bench import BenchContext, ProblemSpec, run
-from helmsweep.grid import assemble_global, problem_load, solve_direct
+from helmsweep.grid import WavenumberField, assemble_global, problem_load, solve_direct
 from helmsweep.krylov import gmres_right, richardson
-from helmsweep.strips import StripDecomposition
+from helmsweep.strips import StripDecomposition, build_strips
 from helmsweep.subdomain import extract_trace
 from helmsweep.substructure import SubstructuredSystem, TraceVector
 from conftest import dense_matrix, dense_parts, make_case
@@ -25,7 +25,7 @@ def test_layout_slots_and_order():
     order = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert [int(v.blocks[side, j][0].real) for side, j in order] == [0, 9, 18, 27, 36, 45]
     assert np.shares_memory(v.blocks, v.data)
-    one_strip = StripDecomposition(nx=8, overlap_cells=2, cuts=(0, 8), spans=((0, 8),))
+    one_strip = StripDecomposition(cuts=(0, 8), spans=((0, 8),))
     with pytest.raises(ValueError, match="2 strips"):
         SubstructuredSystem(system.grid, system.kfield, system.bc, one_strip)
 
@@ -48,10 +48,10 @@ def global_traces(system):
     h = TraceVector.zeros(system.layout)
     span = (0, grid.nx)
     for i in range(2, decomp.nstrips + 1):
-        col = decomp.left_interface(i)
+        col = decomp.spans[i - 1][0]
         h.blocks[0, i - 2] = extract_trace(u, span, col, "left", kfield, grid.h)
     for i in range(1, decomp.nstrips):
-        col = decomp.right_interface(i)
+        col = decomp.spans[i - 1][1]
         h.blocks[1, i - 1] = extract_trace(u, span, col, "right", kfield, grid.h)
     return u, h
 
@@ -197,6 +197,23 @@ def test_misshapen_volume_source_rejected(method):
             call[method](np.ones(shape))
 
 
+def test_decomposition_must_cover_the_grid():
+    # a short one would leave the last columns of every reconstructed field 0
+    system = make_case(3)
+    short = build_strips(system.grid.nx - 4, 3, 2)
+    with pytest.raises(ValueError, match="covers 20 cells, grid has 24"):
+        SubstructuredSystem(system.grid, system.kfield, system.bc, short)
+
+
+def test_wavenumber_field_must_match_the_grid():
+    # strips would silently read the first rows of a larger field
+    system = make_case(3)
+    nx1, ny1 = system.grid.shape
+    kfield = WavenumberField(np.full((nx1 + 51, ny1), 5.0))
+    with pytest.raises(ValueError, match="wavenumber field does not match the grid"):
+        SubstructuredSystem(system.grid, kfield, system.bc, system.decomp)
+
+
 def fixed_point(system, g, preconditioner, tol, maxit):
     """Richardson on (Id - T) h = g with the system's own operators:
     jacobi has no M, osds has M = solve_oneway."""
@@ -309,12 +326,12 @@ POOLED_SPECS = {"waveguide": dict(problem="waveguide", k=10.0, nppwl=10),
 
 
 def serial_exchange(system, t=None, load=None):
-    """The exchange as one loop over _respond, strip after strip."""
+    """The exchange as one loop over the strips' respond, strip after strip."""
     n = system.nstrips
     o = np.zeros(system.layout, dtype=np.complex128)
     for s in range(n):
         left, right = (None, None) if t is None else system._data(t, s)
-        to_right, to_left = system._respond(s, left, right, load)
+        to_right, to_left = system.solvers[s].respond(left, right, load)
         if s < n - 1:
             o[0, s] = to_right
         if s > 0:
@@ -327,13 +344,13 @@ def serial_oneway(system, r):
     n = system.nstrips
     o, a = r.reshape(system.layout).copy(), np.zeros(system.layout, dtype=np.complex128)
     for s in range(1, n - 1):
-        to_right, a[1, s - 1] = system._respond(s, left=o[0, s - 1])
+        to_right, a[1, s - 1] = system.solvers[s].respond(left=o[0, s - 1])
         o[0, s] += to_right
     for s in range(n - 2, 0, -1):
-        a[0, s], to_left = system._respond(s, right=o[1, s])
+        a[0, s], to_left = system.solvers[s].respond(right=o[1, s])
         o[1, s - 1] += to_left
-    a[1, n - 2] = system._respond(n - 1, left=o[0, n - 2])[1]
-    a[0, 0] = system._respond(0, right=o[1, 0])[0]
+    a[1, n - 2] = system.solvers[n - 1].respond(left=o[0, n - 2])[1]
+    a[0, 0] = system.solvers[0].respond(right=o[1, 0])[0]
     return o.ravel(), r - a.ravel()
 
 
@@ -363,9 +380,10 @@ def test_pooled_operators_match_serial_loops_bitwise(problem, n, rng):
     assert np.array_equal(system.apply_interface_system(got).data, fused)
 
     u = np.zeros(system.grid.shape, dtype=np.complex128)
+    cuts = system.decomp.cuts[:-1] + (system.grid.nx + 1,)
     for s, sv in enumerate(system.solvers):
-        v = system._solve(s, *system._data(t, s), load)
-        lo, hi = system.decomp.owned_columns(s + 1)
+        v = sv.solve(*system._data(t, s), load)
+        lo, hi = cuts[s], cuts[s + 1]
         u[lo:hi] = v[lo - sv.span[0]:hi - sv.span[0]]
     assert np.array_equal(system.reconstruct(TraceVector(system.layout, h), f), u)
 
@@ -377,18 +395,21 @@ def test_failing_strip_raises_after_the_other_solves(operator, monkeypatch):
     apply = {"apply_exchange": lambda: system.apply_exchange(h),
              "source_traces": system.source_traces,
              "reconstruct": lambda: system.reconstruct(h)}[operator]
-    solve = system._solve
 
-    def slow_or_failing(s, *args):
-        if s == 1:
-            raise RuntimeError("strip 1 failed")
-        time.sleep(0.05)
-        return solve(s, *args)
+    def failing(*args):
+        raise RuntimeError("strip 1 failed")
+
+    def slow(solve):
+        def run(*args):
+            time.sleep(0.05)
+            return solve(*args)
+        return run
 
     def solves():
         return sum(sv.solve_count for sv in system.solvers)
 
-    monkeypatch.setattr(system, "_solve", slow_or_failing)
+    for s, sv in enumerate(system.solvers):
+        monkeypatch.setattr(sv, "solve", failing if s == 1 else slow(sv.solve))
     with pytest.raises(RuntimeError, match="strip 1"):
         apply()
     at_raise = solves()
@@ -432,11 +453,14 @@ def test_one_sided_paths_per_strip(problem, spec, xy, mirror):
 
 def full_response(system, s, left=None, right=None):
     """The traces strip s sends, from a full solve of the strip."""
-    sv = system.solvers[s]
+    sv, spans = system.solvers[s], system.decomp.spans
     v = sv.solve(left, right)
-    n = system.nstrips
-    return (sv.trace_from(v, system.decomp.left_interface(s + 2), "left") if s < n - 1 else None,
-            sv.trace_from(v, system.decomp.right_interface(s), "right") if s > 0 else None)
+
+    def trace(column, side):
+        return extract_trace(v, sv.span, column, side, system.kfield, system.grid.h)
+
+    return (trace(spans[s + 1][0], "left") if s < system.nstrips - 1 else None,
+            trace(spans[s - 1][1], "right") if s > 0 else None)
 
 
 def test_one_sided_responses_match_full_solves(rng):
@@ -448,12 +472,12 @@ def test_one_sided_responses_match_full_solves(rng):
     for s, sv in enumerate(system.solvers):
         d = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
         if sv.has_right:
-            got, want = system._respond(s, right=d), full_response(system, s, right=d)
+            got, want = sv.respond(right=d), full_response(system, s, right=d)
             for a, b in zip(got, want):
                 assert (a is None and b is None) or np.array_equal(a, b)
         if sv.has_left:
             rows = sv.row_count
-            got, want = system._respond(s, left=d), full_response(system, s, left=d)
+            got, want = sv.respond(left=d), full_response(system, s, left=d)
             swept = sv.row_count - rows - 2 * sv.stencil.nloc
             for a, b in zip(got, want):
                 if b is None:
@@ -477,7 +501,7 @@ def test_one_trace_edge_solves_sweep_few_rows(rng):
     for s, data, i in [(0, dict(right=d), 0), (n - 1, dict(left=d), 1)]:
         sv = system.solvers[s]
         rows = sv.row_count
-        got = system._respond(s, **data)
+        got = sv.respond(**data)
         assert sv.row_count - rows == (1 + 4 + 2) * nb
         want = full_response(system, s, **data)
         assert got[1 - i] is None
