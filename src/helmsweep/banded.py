@@ -19,17 +19,35 @@ Any other matrix, swapped or not exactly symmetric, keeps zgbtrf's own
 array and pivots and is solved by zgbtrs.  No benchmark strip takes this
 path.
 
-Both solves call their kernel (ztbsv, zgbtrs) through the function pointer
-that scipy's Cython BLAS/LAPACK API exports (scipy.linalg.cython_blas and
-cython_lapack), as a ctypes function.  A ctypes call releases the GIL, so
-strip solves on different threads run side by side; scipy's f2py wrappers
-hold it and serialize them.  Solving the five wedge-jacobi strips in turn
-on two threads costs 0.75 ms a solve against 1.30 ms on one; through the
-wrappers two threads took 1.40 ms against 1.22 ms (one BLAS thread, 2
-shared cores, BENCH_13.json).  It is the same OpenBLAS routine the
-wrappers call, so the results are bitwise equal; a lone call costs 1-4 %
-more through ctypes.  solve() may run on one factor from several threads at once, and
-counts every call under a lock.
+The factorization (zgbtrf) and both solves (ztbsv, zgbtrs) call their
+kernel through the function pointer that scipy's Cython BLAS/LAPACK API
+exports (scipy.linalg.cython_blas and cython_lapack), as a ctypes function.
+A ctypes call releases the GIL, so strips factored or solved on different
+threads run side by side; scipy's f2py wrappers hold it and serialize them.
+Solving the five wedge-jacobi strips in turn on two threads costs 0.75 ms a
+solve against 1.30 ms on one; through the wrappers two threads took 1.40 ms
+against 1.22 ms (one BLAS thread, 2 shared cores, BENCH_13.json).  It is
+the same OpenBLAS routine the wrappers call, so the results are bitwise
+equal; a lone call costs 1-4 % more through ctypes.  solve() may run on one
+factor from several threads at once, and counts every call under a lock.
+
+zgbtrf factors in a workspace of its own, a private anonymous mapping.  As
+numpy does for its arrays of 4 MiB and more, a workspace that large is
+advised onto transparent huge pages before its first touch, and it starts
+on a 2 MiB boundary, so all of it but a partial last page can be.  The
+L D L^T path then moves each column's kept rows kl+ku .. 2kl+ku to the
+front of the same mapping, at leading dimension kl + 1, in increasing
+column order and in chunks that never overwrite a column not yet moved,
+and hands the pages behind them back to the OS (MADV_DONTNEED), all but
+the rest of a huge page the factor reaches into.  So the factor stays on
+huge pages whole, for at most 2 MiB of old workspace: every benchmark
+factor does, where numpy's arrays held 77-87 % of them on huge pages
+(BENCH_19.json).  No copy of the factor is made, and no freed workspace
+lingers in a malloc arena of the thread that factored it, so strips
+factored side by side hold one workspace more than strips factored in
+turn, and only while they factor.  The mapping must be private: a shared
+one keeps released pages in shmem, where they still take memory but no
+longer count in the process's RSS.
 
 A strip solve with data on one side only need not sweep the whole factor
 (the sparse right-hand sides of Gilbert & Peierls, SISC 9(5), 1988, and
@@ -48,13 +66,15 @@ a full solve.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import mmap
 import operator
 import threading
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cython_blas, cython_lapack, get_lapack_funcs
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.sparse import spmatrix
 
 ComplexArray = NDArray[np.complex128]
@@ -77,6 +97,7 @@ def _kernel(module, name: str, nargs: int):
 
 
 _ztbsv = _kernel(cython_blas, "ztbsv", 9)
+_zgbtrf = _kernel(cython_lapack, "zgbtrf", 8)
 _zgbtrs = _kernel(cython_lapack, "zgbtrs", 11)
 
 
@@ -85,12 +106,71 @@ def _ints(*values):
     return [ctypes.byref(ctypes.c_int(v)) for v in values]
 
 
+# numpy advises its arrays of 4 MiB and more onto transparent huge pages,
+# which are 2 MiB on x86-64
+_HUGE_FROM = 4 << 20
+_HUGE_PAGE = 2 << 20
+_PRIVATE = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+
+
+def _address(mapping: mmap.mmap) -> int:
+    return np.frombuffer(mapping, np.uint8).ctypes.data
+
+
+def _workspace(rows: int, n: int) -> ComplexArray:
+    """A zero (rows, n) Fortran-ordered array in a private anonymous mapping
+    of its own, its base.
+
+    An array of _HUGE_FROM bytes or more starts on a huge page boundary,
+    and the whole huge pages it spans are advised onto huge pages before
+    the first touch.  Its partial last one stays on small pages, so no huge
+    page reaches past the array.
+    """
+    size = rows * n * 16
+    huge = size >= _HUGE_FROM
+    mapping = mmap.mmap(-1, max(size + huge * _HUGE_PAGE, 1), flags=_PRIVATE)
+    offset = 0
+    if huge:
+        offset = -_address(mapping) % _HUGE_PAGE
+        with contextlib.suppress(OSError):  # a kernel without transparent huge pages
+            mapping.madvise(mmap.MADV_HUGEPAGE, offset, size // _HUGE_PAGE * _HUGE_PAGE)
+    return np.ndarray((rows, n), np.complex128, mapping, offset, order="F")
+
+
+def _pack(ab: ComplexArray, top: int) -> ComplexArray:
+    """Rows top.. of the workspace ab, moved to its front as a Fortran-ordered
+    (rows - top, n) array; the whole pages behind them go back to the OS.
+
+    Column j moves from offset j * rows + top to j * (rows - top), so a
+    chunk of columns a..b-1 may move at once while b * (rows - top) <=
+    a * rows + top: it then overwrites neither its own entries nor those of
+    a column not yet moved.  The chunks grow geometrically.  A huge page
+    the moved rows reach into stays whole.
+    """
+    rows, n = ab.shape
+    m = rows - top
+    front = ab.reshape(-1, order="F")[:m * n].reshape((m, n), order="F")
+    a = 0
+    while top and a < n:
+        # a single column may overlap itself; numpy then copies through a buffer
+        b = min(n, max(a + 1, (a * rows + top) // m))
+        front[:, a:b] = ab[top:, a:b]
+        a = b
+    mapping = ab.base
+    page = _HUGE_PAGE if ab.nbytes >= _HUGE_FROM else mmap.PAGESIZE
+    start = ab.ctypes.data - _address(mapping) + -(-front.nbytes // page) * page
+    if start < len(mapping):
+        mapping.madvise(mmap.MADV_DONTNEED, start, len(mapping) - start)
+    return front
+
+
 def band_storage(matrix: spmatrix, kl: int, ku: int) -> ComplexArray:
     """Pack a sparse matrix into LAPACK band storage for gbtrf.
 
     Entry (i, j) lands in ab[kl + ku + i - j, j]; the top kl rows are pivot
     workspace.  The array is Fortran-ordered so gbtrf can factor it in
-    place.  Raises if any entry falls outside the declared band.
+    place, and lives in a mapping of its own (see _workspace).  Raises if
+    any entry falls outside the declared band.
     """
     coo = matrix.tocoo()
     n = coo.shape[0]
@@ -100,7 +180,7 @@ def band_storage(matrix: spmatrix, kl: int, ku: int) -> ComplexArray:
             f"entry outside declared band: kl={kl}, ku={ku}, "
             f"found offsets [{-off.min()}, {off.max()}]"
         )
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128, order="F")
+    ab = _workspace(2 * kl + ku + 1, n)
     ab[kl + ku + off, coo.col] = coo.data
     return ab
 
@@ -121,19 +201,23 @@ class BandedLU:
         if not np.isfinite(matrix.data).all():
             raise ValueError(f"{label}: matrix has a non-finite entry")
         ab = band_storage(matrix, kl, ku)
-        gbtrf = get_lapack_funcs("gbtrf", (ab,))
-        lu, ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
-        if info != 0:
-            raise ValueError(f"{label}: banded LU failed, zgbtrf info={info}")
+        ipiv = np.empty(n, dtype=np.intc)
+        info = ctypes.c_int(0)
+        _zgbtrf(*_ints(n, n, kl, ku), ab.ctypes.data, *_ints(ab.shape[0]),
+                ipiv.ctypes.data, ctypes.byref(info))
+        if info.value != 0:
+            raise ValueError(f"{label}: banded LU failed, zgbtrf info={info.value}")
+        # kept 0-based; zgbtrs gets them back 1-based
+        ipiv -= 1
         self.n = n
         self.kl = kl
         self.ku = ku
         self._ld = self._lu = self._ipiv = None
         if np.array_equal(ipiv, np.arange(n)) and (matrix != matrix.T).nnz == 0:
-            # a contiguous copy: ztbsv reads the factor with leading dimension kl + 1
-            self._ld = np.asfortranarray(lu[kl + ku:])
+            # ztbsv reads the factor with leading dimension kl + 1
+            self._ld = _pack(ab, kl + ku)
         else:
-            self._lu = lu
+            self._lu = ab
             self._ipiv = ipiv
         self.factor_count = 1
         self.solve_count = 0

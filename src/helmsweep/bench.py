@@ -124,6 +124,7 @@ class RunRecord:
     unknowns: int
     trace_size: int
     build_time: float
+    setup_time: float
     solve_time: float
     true_residual: float = 0.0
     ortho_defect: float = 0.0
@@ -193,8 +194,11 @@ class BenchContext:
         self.decomp = build_strips(self.grid.nx, spec.subdomains,
                                    spec.overlap_cells,
                                    enforce_width_bound=spec.problem != "wedge")
+        t1 = time.perf_counter()
         self.system = SubstructuredSystem(self.grid, self.kfield, self.bc,
                                           self.decomp)
+        # assembly and factorization of the strips alone
+        self.setup_time = time.perf_counter() - t1
         self.g = self.system.source_traces()
         self.build_time = time.perf_counter() - t0
         self.spec = spec
@@ -226,7 +230,8 @@ class BenchContext:
         return RunRecord(spec=spec, counts=counts, history=list(report.history),
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=self.g.data.size,
-                         build_time=self.build_time, solve_time=report.wall_time,
+                         build_time=self.build_time, setup_time=self.setup_time,
+                         solve_time=report.wall_time,
                          true_residual=true_residual,
                          ortho_defect=report.ortho_defect,
                          strip_solves=sum(sv.solve_count for sv in system.solvers)

@@ -36,14 +36,18 @@ the next apply_interface_system, if handed y, returns r - R y: 2N-2 strip
 solves per preconditioned product instead of 3N-4.  The record is used at
 most once; any other operator call drops it.
 
-Strip solves that do not depend on each other run concurrently on a pool of
-threads, one per CPU the process may run on: the N solves of an exchange
-(apply_exchange, source_traces, a full apply_interface_system), the two
-sweeps of solve_oneway, the two edge solves of the record path and the N
-solves of reconstruct.  A strip solve releases the GIL in its band kernel
-(see banded.py).  solve_double_sweep stays serial: its backward sweep reads
-what the forward one wrote.  Each solve does the same arithmetic and writes
-the same block as in a serial run, so every result is bitwise the same.
+Strip work that does not depend on other strips runs concurrently on a
+pool of threads, one per CPU the process may run on: the N strip
+constructions (assembly and factorization) of SubstructuredSystem, the N
+solves of an exchange (apply_exchange, source_traces, a full
+apply_interface_system), the two sweeps of solve_oneway, the two edge
+solves of the record path and the N solves of reconstruct.  A strip
+releases the GIL in its band kernels, zgbtrf included (see banded.py).
+solve_double_sweep stays serial: its backward sweep reads what the forward
+one wrote.  Each solve does the same arithmetic and writes the same block
+as in a serial run, and each factorization is the serial one, so every
+result is bitwise the same.  A failure is raised once every strip of the
+call is done, the first in strip order.
 
 Every operator is a pattern of LocalSolver.respond, which tells its strip
 solve which node columns the outgoing traces read.  A solve with one-sided
@@ -140,8 +144,8 @@ class SubstructuredSystem:
         self.bc = bc
         self.decomp = decomp
         self.nstrips = decomp.nstrips
-        self.solvers = [LocalSolver(grid, kfield, bc, decomp, i)
-                        for i in range(1, decomp.nstrips + 1)]
+        self.solvers = _map(lambda s: LocalSolver(grid, kfield, bc, decomp, s + 1),
+                            decomp.nstrips)
         self.layout = (2, decomp.nstrips - 1, grid.ny + 1)
         # (r, y, partial R y) of the last solve_oneway, for one
         # apply_interface_system on y

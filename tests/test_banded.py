@@ -1,4 +1,5 @@
 import ctypes
+import mmap
 import sys
 import threading
 
@@ -165,6 +166,54 @@ def test_unswapped_strip_stored_as_ldlt(rng, ny, cells):
     assert info == 0
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def symmetric_banded(rng, n, kl):
+    """A complex-symmetric matrix of bandwidth kl, so diagonally dominant
+    that zgbtrf swaps no row."""
+    off = [rng.standard_normal(n - k) + 1j * rng.standard_normal(n - k)
+           for k in range(1, min(kl, n - 1) + 1)]
+    ks = range(1, len(off) + 1)
+    d = 10.0 * (kl + 1) + rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return sp.diags([d] + off + off,
+                    [0, *ks, *(-k for k in ks)], shape=(n, n), format="csc")
+
+
+def mapping_of(array):
+    """The mmap an array's memory lives in."""
+    while not isinstance(array, mmap.mmap):
+        array = array.base
+    return array
+
+
+# (n, kl, ku): a diagonal band, kl = 1 (also declared wider above), n <=
+# kl + 1, n = 1, and two factors long enough to leave whole pages behind
+# them, on small pages and on huge pages
+@pytest.mark.parametrize("n, kl, ku", [(40, 0, 0), (40, 1, 1), (40, 1, 3), (3, 4, 4),
+                                       (5, 4, 4), (1, 2, 2), (3000, 3, 3), (3000, 30, 30)])
+def test_ldlt_factor_packed_at_the_front_of_its_workspace(rng, n, kl, ku):
+    a = symmetric_banded(rng, n, kl)
+    lu = BandedLU(a, kl, ku)
+    ab = band_storage(a, kl, ku)
+    full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, ku)
+    assert info == 0 and np.array_equal(ipiv, np.arange(n))
+    ld = lu._ld
+    assert ld.shape == (kl + 1, n) and ld.flags.f_contiguous
+    assert lu.nbytes == (kl + 1) * n * 16
+    assert np.array_equal(ld, full[kl + ku:])
+    # a workspace of 4 MiB or more starts on a 2 MiB huge page boundary,
+    # and the factor starts where its workspace did
+    whole = np.frombuffer(mapping_of(ld), np.uint8)
+    at = ld.ctypes.data - whole.ctypes.data
+    huge = full.nbytes >= 4 << 20
+    assert ld.ctypes.data % (2 << 20) == 0 if huge else at == 0
+    # the whole pages behind the factor went back to the OS; a private
+    # mapping reads them back as zeros, a shared one would still hold the
+    # workspace
+    page = 2 << 20 if huge else mmap.PAGESIZE
+    start = at + -(-ld.nbytes // page) * page
+    assert (start < at + full.nbytes) == (n == 3000)
+    assert not whole[start:].any()
 
 
 def test_unswapped_block_rhs_solved_by_columns(rng):

@@ -192,6 +192,9 @@ def test_manifest_keys_follow_the_record(tmp_path):
     assert manifest["iterations"] == len(record.history) - 1
     assert manifest["spec"] == json.loads(json.dumps(record.spec.to_dict()))
     assert manifest["solve_time"] == record.solve_time > 0
+    # the strips' assembly and factorization, part of the build with the
+    # problem and the source traces
+    assert 0 < manifest["setup_time"] == record.setup_time < record.build_time
     # the strip pool's size, one thread per CPU the process may run on
     assert manifest["workers"] == record.workers == len(os.sched_getaffinity(0))
 

@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
+from helmsweep import subdomain
+from helmsweep.banded import BandedLU, band_storage
 from helmsweep.bench import BenchContext, ProblemSpec, run
 from helmsweep.grid import WavenumberField, assemble_global, problem_load, solve_direct
 from helmsweep.krylov import gmres_right, richardson
@@ -386,6 +389,52 @@ def test_pooled_operators_match_serial_loops_bitwise(problem, n, rng):
         lo, hi = cuts[s], cuts[s + 1]
         u[lo:hi] = v[lo - sv.span[0]:hi - sv.span[0]]
     assert np.array_equal(system.reconstruct(TraceVector(system.layout, h), f), u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("problem", sorted(POOLED_SPECS))
+def test_pooled_factors_are_the_serial_ones_bitwise(problem, n):
+    # strips factored on the pool store what a factorization on this
+    # thread stores, and what scipy's f2py gbtrf returns
+    spec = ProblemSpec(**POOLED_SPECS[problem], subdomains=n, overlap_cells=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        system = BenchContext(spec).system
+    for sv in system.solvers:
+        a, bw = sv.stencil.matrix, sv.bandwidth
+        pooled, serial = sv._lu, BandedLU(a, bw, bw)
+        ab = band_storage(a, bw, bw)
+        full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, bw, bw)
+        assert info == 0
+        if serial._ld is not None:
+            assert pooled._lu is None and pooled._ipiv is None
+            assert np.array_equal(pooled._ld, serial._ld)
+            assert np.array_equal(pooled._ld, full[2 * bw:])
+        else:
+            assert pooled._ld is None
+            assert np.array_equal(pooled._lu, serial._lu)
+            assert np.array_equal(pooled._ipiv, serial._ipiv)
+            assert np.array_equal(pooled._lu, full) and np.array_equal(pooled._ipiv, ipiv)
+
+
+def test_failing_strip_factor_raises_after_the_others(monkeypatch):
+    system = make_case(5)
+    ended = []
+
+    def factor(matrix, kl, ku, label):
+        try:
+            if label == "strip 2":
+                raise ValueError("banded LU failed")
+            time.sleep(0.05)
+            return BandedLU(matrix, kl, ku, label)
+        finally:
+            ended.append(label)
+
+    monkeypatch.setattr(subdomain, "BandedLU", factor)
+    with pytest.raises(ValueError, match="strip 2: local factorization failed"):
+        SubstructuredSystem(system.grid, system.kfield, system.bc, system.decomp)
+    # raised once every strip's construction had ended
+    assert sorted(ended) == [f"strip {i}" for i in range(1, 6)]
 
 
 @pytest.mark.parametrize("operator", ["apply_exchange", "source_traces", "reconstruct"])
