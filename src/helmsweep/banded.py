@@ -1,9 +1,10 @@
 """Banded LU factorization of complex band matrices.
 
-Thin wrapper over LAPACK zgbtrf.  A matrix with lower bandwidth kl and upper
-bandwidth ku is packed into the (2*kl+ku+1, n) LAPACK layout, factored once
-in place with partial pivoting, and reused for any number of right-hand
-sides.  A matrix with a non-finite entry is rejected before factoring.
+Thin wrapper over LAPACK zgbtrf, which factors a matrix with lower
+bandwidth kl and upper bandwidth ku in the (2*kl+ku+1, n) LAPACK band layout
+with partial pivoting.  The factor is computed once and reused for any
+number of right-hand sides.  A matrix with a non-finite entry is rejected
+before factoring.
 
 Every strip matrix is complex symmetric (A = A^T, see grid.py), and zgbtrf
 swaps no row on the benchmark's strips.  Then U = D L^T with D the diagonal
@@ -15,39 +16,52 @@ plain transpose, not the conjugate transpose).  The second pass re-reads an L
 still in cache: a strip solve made in turn with the other strips costs 2.1
 ms instead of 3.0 on waveguide-osds and 2.1 instead of 2.7 on wedge-jacobi.
 
+Such a matrix is factored one chunk of columns at a time, in a single
+zgbtrf workspace of about 4 MiB (_CHUNK_BYTES) reused along it: 1115
+columns of a waveguide-osds strip, 6 chunks.  Chunk [c0, c1)
+is rows c0 .. c1 + kl - 1 of its columns, all the rows their multipliers
+reach, so zgbtrf(M = min(n, c1 + kl) - c0, N = c1 - c0) leaves their L and
+D complete, and its rows kl + ku .. go straight into the kept factor.  The
+pivots before c0 have changed only the chunk's leading kl x kl block, by C =
+W diag(D) W^T, where W[a, b] = l(c0 + a, c0 - kl + b) and D are the last kl
+pivots.  A chunk is at least kl columns wide, so C is the carry from one
+chunk to the next: read from the kept factor and subtracted before zgbtrf
+runs.  A matrix of one chunk is one zgbtrf call on what band_storage holds,
+so its factor is zgbtrf's bit for bit.  A longer one differs from that by
+roundoff: 1.4e-15 of the largest entry on the benchmark strips.  A
+factorization so holds its factor and 4 MiB, where one call on the whole
+matrix held a workspace three times the factor.
+
 Any other matrix, swapped or not exactly symmetric, keeps zgbtrf's own
-array and pivots and is solved by zgbtrs.  No benchmark strip takes this
+array and pivots and is solved by zgbtrs.  A chunk that swaps a row or
+meets a zero pivot sends its matrix there too, to be factored whole in one
+call, which also reports a singular matrix.  No benchmark strip takes this
 path.
 
-The factorization (zgbtrf) and both solves (ztbsv, zgbtrs) call their
-kernel through the function pointer that scipy's Cython BLAS/LAPACK API
-exports (scipy.linalg.cython_blas and cython_lapack), as a ctypes function.
-A ctypes call releases the GIL, so strips factored or solved on different
-threads run side by side; scipy's f2py wrappers hold it and serialize them.
-Solving the five wedge-jacobi strips in turn on two threads costs 0.75 ms a
-solve against 1.30 ms on one; through the wrappers two threads took 1.40 ms
-against 1.22 ms (one BLAS thread, 2 shared cores, BENCH_13.json).  It is
-the same OpenBLAS routine the wrappers call, so the results are bitwise
-equal; a lone call costs 1-4 % more through ctypes.  solve() may run on one
-factor from several threads at once, and counts every call under a lock.
+The factorization (zgbtrf and the carry's zgemm) and both solves (ztbsv,
+zgbtrs) call their kernel through the function pointer that scipy's Cython
+BLAS/LAPACK API exports (scipy.linalg.cython_blas and cython_lapack), as a
+ctypes function.  A ctypes call releases the GIL, so strips factored or
+solved on different threads run side by side; scipy's f2py wrappers hold it
+and serialize them.  Solving the five wedge-jacobi strips in turn on two
+threads costs 0.75 ms a solve against 1.30 ms on one; through the wrappers
+two threads took 1.40 ms against 1.22 ms (one BLAS thread, 2 shared cores,
+BENCH_13.json).  It is the same OpenBLAS routine the wrappers call, so the
+results are bitwise equal; a lone call costs 1-4 % more through ctypes.
+solve() may run on one factor from several threads at once, and counts
+every call under a lock.
 
-zgbtrf factors in a workspace of its own, a private anonymous mapping.  As
-numpy does for its arrays of 4 MiB and more, a workspace that large is
-advised onto transparent huge pages before its first touch, and it starts
-on a 2 MiB boundary, so all of it but a partial last page can be.  The
-L D L^T path then moves each column's kept rows kl+ku .. 2kl+ku to the
-front of the same mapping, at leading dimension kl + 1, in increasing
-column order and in chunks that never overwrite a column not yet moved,
-and hands the pages behind them back to the OS (MADV_DONTNEED), all but
-the rest of a huge page the factor reaches into.  So the factor stays on
-huge pages whole, for at most 2 MiB of old workspace: every benchmark
-factor does, where numpy's arrays held 77-87 % of them on huge pages
-(BENCH_19.json).  No copy of the factor is made, and no freed workspace
-lingers in a malloc arena of the thread that factored it, so strips
-factored side by side hold one workspace more than strips factored in
-turn, and only while they factor.  The mapping must be private: a shared
-one keeps released pages in shmem, where they still take memory but no
-longer count in the process's RSS.
+The kept factor, the chunk workspace and the fallback's whole workspace
+are each a private anonymous mapping of their own, so each goes straight
+back to the OS when released, not to a malloc arena of the thread that
+factored it.  As numpy does for its arrays of 4 MiB and more, a mapping
+that large starts on a 2 MiB boundary and is advised onto transparent huge
+pages before its first touch, up to the end of the huge page the array ends
+in, so all of it can be: every benchmark factor is.  A factor whose last
+part stayed on small pages made shots 4-6 % slower (BENCH_20.json).  The
+workspace of a matrix of several chunks is advised too: it is
+_CHUNK_BYTES, two huge pages, and on small pages its faults cost several
+per cent of a set-up.
 
 A strip solve with data on one side only need not sweep the whole factor
 (the sparse right-hand sides of Gilbert & Peierls, SISC 9(5), 1988, and
@@ -99,6 +113,7 @@ def _kernel(module, name: str, nargs: int):
 _ztbsv = _kernel(cython_blas, "ztbsv", 9)
 _zgbtrf = _kernel(cython_lapack, "zgbtrf", 8)
 _zgbtrs = _kernel(cython_lapack, "zgbtrs", 11)
+_zgemm = _kernel(cython_blas, "zgemm", 13)
 
 
 def _ints(*values):
@@ -111,57 +126,36 @@ def _ints(*values):
 _HUGE_FROM = 4 << 20
 _HUGE_PAGE = 2 << 20
 _PRIVATE = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+# the workspace zgbtrf factors one chunk of a symmetric band matrix in, the
+# L2 cache of one core of the 2-core host of BENCH_20.json.  Of 0.5, 1, 2
+# and 4 MiB, 4 factored the benchmark strips fastest there, and its peak
+# memory was within 2 MB of the smallest's.
+_CHUNK_BYTES = 4 << 20
 
 
 def _address(mapping: mmap.mmap) -> int:
     return np.frombuffer(mapping, np.uint8).ctypes.data
 
 
-def _workspace(rows: int, n: int) -> ComplexArray:
+def _workspace(rows: int, n: int, huge: bool = False) -> ComplexArray:
     """A zero (rows, n) Fortran-ordered array in a private anonymous mapping
     of its own, its base.
 
-    An array of _HUGE_FROM bytes or more starts on a huge page boundary,
-    and the whole huge pages it spans are advised onto huge pages before
-    the first touch.  Its partial last one stays on small pages, so no huge
-    page reaches past the array.
+    An array of _HUGE_FROM bytes or more, or any if huge, starts on a huge
+    page boundary, and is advised onto huge pages before the first touch up
+    to the end of the huge page it ends in, for at most 2 MiB past it.
     """
     size = rows * n * 16
-    huge = size >= _HUGE_FROM
-    mapping = mmap.mmap(-1, max(size + huge * _HUGE_PAGE, 1), flags=_PRIVATE)
+    huge = huge or size >= _HUGE_FROM
+    # whole huge pages, and room to align them
+    span = -(-size // _HUGE_PAGE) * _HUGE_PAGE if huge else size
+    mapping = mmap.mmap(-1, max(span + huge * _HUGE_PAGE, 1), flags=_PRIVATE)
     offset = 0
     if huge:
         offset = -_address(mapping) % _HUGE_PAGE
         with contextlib.suppress(OSError):  # a kernel without transparent huge pages
-            mapping.madvise(mmap.MADV_HUGEPAGE, offset, size // _HUGE_PAGE * _HUGE_PAGE)
+            mapping.madvise(mmap.MADV_HUGEPAGE, offset, span)
     return np.ndarray((rows, n), np.complex128, mapping, offset, order="F")
-
-
-def _pack(ab: ComplexArray, top: int) -> ComplexArray:
-    """Rows top.. of the workspace ab, moved to its front as a Fortran-ordered
-    (rows - top, n) array; the whole pages behind them go back to the OS.
-
-    Column j moves from offset j * rows + top to j * (rows - top), so a
-    chunk of columns a..b-1 may move at once while b * (rows - top) <=
-    a * rows + top: it then overwrites neither its own entries nor those of
-    a column not yet moved.  The chunks grow geometrically.  A huge page
-    the moved rows reach into stays whole.
-    """
-    rows, n = ab.shape
-    m = rows - top
-    front = ab.reshape(-1, order="F")[:m * n].reshape((m, n), order="F")
-    a = 0
-    while top and a < n:
-        # a single column may overlap itself; numpy then copies through a buffer
-        b = min(n, max(a + 1, (a * rows + top) // m))
-        front[:, a:b] = ab[top:, a:b]
-        a = b
-    mapping = ab.base
-    page = _HUGE_PAGE if ab.nbytes >= _HUGE_FROM else mmap.PAGESIZE
-    start = ab.ctypes.data - _address(mapping) + -(-front.nbytes // page) * page
-    if start < len(mapping):
-        mapping.madvise(mmap.MADV_DONTNEED, start, len(mapping) - start)
-    return front
 
 
 def band_storage(matrix: spmatrix, kl: int, ku: int) -> ComplexArray:
@@ -173,16 +167,90 @@ def band_storage(matrix: spmatrix, kl: int, ku: int) -> ComplexArray:
     any entry falls outside the declared band.
     """
     coo = matrix.tocoo()
-    n = coo.shape[0]
     off = coo.row - coo.col
+    _check_band(off, kl, ku)
+    ab = _workspace(2 * kl + ku + 1, coo.shape[0])
+    ab[kl + ku + off, coo.col] = coo.data
+    return ab
+
+
+def _check_band(off: NDArray, kl: int, ku: int) -> None:
+    """Raise if a row - column offset in off lies outside the band."""
     if off.size and (off.max() > kl or -off.min() > ku):
         raise ValueError(
             f"entry outside declared band: kl={kl}, ku={ku}, "
             f"found offsets [{-off.min()}, {off.max()}]"
         )
-    ab = _workspace(2 * kl + ku + 1, n)
-    ab[kl + ku + off, coo.col] = coo.data
-    return ab
+
+
+def _chunk_columns(kl: int, ku: int) -> int:
+    """Columns of the chunks _ldlt_factor factors: _CHUNK_BYTES of zgbtrf
+    workspace, and never fewer than kl, so a chunk holds every pivot the
+    next one needs."""
+    return max(kl, 1, _CHUNK_BYTES // (16 * (2 * kl + ku + 1)))
+
+
+def _ldlt_factor(matrix: spmatrix, kl: int, ku: int) -> ComplexArray | None:
+    """The (kl + 1, n) L D L^T factor of an exactly symmetric band matrix,
+    or None if zgbtrf swaps a row or meets a zero pivot.
+
+    zgbtrf factors the matrix one chunk of columns at a time, in one
+    workspace reused along it.  Chunk [c0, c1) holds rows c0 .. c1 + kl - 1
+    of its columns, all the rows their multipliers reach.  The pivots before
+    c0 have taken C = W diag(D) W^T from its leading kl x kl block, with
+    W[a, b] = l(c0 + a, c0 - kl + b) and D the chunk before's last kl
+    pivots; W is upper triangular, since l(i, k) = 0 for i - k > kl.  A
+    matrix of one chunk is one zgbtrf call on what band_storage would hold,
+    so its factor is zgbtrf's, bit for bit.
+    """
+    csr = matrix.tocsr()
+    n = csr.shape[0]
+    rows = 2 * kl + ku + 1
+    width = _chunk_columns(kl, ku)
+    # row j of the CSR is column j of A: entry (i, j) is A(i, j)
+    j = np.repeat(np.arange(n), np.diff(csr.indptr))
+    i = csr.indices
+    _check_band(i - j, kl, ku)
+    # where A(i, j) lands in the workspace of a chunk starting at column 0
+    at = kl + ku + i - j + rows * j
+    ld = _workspace(kl + 1, n)
+    # a whole chunk's workspace fills the two huge pages of _CHUNK_BYTES; on
+    # small pages, a page fault per 4 kB of it cost several per cent of a set-up
+    ws = _workspace(rows, min(n, width), huge=n > width)
+    flat = ws.reshape(-1, order="F")
+    ipiv = np.empty(ws.shape[1], np.intc)
+    unswapped = np.arange(1, ws.shape[1] + 1, dtype=np.intc)
+    info = ctypes.c_int(0)
+    a, b = np.triu_indices(kl)
+    w = np.zeros((kl, kl), np.complex128, order="F")
+    one, zero = np.ones(1, np.complex128), np.zeros(1, np.complex128)
+    carry = np.empty((kl, kl), np.complex128, order="F")
+    for c0 in range(0, n, width):
+        c1 = min(n, c0 + width)
+        # rows 0 .. kl - 1 are zgbtrf's fill-in, which it sets itself
+        ws[kl:, :c1 - c0] = 0
+        p0, p1 = csr.indptr[c0], csr.indptr[c1]
+        # entries above row c0 land in the triangle LAPACK documents as unused
+        flat[at[p0:p1] - rows * c0] = csr.data[p0:p1]
+        if c0:
+            # the leading block: A(c0 + r, c0 + c) at ws[kl + ku + r - c, c],
+            # r, c < kl; rows of C past the last row of A are 0
+            block = np.lib.stride_tricks.as_strided(flat[kl + ku:], (kl, kl),
+                                                    (16, 16 * (rows - 1)))
+            block -= carry
+        _zgbtrf(*_ints(min(n, c1 + kl) - c0, c1 - c0, kl, ku), ws.ctypes.data,
+                *_ints(rows), ipiv.ctypes.data, ctypes.byref(info))
+        if info.value != 0 or not np.array_equal(ipiv[:c1 - c0], unswapped[:c1 - c0]):
+            return None
+        ld[:, c0:c1] = ws[kl + ku:, :c1 - c0]
+        if c1 < n and kl:
+            w[a, b] = ld[kl + a - b, c1 - kl + b]
+            wd = np.multiply(w, ld[0, c1 - kl:c1], order="F")
+            # (W D) W^T by the BLAS zgbtrf calls; numpy's matmul runs in a
+            # BLAS of its own, whose threads would spin beside them
+            _zgemm(b"N", b"T", *_ints(kl, kl, kl), one.ctypes.data, wd.ctypes.data, *_ints(kl),
+                   w.ctypes.data, *_ints(kl), zero.ctypes.data, carry.ctypes.data, *_ints(kl))
+    return ld
 
 
 class BandedLU:
@@ -200,23 +268,23 @@ class BandedLU:
             raise ValueError(f"{label}: matrix must be square, got {matrix.shape}")
         if not np.isfinite(matrix.data).all():
             raise ValueError(f"{label}: matrix has a non-finite entry")
-        ab = band_storage(matrix, kl, ku)
-        ipiv = np.empty(n, dtype=np.intc)
-        info = ctypes.c_int(0)
-        _zgbtrf(*_ints(n, n, kl, ku), ab.ctypes.data, *_ints(ab.shape[0]),
-                ipiv.ctypes.data, ctypes.byref(info))
-        if info.value != 0:
-            raise ValueError(f"{label}: banded LU failed, zgbtrf info={info.value}")
-        # kept 0-based; zgbtrs gets them back 1-based
-        ipiv -= 1
         self.n = n
         self.kl = kl
         self.ku = ku
         self._ld = self._lu = self._ipiv = None
-        if np.array_equal(ipiv, np.arange(n)) and (matrix != matrix.T).nnz == 0:
+        if (matrix != matrix.T).nnz == 0:
             # ztbsv reads the factor with leading dimension kl + 1
-            self._ld = _pack(ab, kl + ku)
-        else:
+            self._ld = _ldlt_factor(matrix, kl, ku)
+        if self._ld is None:
+            ab = band_storage(matrix, kl, ku)
+            ipiv = np.empty(n, dtype=np.intc)
+            info = ctypes.c_int(0)
+            _zgbtrf(*_ints(n, n, kl, ku), ab.ctypes.data, *_ints(ab.shape[0]),
+                    ipiv.ctypes.data, ctypes.byref(info))
+            if info.value != 0:
+                raise ValueError(f"{label}: banded LU failed, zgbtrf info={info.value}")
+            # kept 0-based; zgbtrs gets them back 1-based
+            ipiv -= 1
             self._lu = ab
             self._ipiv = ipiv
         self.factor_count = 1

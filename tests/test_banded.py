@@ -155,7 +155,9 @@ def test_unswapped_strip_stored_as_ldlt(rng, ny, cells):
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     full, ipiv, info = gbtrf(ab, band, band)
     assert info == 0 and np.array_equal(ipiv, np.arange(n))
-    # D is U's diagonal, L the multipliers below it, both as gbtrf left them
+    # one chunk: D is U's diagonal, L the multipliers below it, both as
+    # gbtrf left them
+    assert n <= banded._chunk_columns(band, band)
     assert np.array_equal(lu._ld, full[2 * band:])
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     kept = b.copy()
@@ -187,10 +189,11 @@ def mapping_of(array):
 
 
 # (n, kl, ku): a diagonal band, kl = 1 (also declared wider above), n <=
-# kl + 1, n = 1, and two factors long enough to leave whole pages behind
-# them, on small pages and on huge pages
+# kl + 1, n = 1, a long factor of one chunk, one of several, and one of 4
+# MiB or more
 @pytest.mark.parametrize("n, kl, ku", [(40, 0, 0), (40, 1, 1), (40, 1, 3), (3, 4, 4),
-                                       (5, 4, 4), (1, 2, 2), (3000, 3, 3), (3000, 30, 30)])
+                                       (5, 4, 4), (1, 2, 2), (3000, 3, 3), (3000, 30, 30),
+                                       (3000, 90, 90)])
 def test_ldlt_factor_packed_at_the_front_of_its_workspace(rng, n, kl, ku):
     a = symmetric_banded(rng, n, kl)
     lu = BandedLU(a, kl, ku)
@@ -200,20 +203,102 @@ def test_ldlt_factor_packed_at_the_front_of_its_workspace(rng, n, kl, ku):
     ld = lu._ld
     assert ld.shape == (kl + 1, n) and ld.flags.f_contiguous
     assert lu.nbytes == (kl + 1) * n * 16
-    assert np.array_equal(ld, full[kl + ku:])
-    # a workspace of 4 MiB or more starts on a 2 MiB huge page boundary,
-    # and the factor starts where its workspace did
-    whole = np.frombuffer(mapping_of(ld), np.uint8)
-    at = ld.ctypes.data - whole.ctypes.data
-    huge = full.nbytes >= 4 << 20
-    assert ld.ctypes.data % (2 << 20) == 0 if huge else at == 0
-    # the whole pages behind the factor went back to the OS; a private
-    # mapping reads them back as zeros, a shared one would still hold the
-    # workspace
-    page = 2 << 20 if huge else mmap.PAGESIZE
-    start = at + -(-ld.nbytes // page) * page
-    assert (start < at + full.nbytes) == (n == 3000)
-    assert not whole[start:].any()
+    # the factor is a mapping of its own, which starts on a 2 MiB huge page
+    # boundary when it holds 4 MiB or more
+    at = ld.ctypes.data - np.frombuffer(mapping_of(ld), np.uint8).ctypes.data
+    assert ld.ctypes.data % (2 << 20) == 0 if ld.nbytes >= 4 << 20 else at == 0
+    if n <= banded._chunk_columns(kl, ku):
+        # one chunk is one zgbtrf call on band_storage's array
+        assert np.array_equal(ld, full[kl + ku:])
+    else:
+        assert (n, kl) in {(3000, 30), (3000, 90)}
+        assert np.linalg.norm(ld - full[kl + ku:]) <= 1e-13 * np.linalg.norm(full[kl + ku:])
+
+
+def chunks_of(monkeypatch, width, kl, ku):
+    """Make BandedLU factor exactly symmetric (kl, ku) band matrices in
+    chunks of width columns."""
+    monkeypatch.setattr(banded, "_CHUNK_BYTES", 16 * (2 * kl + ku + 1) * width)
+    assert banded._chunk_columns(kl, ku) == width
+
+
+def strip_case(ny, cells):
+    a, band = helmholtz_strip(ny, cells)
+    return a, band, band
+
+
+# exactly symmetric matrices and their declared (kl, ku): both strip
+# numberings, a band whose last chunk is narrower than kl (610 = 20 * 30 +
+# 10 = 6 * 97 + 28), a band declared wider above, and a diagonal
+CHUNKED = {
+    "ny<=w strip": lambda rng: strip_case(*STRIPS["ny<=w"]),
+    "ny>w strip": lambda rng: strip_case(*STRIPS["ny>w"]),
+    "kl=30": lambda rng: (symmetric_banded(rng, 610, 30), 30, 30),
+    "ku>kl": lambda rng: (symmetric_banded(rng, 610, 1), 1, 3),
+    "kl=0": lambda rng: (symmetric_banded(rng, 610, 0), 0, 0),
+}
+
+
+# chunks of kl columns, the fewest there can be, or of 97
+@pytest.mark.parametrize("columns", [None, 97], ids=["kl columns", "97 columns"])
+@pytest.mark.parametrize("case", CHUNKED)
+def test_multi_chunk_factor_matches_oracles(rng, monkeypatch, case, columns):
+    a, kl, ku = CHUNKED[case](rng)
+    n = a.shape[0]
+    width = columns or max(kl, 1)
+    chunks_of(monkeypatch, width, kl, ku)
+    assert n > 2 * width
+    lu = BandedLU(a, kl, ku)
+    assert lu._lu is None and lu._ipiv is None
+    ld = lu._ld
+    assert ld.shape == (kl + 1, n) and ld.flags.f_contiguous
+    dense = a.toarray()
+    err = np.linalg.norm(reconstruct_dense(lu) - dense)
+    assert err <= 1e-10 * np.linalg.norm(dense)
+    ab = band_storage(a, kl, ku)
+    full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, ku)
+    assert info == 0 and np.array_equal(ipiv, np.arange(n))
+    # the same factor as one zgbtrf call, to roundoff
+    assert np.linalg.norm(ld - full[kl + ku:]) <= 1e-13 * np.linalg.norm(full[kl + ku:])
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.array_equal(BandedLU(a, kl, ku)._ld, ld)
+
+
+def later_chunk_matrix(rng, monkeypatch):
+    """A symmetric (6, 6) band matrix of order 610 factored in chunks of 97
+    columns, and a column p of its third chunk."""
+    n, kl, width = 610, 6, 97
+    chunks_of(monkeypatch, width, kl, kl)
+    return symmetric_banded(rng, n, kl).tolil(), 2 * width + 7
+
+
+def test_swap_in_a_later_chunk_keeps_gbtrf_storage(rng, monkeypatch):
+    a, p = later_chunk_matrix(rng, monkeypatch)
+    # a tiny pivot beside a large symmetric pair: partial pivoting swaps
+    # rows p and p + 1, and no row before
+    a[p, p] = 1e-3
+    a[p + 1, p] = a[p, p + 1] = 100.0
+    a = a.tocsc()
+    n, kl = a.shape[0], 6
+    assert (a != a.T).nnz == 0
+    ab = band_storage(a, kl, kl)
+    full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, kl)
+    assert info == 0 and np.flatnonzero(ipiv != np.arange(n))[0] == p
+    lu = BandedLU(a, kl, kl)
+    assert lu._ld is None
+    assert np.array_equal(lu._lu, full) and np.array_equal(lu._ipiv, ipiv)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_zero_pivot_in_a_later_chunk_reports_label(rng, monkeypatch):
+    # row and column p are zero, so is the Schur complement's column p
+    a, p = later_chunk_matrix(rng, monkeypatch)
+    a[p, :] = 0
+    a[:, p] = 0
+    with pytest.raises(ValueError, match=f"strip 3: banded LU failed, zgbtrf info={p + 1}$"):
+        BandedLU(a.tocsc(), 6, 6, label="strip 3")
 
 
 def test_unswapped_block_rhs_solved_by_columns(rng):

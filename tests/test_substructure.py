@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
 
-from helmsweep import subdomain
+from helmsweep import banded, subdomain
 from helmsweep.banded import BandedLU, band_storage
 from helmsweep.bench import BenchContext, ProblemSpec, run
 from helmsweep.grid import WavenumberField, assemble_global, problem_load, solve_direct
@@ -408,6 +408,8 @@ def test_pooled_factors_are_the_serial_ones_bitwise(problem, n):
         assert info == 0
         if serial._ld is not None:
             assert pooled._lu is None and pooled._ipiv is None
+            # one chunk, so one zgbtrf call as in the f2py wrapper
+            assert a.shape[0] <= banded._chunk_columns(bw, bw)
             assert np.array_equal(pooled._ld, serial._ld)
             assert np.array_equal(pooled._ld, full[2 * bw:])
         else:

@@ -1,4 +1,5 @@
-"""Time and memory of one strip set-up per benchmark workload.
+"""Time and memory of one strip set-up, and of one monodomain direct solve,
+per benchmark workload.
 
     python3 tools/setup_memory.py ROOT
 
@@ -9,6 +10,12 @@ the process's high-water mark is that one set-up's.  Each prints one line:
 the set-up's wall seconds, VmHWM and VmRSS after it (MB, from
 /proc/self/status), the bytes of the strip factors (kB), and how many of
 those kB lie on transparent huge pages, counted two ways.
+
+Then, in another fresh process, the benchmark's monodomain oracle
+(``adapter.direct_field``: ``grid.solve_direct`` of the global system) runs
+once on the workload's grid, for the source of shot 1 of seed 1, without
+the strips ever being built.  Its line gives the solve's wall seconds and
+VmHWM before and after it.
 
 By mapping: /proc/self/smaps gives AnonHugePages per mapping, so a mapping
 that holds factors adds its AnonHugePages, capped at the factor bytes it
@@ -118,10 +125,29 @@ def measure(workload: str) -> str:
             f"on huge pages by mapping {huge_kb_by_mapping(factors)} kB, by page {by_page}")
 
 
+def measure_direct(workload: str) -> str:
+    from helmsweep import bench
+    from perfbench import adapter
+
+    # the grid of adapter.setup, without its strips
+    spec = bench.ProblemSpec(**adapter.WORKLOADS[workload], tolerances=(adapter.TOL,),
+                             maxit=adapter.MAXIT)
+    mesh, kfield, bc, _ = bench.build_problem(spec)
+    problem = adapter.Problem(spec, mesh, kfield, bc, system=None)
+    f = adapter.source(problem, 1, 1)
+    before = status()
+    t0 = time.perf_counter()
+    adapter.direct_field(problem, f)
+    seconds = time.perf_counter() - t0
+    mem = status()
+    return (f"{workload} direct solve: {seconds:.3f} s, VmHWM {before['VmHWM']:.1f} -> "
+            f"{mem['VmHWM']:.1f} MB")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) not in (1, 2):
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+    if len(argv) not in (1, 2, 3) or argv[2:] not in ([], ["direct"]):
+        print(__doc__.strip().splitlines()[3].strip(), file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
     if not (root / "src" / "helmsweep" / "__init__.py").is_file():
@@ -132,16 +158,17 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root)]
-    if len(argv) == 2:
-        # a child: one workload in this process
-        print(measure(argv[1]), flush=True)
+    if len(argv) > 1:
+        # a child: one workload's set-up, or its direct solve, in this process
+        print(measure(argv[1]) if len(argv) == 2 else measure_direct(argv[1]), flush=True)
         return 0
     from perfbench import adapter
 
     for workload in adapter.WORKLOADS:
-        done = subprocess.run([sys.executable, __file__, str(root), workload])
-        if done.returncode:
-            return done.returncode
+        for child in ([workload], [workload, "direct"]):
+            done = subprocess.run([sys.executable, __file__, str(root), *child])
+            if done.returncode:
+                return done.returncode
     return 0
 
 
