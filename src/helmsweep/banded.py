@@ -259,7 +259,8 @@ class BandedLU:
     A complex-symmetric matrix factored without a row swap is stored as one
     Fortran-contiguous (kl + 1, n) array _ld in tbsv storage: D in row 0,
     L's multipliers in rows 1..kl.  Any other matrix keeps zgbtrf's
-    (2 kl + ku + 1, n) array _lu and its pivots _ipiv.
+    (2 kl + ku + 1, n) array _lu and its 1-based pivots _ipiv, as zgbtrs
+    reads them.
     """
 
     def __init__(self, matrix: spmatrix, kl: int, ku: int, label: str = "system"):
@@ -283,8 +284,6 @@ class BandedLU:
                     ipiv.ctypes.data, ctypes.byref(info))
             if info.value != 0:
                 raise ValueError(f"{label}: banded LU failed, zgbtrf info={info.value}")
-            # kept 0-based; zgbtrs gets them back 1-based
-            ipiv -= 1
             self._lu = ab
             self._ipiv = ipiv
         self.factor_count = 1
@@ -317,10 +316,8 @@ class BandedLU:
     def _gbtrs(self, x: ComplexArray) -> None:
         """Overwrite the (n, k) Fortran-ordered x with A^-1 x by zgbtrs."""
         info = ctypes.c_int(0)
-        # zgbtrs reads LAPACK's 1-based pivot indices
-        ipiv = np.add(self._ipiv, 1, dtype=np.intc)
         _zgbtrs(b"N", *_ints(self.n, self.kl, self.ku, x.shape[1]), self._lu.ctypes.data,
-                *_ints(2 * self.kl + self.ku + 1), ipiv.ctypes.data, x.ctypes.data,
+                *_ints(2 * self.kl + self.ku + 1), self._ipiv.ctypes.data, x.ctypes.data,
                 *_ints(self.n), ctypes.byref(info))
         if info.value != 0:
             raise ValueError(f"banded back-substitution failed, zgbtrs info={info.value}")

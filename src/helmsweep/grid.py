@@ -347,7 +347,8 @@ def problem_load(grid: Grid, bc: BoundarySpec, f=None) -> ComplexArray:
 
     f is the volume source: None or an (nx+1, ny+1) array.  Each Robin
     edge's data g adds (2/h) g on that edge's nodes, in SIDES order, onto a
-    copy of f.
+    copy of f.  A non-finite value in f or in an edge's data is a
+    ValueError naming the volume source or the edge.
     """
     if f is None:
         load = np.zeros(grid.shape, dtype=np.complex128)
@@ -355,14 +356,19 @@ def problem_load(grid: Grid, bc: BoundarySpec, f=None) -> ComplexArray:
         load = np.array(f, dtype=np.complex128)
         if load.shape != grid.shape:
             raise ValueError(f"volume source shape {load.shape} != grid shape {grid.shape}")
+        if not np.isfinite(load).all():
+            raise ValueError("volume source has a non-finite value")
     xs, ys = grid.xs(), grid.ys()
     nodes = {"left": [(grid.x0, y) for y in ys], "right": [(grid.x1, y) for y in ys],
              "bottom": [(x, grid.y0) for x in xs], "top": [(x, grid.y1) for x in xs]}
     for s in SIDES:
         cond = getattr(bc, s)
         if cond.kind == "robin":
-            g = [0.0 if cond.data is None else cond.data(x, y) for x, y in nodes[s]]
-            load[_EDGES[s]] += (2.0 / grid.h) * np.array(g, dtype=np.complex128)
+            g = np.array([0.0 if cond.data is None else cond.data(x, y) for x, y in nodes[s]],
+                         dtype=np.complex128)
+            if not np.isfinite(g).all():
+                raise ValueError(f"{s} edge data has a non-finite value")
+            load[_EDGES[s]] += (2.0 / grid.h) * g
     return load
 
 

@@ -55,7 +55,7 @@ def _givens(h1: complex, h2: complex):
 def _finite(v: ComplexArray, what: str) -> ComplexArray:
     v = np.asarray(v, dtype=np.complex128)
     if not np.all(np.isfinite(v)):
-        raise FloatingPointError(f"{what} returned a non-finite vector")
+        raise FloatingPointError(f"{what}: non-finite vector")
     return v
 
 
@@ -77,12 +77,13 @@ def gmres_right(apply_op: Operator, b: ComplexArray,
     iteration with h_{j+1,j} taken as zero: the least-squares residual then
     vanishes, unless the new column adds no direction either (op(M(.))
     singular on the Krylov space).  That column is left out, the residual
-    stays where it was and the run is not converged.  A non-finite vector
-    from the operator or the preconditioner raises FloatingPointError
+    stays where it was and the run is not converged.  A non-finite
+    right-hand side raises FloatingPointError before any iteration, and a
+    non-finite vector from the operator or the preconditioner raises it
     naming the iteration.
     """
     start = time.perf_counter()
-    b = np.asarray(b, dtype=np.complex128)
+    b = _finite(b, "GMRES: right-hand side")
     bnorm = float(np.linalg.norm(b))
     history = [1.0 if bnorm > 0.0 else 0.0]
     seconds = [time.perf_counter() - start]
@@ -166,10 +167,12 @@ def richardson(apply_op: Operator, b: ComplexArray,
     M is apply_precond, or the identity when it is None (for op = Id - T
     the step is then x <- T x + b).  history[j] is ||b - op(x_j)|| / ||b||,
     the true residual of iterate j, so each step costs one M and one op.
-    A non-finite vector raises FloatingPointError naming the iteration.
+    A non-finite right-hand side raises FloatingPointError before any
+    iteration, and a non-finite vector from the operator or the
+    preconditioner raises it naming the iteration.
     """
     start = time.perf_counter()
-    b = np.asarray(b, dtype=np.complex128)
+    b = _finite(b, "Richardson: right-hand side")
     bnorm = float(np.linalg.norm(b))
     x = np.zeros(b.size, dtype=np.complex128)
     seconds = [time.perf_counter() - start]

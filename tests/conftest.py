@@ -76,8 +76,8 @@ def reconstruct_dense(lu):
     """Rebuild a BandedLU's factored matrix as P_0 L_0 P_1 L_1 ... U (dense).
 
     gbtrf stores multipliers in place without retroactive pivot swaps, so
-    the factorization is the interleaved product above, with scipy's ipiv
-    zero-based.  Each L_j is applied as the row update it stands for.  An
+    the factorization is the interleaved product above, with zgbtrf's
+    1-based ipiv.  Each L_j is applied as the row update it stands for.  An
     L D L^T factor is the same product with identity pivots and U = D L^T,
     built from its own band rows: D in row 0, L's multipliers below.
     """
@@ -90,7 +90,7 @@ def reconstruct_dense(lu):
             full[i, i] = d[i]
             full[i, i + 1:i + 1 + m] = d[i] * mult[:m, i]
     else:
-        band, ipiv, top = lu._lu, lu._ipiv, kl + lu.ku
+        band, ipiv, top = lu._lu, lu._ipiv - 1, kl + lu.ku
         mult = band[top + 1:]
         for j in range(n):
             for i in range(max(0, j - top), j + 1):

@@ -242,6 +242,65 @@ def test_acceptance_6_wedge_trends(wedge_runs):
     finish(6, results)
 
 
+# ----------------------------------------------------------- every count
+
+# The GMRES iterations of every run above, to (1e-6, 1e-3).  A count marked *
+# has a residual within NEAR of its tolerance, at the count or one iteration
+# before it, so roundoff could move it by one.  A change that moves a count
+# edits this table and names the count and the reason.
+TOLERANCES = (1e-6, 1e-3)
+NEAR = 0.01
+PINNED_COUNTS = {
+    "waveguide N=5 jacobi": (24, 16),
+    "waveguide N=5 ds": (4, 3),
+    "waveguide N=5 osds": (9, 5),
+    "waveguide N=10 jacobi": ("53*", 34),
+    "waveguide N=10 ds": (5, 3),
+    "waveguide N=10 osds": (10, 6),
+    "waveguide N=20 jacobi": ("109*", 72),
+    "waveguide N=20 ds": (6, 4),
+    "waveguide N=20 osds": (12, 7),
+    "waveguide N=20 overlap 2h osds": (13, 7),
+    "waveguide N=20 overlap 4h osds": (12, 7),
+    "waveguide N=20 overlap 8h osds": (12, 7),
+    "waveguide N=20 overlap 16h osds": (12, 7),
+    "wedge N=5 jacobi": (24, 12),
+    "wedge N=5 ds": (7, 4),
+    "wedge N=5 osds": (13, 7),
+    "wedge N=10 jacobi": (52, 27),
+    "wedge N=10 ds": (9, 5),
+    "wedge N=10 osds": (17, 10),
+    "wedge N=20 jacobi": (96, 50),
+    "wedge N=20 ds": (12, 7),
+    "wedge N=20 osds": (23, 13),
+}
+
+
+def test_every_count_is_pinned(waveguide_runs, overlap_runs, wedge_runs):
+    runs = {f"{problem} N={n} {method}": rec
+            for problem, by_n in (("waveguide", waveguide_runs), ("wedge", wedge_runs))
+            for n, by_method in by_n.items() for method, rec in by_method.items()}
+    runs.update({f"waveguide N=20 overlap {m}h osds": rec for m, rec in overlap_runs.items()})
+    measured = {}
+    for name, rec in runs.items():
+        counts = []
+        for tol in TOLERANCES:
+            count = rec.counts[f"{tol:g}"]
+            if not isinstance(count, int):
+                counts.append(count)
+                continue
+            at, before = rec.history[count] / tol, rec.history[count - 1] / tol
+            near = at >= 1.0 - NEAR or before <= 1.0 + NEAR
+            counts.append(f"{count}*" if near else count)
+            print(f"  {name} to {tol:g}: {count} iterations, residual/tolerance "
+                  f"{at:.4f}, one iteration before {before:.4f}{' (near)' if near else ''}")
+        measured[name] = tuple(counts)
+    moved = [f"{name}: pinned {PINNED_COUNTS.get(name)}, measured {measured.get(name)}"
+             for name in {**PINNED_COUNTS, **measured}
+             if PINNED_COUNTS.get(name) != measured.get(name)]
+    assert not moved, "counts moved:\n" + "\n".join(moved)
+
+
 def test_acceptance_7_krylov_quality(waveguide_runs, overlap_runs, wedge_runs):
     results = []
     rng = np.random.default_rng(3)

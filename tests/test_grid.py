@@ -274,6 +274,24 @@ def test_stencil_matches_node_by_node_reference(case, rng):
     assert numberings == ({"yx"} if case == "wedge-tall" else {"xy", "yx"})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["volume source", "left edge data", "bottom edge data"])
+def test_non_finite_problem_data_is_named(where, bad):
+    # a NaN datum once gave a NaN field from solve_direct without a word
+    grid = Grid(0.0, 2.0, 0.0, 1.0, 16, 8, 0.125)
+    kfield = build_wavenumber(grid, HomogeneousModel(5.0))
+    side = where.split()[0]
+    conds = {s: robin(lambda x, y: 1.0) for s in SIDES}
+    f = np.ones(grid.shape)
+    if side == "volume":
+        f[3, 4] = bad
+    else:
+        # bad on one node of the edge: (0, 0.5) on the left, (1, 0) on the bottom
+        conds[side] = robin(lambda x, y: bad if y == 0.5 or x == 1.0 else 1.0)
+    with pytest.raises(ValueError, match=f"^{where} has a non-finite value$"):
+        assemble_global(grid, kfield, BoundarySpec(**conds), f)
+
+
 def test_robin_data_is_none_or_callable():
     assert robin().data is None
     with pytest.raises(ValueError, match="callable"):

@@ -230,6 +230,23 @@ def test_richardson_non_finite_vectors_raise_naming_the_iteration(rng):
                    tol=1e-14, maxit=50)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solver, name", [(gmres_right, "GMRES"), (richardson, "Richardson")])
+def test_non_finite_rhs_raises_before_any_iteration(rng, solver, name, bad):
+    # a NaN norm once passed as a zero right-hand side, "converged" with x = 0
+    a, b = dense_problem(rng)
+    b[3] = bad
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return a @ v
+
+    with pytest.raises(FloatingPointError, match=f"^{name}: right-hand side"):
+        solver(op, b, apply_precond=op, tol=1e-8, maxit=50)
+    assert calls == []
+
+
 @pytest.mark.parametrize("solver", [gmres_right, richardson])
 def test_stop_reasons_tol_and_maxit(rng, solver):
     a, b = dense_problem(rng)
