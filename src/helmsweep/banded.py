@@ -26,17 +26,21 @@ pivots before c0 have changed only the chunk's leading kl x kl block, by C =
 W diag(D) W^T, where W[a, b] = l(c0 + a, c0 - kl + b) and D are the last kl
 pivots.  A chunk is at least kl columns wide, so C is the carry from one
 chunk to the next: read from the kept factor and subtracted before zgbtrf
-runs.  A matrix of one chunk is one zgbtrf call on what band_storage holds,
+runs.  A matrix of one chunk is one zgbtrf call on its LAPACK band storage,
 so its factor is zgbtrf's bit for bit.  A longer one differs from that by
 roundoff: 1.4e-15 of the largest entry on the benchmark strips.  A
 factorization so holds its factor and 4 MiB, where one call on the whole
 matrix held a workspace three times the factor.
 
-Any other matrix, swapped or not exactly symmetric, keeps zgbtrf's own
-array and pivots and is solved by zgbtrs.  A chunk that swaps a row or
-meets a zero pivot sends its matrix there too, to be factored whole in one
-call, which also reports a singular matrix.  No benchmark strip takes this
-path.
+Any other matrix goes through the same loop as one chunk of n columns and
+keeps that chunk's workspace and pivots, zgbtrf's own LU, to be solved by
+zgbtrs: a matrix that is not exactly symmetric, whose columns are read from
+a CSC copy (a symmetric matrix's are its CSR rows), and one whose only
+chunk swaps a row or meets a zero pivot, which is then reported as
+singular.  A chunk of a longer matrix that swaps or meets a zero pivot
+sends it back through the loop as one chunk.  So a one-chunk matrix is
+factored once, whatever zgbtrf finds.  No benchmark strip takes this path;
+strips of coarse stock problems do (README).
 
 The factorization (zgbtrf and the carry's zgemm) and both solves (ztbsv,
 zgbtrs) call their kernel through the function pointer that scipy's Cython
@@ -51,8 +55,8 @@ results are bitwise equal; a lone call costs 1-4 % more through ctypes.
 solve() may run on one factor from several threads at once, and counts
 every call under a lock.
 
-The kept factor, the chunk workspace and the fallback's whole workspace
-are each a private anonymous mapping of their own, so each goes straight
+The kept factor and the chunk workspace, which is zgbtrf's LU when it is
+kept, are each a private anonymous mapping of their own, so each goes straight
 back to the OS when released, not to a malloc arena of the thread that
 factored it.  As numpy does for its arrays of 4 MiB and more, a mapping
 that large starts on a 2 MiB boundary and is advised onto transparent huge
@@ -158,99 +162,20 @@ def _workspace(rows: int, n: int, huge: bool = False) -> ComplexArray:
     return np.ndarray((rows, n), np.complex128, mapping, offset, order="F")
 
 
-def band_storage(matrix: spmatrix, kl: int, ku: int) -> ComplexArray:
-    """Pack a sparse matrix into LAPACK band storage for gbtrf.
-
-    Entry (i, j) lands in ab[kl + ku + i - j, j]; the top kl rows are pivot
-    workspace.  The array is Fortran-ordered so gbtrf can factor it in
-    place, and lives in a mapping of its own (see _workspace).  Raises if
-    any entry falls outside the declared band.
-    """
-    coo = matrix.tocoo()
-    off = coo.row - coo.col
-    _check_band(off, kl, ku)
-    ab = _workspace(2 * kl + ku + 1, coo.shape[0])
-    ab[kl + ku + off, coo.col] = coo.data
-    return ab
-
-
-def _check_band(off: NDArray, kl: int, ku: int) -> None:
+def _check_band(off: NDArray, kl: int, ku: int, label: str) -> None:
     """Raise if a row - column offset in off lies outside the band."""
     if off.size and (off.max() > kl or -off.min() > ku):
         raise ValueError(
-            f"entry outside declared band: kl={kl}, ku={ku}, "
+            f"{label}: entry outside declared band: kl={kl}, ku={ku}, "
             f"found offsets [{-off.min()}, {off.max()}]"
         )
 
 
 def _chunk_columns(kl: int, ku: int) -> int:
-    """Columns of the chunks _ldlt_factor factors: _CHUNK_BYTES of zgbtrf
-    workspace, and never fewer than kl, so a chunk holds every pivot the
-    next one needs."""
+    """Columns of the chunks an exactly symmetric matrix is factored in:
+    _CHUNK_BYTES of zgbtrf workspace, and never fewer than kl, so a chunk
+    holds every pivot the next one needs."""
     return max(kl, 1, _CHUNK_BYTES // (16 * (2 * kl + ku + 1)))
-
-
-def _ldlt_factor(matrix: spmatrix, kl: int, ku: int) -> ComplexArray | None:
-    """The (kl + 1, n) L D L^T factor of an exactly symmetric band matrix,
-    or None if zgbtrf swaps a row or meets a zero pivot.
-
-    zgbtrf factors the matrix one chunk of columns at a time, in one
-    workspace reused along it.  Chunk [c0, c1) holds rows c0 .. c1 + kl - 1
-    of its columns, all the rows their multipliers reach.  The pivots before
-    c0 have taken C = W diag(D) W^T from its leading kl x kl block, with
-    W[a, b] = l(c0 + a, c0 - kl + b) and D the chunk before's last kl
-    pivots; W is upper triangular, since l(i, k) = 0 for i - k > kl.  A
-    matrix of one chunk is one zgbtrf call on what band_storage would hold,
-    so its factor is zgbtrf's, bit for bit.
-    """
-    csr = matrix.tocsr()
-    n = csr.shape[0]
-    rows = 2 * kl + ku + 1
-    width = _chunk_columns(kl, ku)
-    # row j of the CSR is column j of A: entry (i, j) is A(i, j)
-    j = np.repeat(np.arange(n), np.diff(csr.indptr))
-    i = csr.indices
-    _check_band(i - j, kl, ku)
-    # where A(i, j) lands in the workspace of a chunk starting at column 0
-    at = kl + ku + i - j + rows * j
-    ld = _workspace(kl + 1, n)
-    # a whole chunk's workspace fills the two huge pages of _CHUNK_BYTES; on
-    # small pages, a page fault per 4 kB of it cost several per cent of a set-up
-    ws = _workspace(rows, min(n, width), huge=n > width)
-    flat = ws.reshape(-1, order="F")
-    ipiv = np.empty(ws.shape[1], np.intc)
-    unswapped = np.arange(1, ws.shape[1] + 1, dtype=np.intc)
-    info = ctypes.c_int(0)
-    a, b = np.triu_indices(kl)
-    w = np.zeros((kl, kl), np.complex128, order="F")
-    one, zero = np.ones(1, np.complex128), np.zeros(1, np.complex128)
-    carry = np.empty((kl, kl), np.complex128, order="F")
-    for c0 in range(0, n, width):
-        c1 = min(n, c0 + width)
-        # rows 0 .. kl - 1 are zgbtrf's fill-in, which it sets itself
-        ws[kl:, :c1 - c0] = 0
-        p0, p1 = csr.indptr[c0], csr.indptr[c1]
-        # entries above row c0 land in the triangle LAPACK documents as unused
-        flat[at[p0:p1] - rows * c0] = csr.data[p0:p1]
-        if c0:
-            # the leading block: A(c0 + r, c0 + c) at ws[kl + ku + r - c, c],
-            # r, c < kl; rows of C past the last row of A are 0
-            block = np.lib.stride_tricks.as_strided(flat[kl + ku:], (kl, kl),
-                                                    (16, 16 * (rows - 1)))
-            block -= carry
-        _zgbtrf(*_ints(min(n, c1 + kl) - c0, c1 - c0, kl, ku), ws.ctypes.data,
-                *_ints(rows), ipiv.ctypes.data, ctypes.byref(info))
-        if info.value != 0 or not np.array_equal(ipiv[:c1 - c0], unswapped[:c1 - c0]):
-            return None
-        ld[:, c0:c1] = ws[kl + ku:, :c1 - c0]
-        if c1 < n and kl:
-            w[a, b] = ld[kl + a - b, c1 - kl + b]
-            wd = np.multiply(w, ld[0, c1 - kl:c1], order="F")
-            # (W D) W^T by the BLAS zgbtrf calls; numpy's matmul runs in a
-            # BLAS of its own, whose threads would spin beside them
-            _zgemm(b"N", b"T", *_ints(kl, kl, kl), one.ctypes.data, wd.ctypes.data, *_ints(kl),
-                   w.ctypes.data, *_ints(kl), zero.ctypes.data, carry.ctypes.data, *_ints(kl))
-    return ld
 
 
 class BandedLU:
@@ -258,9 +183,12 @@ class BandedLU:
 
     A complex-symmetric matrix factored without a row swap is stored as one
     Fortran-contiguous (kl + 1, n) array _ld in tbsv storage: D in row 0,
-    L's multipliers in rows 1..kl.  Any other matrix keeps zgbtrf's
-    (2 kl + ku + 1, n) array _lu and its 1-based pivots _ipiv, as zgbtrs
-    reads them.
+    L's multipliers in rows 1..kl.  Any other matrix is factored as one
+    chunk, and keeps that chunk's workspace as zgbtrf's (2 kl + ku + 1, n)
+    array _lu and its 1-based pivots _ipiv, as zgbtrs reads them: a matrix
+    that is not exactly symmetric, one whose only chunk swaps a row, and
+    one of several chunks that swaps a row or meets a zero pivot, which is
+    factored again as one chunk.
     """
 
     def __init__(self, matrix: spmatrix, kl: int, ku: int, label: str = "system"):
@@ -273,23 +201,80 @@ class BandedLU:
         self.kl = kl
         self.ku = ku
         self._ld = self._lu = self._ipiv = None
-        if (matrix != matrix.T).nnz == 0:
-            # ztbsv reads the factor with leading dimension kl + 1
-            self._ld = _ldlt_factor(matrix, kl, ku)
-        if self._ld is None:
-            ab = band_storage(matrix, kl, ku)
-            ipiv = np.empty(n, dtype=np.intc)
-            info = ctypes.c_int(0)
-            _zgbtrf(*_ints(n, n, kl, ku), ab.ctypes.data, *_ints(ab.shape[0]),
-                    ipiv.ctypes.data, ctypes.byref(info))
-            if info.value != 0:
-                raise ValueError(f"{label}: banded LU failed, zgbtrf info={info.value}")
-            self._lu = ab
-            self._ipiv = ipiv
+        symmetric = (matrix != matrix.T).nnz == 0
+        # entries indptr[j]:indptr[j + 1] of either are column j of A
+        self._factor(matrix.tocsr() if symmetric else matrix.tocsc(), symmetric, label)
         self.factor_count = 1
         self.solve_count = 0
         self.row_count = 0
         self._count_lock = threading.Lock()
+
+    def _factor(self, columns: spmatrix, symmetric: bool, label: str) -> None:
+        """Factor A, whose column j is entries indptr[j]:indptr[j + 1] of
+        columns, into _ld, or else into _lu and _ipiv (module docstring).
+
+        The pivots before chunk [c0, c1) have taken C = W diag(D) W^T from
+        its leading kl x kl block, with W[a, b] = l(c0 + a, c0 - kl + b) and
+        D the chunk before's last kl pivots; W is upper triangular, since
+        l(i, k) = 0 for i - k > kl.
+        """
+        n, kl, ku = self.n, self.kl, self.ku
+        rows = 2 * kl + ku + 1
+        j = np.repeat(np.arange(n), np.diff(columns.indptr))
+        i = columns.indices
+        _check_band(i - j, kl, ku, label)
+        # where A(i, j) lands in the workspace of a chunk starting at column 0
+        at = kl + ku + i - j + rows * j
+        info = ctypes.c_int(0)
+        a, b = np.triu_indices(kl)
+        w = np.zeros((kl, kl), np.complex128, order="F")
+        one, zero = np.ones(1, np.complex128), np.zeros(1, np.complex128)
+        carry = np.empty((kl, kl), np.complex128, order="F")
+        chunk = _chunk_columns(kl, ku) if symmetric else n
+        for width in (chunk, n) if chunk < n else (chunk,):
+            # ztbsv reads the factor with leading dimension kl + 1
+            ld = _workspace(kl + 1, n) if symmetric else None
+            # a whole chunk's workspace fills the two huge pages of
+            # _CHUNK_BYTES; on small pages, a page fault per 4 kB of it cost
+            # several per cent of a set-up
+            ws = _workspace(rows, min(n, width), huge=n > width)
+            flat = ws.reshape(-1, order="F")
+            ipiv = np.empty(ws.shape[1], np.intc)
+            unswapped = np.arange(1, ws.shape[1] + 1, dtype=np.intc)
+            for c0 in range(0, n, width):
+                c1 = min(n, c0 + width)
+                # rows 0 .. kl - 1 are zgbtrf's fill-in, which it sets itself
+                ws[kl:, :c1 - c0] = 0
+                p0, p1 = columns.indptr[c0], columns.indptr[c1]
+                # entries above row c0 land in the triangle LAPACK documents as unused
+                flat[at[p0:p1] - rows * c0] = columns.data[p0:p1]
+                if c0:
+                    # the leading block: A(c0 + r, c0 + c) at ws[kl + ku + r - c, c],
+                    # r, c < kl; rows of C past the last row of A are 0
+                    block = np.lib.stride_tricks.as_strided(flat[kl + ku:], (kl, kl),
+                                                            (16, 16 * (rows - 1)))
+                    block -= carry
+                _zgbtrf(*_ints(min(n, c1 + kl) - c0, c1 - c0, kl, ku), ws.ctypes.data,
+                        *_ints(rows), ipiv.ctypes.data, ctypes.byref(info))
+                if (info.value != 0 or not symmetric
+                        or not np.array_equal(ipiv[:c1 - c0], unswapped[:c1 - c0])):
+                    break
+                ld[:, c0:c1] = ws[kl + ku:, :c1 - c0]
+                if c1 < n and kl:
+                    w[a, b] = ld[kl + a - b, c1 - kl + b]
+                    wd = np.multiply(w, ld[0, c1 - kl:c1], order="F")
+                    # (W D) W^T by the BLAS zgbtrf calls; numpy's matmul runs in
+                    # a BLAS of its own, whose threads would spin beside them
+                    _zgemm(b"N", b"T", *_ints(kl, kl, kl), one.ctypes.data, wd.ctypes.data,
+                           *_ints(kl), w.ctypes.data, *_ints(kl), zero.ctypes.data,
+                           carry.ctypes.data, *_ints(kl))
+            else:
+                self._ld = ld
+                return
+        if info.value != 0:
+            raise ValueError(f"{label}: banded LU failed, zgbtrf info={info.value}")
+        self._lu = ws
+        self._ipiv = ipiv
 
     @property
     def nbytes(self) -> int:

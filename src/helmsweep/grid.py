@@ -350,14 +350,13 @@ def problem_load(grid: Grid, bc: BoundarySpec, f=None) -> ComplexArray:
     copy of f.  A non-finite value in f or in an edge's data is a
     ValueError naming the volume source or the edge.
     """
-    if f is None:
-        load = np.zeros(grid.shape, dtype=np.complex128)
-    else:
-        load = np.array(f, dtype=np.complex128)
-        if load.shape != grid.shape:
-            raise ValueError(f"volume source shape {load.shape} != grid shape {grid.shape}")
-        if not np.isfinite(load).all():
-            raise ValueError("volume source has a non-finite value")
+    # _edge_loads is a generator, so f is checked before the edges
+    return _add_edge_loads(grid, f, _edge_loads(grid, bc))
+
+
+def _edge_loads(grid: Grid, bc: BoundarySpec):
+    """(side, (2/h) g on its nodes) for each Robin edge, in SIDES order: g is
+    called node by node, so a SubstructuredSystem keeps these pairs."""
     xs, ys = grid.xs(), grid.ys()
     nodes = {"left": [(grid.x0, y) for y in ys], "right": [(grid.x1, y) for y in ys],
              "bottom": [(x, grid.y0) for x in xs], "top": [(x, grid.y1) for x in xs]}
@@ -368,7 +367,21 @@ def problem_load(grid: Grid, bc: BoundarySpec, f=None) -> ComplexArray:
                          dtype=np.complex128)
             if not np.isfinite(g).all():
                 raise ValueError(f"{s} edge data has a non-finite value")
-            load[_EDGES[s]] += (2.0 / grid.h) * g
+            yield s, (2.0 / grid.h) * g
+
+
+def _add_edge_loads(grid: Grid, f, edges) -> ComplexArray:
+    """problem_load of f and _edge_loads' pairs, taken once f is checked."""
+    if f is None:
+        load = np.zeros(grid.shape, dtype=np.complex128)
+    else:
+        load = np.array(f, dtype=np.complex128)
+        if load.shape != grid.shape:
+            raise ValueError(f"volume source shape {load.shape} != grid shape {grid.shape}")
+        if not np.isfinite(load).all():
+            raise ValueError("volume source has a non-finite value")
+    for s, data in edges:
+        load[_EDGES[s]] += data
     return load
 
 

@@ -64,7 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoundarySpec, ComplexArray, Grid, WavenumberField, problem_load
+from .grid import (BoundarySpec, ComplexArray, Grid, WavenumberField, _add_edge_loads,
+                   _edge_loads)
 from .strips import StripDecomposition
 from .subdomain import LocalSolver
 
@@ -91,7 +92,8 @@ def _map(fn, n: int) -> list:
 
 @dataclass
 class TraceVector:
-    """Stacked interface data with Euclidean vector-space operations.
+    """Stacked interface data: the flat array data, on which the solvers do
+    their vector arithmetic, and its block view.
 
     layout is the (2, N-1, ny+1) block shape of SubstructuredSystem.layout.
     """
@@ -108,18 +110,6 @@ class TraceVector:
         """data as a (2, N-1, ny+1) view: [0, i-2] is strip i's left datum,
         [1, i-1] its right datum."""
         return self.data.reshape(self.layout)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def __add__(self, other: "TraceVector") -> "TraceVector":
-        return TraceVector(self.layout, self.data + other.data)
-
-    def __sub__(self, other: "TraceVector") -> "TraceVector":
-        return TraceVector(self.layout, self.data - other.data)
-
-    def __rmul__(self, a) -> "TraceVector":
-        return TraceVector(self.layout, a * self.data)
 
 
 class SubstructuredSystem:
@@ -142,6 +132,8 @@ class SubstructuredSystem:
         self.grid = grid
         self.kfield = kfield
         self.bc = bc
+        # the Robin edges' share of problem_load, evaluated once
+        self._edges = list(_edge_loads(grid, bc))
         self.decomp = decomp
         self.nstrips = decomp.nstrips
         self.solvers = _map(lambda s: LocalSolver(grid, kfield, bc, decomp, s + 1),
@@ -186,7 +178,7 @@ class SubstructuredSystem:
         """
         sweep, self._sweep = self._sweep, None
         if sweep is None or not np.array_equal(h.data, sweep[1]):
-            return h - self.apply_exchange(h)
+            return TraceVector(self.layout, h.data - self.apply_exchange(h).data)
         r, y, ry = sweep
         n = self.nstrips
         t, o = y.reshape(self.layout), ry.blocks
@@ -199,7 +191,7 @@ class SubstructuredSystem:
 
     def source_traces(self, f=None) -> TraceVector:
         """Right-hand side G: outgoing traces of the true local sources."""
-        return self._exchange(load=problem_load(self.grid, self.bc, f))
+        return self._exchange(load=_add_edge_loads(self.grid, f, self._edges))
 
     def _forward(self, o, a) -> None:
         """Forward substitution sweep, in place on block views o and a.
@@ -271,7 +263,7 @@ class SubstructuredSystem:
         global field takes each strip's values on its owned cut columns.
         """
         self._sweep = None
-        load = problem_load(self.grid, self.bc, f)
+        load = _add_edge_loads(self.grid, f, self._edges)
         u = np.zeros(self.grid.shape, dtype=np.complex128)
         t = h.blocks
 

@@ -72,6 +72,15 @@ def dense_parts(system):
     return t, {name: np.where(m, t, 0.0) for name, m in masks.items()}
 
 
+def band_storage(matrix, kl, ku):
+    """matrix in LAPACK band storage, the array scipy's f2py gbtrf factors:
+    entry (i, j) at [kl + ku + i - j, j], the top kl rows pivot workspace."""
+    coo = matrix.tocoo()
+    ab = np.zeros((2 * kl + ku + 1, coo.shape[0]), np.complex128, order="F")
+    ab[kl + ku + coo.row - coo.col, coo.col] = coo.data
+    return ab
+
+
 def reconstruct_dense(lu):
     """Rebuild a BandedLU's factored matrix as P_0 L_0 P_1 L_1 ... U (dense).
 

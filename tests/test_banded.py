@@ -1,5 +1,6 @@
 import ctypes
 import mmap
+import re
 import sys
 import threading
 
@@ -9,9 +10,9 @@ import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from helmsweep import banded
-from helmsweep.banded import BandedLU, band_storage
+from helmsweep.banded import BandedLU
 from helmsweep.grid import HomogeneousModel, RectStencil, build_wavenumber
-from conftest import make_grid, reconstruct_dense
+from conftest import band_storage, make_grid, reconstruct_dense
 
 
 def random_banded(rng, n, kl, ku):
@@ -95,12 +96,28 @@ def test_non_square_rejected():
         BandedLU(a, 1, 1)
 
 
+# the symmetric matrix's columns are read from its CSR rows, the other's
+# from a CSC copy; offsets are [largest above, largest below] the diagonal
+@pytest.mark.parametrize("symmetric, offsets", [(True, "8, 8"), (False, "1, 8")],
+                         ids=["symmetric", "non-symmetric"])
+def test_entry_outside_band_reports_label(symmetric, offsets):
+    n = 20
+    a = sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1],
+                 dtype=np.complex128).tolil()
+    a[10, 2] = 1.0
+    if symmetric:
+        a[2, 10] = 1.0
+    message = f"strip 3: entry outside declared band: kl=1, ku=1, found offsets [{offsets}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BandedLU(a.tocsr(), 1, 1, label="strip 3")
+
+
 # reach 0 swaps no row but is not symmetric; (40, 35) takes zgbtrf's
 # blocked path, which needs kl >= 32
 @pytest.mark.parametrize("kl, ku, reach", [(3, 3, 0), (2, 5, 0), (5, 2, 0),
                                            (3, 1, 1), (1, 3, 1), (4, 4, 2),
                                            (40, 35, 10)])
-def test_fallback_factor_is_gbtrf_storage(rng, kl, ku, reach):
+def test_fallback_factor_is_gbtrf_storage(rng, monkeypatch, kl, ku, reach):
     # any factor but L D L^T keeps zgbtrf's own array and pivots for zgbtrs
     n = 462  # whole blocks of reach + 1 rows
     a = shuffled_dominant(rng, n, kl, ku, reach)
@@ -110,7 +127,10 @@ def test_fallback_factor_is_gbtrf_storage(rng, kl, ku, reach):
     assert info == 0
     assert (ipiv - np.arange(n)).max() == reach
 
+    calls = zgbtrf_columns(monkeypatch)
     lu = BandedLU(a, kl, ku)
+    # not symmetric: one chunk of n columns, factored once
+    assert calls == [n]
     assert lu._ld is None and (lu.kl, lu.ku) == (kl, ku)
     assert lu._lu.shape == (2 * kl + ku + 1, n) and lu._lu.flags.f_contiguous
     # zgbtrf's 1-based pivots, which scipy's wrapper shifts to 0-based
@@ -274,8 +294,23 @@ def later_chunk_matrix(rng, monkeypatch):
     return symmetric_banded(rng, n, kl).tolil(), 2 * width + 7
 
 
+def zgbtrf_columns(monkeypatch):
+    """The list of the column counts N of the zgbtrf calls BandedLU makes
+    from now on."""
+    calls = []
+    kernel = banded._zgbtrf
+
+    def counted(m, n, *args):
+        calls.append(n._obj.value)
+        kernel(m, n, *args)
+
+    monkeypatch.setattr(banded, "_zgbtrf", counted)
+    return calls
+
+
 def test_swap_in_a_later_chunk_keeps_gbtrf_storage(rng, monkeypatch):
     a, p = later_chunk_matrix(rng, monkeypatch)
+    calls = zgbtrf_columns(monkeypatch)
     # a tiny pivot beside a large symmetric pair: partial pivoting swaps
     # rows p and p + 1, and no row before
     a[p, p] = 1e-3
@@ -287,6 +322,8 @@ def test_swap_in_a_later_chunk_keeps_gbtrf_storage(rng, monkeypatch):
     full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, kl)
     assert info == 0 and np.flatnonzero(ipiv != np.arange(n))[0] == p
     lu = BandedLU(a, kl, kl)
+    # the chunks up to the one that swaps, then the whole matrix as one chunk
+    assert calls == [97, 97, 97, n]
     assert lu._ld is None
     assert np.array_equal(lu._lu, full) and np.array_equal(lu._ipiv, ipiv + 1)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -315,13 +352,20 @@ def test_unswapped_block_rhs_solved_by_columns(rng):
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_swapped_symmetric_strip_keeps_gbtrs(rng):
+def test_swapped_symmetric_strip_keeps_gbtrs(rng, monkeypatch):
     # under-resolved (about 5 points per wavelength), zgbtrf swaps rows of
     # this symmetric strip, and L D L^T no longer describes the factor
     a, band = helmholtz_strip(16, 12)
     n = a.shape[0]
+    calls = zgbtrf_columns(monkeypatch)
     lu = BandedLU(a, band, band)
+    # one chunk, factored once: its workspace is zgbtrf's LU, bit for bit
+    assert calls == [n]
     assert lu._ld is None and (lu._ipiv - np.arange(1, n + 1)).max() > 0
+    ab = band_storage(a, band, band)
+    full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, band, band)
+    assert info == 0
+    assert np.array_equal(lu._lu, full) and np.array_equal(lu._ipiv, ipiv + 1)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
     dense = a.toarray()

@@ -24,17 +24,31 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     monkeypatch.setitem(adapter.WORKLOADS, "tiny", TINY)
     rec = {"tiny": {**compare.record_workload("tiny"), **compare.record_direct("tiny")}}
 
+    # the quick-start whose interior strips pivot; it runs in about a second
+    rec["coarse quick-start"] = compare.record_quickstart("coarse quick-start")
+    paths = [f"{solver} {p}" for solver, ps in compare.PATHS.items() for p in ps]
+
     lines = compare.report(rec, rec)
     print("\n".join(lines))
     shots = [line for line in lines if line.startswith("tiny shot")]
-    assert len(shots) == len(compare.SHOTS) and len(lines) == len(shots) + 5
+    assert len(shots) == len(compare.SHOTS) and len(lines) == len(shots) + 5 + len(paths)
     assert all("g bitwise, h bitwise, field bitwise" in line for line in shots)
     assert f"strips {TINY['subdomains']} -> {TINY['subdomains']}" in lines[2]
-    assert lines[-1] == "largest relative difference: g bitwise, h bitwise, field bitwise"
+    coarse = [line for line in lines if line.startswith("coarse quick-start")]
+    assert [line.split(":")[0] for line in coarse] == [f"coarse quick-start {p}" for p in paths]
+    assert all(line.endswith(", field bitwise") for line in coarse)
+    assert "gmres osds: iterations 29 -> 29" in coarse[2]
+    assert lines[-1] == ("largest relative difference: g bitwise, h bitwise, field bitwise, "
+                         "quick-start field bitwise")
 
     scaled = {k: v * (1 + 1e-10) if k.endswith("/h") else v for k, v in rec["tiny"].items()}
-    lines = compare.report(rec, {"tiny": scaled})
+    moved = {k: v * (1 + 1e-9) if k == "gmres ds/field" else v
+             for k, v in rec["coarse quick-start"].items()}
+    lines = compare.report(rec, {"tiny": scaled, "coarse quick-start": moved})
     print("\n".join(lines))
     assert all("g bitwise, h 1.00e-10, field bitwise" in line
                for line in lines if line.startswith("tiny shot"))
-    assert lines[-1] == "largest relative difference: g bitwise, h 1.00e-10, field bitwise"
+    assert [line.rsplit(", ", 1)[1] for line in lines if line.startswith("coarse")] == [
+        "field " + ("1.00e-09" if p == "gmres ds" else "bitwise") for p in paths]
+    assert lines[-1] == ("largest relative difference: g bitwise, h 1.00e-10, field bitwise, "
+                         "quick-start field 1.00e-09")

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from helmsweep.banded import band_storage
 from helmsweep.grid import (Grid, HomogeneousModel, WedgeModel, BoundarySpec,
                             EdgeCondition, RectStencil, SIDES, robin, dirichlet,
                             build_grid, build_wavenumber, assemble_global,
                             problem_load, solve_direct)
+from conftest import band_storage
 
 
 def test_build_grid_round_case():

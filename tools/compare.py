@@ -30,16 +30,22 @@ A second process runs the benchmark's monodomain oracle
 (``adapter.direct_field``: ``grid.solve_direct`` of the global system) on
 the workload's grid, for the source of shot 1 of seed 1, without the
 strips ever being built, and records its wall seconds and VmHWM before and
-after it.  One more process per checkout runs the README quick-start
-waveguide (k=20, N=5, nppwl 16, tol 1e-6) along ``run_methods``' path, one
-``BenchContext`` and one ``solve`` per preconditioner: gmres with jacobi,
-ds and osds, and fixed_point with jacobi and osds.  Each records its
-iterations, the strip solves of the whole ``solve`` and the true residual.
+after it.  Two more processes per checkout run a quick-start waveguide
+(k=20, N=5) along ``run_methods``' path, one ``BenchContext`` and one
+``solve`` per preconditioner: gmres with jacobi, ds and osds, and
+fixed_point with jacobi and osds.  "quick-start" is the README's (nppwl 16,
+overlap 4, tol 1e-6); "coarse quick-start" (nppwl 4, overlap 2, tol 1e-10)
+is one whose interior strips and global system pivot, so they keep
+zgbtrf's LU, which the benchmark's strips never do; fixed_point diverges
+on it, so those two paths only show whether the bits moved.  Each path
+records its iterations, the strip solves of the whole ``solve``, the true
+residual and the field.
 
 Each line prints one group of figures, parent -> change.  g, h and the
-field read "bitwise" when their bytes are equal, and ||change - parent|| /
-||parent|| otherwise; the last line gives the largest difference of each.
-A checkout compared with itself checks that its runs are deterministic.
+fields read "bitwise" when their bytes are equal, and ||change - parent|| /
+||parent|| otherwise; the last line gives the largest difference of each,
+the quick-start fields apart from the shots'.  A checkout compared with
+itself checks that its runs are deterministic.
 
 Huge pages by mapping: /proc/self/smaps gives AnonHugePages per mapping, so
 a mapping that holds factors adds its AnonHugePages, capped at the factor
@@ -65,8 +71,10 @@ import numpy as np
 SEED = 1
 SHOTS = (0, 1, 2)
 ARRAYS = ("g", "h", "field")
-QUICKSTART = dict(problem="waveguide", k=20.0, subdomains=5, overlap_cells=4,
-                  nppwl=16, tolerances=(1e-6,))
+QUICKSTARTS = {"quick-start": dict(problem="waveguide", k=20.0, subdomains=5,
+                                   overlap_cells=4, nppwl=16, tolerances=(1e-6,)),
+               "coarse quick-start": dict(problem="waveguide", k=20.0, subdomains=5,
+                                          overlap_cells=2, nppwl=4, tolerances=(1e-10,))}
 PATHS = {"gmres": ("jacobi", "ds", "osds"), "fixed_point": ("jacobi", "osds")}
 MAPPING = re.compile(r"^([0-9a-f]+)-([0-9a-f]+) ")
 
@@ -193,20 +201,23 @@ def record_direct(workload: str) -> dict:
             "direct_hwm_after_mb": status()["VmHWM"]}
 
 
-def record_quickstart() -> dict:
-    """Iterations, strip solves and true residual of each quick-start path."""
+def record_quickstart(name: str) -> dict:
+    """Iterations, strip solves, true residual and field of each path of
+    the quick-start QUICKSTARTS[name]."""
     from helmsweep import bench
 
+    config = QUICKSTARTS[name]
     rec = {}
     for solver, preconditioners in PATHS.items():
-        ctx = bench.BenchContext(bench.ProblemSpec(**QUICKSTART, solver=solver))
+        ctx = bench.BenchContext(bench.ProblemSpec(**config, solver=solver))
         for p in preconditioners:
             before = sum(sv.solve_count for sv in ctx.system.solvers)
-            run = ctx.solve(bench.ProblemSpec(**QUICKSTART, solver=solver, preconditioner=p))
+            run = ctx.solve(bench.ProblemSpec(**config, solver=solver, preconditioner=p))
             rec[f"{solver} {p}/iterations"] = len(run.history) - 1
             rec[f"{solver} {p}/solves"] = (sum(sv.solve_count for sv in ctx.system.solvers)
                                            - before)
             rec[f"{solver} {p}/true_residual"] = float(run.true_residual)
+            rec[f"{solver} {p}/field"] = run.solution
     return rec
 
 
@@ -243,6 +254,12 @@ def diff_text(d) -> str:
     return "bitwise" if d is None else f"{d:.2e}"
 
 
+def track(worst: dict, key: str, d) -> None:
+    """Keep in worst[key] the largest difference d seen."""
+    if d is not None:
+        worst[key] = max(worst[key] or 0.0, d)
+
+
 def by_page(rec: dict) -> str:
     per = rec.get("huge_by_page_kb")
     if per is None:
@@ -266,8 +283,7 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
         key = f"shot {i}"
         diffs = {name: difference(p[f"{key}/{name}"], c[f"{key}/{name}"]) for name in ARRAYS}
         for name, d in diffs.items():
-            if d is not None:
-                worst[name] = max(worst[name] or 0.0, d)
+            track(worst, name, d)
         lines.append(f"{workload} {key}: iterations {arrow(p, c, key + '/iterations')}, "
                      f"strip solves {arrow(p, c, key + '/solves')}, "
                      + ", ".join(f"{name} {diff_text(d)}" for name, d in diffs.items())
@@ -280,16 +296,19 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
 
 def report(parent: dict, change: dict) -> list:
     """The comparison lines of two checkouts' records: {workload: record}
-    for each workload, and "quick-start" for the quick-start paths."""
+    for each workload, and {name: record} for each QUICKSTARTS name."""
     lines = []
-    worst = dict.fromkeys(ARRAYS)
+    worst = dict.fromkeys([*ARRAYS, "quick-start field"])
     for name, p in parent.items():
         c = change[name]
-        if name == "quick-start":
-            lines += [f"quick-start {path}: iterations {arrow(p, c, path + '/iterations')}, "
-                      f"strip solves {arrow(p, c, path + '/solves')}, "
-                      f"true residual {arrow(p, c, path + '/true_residual', '{!r}')}"
-                      for path in dict.fromkeys(k.split("/")[0] for k in p)]
+        if name in QUICKSTARTS:
+            for path in dict.fromkeys(k.split("/")[0] for k in p):
+                d = difference(p[path + "/field"], c[path + "/field"])
+                track(worst, "quick-start field", d)
+                lines.append(f"{name} {path}: iterations {arrow(p, c, path + '/iterations')}, "
+                             f"strip solves {arrow(p, c, path + '/solves')}, "
+                             f"true residual {arrow(p, c, path + '/true_residual', '{!r}')}, "
+                             f"field {diff_text(d)}")
         else:
             lines += workload_lines(name, p, c, worst)
     lines.append("largest relative difference: "
@@ -317,11 +336,11 @@ def main(argv=None) -> int:
     records = ({}, {})
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "record.npz"
-        for n, name in enumerate([*adapter.WORKLOADS, "quick-start"]):
+        for n, name in enumerate([*adapter.WORKLOADS, *QUICKSTARTS]):
             # the two checkouts take turns to run first
             for side in (0, 1) if n % 2 == 0 else (1, 0):
-                if name == "quick-start":
-                    records[side][name] = run_child(roots[side], name, (), out)
+                if name in QUICKSTARTS:
+                    records[side][name] = run_child(roots[side], "quick-start", (name,), out)
                 else:
                     records[side][name] = {
                         **run_child(roots[side], "workload", (name,), out),
