@@ -8,13 +8,17 @@ before factoring.
 
 Every strip matrix is complex symmetric (A = A^T, see grid.py), and zgbtrf
 swaps no row on the benchmark's strips.  Then U = D L^T with D the diagonal
-of U, so only L is kept: its kl + 1 band rows, D in row 0 where L's unit
+of U, so only L is kept: its kl + 1 band rows, 1/D in row 0 where L's unit
 diagonal is never read.  That is (kl+1)*n*16 bytes, half of both triangles:
 40 MB for the five waveguide-osds strips, 36 MB for wedge-jacobi.  A solve
-is ztbsv with L, a division by D, and ztbsv with L^T (trans 'T': the
-plain transpose, not the conjugate transpose).  The second pass re-reads an L
-still in cache: a strip solve made in turn with the other strips costs 2.1
-ms instead of 3.0 on waveguide-osds and 2.1 instead of 2.7 on wedge-jacobi.
+is ztbsv with L, a multiply by 1/D, and ztbsv with L^T (trans 'T': the
+plain transpose, not the conjugate transpose), all in place on one array:
+the caller's right-hand side itself if it hands it over (overwrite_rhs),
+else a copy.  The second pass re-reads an L still in cache: a strip solve
+made in turn with the other strips costs 2.1 ms instead of 3.0 on
+waveguide-osds and 2.1 instead of 2.7 on wedge-jacobi.  A multiply by the
+strided row 1/D costs the largest wedge-jacobi strip (n 11086) 16 us where
+a division by D took 52 us (BENCH_23.json).
 
 Such a matrix is factored one chunk of columns at a time, in a single
 zgbtrf workspace of about 4 MiB (_CHUNK_BYTES) reused along it: 1115
@@ -26,8 +30,9 @@ pivots before c0 have changed only the chunk's leading kl x kl block, by C =
 W diag(D) W^T, where W[a, b] = l(c0 + a, c0 - kl + b) and D are the last kl
 pivots.  A chunk is at least kl columns wide, so C is the carry from one
 chunk to the next: read from the kept factor and subtracted before zgbtrf
-runs.  A matrix of one chunk is one zgbtrf call on its LAPACK band storage,
-so its factor is zgbtrf's bit for bit.  A longer one differs from that by
+runs.  Row 0 takes 1/D once the last chunk is done.  A matrix of one chunk
+is one zgbtrf call on its LAPACK band storage, so its L is zgbtrf's bit for
+bit, and row 0 is 1.0 / D of it.  A longer one differs from that by
 roundoff: 1.4e-15 of the largest entry on the benchmark strips.  A
 factorization so holds its factor and 4 MiB, where one call on the whole
 matrix held a workspace three times the factor.
@@ -182,7 +187,7 @@ class BandedLU:
     """LU factorization of a banded complex matrix, computed once at init.
 
     A complex-symmetric matrix factored without a row swap is stored as one
-    Fortran-contiguous (kl + 1, n) array _ld in tbsv storage: D in row 0,
+    Fortran-contiguous (kl + 1, n) array _ld in tbsv storage: 1/D in row 0,
     L's multipliers in rows 1..kl.  Any other matrix is factored as one
     chunk, and keeps that chunk's workspace as zgbtrf's (2 kl + ku + 1, n)
     array _lu and its 1-based pivots _ipiv, as zgbtrs reads them: a matrix
@@ -204,6 +209,8 @@ class BandedLU:
         symmetric = (matrix != matrix.T).nnz == 0
         # entries indptr[j]:indptr[j + 1] of either are column j of A
         self._factor(matrix.tocsr() if symmetric else matrix.tocsc(), symmetric, label)
+        # the by-reference k, lda and incx of every ztbsv call
+        self._tbsv_args = _ints(kl, kl + 1, 1)
         self.factor_count = 1
         self.solve_count = 0
         self.row_count = 0
@@ -269,6 +276,9 @@ class BandedLU:
                            *_ints(kl), w.ctypes.data, *_ints(kl), zero.ctypes.data,
                            carry.ctypes.data, *_ints(kl))
             else:
+                # the carry has read D, so row 0 can take 1/D, which a solve
+                # multiplies by
+                np.divide(1.0, ld[0], out=ld[0])
                 self._ld = ld
                 return
         if info.value != 0:
@@ -284,7 +294,7 @@ class BandedLU:
     def _ldlt(self, x: ComplexArray, head: int, keep: int) -> None:
         """Overwrite rows >= keep of the (n, k) Fortran-ordered x with those of
         L^-T D^-1 L^-1 x, for x[:head] == 0, and rows < keep with NaN."""
-        k, lda, inc = _ints(self.kl, self.kl + 1, 1)
+        k, lda, inc = self._tbsv_args
         lower, upper = _ints(self.n - head, self.n - keep)
         # column j of the factor starts (kl + 1) entries after column j - 1
         ld = self._ld.ctypes.data
@@ -294,7 +304,7 @@ class BandedLU:
         for c in x.T:
             at = c.ctypes.data
             _ztbsv(b"L", b"N", b"U", lower, k, ld + head * step, lda, at + head * c.itemsize, inc)
-            c[start:] /= self._ld[0, start:]
+            c[start:] *= self._ld[0, start:]
             _ztbsv(b"L", b"T", b"U", upper, k, ld + keep * step, lda, at + keep * c.itemsize, inc)
             c[:keep] = np.nan
 
@@ -307,13 +317,16 @@ class BandedLU:
         if info.value != 0:
             raise ValueError(f"banded back-substitution failed, zgbtrs info={info.value}")
 
-    def solve(self, rhs: ComplexArray, head: int = 0, keep: int = 0) -> ComplexArray:
+    def solve(self, rhs: ComplexArray, head: int = 0, keep: int = 0,
+              overwrite_rhs: bool = False) -> ComplexArray:
         """x with A x = rhs, for a right-hand side of shape (n,) or (n, k).
 
         rhs[:head] must be zero, and only x[keep:] is solved for: x[:keep]
-        is NaN.  The zgbtrs fallback ignores both and solves in full.
+        is NaN.  The zgbtrs fallback ignores both and solves in full.  With
+        overwrite_rhs, a Fortran-ordered complex128 rhs is solved in place
+        and returned; any other rhs is copied, as it always is without it.
         """
-        x = np.array(rhs, dtype=np.complex128, order="F")
+        x = (np.asarray if overwrite_rhs else np.array)(rhs, dtype=np.complex128, order="F")
         if x.ndim not in (1, 2) or x.shape[0] != self.n:
             raise ValueError(f"right-hand side of shape {x.shape} for order {self.n}")
         head, keep = operator.index(head), operator.index(keep)

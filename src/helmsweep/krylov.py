@@ -8,8 +8,9 @@ history holds the unpreconditioned residuals, starts at 1 and is monotone
 (each rotation scales the trailing entry of the reduced right-hand side by
 |s| <= 1).  richardson iterates x <- x + M(b - op(x)); its history is the
 true residual of each iterate.  Both report why they stopped ("tol",
-"maxit" or, for GMRES, "breakdown") and the perf_counter seconds since the
-start at which each history entry was reached.
+"maxit", for GMRES "breakdown", for Richardson "diverged") and the
+perf_counter seconds since the start at which each history entry was
+reached.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from scipy.linalg import solve_triangular
 from .grid import ComplexArray
 
 BREAKDOWN_RATIO = 1e-14
+# a Richardson run stops as diverged once its true residual passes this many
+# times ||b||: no converging run of the tests, the README or tools/compare.py
+# passes 1.03, and the coarse quick-start's diverging runs pass it at
+# iterations 30 and 34 instead of running to maxit
+DIVERGENCE_RATIO = 1e6
 Operator = Callable[[ComplexArray], ComplexArray]
 
 
@@ -167,9 +173,10 @@ def richardson(apply_op: Operator, b: ComplexArray,
     M is apply_precond, or the identity when it is None (for op = Id - T
     the step is then x <- T x + b).  history[j] is ||b - op(x_j)|| / ||b||,
     the true residual of iterate j, so each step costs one M and one op.
-    A non-finite right-hand side raises FloatingPointError before any
-    iteration, and a non-finite vector from the operator or the
-    preconditioner raises it naming the iteration.
+    The run stops, diverged and not converged, at the first iterate whose
+    residual exceeds DIVERGENCE_RATIO.  A non-finite right-hand side raises
+    FloatingPointError before any iteration, and a non-finite vector from
+    the operator or the preconditioner raises it naming the iteration.
     """
     start = time.perf_counter()
     b = _finite(b, "Richardson: right-hand side")
@@ -181,7 +188,7 @@ def richardson(apply_op: Operator, b: ComplexArray,
                             seconds=seconds)
     r, history = b, [1.0]
     for j in range(1, maxit + 1):
-        if history[-1] <= tol:
+        if history[-1] <= tol or history[-1] > DIVERGENCE_RATIO:
             break
         z = r if apply_precond is None else _finite(
             apply_precond(r), f"Richardson: preconditioner at iteration {j}")
@@ -190,6 +197,6 @@ def richardson(apply_op: Operator, b: ComplexArray,
         history.append(float(np.linalg.norm(r)) / bnorm)
         seconds.append(time.perf_counter() - start)
     converged = bool(history[-1] <= tol)
+    stop = "tol" if converged else "diverged" if history[-1] > DIVERGENCE_RATIO else "maxit"
     return KrylovReport(x, len(history) - 1, history, converged,
-                        time.perf_counter() - start, stop="tol" if converged else "maxit",
-                        seconds=seconds)
+                        time.perf_counter() - start, stop=stop, seconds=seconds)

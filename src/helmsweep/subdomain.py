@@ -156,19 +156,21 @@ class LocalSolver:
         if load is not None:
             a, b = self.span
             load = load[a:b + 1]
+        # a fresh array, or its reversed copy, which the solve overwrites
         rhs = self.stencil.rhs(load, left, right)
         to_grid = self.stencil.to_grid
         one_sided = (left is None) != (right is None)
-        if columns is None or load is not None or not (self.xy and one_sided):
-            return to_grid(self._lu.solve(rhs))
-        nb = self.stencil.ny + 1
-        head = self.stencil.nloc - nb
-        if right is not None:
-            return to_grid(self._lu.solve(rhs, head, columns[0] * nb))
-        if not self.mirror:
-            return to_grid(self._lu.solve(rhs))
-        flipped = to_grid(rhs)[::-1].ravel()
-        return to_grid(self._lu.solve(flipped, head, (self.stencil.w - columns[1]) * nb))[::-1]
+        head = keep = 0
+        if columns is not None and load is None and self.xy and one_sided:
+            nb = self.stencil.ny + 1
+            if right is not None:
+                head, keep = self.stencil.nloc - nb, columns[0] * nb
+            elif self.mirror:
+                flipped = to_grid(rhs)[::-1].ravel()
+                x = self._lu.solve(flipped, self.stencil.nloc - nb,
+                                   (self.stencil.w - columns[1]) * nb, overwrite_rhs=True)
+                return to_grid(x)[::-1]
+        return to_grid(self._lu.solve(rhs, head, keep, overwrite_rhs=True))
 
     def respond(self, left: ComplexArray | None = None,
                 right: ComplexArray | None = None,

@@ -36,18 +36,24 @@ the next apply_interface_system, if handed y, returns r - R y: 2N-2 strip
 solves per preconditioned product instead of 3N-4.  The record is used at
 most once; any other operator call drops it.
 
-Strip work that does not depend on other strips runs concurrently on a
-pool of threads, one per CPU the process may run on: the N strip
-constructions (assembly and factorization) of SubstructuredSystem, the N
-solves of an exchange (apply_exchange, source_traces, a full
-apply_interface_system), the two sweeps of solve_oneway, the two edge
-solves of the record path and the N solves of reconstruct.  A strip
-releases the GIL in its band kernels, zgbtrf included (see banded.py).
-solve_double_sweep stays serial: its backward sweep reads what the forward
-one wrote.  Each solve does the same arithmetic and writes the same block
-as in a serial run, and each factorization is the serial one, so every
-result is bitwise the same.  A failure is raised once every strip of the
-call is done, the first in strip order.
+Strip work that does not depend on other strips runs concurrently, on
+WORKERS threads, one per CPU the process may run on: the calling thread
+and a pool of WORKERS - 1 (at least one).  The N strip constructions
+(assembly and factorization) of SubstructuredSystem, the N solves of an
+exchange (apply_exchange, source_traces, a full apply_interface_system) and
+the N solves of reconstruct go through _map, where the calling thread and
+the pool threads take the strips in turn from one counter, so the caller
+works instead of waiting.  A pool of WORKERS threads beside the working
+caller ran three threads on two CPUs, and a wedge-jacobi shot 7-10 %
+slower than with one pool thread (BENCH_23.json).  The two sweeps of
+solve_oneway and the two edge solves of the record path run one on the
+pool and one on the caller.  A strip releases the GIL in its band kernels,
+zgbtrf included (see banded.py).  solve_double_sweep stays serial: its
+backward sweep reads what the forward one wrote.  Each solve does the same
+arithmetic and writes the same block as in a serial run, and each
+factorization is the serial one, so every result is bitwise the same.  A
+failure is raised once every strip of the call is done, the first in strip
+order.
 
 Every operator is a pattern of LocalSolver.respond, which tells its strip
 solve which node columns the outgoing traces read.  A solve with one-sided
@@ -58,6 +64,7 @@ subdomain.py); source_traces and reconstruct carry a load and solve in full.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -69,13 +76,15 @@ from .grid import (BoundarySpec, ComplexArray, Grid, WavenumberField, _add_edge_
 from .strips import StripDecomposition
 from .subdomain import LocalSolver
 
+# the threads that run strips: the calling thread and the pool's
 WORKERS = len(os.sched_getaffinity(0))
 
 
 def _new_pool() -> None:
     global _pool
     # threads start on first use, not at import
-    _pool = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="helmsweep-strip")
+    _pool = ThreadPoolExecutor(max_workers=max(1, WORKERS - 1),
+                               thread_name_prefix="helmsweep-strip")
 
 
 _new_pool()
@@ -84,10 +93,30 @@ os.register_at_fork(after_in_child=_new_pool)
 
 
 def _map(fn, n: int) -> list:
-    """[fn(0), ..., fn(n-1)] on the strip pool; a failure is re-raised once all are done."""
-    futures = [_pool.submit(fn, s) for s in range(n)]
-    wait(futures)
-    return [f.result() for f in futures]
+    """[fn(0), ..., fn(n-1)], the strips taken in turn by this thread and
+    up to WORKERS - 1 pool threads; the first failure in strip order is
+    raised once every strip has ended."""
+    results, errors = [None] * n, [None] * n
+    # next() on a count is atomic under the GIL
+    order = itertools.count()
+
+    def take() -> None:
+        while (s := next(order)) < n:
+            try:
+                results[s] = fn(s)
+            except BaseException as err:  # raised below, as a future would
+                errors[s] = err
+
+    helpers = [_pool.submit(take) for _ in range(min(n, WORKERS) - 1)]
+    take()
+    # a helper that has not started would find no strip left
+    for f in helpers:
+        f.cancel()
+    wait(helpers)
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
 
 
 @dataclass

@@ -81,6 +81,12 @@ def band_storage(matrix, kl, ku):
     return ab
 
 
+def ldlt_parts(lu):
+    """(D, L) of a BandedLU's L D L^T factor: row 0 stores 1/D, rows 1..kl
+    L's multipliers, in tbsv storage."""
+    return 1.0 / lu._ld[0], lu._ld[1:]
+
+
 def reconstruct_dense(lu):
     """Rebuild a BandedLU's factored matrix as P_0 L_0 P_1 L_1 ... U (dense).
 
@@ -88,12 +94,12 @@ def reconstruct_dense(lu):
     the factorization is the interleaved product above, with zgbtrf's
     1-based ipiv.  Each L_j is applied as the row update it stands for.  An
     L D L^T factor is the same product with identity pivots and U = D L^T,
-    built from its own band rows: D in row 0, L's multipliers below.
+    built from its D and L.
     """
     n, kl = lu.n, lu.kl
     full = np.zeros((n, n), dtype=np.complex128)
     if lu._ld is not None:
-        d, mult, ipiv = lu._ld[0], lu._ld[1:], np.arange(n)
+        (d, mult), ipiv = ldlt_parts(lu), np.arange(n)
         for i in range(n):
             m = min(kl, n - 1 - i)
             full[i, i] = d[i]

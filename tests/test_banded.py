@@ -12,7 +12,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from helmsweep import banded
 from helmsweep.banded import BandedLU
 from helmsweep.grid import HomogeneousModel, RectStencil, build_wavenumber
-from conftest import band_storage, make_grid, reconstruct_dense
+from conftest import band_storage, ldlt_parts, make_grid, reconstruct_dense
 
 
 def random_banded(rng, n, kl, ku):
@@ -176,10 +176,11 @@ def test_unswapped_strip_stored_as_ldlt(rng, ny, cells):
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     full, ipiv, info = gbtrf(ab, band, band)
     assert info == 0 and np.array_equal(ipiv, np.arange(n))
-    # one chunk: D is U's diagonal, L the multipliers below it, both as
-    # gbtrf left them
+    # one chunk: row 0 is 1/D, D U's diagonal, and L the multipliers below
+    # it, both as gbtrf left them
     assert n <= banded._chunk_columns(band, band)
-    assert np.array_equal(lu._ld, full[2 * band:])
+    assert np.array_equal(lu._ld[0], 1.0 / full[2 * band])
+    assert np.array_equal(lu._ld[1:], full[2 * band + 1:])
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     kept = b.copy()
     x = lu.solve(b)
@@ -229,11 +230,13 @@ def test_ldlt_factor_packed_at_the_front_of_its_workspace(rng, n, kl, ku):
     at = ld.ctypes.data - np.frombuffer(mapping_of(ld), np.uint8).ctypes.data
     assert ld.ctypes.data % (2 << 20) == 0 if ld.nbytes >= 4 << 20 else at == 0
     if n <= banded._chunk_columns(kl, ku):
-        # one chunk is one zgbtrf call on band_storage's array
-        assert np.array_equal(ld, full[kl + ku:])
+        # one chunk is one zgbtrf call on band_storage's array, and 1/D
+        assert np.array_equal(ld[0], 1.0 / full[kl + ku])
+        assert np.array_equal(ld[1:], full[kl + ku + 1:])
     else:
         assert (n, kl) in {(3000, 30), (3000, 90)}
-        assert np.linalg.norm(ld - full[kl + ku:]) <= 1e-13 * np.linalg.norm(full[kl + ku:])
+        dl = np.vstack(ldlt_parts(lu))
+        assert np.linalg.norm(dl - full[kl + ku:]) <= 1e-13 * np.linalg.norm(full[kl + ku:])
 
 
 def chunks_of(monkeypatch, width, kl, ku):
@@ -280,7 +283,8 @@ def test_multi_chunk_factor_matches_oracles(rng, monkeypatch, case, columns):
     full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, ku)
     assert info == 0 and np.array_equal(ipiv, np.arange(n))
     # the same factor as one zgbtrf call, to roundoff
-    assert np.linalg.norm(ld - full[kl + ku:]) <= 1e-13 * np.linalg.norm(full[kl + ku:])
+    dl = np.vstack(ldlt_parts(lu))
+    assert np.linalg.norm(dl - full[kl + ku:]) <= 1e-13 * np.linalg.norm(full[kl + ku:])
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
     assert np.array_equal(BandedLU(a, kl, ku)._ld, ld)
@@ -399,9 +403,10 @@ def test_ctypes_tbsv_is_scipy_tbsv_bitwise(rng, ny, cells):
         banded._ztbsv(b"L", flag, b"U", *refs[:2], ld.ctypes.data, refs[2],
                       x.ctypes.data, refs[3])
         assert np.array_equal(x, tbsv(band, ld, b, lower=1, trans=trans, diag=1))
-    # a whole solve: L, D, then L^T, as the f2py wrapper took it
+    # a whole solve: L, a multiply by the stored 1/D, then L^T, as the
+    # f2py wrapper took it
     y = tbsv(band, ld, b, lower=1, diag=1)
-    y /= ld[0]
+    y *= ld[0]
     assert np.array_equal(lu.solve(b), tbsv(band, ld, y, lower=1, trans=1, diag=1))
 
 
@@ -465,6 +470,27 @@ def test_bad_rhs_shape_rejected(rng):
         with pytest.raises(ValueError, match="right-hand side"):
             lu.solve(np.ones(shape, dtype=np.complex128))
     assert lu.solve_count == 0
+
+
+@pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])
+def test_solve_in_place_only_when_told_it_owns_rhs(rng, kind):
+    if kind == "ldlt":
+        a, band = helmholtz_strip(*STRIPS["ny<=w"])
+        lu = BandedLU(a, band, band)
+    else:
+        lu = BandedLU(shuffled_dominant(rng, 462, 4, 4, 2), 4, 4)
+    assert (lu._ld is not None) == (kind == "ldlt")
+    n = lu.n
+    # a vector, a one-sided solve and a Fortran-ordered block
+    for shape, head, keep in [((n,), 0, 0), ((n,), n // 3, n // 2), ((n, 2), 0, 0)]:
+        b = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        b[:head] = 0
+        kept = b.copy()
+        x = lu.solve(b, head, keep)
+        assert np.array_equal(b, kept) and not np.shares_memory(x, b)
+        y = lu.solve(b, head, keep, overwrite_rhs=True)
+        assert y is b
+        assert np.array_equal(y, x, equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])

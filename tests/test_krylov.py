@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmsweep.krylov import gmres_right, richardson
+from helmsweep.krylov import DIVERGENCE_RATIO, gmres_right, richardson
 
 
 def dense_problem(rng, n=20):
@@ -210,6 +210,28 @@ def test_richardson_maxit_reported_not_converged(rng):
     assert rep.iterations == 3
     assert len(rep.history) == 4
     assert rep.history[-1] > 1e-14
+
+
+def test_richardson_stops_once_it_diverges(rng):
+    # op = Id - T with T 1.5 times a unitary matrix: x <- x + (b - op(x))
+    # leaves the residual T^j b, 1.5^j ||b||, so it passes the ratio at j = 35
+    n = 12
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = np.eye(n) - 1.5 * q
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    iterates = []
+
+    def op(v):
+        iterates.append(v.copy())
+        return a @ v
+
+    rep = richardson(op, b, tol=1e-8, maxit=400)
+    assert (rep.stop, rep.converged, rep.iterations) == ("diverged", False, 35)
+    assert rep.history[-2] <= DIVERGENCE_RATIO < rep.history[-1]
+    expect = [1.0] + [np.linalg.norm(b - a @ x) / np.linalg.norm(b) for x in iterates]
+    assert rep.history == pytest.approx(expect, rel=1e-12, abs=0.0)
+    assert rep.history == pytest.approx(1.5 ** np.arange(36), rel=1e-10)
+    assert np.array_equal(rep.solution, iterates[-1])
 
 
 def test_richardson_non_finite_vectors_raise_naming_the_iteration(rng):

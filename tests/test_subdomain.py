@@ -113,3 +113,26 @@ def test_factored_matrix_reproduced():
     dense = reconstruct_dense(solver._lu)
     err = np.linalg.norm(dense - solver.stencil.matrix.toarray())
     assert err <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_solves_leave_their_data_alone_and_return_fresh_arrays(rng):
+    # every path of an interior mirror strip: the full solve with a load,
+    # both data, a right datum on the trailing rows, a left one reversed
+    grid, kfield, bc, decomp = small_setup()
+    solver = LocalSolver(grid, kfield, bc, decomp, 2)
+    assert solver.xy and solver.mirror
+    nb = grid.ny + 1
+    left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
+    load = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    data = (left, right, load)
+    kept = [d.copy() for d in data]
+    for args, columns in [((left, right, load), None), ((left, right, None), None),
+                          ((None, right, None), solver.window),
+                          ((left, None, None), solver.window)]:
+        first = solver.solve(*args, columns=columns)
+        again = first.copy()
+        second = solver.solve(*args, columns=columns)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, again, equal_nan=True)
+        assert np.array_equal(first, second, equal_nan=True)
+    assert all(np.array_equal(d, k) for d, k in zip(data, kept))

@@ -1,14 +1,17 @@
 import dataclasses
 import math
 import multiprocessing
+import sys
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
 
-from helmsweep import banded, subdomain
+from helmsweep import banded, subdomain, substructure
 from helmsweep.banded import BandedLU
 from helmsweep.bench import BenchContext, ProblemSpec, run
 from helmsweep.grid import (BoundarySpec, WavenumberField, assemble_global, dirichlet,
@@ -425,7 +428,8 @@ def test_pooled_factors_are_the_serial_ones_bitwise(problem, n):
             # one chunk, so one zgbtrf call as in the f2py wrapper
             assert a.shape[0] <= banded._chunk_columns(bw, bw)
             assert np.array_equal(pooled._ld, serial._ld)
-            assert np.array_equal(pooled._ld, full[2 * bw:])
+            assert np.array_equal(pooled._ld[0], 1.0 / full[2 * bw])
+            assert np.array_equal(pooled._ld[1:], full[2 * bw + 1:])
         else:
             assert pooled._ld is None
             assert np.array_equal(pooled._lu, serial._lu)
@@ -450,54 +454,148 @@ def test_pivoted_strips_solve_the_coarse_waveguide():
         assert np.linalg.norm(rec.solution - u) <= 1e-9 * np.linalg.norm(u), preconditioner
 
 
+def two_threads_take_the_first_strips(monkeypatch):
+    """Run _map on this thread and one pool thread, and return a wait that
+    strips 0 and 1 make: each blocks until the other has started, so the
+    two threads take one each."""
+    monkeypatch.setattr(substructure, "WORKERS", 2)
+    barrier = threading.Barrier(2, timeout=10)
+    return lambda s: s < 2 and barrier.wait()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 2000])
+def test_map_runs_every_strip_once_in_strip_order(monkeypatch, n):
+    # six threads on the shared counter, more than the cores, switching
+    # every microsecond: a strip taken twice or never shows in the counts
+    pool = ThreadPoolExecutor(max_workers=5)
+    monkeypatch.setattr(substructure, "_pool", pool)
+    monkeypatch.setattr(substructure, "WORKERS", 6)
+    counts, out = [0] * n, []
+
+    def negate(s):
+        counts[s] += 1
+        return -s
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: out.append(substructure._map(negate, n)))
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    assert not caller.is_alive()
+    assert out == [[-s for s in range(n)]] and counts == [1] * n
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_map_runs_strips_on_the_caller_and_a_pool_thread(monkeypatch, n):
+    meet = two_threads_take_the_first_strips(monkeypatch)
+    threads = {}
+
+    def record(s):
+        threads[s] = threading.current_thread()
+        meet(s)
+        return s
+
+    assert substructure._map(record, n) == list(range(n))
+    assert sorted(threads) == list(range(n))
+    first = {threads[0], threads[1]}
+    assert threading.current_thread() in first
+    assert any(t.name.startswith("helmsweep-strip") for t in first)
+
+
+def test_pool_leaves_one_worker_to_the_caller():
+    assert substructure._pool._max_workers == max(1, substructure.WORKERS - 1)
+
+
+def test_sweeps_and_record_path_keep_their_pool_thread(rng, monkeypatch):
+    # solve_oneway's forward sweep (left data) and the record path's last
+    # strip run on the pool, the backward sweep and strip 0 on this thread
+    system = make_case(5)
+    ran = []
+    for sv in system.solvers:
+        def respond(left=None, right=None, load=None, respond=sv.respond):
+            ran.append(("left" if right is None else "right", threading.current_thread()))
+            return respond(left, right, load)
+        monkeypatch.setattr(sv, "respond", respond)
+    r = TraceVector(system.layout, rng.standard_normal(math.prod(system.layout)) + 0j)
+    system.apply_interface_system(system.solve_oneway(r))
+    # 2N - 4 sweep solves and the two edge solves: no full exchange
+    assert len(ran) == 2 * system.nstrips - 2
+    for side, thread in ran:
+        assert (thread is threading.current_thread()) == (side == "right")
+        assert side == "right" or thread.name.startswith("helmsweep-strip")
+
+
 def test_failing_strip_factor_raises_after_the_others(monkeypatch):
     system = make_case(5)
-    ended = []
+    meet = two_threads_take_the_first_strips(monkeypatch)
+    caller = threading.current_thread()
+    # strip 2 fails, then every strip the calling thread factors
+    for fails in ("strip 2", "caller"):
+        ended, failed = [], []
 
-    def factor(matrix, kl, ku, label):
-        try:
-            if label == "strip 2":
-                raise ValueError("banded LU failed")
-            time.sleep(0.05)
-            return BandedLU(matrix, kl, ku, label)
-        finally:
-            ended.append(label)
+        def factor(matrix, kl, ku, label):
+            try:
+                meet(int(label.split()[1]) - 1)
+                if label == fails or fails == "caller" and threading.current_thread() is caller:
+                    failed.append(label)
+                    raise ValueError("banded LU failed")
+                time.sleep(0.05)
+                return BandedLU(matrix, kl, ku, label)
+            finally:
+                ended.append(label)
 
-    monkeypatch.setattr(subdomain, "BandedLU", factor)
-    with pytest.raises(ValueError, match="strip 2: local factorization failed"):
-        SubstructuredSystem(system.grid, system.kfield, system.bc, system.decomp)
-    # raised once every strip's construction had ended
-    assert sorted(ended) == [f"strip {i}" for i in range(1, 6)]
+        monkeypatch.setattr(subdomain, "BandedLU", factor)
+        with pytest.raises(ValueError, match="local factorization failed") as raised:
+            SubstructuredSystem(system.grid, system.kfield, system.bc, system.decomp)
+        # the first failure in strip order, raised once every strip's
+        # construction had ended, the pool's included
+        assert str(raised.value) == f"{min(failed)}: local factorization failed"
+        assert 0 < len(failed) < 5
+        assert sorted(ended) == [f"strip {i}" for i in range(1, 6)]
 
 
 @pytest.mark.parametrize("operator", ["apply_exchange", "source_traces", "reconstruct"])
 def test_failing_strip_raises_after_the_other_solves(operator, monkeypatch):
     system = make_case(5)
+    meet = two_threads_take_the_first_strips(monkeypatch)
+    caller = threading.current_thread()
     h = TraceVector.zeros(system.layout)
     apply = {"apply_exchange": lambda: system.apply_exchange(h),
              "source_traces": system.source_traces,
              "reconstruct": lambda: system.reconstruct(h)}[operator]
-
-    def failing(*args):
-        raise RuntimeError("strip 1 failed")
-
-    def slow(solve):
-        def run(*args):
-            time.sleep(0.05)
-            return solve(*args)
-        return run
+    solve = [sv.solve for sv in system.solvers]
 
     def solves():
         return sum(sv.solve_count for sv in system.solvers)
 
-    for s, sv in enumerate(system.solvers):
-        monkeypatch.setattr(sv, "solve", failing if s == 1 else slow(sv.solve))
-    with pytest.raises(RuntimeError, match="strip 1"):
-        apply()
-    at_raise = solves()
-    time.sleep(0.3)
-    # no solve of the failed operator is still running
-    assert at_raise == solves() == system.nstrips - 1
+    # strip 1 fails, then every strip the calling thread solves
+    for fails in (1, "caller"):
+        failed = []
+
+        def slow_or_failing(s):
+            def run(*args):
+                meet(s)
+                if s == fails or fails == "caller" and threading.current_thread() is caller:
+                    failed.append(s)
+                    raise RuntimeError(f"strip {s} failed")
+                time.sleep(0.05)
+                return solve[s](*args)
+            return run
+
+        for s, sv in enumerate(system.solvers):
+            monkeypatch.setattr(sv, "solve", slow_or_failing(s))
+        before = solves()
+        with pytest.raises(RuntimeError) as raised:
+            apply()
+        at_raise = solves()
+        time.sleep(0.3)
+        assert str(raised.value) == f"strip {min(failed)} failed"
+        # no solve of the failed operator is still running
+        assert 0 < at_raise - before == solves() - before == system.nstrips - len(failed)
 
 
 def _counts(spec):
