@@ -3,8 +3,9 @@
 Thin wrapper over LAPACK zgbtrf, which factors a matrix with lower
 bandwidth kl and upper bandwidth ku in the (2*kl+ku+1, n) LAPACK band layout
 with partial pivoting.  The factor is computed once and reused for any
-number of right-hand sides.  A matrix with a non-finite entry is rejected
-before factoring.
+number of right-hand sides.  It reads the matrix's diagonals: a DIA
+matrix's own (RectStencil.matrix), any other's once its entries lie in the
+band.  A matrix with a non-finite entry is rejected before factoring.
 
 Every strip matrix is complex symmetric (A = A^T, see grid.py), and zgbtrf
 swaps no row on the benchmark's strips.  Then U = D L^T with D the diagonal
@@ -39,13 +40,12 @@ matrix held a workspace three times the factor.
 
 Any other matrix goes through the same loop as one chunk of n columns and
 keeps that chunk's workspace and pivots, zgbtrf's own LU, to be solved by
-zgbtrs: a matrix that is not exactly symmetric, whose columns are read from
-a CSC copy (a symmetric matrix's are its CSR rows), and one whose only
-chunk swaps a row or meets a zero pivot, which is then reported as
-singular.  A chunk of a longer matrix that swaps or meets a zero pivot
-sends it back through the loop as one chunk.  So a one-chunk matrix is
-factored once, whatever zgbtrf finds.  No benchmark strip takes this path;
-strips of coarse stock problems do (README).
+zgbtrs: a matrix that is not exactly symmetric, and one whose only chunk
+swaps a row or meets a zero pivot, which is then reported as singular.  A
+chunk of a longer matrix that swaps or meets a zero pivot sends it back
+through the loop as one chunk.  So a one-chunk matrix is factored once,
+whatever zgbtrf finds.  No benchmark strip takes this path; strips of
+coarse stock problems do (README).
 
 The factorization (zgbtrf and the carry's zgemm) and both solves (ztbsv,
 zgbtrs) call their kernel through the function pointer that scipy's Cython
@@ -167,13 +167,25 @@ def _workspace(rows: int, n: int, huge: bool = False) -> ComplexArray:
     return np.ndarray((rows, n), np.complex128, mapping, offset, order="F")
 
 
-def _check_band(off: NDArray, kl: int, ku: int, label: str) -> None:
-    """Raise if a row - column offset in off lies outside the band."""
+def _diagonals(matrix: spmatrix, kl: int, ku: int, label: str) -> dict:
+    """{o: d} with d[j] = A(j - o, j) for max(0, o) <= j < min(n, n + o), as
+    DIA stores it; any other matrix is checked against the band first."""
+    n = matrix.shape[0]
+    dia = matrix.format == "dia" and matrix.data.shape[1] >= n
+    if dia:
+        offsets, data = matrix.offsets.tolist(), matrix.data[:, :n]
+        off = -np.array([o for o in offsets if abs(o) < n], int)
+    else:
+        coo = matrix.tocoo(copy=True)
+        coo.sum_duplicates()
+        off = coo.row - coo.col
     if off.size and (off.max() > kl or -off.min() > ku):
-        raise ValueError(
-            f"{label}: entry outside declared band: kl={kl}, ku={ku}, "
-            f"found offsets [{-off.min()}, {off.max()}]"
-        )
+        raise ValueError(f"{label}: entry outside declared band: kl={kl}, ku={ku}, "
+                         f"found offsets [{-off.min()}, {off.max()}]")
+    if not dia:
+        offsets, data = range(-kl, ku + 1), np.zeros((kl + ku + 1, n), np.complex128)
+        data[kl + coo.col - coo.row, coo.col] = coo.data
+    return {o: d for o, d in zip(offsets, data) if abs(o) < n}
 
 
 def _chunk_columns(kl: int, ku: int) -> int:
@@ -200,15 +212,16 @@ class BandedLU:
         n = matrix.shape[0]
         if matrix.shape[1] != n:
             raise ValueError(f"{label}: matrix must be square, got {matrix.shape}")
-        if not np.isfinite(matrix.data).all():
+        diags = _diagonals(matrix, kl, ku, label)
+        if not all(np.isfinite(d[max(0, o):n + min(0, o)]).all() for o, d in diags.items()):
             raise ValueError(f"{label}: matrix has a non-finite entry")
-        self.n = n
-        self.kl = kl
-        self.ku = ku
+        self.n, self.kl, self.ku = n, kl, ku
         self._ld = self._lu = self._ipiv = None
-        symmetric = (matrix != matrix.T).nnz == 0
-        # entries indptr[j]:indptr[j + 1] of either are column j of A
-        self._factor(matrix.tocsr() if symmetric else matrix.tocsc(), symmetric, label)
+        zero = np.zeros(n, np.complex128)
+        # A(j - o, j) == A(j, j - o) for j >= o, on each diagonal pair
+        symmetric = all(np.array_equal(diags.get(o, zero)[o:], diags.get(-o, zero)[:n - o])
+                        for o in {abs(o) for o in diags} - {0})
+        self._factor(diags, symmetric, label)
         # the by-reference k, lda and incx of every ztbsv call
         self._tbsv_args = _ints(kl, kl + 1, 1)
         self.factor_count = 1
@@ -216,9 +229,9 @@ class BandedLU:
         self.row_count = 0
         self._count_lock = threading.Lock()
 
-    def _factor(self, columns: spmatrix, symmetric: bool, label: str) -> None:
-        """Factor A, whose column j is entries indptr[j]:indptr[j + 1] of
-        columns, into _ld, or else into _lu and _ipiv (module docstring).
+    def _factor(self, diags: dict, symmetric: bool, label: str) -> None:
+        """Factor A, the diagonals diags of _diagonals, into _ld, or else
+        into _lu and _ipiv (module docstring).
 
         The pivots before chunk [c0, c1) have taken C = W diag(D) W^T from
         its leading kl x kl block, with W[a, b] = l(c0 + a, c0 - kl + b) and
@@ -227,11 +240,6 @@ class BandedLU:
         """
         n, kl, ku = self.n, self.kl, self.ku
         rows = 2 * kl + ku + 1
-        j = np.repeat(np.arange(n), np.diff(columns.indptr))
-        i = columns.indices
-        _check_band(i - j, kl, ku, label)
-        # where A(i, j) lands in the workspace of a chunk starting at column 0
-        at = kl + ku + i - j + rows * j
         info = ctypes.c_int(0)
         a, b = np.triu_indices(kl)
         w = np.zeros((kl, kl), np.complex128, order="F")
@@ -245,20 +253,22 @@ class BandedLU:
             # _CHUNK_BYTES; on small pages, a page fault per 4 kB of it cost
             # several per cent of a set-up
             ws = _workspace(rows, min(n, width), huge=n > width)
-            flat = ws.reshape(-1, order="F")
             ipiv = np.empty(ws.shape[1], np.intc)
             unswapped = np.arange(1, ws.shape[1] + 1, dtype=np.intc)
             for c0 in range(0, n, width):
                 c1 = min(n, c0 + width)
                 # rows 0 .. kl - 1 are zgbtrf's fill-in, which it sets itself
                 ws[kl:, :c1 - c0] = 0
-                p0, p1 = columns.indptr[c0], columns.indptr[c1]
-                # entries above row c0 land in the triangle LAPACK documents as unused
-                flat[at[p0:p1] - rows * c0] = columns.data[p0:p1]
+                for o, d in diags.items():
+                    # A(i, j) at ws[kl + ku + i - j, j - c0]; entries above
+                    # row c0 land in the triangle LAPACK documents as unused
+                    lo = max(o, c0)
+                    hi = max(lo, min(n + o, c1))
+                    ws[kl + ku - o, lo - c0:hi - c0] = d[lo:hi]
                 if c0:
                     # the leading block: A(c0 + r, c0 + c) at ws[kl + ku + r - c, c],
                     # r, c < kl; rows of C past the last row of A are 0
-                    block = np.lib.stride_tricks.as_strided(flat[kl + ku:], (kl, kl),
+                    block = np.lib.stride_tricks.as_strided(ws[kl + ku:], (kl, kl),
                                                             (16, 16 * (rows - 1)))
                     block -= carry
                 _zgbtrf(*_ints(min(n, c1 + kl) - c0, c1 - c0, kl, ku), ws.ctypes.data,

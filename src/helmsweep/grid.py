@@ -8,8 +8,8 @@ Conventions, relied on by every module downstream:
 - Nodal arrays have shape (nx+1, ny+1), indexed [ix, iy].  Flattened (field
   files, Grid.index) they are column-major: n = ix*(ny+1) + iy.  The matrix
   numbering is RectStencil's own: it runs along the shorter direction to keep
-  the band narrow, and RectStencil.to_grid turns a flat vector in that
-  numbering into a nodal array.
+  the band narrow, RectStencil.to_grid turns a flat vector in that numbering
+  into a nodal array, and RectStencil.matrix() assembles its band diagonals.
 - Equation (-k^2 - Lap) u = f with k = k(x, y).  Absorbing edges carry the
   impedance condition (d/dn + i*k) u = g with outward normal n; Dirichlet
   edges carry u = 0 (homogeneous only).
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import csr_matrix
+from scipy.sparse import dia_matrix
 
 from .banded import BandedLU
 
@@ -265,7 +265,16 @@ class RectStencil:
         for s in SIDES:
             if self.side_kinds.get(s) not in ("dirichlet", "robin"):
                 raise ValueError(f"side {s} needs a condition")
-        self._assemble(kfield)
+        self._k = kfield.values[a:b + 1, :]
+        self.dirichlet_mask = np.zeros((self.w + 1, self.ny + 1), dtype=bool)
+        self._ghosts = np.zeros((self.w + 1, self.ny + 1), dtype=np.int8)
+        for s in SIDES:
+            if self.side_kinds[s] == "dirichlet":
+                self.dirichlet_mask[_EDGES[s]] = True
+            else:
+                self._ghosts[_EDGES[s]] += 1
+        # each eliminated ghost halves the row, which keeps A = A^T
+        self.row_scale = np.where(self.dirichlet_mask, 0.0, 0.5 ** self._ghosts)
 
     def to_grid(self, x: ComplexArray) -> ComplexArray:
         """View a flat vector in matrix numbering as a (w+1, ny+1) nodal array."""
@@ -273,43 +282,25 @@ class RectStencil:
             return x.reshape(self.w + 1, self.ny + 1)
         return x.reshape(self.ny + 1, self.w + 1).T
 
-    def _assemble(self, kfield: WavenumberField):
-        a, _ = self.cols
-        w, ny, h = self.w, self.ny, self.grid.h
-        k = kfield.values[a:a + w + 1, :]
+    def matrix(self) -> dia_matrix:
+        """The matrix, assembled anew, as a DIA matrix of offsets 0, +-1 and
+        +-bandwidth: A(i, j) in slot j of offset j - i, and 0 in the slots
+        outside the matrix and where no coupling is."""
+        h, k, free = self.grid.h, self._k, ~self.dirichlet_mask
         node = self.to_grid(np.arange(self.nloc))
-
-        dirichlet_mask = np.zeros((w + 1, ny + 1), dtype=bool)
-        ghosts = np.zeros((w + 1, ny + 1), dtype=int)
-        for s in SIDES:
-            if self.side_kinds[s] == "dirichlet":
-                dirichlet_mask[_EDGES[s]] = True
-            else:
-                ghosts[_EDGES[s]] += 1
-        free = ~dirichlet_mask
-        # each eliminated ghost halves the row, which keeps A = A^T
-        row_scale = np.where(free, 0.5 ** ghosts, 0.0)
+        data = np.zeros((5, self.nloc), np.complex128)
         # a ghost adds i*2k/h; a real factor keeps the rounding of 2ik/h
-        diag = (4.0 / h**2 - k**2) + 1j * (ghosts * (2.0 * k / h))
+        diag = (4.0 / h**2 - k**2) + 1j * (self._ghosts * (2.0 * k / h))
         # Dirichlet rows are identity rows
-        diag = np.where(free, row_scale * diag, 1.0)
-
-        rows, cols, vals = [node.ravel()], [node.ravel()], [diag.ravel()]
-        for behind, at, to in _NEIGHBOURS:
+        self.to_grid(data[0])[...] = np.where(free, self.row_scale * diag, 1.0)
+        offsets = [0] + [node[to].flat[0] - node[at].flat[0] for _, at, to in _NEIGHBOURS]
+        for row, (behind, at, to) in enumerate(_NEIGHBOURS, 1):
             # couplings into Dirichlet nodes are dropped: their value is 0
-            link = free[at] & free[to]
-            coupling = np.full((w + 1, ny + 1), -1.0 / h**2)
+            coupling = np.full(free.shape, -1.0 / h**2)
             coupling[_EDGES[behind]] *= 2.0
-            rows.append(node[at][link])
-            cols.append(node[to][link])
-            vals.append((row_scale * coupling)[at][link])
-
-        self.matrix = csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.nloc, self.nloc),
-        )
-        self.dirichlet_mask = dirichlet_mask
-        self.row_scale = row_scale
+            self.to_grid(data[row])[to] = np.where(free[at] & free[to],
+                                                   (self.row_scale * coupling)[at], 0.0)
+        return dia_matrix((data, offsets), shape=(self.nloc, self.nloc))
 
     def rhs(self, load: ComplexArray | None = None,
             left: ComplexArray | None = None,
@@ -336,10 +327,6 @@ class SparseSystem:
 
     stencil: RectStencil
     rhs: ComplexArray
-
-    @property
-    def matrix(self) -> csr_matrix:
-        return self.stencil.matrix
 
 
 def problem_load(grid: Grid, bc: BoundarySpec, f=None) -> ComplexArray:
@@ -397,6 +384,6 @@ def assemble_global(grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
 def solve_direct(system: SparseSystem) -> ComplexArray:
     """Banded direct solve of the global system: the (nx+1, ny+1) field."""
     stencil = system.stencil
-    lu = BandedLU(stencil.matrix, stencil.bandwidth, stencil.bandwidth,
+    lu = BandedLU(stencil.matrix(), stencil.bandwidth, stencil.bandwidth,
                   label="global system")
     return stencil.to_grid(lu.solve(system.rhs))

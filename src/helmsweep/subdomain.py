@@ -31,9 +31,10 @@ row n - nb, and a caller that reads only the node columns from c on needs
 only the rows from c*nb on: the solve asks BandedLU for just those (see
 banded.py), bitwise the full solve on the columns read.  A left datum alone
 takes the same path on a strip that its column reversal P maps onto itself
-(P A P = A exactly, checked once at factor time): the reversed datum is a
-right datum, and the field is reversed back, which moves it by roundoff.
-Any other solve, the wedge's (numbered along x) included, is a full one.
+(P A P = A exactly, checked once on the diagonals it is factored from): the
+reversed datum is a right datum, and the field is reversed back, which
+moves it by roundoff.  Any other solve, the wedge's (numbered along x)
+included, is a full one.
 """
 
 from __future__ import annotations
@@ -103,15 +104,15 @@ class LocalSolver:
         if self.has_right:
             kinds["right"] = "robin"
         self.stencil = RectStencil(grid, kfield, kinds, cols=self.span)
+        matrix = self.stencil.matrix()
         try:
-            self._lu = BandedLU(self.stencil.matrix, self.stencil.bandwidth,
-                                self.stencil.bandwidth, label=f"strip {strip}")
+            self._lu = BandedLU(matrix, self.stencil.bandwidth, self.stencil.bandwidth,
+                                label=f"strip {strip}")
         except ValueError as err:
             raise ValueError(f"strip {strip}: local factorization failed") from err
         # a datum enters the first or the last nb rows only
         self.xy = self.stencil.ny <= self.stencil.w
-        self.mirror = self.xy and _column_reversal_invariant(
-            self.stencil.matrix, self.stencil.w + 1)
+        self.mirror = self.xy and _column_reversal_invariant(matrix, self.stencil.w + 1)
 
     @property
     def factor_count(self) -> int:
@@ -188,7 +189,9 @@ class LocalSolver:
 
 
 def _column_reversal_invariant(matrix, columns: int) -> bool:
-    """P A P == A exactly, for P reversing the node columns of an xy-numbered
-    matrix with that many node columns."""
-    perm = np.arange(matrix.shape[0]).reshape(columns, -1)[::-1].ravel()
-    return (matrix[perm][:, perm] != matrix).nnz == 0
+    """P A P == A exactly, for P reversing the columns of an xy strip's RectStencil.matrix:
+    slot j of a diagonal goes to slot P j of itself (0, +-1) or its mirror (+-nb)."""
+    d = dict(zip(matrix.offsets.tolist(), matrix.data))
+    nb = matrix.shape[0] // columns
+    return all(np.array_equal(d[o], d[m].reshape(columns, nb)[::-1].ravel())
+               for o, m in ((0, 0), (1, 1), (-1, -1), (nb, -nb)))

@@ -81,6 +81,14 @@ def band_storage(matrix, kl, ku):
     return ab
 
 
+def column_reversal_invariant(matrix, columns):
+    """P A P == A exactly, by permuting the sparse matrix A: P reverses the
+    node columns of an xy-numbered matrix with that many node columns."""
+    a = matrix.tocsr()
+    perm = np.arange(a.shape[0]).reshape(columns, -1)[::-1].ravel()
+    return (a[perm][:, perm] != a).nnz == 0
+
+
 def ldlt_parts(lu):
     """(D, L) of a BandedLU's L D L^T factor: row 0 stores 1/D, rows 1..kl
     L's multipliers, in tbsv storage."""

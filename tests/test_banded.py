@@ -3,6 +3,7 @@ import mmap
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -96,20 +97,79 @@ def test_non_square_rejected():
         BandedLU(a, 1, 1)
 
 
-# the symmetric matrix's columns are read from its CSR rows, the other's
-# from a CSC copy; offsets are [largest above, largest below] the diagonal
+def tridiagonal(n):
+    return sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1],
+                    dtype=np.complex128)
+
+
+# offsets are [largest above, largest below] the diagonal
 @pytest.mark.parametrize("symmetric, offsets", [(True, "8, 8"), (False, "1, 8")],
                          ids=["symmetric", "non-symmetric"])
 def test_entry_outside_band_reports_label(symmetric, offsets):
-    n = 20
-    a = sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1],
-                 dtype=np.complex128).tolil()
+    a = tridiagonal(20).tolil()
     a[10, 2] = 1.0
     if symmetric:
         a[2, 10] = 1.0
     message = f"strip 3: entry outside declared band: kl=1, ku=1, found offsets [{offsets}]"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BandedLU(a.tocsr(), 1, 1, label="strip 3")
+
+
+# an entry at offset n - 1 below or above the diagonal: its offset is checked
+# before any (ndiag, n) array is built, which scipy would warn about
+@pytest.mark.parametrize("fmt", ["csr", "dia"])
+@pytest.mark.parametrize("i, j, offsets", [(19, 0, "1, 19"), (0, 19, "19, 1")])
+def test_far_entry_rejected_before_the_diagonals_are_built(fmt, i, j, offsets):
+    n = 20
+    a = tridiagonal(n)
+    if fmt == "csr":
+        a = a.tolil()
+        a[i, j] = 1.0
+        a = a.tocsr()
+    else:
+        # built by hand: converting to DIA is what the check must not need
+        far = np.zeros(n, np.complex128)
+        far[j] = 1.0
+        a = sp.dia_matrix((np.vstack([a.data, far]), [*a.offsets, j - i]), shape=(n, n))
+    message = f"strip 3: entry outside declared band: kl=1, ku=1, found offsets [{offsets}]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BandedLU(a, 1, 1, label="strip 3")
+
+
+def symmetric_flag(monkeypatch, matrix, kl, ku):
+    """Whether BandedLU finds matrix exactly symmetric."""
+    seen = []
+    monkeypatch.setattr(BandedLU, "_factor",
+                        lambda self, diags, symmetric, label: seen.append(symmetric))
+    BandedLU(matrix, kl, ku)
+    return seen[0]
+
+
+# (row, column, value) entries set on a symmetric (3, 3) band matrix declared
+# (5, 5), or (5, 3): none, an entry in one triangle only, in both, a stored
+# zero, a value changed on one side, and an entry in an upper diagonal that
+# has no lower partner
+SYMMETRY = {"as built": ([], True),
+            "one triangle": ([(7, 2, 0.5)], False),
+            "both triangles": ([(7, 2, 0.5), (2, 7, 0.5)], True),
+            "stored zero": ([(7, 2, 0.0)], True),
+            "one value": ([(4, 3, 1.0 + 1e-15)], False),
+            "no partner diagonal": ([(2, 7, 0.5)], False)}
+
+
+@pytest.mark.parametrize("fmt", ["csr", "dia"])
+@pytest.mark.parametrize("case", SYMMETRY)
+def test_symmetry_on_diagonals_is_the_transpose_test(rng, monkeypatch, case, fmt):
+    entries, symmetric = SYMMETRY[case]
+    a = symmetric_banded(rng, 30, 3).tolil()
+    for i, j, v in entries:
+        a[i, j] = v
+    a = a.tocsr()
+    assert ((a != a.T).nnz == 0) == symmetric
+    kl = 3 if case == "no partner diagonal" else 5
+    assert symmetric_flag(monkeypatch, a.todia() if fmt == "dia" else a, kl, 5) == symmetric
 
 
 # reach 0 swaps no row but is not symmetric; (40, 35) takes zgbtrf's
@@ -155,7 +215,7 @@ def helmholtz_strip(ny, cells, k=20.0):
     kfield = build_wavenumber(grid, HomogeneousModel(k))
     stencil = RectStencil(grid, kfield, {"left": "robin", "right": "robin",
                                          "bottom": "dirichlet", "top": "dirichlet"})
-    return stencil.matrix, stencil.bandwidth
+    return stencil.matrix(), stencil.bandwidth
 
 
 # the matrix numbers nodes along the shorter side: columns of ny + 1 nodes
@@ -379,12 +439,36 @@ def test_swapped_symmetric_strip_keeps_gbtrs(rng, monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
 def test_non_finite_matrix_reports_label(bad):
-    n = 50
-    a = sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1],
-                 dtype=np.complex128).tolil()
+    a = tridiagonal(50).tolil()
     a[17, 18] = bad
     with pytest.raises(ValueError, match="strip 3.*non-finite"):
         BandedLU(a.tocsr(), 1, 1, label="strip 3")
+
+
+# the slots of each diagonal above the first row or below the last column
+@pytest.mark.parametrize("columns", [None, 97], ids=["one chunk", "97 columns"])
+@pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
+def test_dia_slots_outside_the_matrix_are_ignored(monkeypatch, ny, cells, columns):
+    a, band = helmholtz_strip(ny, cells)
+    n = a.shape[0]
+    if columns:
+        chunks_of(monkeypatch, columns, band, band)
+    want = BandedLU(a.tocsr(), band, band)
+    # one more column past the matrix, NaN like the other outside slots
+    data = np.hstack([a.data, np.zeros((len(a.offsets), 1))])
+    for row, o in zip(data, a.offsets):
+        row[:max(0, o)] = np.nan
+        row[n + min(0, o):] = np.nan
+    assert np.isnan(data).sum() == 2 * (1 + band) + len(a.offsets)
+    lu = BandedLU(sp.dia_matrix((data, a.offsets), shape=a.shape), band, band)
+    assert lu._ld is not None and np.array_equal(lu._ld, want._ld)
+    # a NaN inside the matrix is rejected, naming its strip
+    for k, o in enumerate(a.offsets):
+        bad = data.copy()
+        bad[k, max(0, o) + 3] = np.nan
+        with pytest.raises(ValueError, match="^strip 3: matrix has a non-finite entry$"):
+            BandedLU(sp.dia_matrix((bad, a.offsets), shape=a.shape), band, band,
+                     label="strip 3")
 
 
 @pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from helmsweep.grid import (HomogeneousModel, BoundarySpec, robin, dirichlet,
+from helmsweep.grid import (HomogeneousModel, BoundarySpec, RectStencil, robin, dirichlet,
                             build_wavenumber, assemble_global, problem_load,
                             solve_direct)
 from helmsweep.strips import build_strips
@@ -100,10 +103,34 @@ def test_local_matrix_symmetric_and_banded():
     grid, kfield, bc, decomp = small_setup()
     for i in (1, 2, 3):
         solver = LocalSolver(grid, kfield, bc, decomp, i)
-        a = solver.stencil.matrix.tocsr()
+        a = solver.stencil.matrix().tocsr()
         asym = (a - a.T).tocoo()
         assert asym.nnz == 0 or np.max(np.abs(asym.data)) == 0.0
         assert solver.bandwidth <= grid.ny + 2
+
+
+def test_strip_keeps_its_factor_and_not_its_matrix(monkeypatch):
+    # the matrix a strip is factored from is freed once the strip is set
+    # up; neither the strip nor its stencil holds it, as sparse or as an
+    # (ndiag, n) array
+    grid, kfield, bc, decomp = small_setup()
+    made, assemble = [], RectStencil.matrix
+
+    def matrix(stencil):
+        m = assemble(stencil)
+        made.append(weakref.ref(m))
+        return m
+
+    monkeypatch.setattr(RectStencil, "matrix", matrix)
+    for i in (1, 2, 3):
+        solver = LocalSolver(grid, kfield, bc, decomp, i)
+        assert len(made) == i and made[-1]() is None
+        n = solver.stencil.nloc
+        for owner in (solver, solver.stencil):
+            for name, value in vars(owner).items():
+                assert not sp.issparse(value), name
+                assert not (isinstance(value, np.ndarray) and n in value.shape[1:]), name
+        assert solver._lu._ld.shape == (solver.bandwidth + 1, n)
 
 
 def test_factored_matrix_reproduced():
@@ -111,7 +138,7 @@ def test_factored_matrix_reproduced():
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
     assert solver._lu._ld is not None
     dense = reconstruct_dense(solver._lu)
-    err = np.linalg.norm(dense - solver.stencil.matrix.toarray())
+    err = np.linalg.norm(dense - solver.stencil.matrix().toarray())
     assert err <= 1e-10 * np.linalg.norm(dense)
 
 

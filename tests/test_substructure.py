@@ -18,9 +18,10 @@ from helmsweep.grid import (BoundarySpec, WavenumberField, assemble_global, diri
                             problem_load, robin, solve_direct)
 from helmsweep.krylov import gmres_right, richardson
 from helmsweep.strips import StripDecomposition, build_strips
-from helmsweep.subdomain import extract_trace
+from helmsweep.subdomain import LocalSolver, _column_reversal_invariant, extract_trace
 from helmsweep.substructure import SubstructuredSystem, TraceVector
-from conftest import band_storage, dense_matrix, dense_parts, make_case
+from conftest import (band_storage, column_reversal_invariant, dense_matrix, dense_parts,
+                      make_case)
 
 
 def test_layout_slots_and_order():
@@ -408,18 +409,35 @@ def test_pooled_operators_match_serial_loops_bitwise(problem, n, rng):
     assert np.array_equal(system.reconstruct(TraceVector(system.layout, h), f), u)
 
 
+def assert_same_factor(lu, other):
+    for name in ("_ld", "_lu", "_ipiv"):
+        x, y = getattr(lu, name), getattr(other, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+# the coarse waveguide's interior strips pivot (test_pivoted_strips_solve_the_coarse_waveguide)
+FACTOR_SPECS = {**POOLED_SPECS,
+                "coarse waveguide": dict(problem="waveguide", k=20.0, nppwl=4)}
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("problem", sorted(POOLED_SPECS))
+@pytest.mark.parametrize("problem", sorted(FACTOR_SPECS))
 def test_pooled_factors_are_the_serial_ones_bitwise(problem, n):
     # strips factored on the pool store what a factorization on this
-    # thread stores, and what scipy's f2py gbtrf returns
-    spec = ProblemSpec(**POOLED_SPECS[problem], subdomains=n, overlap_cells=2)
+    # thread stores, what one from the same matrix as CSR stores, and what
+    # scipy's f2py gbtrf returns; so does the global system
+    spec = ProblemSpec(**FACTOR_SPECS[problem], subdomains=n, overlap_cells=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         system = BenchContext(spec).system
+    stencil = assemble_global(system.grid, system.kfield, system.bc).stencil
+    bw = stencil.bandwidth
+    assert_same_factor(BandedLU(stencil.matrix().tocsr(), bw, bw),
+                       BandedLU(stencil.matrix(), bw, bw))
     for sv in system.solvers:
-        a, bw = sv.stencil.matrix, sv.bandwidth
+        a, bw = sv.stencil.matrix(), sv.bandwidth
         pooled, serial = sv._lu, BandedLU(a, bw, bw)
+        assert_same_factor(BandedLU(a.tocsr(), bw, bw), pooled)
         ab = band_storage(a, bw, bw)
         full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, bw, bw)
         assert info == 0
@@ -446,7 +464,7 @@ def test_pivoted_strips_solve_the_coarse_waveguide():
     assert [sv._lu._ld is None for sv in ctx.system.solvers] == [False, True, True, True, False]
     direct = assemble_global(ctx.grid, ctx.kfield, ctx.bc)
     bw = direct.stencil.bandwidth
-    assert BandedLU(direct.matrix, bw, bw)._ld is None
+    assert BandedLU(direct.stencil.matrix(), bw, bw)._ld is None
     u = solve_direct(direct)
     for preconditioner, iterations in {"jacobi": 34, "ds": 15, "osds": 29}.items():
         rec = ctx.solve(dataclasses.replace(spec, preconditioner=preconditioner))
@@ -629,6 +647,26 @@ def test_one_sided_paths_per_strip(problem, spec, xy, mirror):
     system = quickstart_system(problem, **spec)
     assert [sv.xy for sv in system.solvers] == xy
     assert [sv.mirror for sv in system.solvers] == mirror
+
+
+@pytest.mark.parametrize("problem", ["waveguide", "cavity"])
+def test_mirror_check_on_diagonals_is_the_permuted_matrix_test(problem):
+    # every strip is numbered along y; the cavity's last strip is no mirror
+    system = quickstart_system(problem)
+    for sv in system.solvers:
+        assert sv.xy
+        assert sv.mirror == column_reversal_invariant(sv.stencil.matrix(), sv.stencil.w + 1)
+    # one wavenumber of strip 3 made 1 % larger, one column in from its
+    # left edge: no mirror; the same one column in from its right edge
+    # too: a mirror again
+    (a, b), values = system.decomp.spans[2], system.kfield.values.copy()
+    for column in (a + 1, b - 1):
+        values[column, 5] *= 1.01
+        sv = LocalSolver(system.grid, WavenumberField(values), system.bc, system.decomp, 3)
+        matrix, columns = sv.stencil.matrix(), sv.stencil.w + 1
+        assert column_reversal_invariant(matrix, columns) == (column == b - 1)
+        assert _column_reversal_invariant(matrix, columns) == (column == b - 1)
+        assert sv.mirror == (column == b - 1)
 
 
 def full_response(system, s, left=None, right=None):

@@ -9,11 +9,12 @@ temporary directory outside both checkouts, and no bytecode is written, so
 nothing is written under either root.  For each benchmark workload the two
 checkouts take turns to run first.
 
-Per checkout and workload, one process sets the workload up through
-``adapter.setup`` and records:
+Per checkout and workload, one process sets the workload up SETUPS times
+through ``adapter.setup`` and records:
 
-- the set-up's wall seconds, and VmHWM and VmRSS after it (MB, from
-  /proc/self/status), so the high-water mark is that one set-up's;
+- the median wall seconds of the set-ups and how many there were, and
+  VmHWM and VmRSS after the first (MB, from /proc/self/status), so the
+  high-water mark is that one set-up's; the others follow the shots;
 - the bytes of the strip factors (kB), and how many of those kB lie on
   transparent huge pages, counted two ways (below);
 - the layout: the factors' bytes, the strips that store only the L D L^T
@@ -69,6 +70,7 @@ from pathlib import Path
 import numpy as np
 
 SEED = 1
+SETUPS = 3
 SHOTS = (0, 1, 2)
 ARRAYS = ("g", "h", "field")
 QUICKSTARTS = {"quick-start": dict(problem="waveguide", k=20.0, subdomains=5,
@@ -148,17 +150,25 @@ def huge_kb_by_page(factors):
     return per
 
 
-def record_workload(workload: str) -> dict:
-    """One set-up of workload, its memory and layout, and shots 0-2."""
+def timed_setup(workload: str):
+    """(seconds, problem) of one adapter.setup of workload."""
     from perfbench import adapter
 
     t0 = time.perf_counter()
     problem = adapter.setup(workload)
-    seconds = time.perf_counter() - t0
+    return time.perf_counter() - t0, problem
+
+
+def record_workload(workload: str) -> dict:
+    """SETUPS set-ups of workload, the first's memory and layout, and its
+    shots 0-2."""
+    from perfbench import adapter
+
+    seconds, problem = timed_setup(workload)
     mem = status()
     factors = factor_ranges(problem)
     solvers = problem.system.solvers
-    rec = {"setup_s": seconds, "vmhwm_mb": mem["VmHWM"], "vmrss_mb": mem["VmRSS"],
+    rec = {"vmhwm_mb": mem["VmHWM"], "vmrss_mb": mem["VmRSS"],
            "factor_kb": sum(n for _, n in factors) // 1024,
            "huge_by_mapping_kb": huge_kb_by_mapping(factors),
            "strips": len(solvers),
@@ -179,6 +189,9 @@ def record_workload(workload: str) -> dict:
         rec[f"shot {i}/true_residual"] = adapter.true_residual(problem, shot.g, shot.h)
         for name in ARRAYS:
             rec[f"shot {i}/{name}"] = getattr(shot, name)
+    del problem, solvers, shot
+    times = [seconds] + [timed_setup(workload)[0] for _ in range(SETUPS - 1)]
+    rec["setup_s"], rec["setups"] = float(np.median(times)), len(times)
     return rec
 
 
@@ -271,7 +284,8 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
     """The lines of one workload's records; worst keeps each array's largest
     difference so far."""
     lines = [
-        f"{workload} set-up: {arrow(p, c, 'setup_s', '{:.3f}')} s, "
+        f"{workload} set-up: median {arrow(p, c, 'setup_s', '{:.3f}')} s of "
+        f"{arrow(p, c, 'setups')} samples, "
         f"VmHWM {arrow(p, c, 'vmhwm_mb', '{:.1f}')} MB, VmRSS {arrow(p, c, 'vmrss_mb', '{:.1f}')} MB",
         f"{workload} factors: {arrow(p, c, 'factor_kb')} kB, on huge pages by mapping "
         f"{arrow(p, c, 'huge_by_mapping_kb')} kB, by page {by_page(p)} -> {by_page(c)}",
