@@ -11,7 +11,11 @@ Every strip matrix is complex symmetric (A = A^T, see grid.py), and zgbtrf
 swaps no row on the benchmark's strips.  Then U = D L^T with D the diagonal
 of U, so only L is kept: its kl + 1 band rows, 1/D in row 0 where L's unit
 diagonal is never read.  That is (kl+1)*n*16 bytes, half of both triangles:
-40 MB for the five waveguide-osds strips, 36 MB for wedge-jacobi.  A solve
+40,028,352 bytes for the five waveguide-osds strips, 36,084,448 for
+wedge-jacobi.  Strips whose factors are bitwise equal store one copy
+(share, below): the waveguide-osds strips then store 15,971,904 bytes, one
+factor for the two edge strips and one for the three interior ones, and
+the wedge-jacobi strips, all different, still 36,084,448.  A solve
 is ztbsv with L, a multiply by 1/D, and ztbsv with L^T (trans 'T': the
 plain transpose, not the conjugate transpose), all in place on one array:
 the caller's right-hand side itself if it hands it over (overwrite_rhs),
@@ -59,6 +63,18 @@ BENCH_13.json).  It is the same OpenBLAS routine the wrappers call, so the
 results are bitwise equal; a lone call costs 1-4 % more through ctypes.
 solve() may run on one factor from several threads at once, and counts
 every call under a lock.
+
+BandedLU.share(other) makes a factorization read other's stored arrays and
+drops its own when the two hold the same bytes: same (n, kl, ku), same
+storage kind, and equal bits in every entry, so 0.0 and -0.0 differ.  An
+unequal pair of one shape is usually told apart on a sample of _SAMPLE
+columns: 0.1 ms for wedge-jacobi's strips 2 and 4, where comparing all of
+them took 1.7 ms; an equal waveguide-osds interior pair costs 1.1 ms.  The
+shared arrays are only read, so solves on them from several factorizations
+need no lock; each keeps its own counters and ztbsv arguments.  The
+three waveguide-osds interior strips solved in turn so read one 8 MB
+factor instead of three, at 0.17 ms per MB of factor instead of 0.31: what
+one strip solved again and again costs, 0.16-0.17 (BENCH_25.json).
 
 The kept factor and the chunk workspace, which is zgbtrf's LU when it is
 kept, are each a private anonymous mapping of their own, so each goes straight
@@ -195,6 +211,16 @@ def _chunk_columns(kl: int, ku: int) -> int:
     return max(kl, 1, _CHUNK_BYTES // (16 * (2 * kl + ku + 1)))
 
 
+# the columns BandedLU.share compares before all of them
+_SAMPLE = 64
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The Fortran-ordered a by columns, one row each, as integers that are
+    equal exactly where a's bytes are: 0.0 and -0.0 differ."""
+    return a.T.view(np.uint64) if a.dtype == np.complex128 else a.T
+
+
 class BandedLU:
     """LU factorization of a banded complex matrix, computed once at init.
 
@@ -300,6 +326,35 @@ class BandedLU:
     def nbytes(self) -> int:
         """Bytes of the stored factors and pivot indices."""
         return sum(a.nbytes for a in (self._ld, self._lu, self._ipiv) if a is not None)
+
+    @property
+    def factor(self) -> ComplexArray:
+        """The stored factor, _ld or else _lu: the same array on every
+        BandedLU that shares it."""
+        return self._lu if self._ld is None else self._ld
+
+    def share(self, other: "BandedLU") -> bool:
+        """Read other's stored arrays from now on, and drop this one's, if
+        they hold the same bytes; True if so.
+
+        A pair of another (n, kl, ku) or storage kind is refused first, then
+        one that differs on every _SAMPLE-th column, so an unequal pair of
+        one shape costs a fraction of the full comparison.  The counters
+        stay this object's own.
+        """
+        if (self.n, self.kl, self.ku) != (other.n, other.kl, other.ku):
+            return False
+        mine, theirs = (self._ld, self._lu, self._ipiv), (other._ld, other._lu, other._ipiv)
+        if any((a is None) != (b is None) for a, b in zip(mine, theirs)):
+            return False
+        pairs = [(_bits(a), _bits(b)) for a, b in zip(mine, theirs) if a is not None]
+        step = max(1, self.n // _SAMPLE)
+        if not all(np.array_equal(a[::step], b[::step]) for a, b in pairs):
+            return False
+        if not all(np.array_equal(a, b) for a, b in pairs):
+            return False
+        self._ld, self._lu, self._ipiv = theirs
+        return True
 
     def _ldlt(self, x: ComplexArray, head: int, keep: int) -> None:
         """Overwrite rows >= keep of the (n, k) Fortran-ordered x with those of

@@ -132,6 +132,7 @@ class RunRecord:
     strip_rows: int = 0
     factorizations: int = 0
     lu_bytes: int = 0
+    distinct_factors: int = 0
     workers: int = 1
     stop: str = "tol"
     seconds: list = dataclasses.field(default_factory=list)
@@ -228,6 +229,8 @@ class BenchContext:
         counts = {f"{t:g}": iterations_at(report.history, t, spec.maxit)
                   for t in spec.tolerances}
         u = system.reconstruct(h)
+        # strips that share a factor store it once
+        stored = {id(sv.factor): sv.lu_bytes for sv in system.solvers}
         return RunRecord(spec=spec, counts=counts, history=list(report.history),
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=self.g.data.size,
@@ -240,7 +243,7 @@ class BenchContext:
                          strip_rows=sum(sv.row_count for sv in system.solvers)
                          - rows_before,
                          factorizations=sum(sv.factor_count for sv in system.solvers),
-                         lu_bytes=sum(sv.lu_bytes for sv in system.solvers),
+                         lu_bytes=sum(stored.values()), distinct_factors=len(stored),
                          workers=WORKERS,
                          stop=report.stop, seconds=list(report.seconds),
                          waived=[] if self.decomp.width_bound_ok else ["width_bound"],

@@ -129,8 +129,20 @@ class LocalSolver:
 
     @property
     def lu_bytes(self) -> int:
-        """Bytes of the stored LU factors and pivot indices."""
+        """Bytes of the LU factors and pivot indices this strip's solves
+        read, whether or not another strip shares them."""
         return self._lu.nbytes
+
+    @property
+    def factor(self) -> ComplexArray:
+        """The stored factor array, the same object on every strip that
+        shares it."""
+        return self._lu.factor
+
+    def share(self, other: "LocalSolver") -> bool:
+        """Solve with other's factor from now on, and drop this strip's, if
+        the two are bitwise equal (BandedLU.share); True if so."""
+        return self._lu.share(other._lu)
 
     @property
     def bandwidth(self) -> int:

@@ -55,6 +55,21 @@ factorization is the serial one, so every result is bitwise the same.  A
 failure is raised once every strip of the call is done, the first in strip
 order.
 
+Every strip is still assembled and factored, but strips whose factors are
+bitwise equal store one copy.  As each construction ends it compares its
+factor, under a lock, with those the earlier ones kept, and on a match
+reads that one and drops its own (BandedLU.share): on a homogeneous
+waveguide the two edge strips share one factor and the interior strips
+another, so waveguide-osds stores 16 MB of factors instead of 40, and a
+sweep reads one 8 MB interior factor instead of three.  A heterogeneous
+problem such as the wedge shares nothing.  Each strip keeps its own solve
+counts.  The kept factors are a local of the constructor, so a system
+dropped frees its factors, and two systems never share.  Factoring each
+distinct matrix only once would save the duplicate factorizations too,
+but the benchmark checks one factorization span per strip
+(perfbench/tests/test_perfbench.py), so that waits for ROADMAP items 1
+and 2.
+
 Every operator is a pattern of LocalSolver.respond, which tells its strip
 solve which node columns the outgoing traces read.  A solve with one-sided
 data and no load, every sweep solve and the two edge solves of an exchange
@@ -66,6 +81,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -165,8 +181,18 @@ class SubstructuredSystem:
         self._edges = list(_edge_loads(grid, bc))
         self.decomp = decomp
         self.nstrips = decomp.nstrips
-        self.solvers = _map(lambda s: LocalSolver(grid, kfield, bc, decomp, s + 1),
-                            decomp.nstrips)
+        # the strips that keep their own factor; a later strip with a bitwise
+        # equal one reads theirs and drops its own copy
+        kept, lock = [], threading.Lock()
+
+        def build(s):
+            sv = LocalSolver(grid, kfield, bc, decomp, s + 1)
+            with lock:
+                if not any(sv.share(other) for other in kept):
+                    kept.append(sv)
+            return sv
+
+        self.solvers = _map(build, decomp.nstrips)
         self.layout = (2, decomp.nstrips - 1, grid.ny + 1)
         # (r, y, partial R y) of the last solve_oneway, for one
         # apply_interface_system on y

@@ -610,3 +610,64 @@ def test_concurrent_solves_counted_and_bitwise(rng, kind):
     assert not any(w.is_alive() for w in workers)
     assert bad == []
     assert lu.solve_count == threads * solves
+
+
+def factor_pair(rng, kind):
+    """Two BandedLU of one matrix, stored as L D L^T or as zgbtrf's LU."""
+    a = symmetric_banded(rng, 300, 3) if kind == "ldlt" else shuffled_dominant(rng, 300, 3, 3, 1)
+    first, second = BandedLU(a, 3, 3), BandedLU(a, 3, 3)
+    assert (first._ld is not None) == (kind == "ldlt")
+    return first, second
+
+
+@pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])
+def test_share_reads_an_equal_factor_and_keeps_its_counts(rng, kind):
+    first, second = factor_pair(rng, kind)
+    b = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    x = second.solve(b)
+    assert second.share(first)
+    assert second.factor is first.factor
+    assert second._ipiv is first._ipiv
+    assert np.array_equal(second.solve(b), x)
+    assert (first.solve_count, second.solve_count) == (0, 2)
+    assert (first.factor_count, second.factor_count) == (1, 1)
+
+
+# one bit of an entry that the sampled columns miss: a value, the sign of a
+# zero in the unused corner of the factor, and a pivot index
+ONE_ENTRY = {"value": ("ldlt", "factor", (1, 301 % 64)),
+             "zero sign": ("ldlt", "factor", (3, 299)),
+             "lu value": ("gbtrs", "factor", (7, 301 % 64)),
+             "pivot": ("gbtrs", "_ipiv", (301 % 64,))}
+
+
+@pytest.mark.parametrize("case", ONE_ENTRY.values(), ids=ONE_ENTRY.keys())
+def test_share_refuses_a_factor_one_entry_apart(rng, case):
+    kind, name, at = case
+    first, second = factor_pair(rng, kind)
+    step = 300 // banded._SAMPLE
+    assert at[-1] % step
+    array = getattr(second, name)
+    if name == "_ipiv":
+        array[at] = 300 + 1 - array[at]
+    elif array[at] == 0:
+        array[at] = -0.0
+    else:
+        array[at] = np.nextafter(array[at].real, np.inf) + 1j * array[at].imag
+    kept = getattr(second, name)
+    assert not second.share(first) and not first.share(second)
+    assert second.factor is not first.factor and getattr(second, name) is kept
+
+
+def test_share_refuses_another_shape_or_storage_kind(rng):
+    a = symmetric_banded(rng, 300, 3)
+    ld = BandedLU(a, 3, 3)
+    others = {"n": BandedLU(symmetric_banded(rng, 299, 3), 3, 3),
+              # one matrix, a band declared wider: another kl, or ku alone
+              "kl": BandedLU(a, 4, 4), "ku": BandedLU(a, 3, 4),
+              "storage": BandedLU(shuffled_dominant(rng, 300, 3, 3, 1), 3, 3)}
+    assert others["ku"]._ld.shape == ld._ld.shape and others["storage"]._ld is None
+    for name, other in others.items():
+        assert not ld.share(other), name
+        assert not other.share(ld), name
+        assert ld.factor is not other.factor

@@ -144,15 +144,17 @@ def test_record_counts_solves_and_factor_bytes(tmp_path):
     record = ctx.solve(spec)
     assert (record.counts["1e-06"], record.strip_solves) == (8, 74)
     assert record.factorizations == 5
-    # no strip swaps a row, so each stores its L and D band rows only
+    # no strip swaps a row, so each stores its L and D band rows only; the
+    # two edge strips share one factor and the three interior strips another
     lus = [sv._lu for sv in ctx.system.solvers]
     assert all(lu._lu is None and lu._ipiv is None for lu in lus)
-    assert record.lu_bytes == sum(lu._ld.nbytes for lu in lus)
+    stored = {id(lu._ld): lu._ld.nbytes for lu in lus}
+    assert (record.distinct_factors, record.lu_bytes) == (2, sum(stored.values()))
 
     bench.write_outputs(record, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert (manifest["strip_solves"], manifest["factorizations"],
-            manifest["lu_bytes"]) == (74, 5, record.lu_bytes)
+    assert (manifest["strip_solves"], manifest["factorizations"], manifest["lu_bytes"],
+            manifest["distinct_factors"]) == (74, 5, record.lu_bytes, 2)
     assert manifest["strip_rows"] == record.strip_rows
 
 

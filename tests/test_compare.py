@@ -34,6 +34,14 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     assert len(shots) == len(compare.SHOTS) and len(lines) == len(shots) + 5 + len(paths)
     assert all("g bitwise, h bitwise, field bitwise" in line for line in shots)
     assert f"strips {TINY['subdomains']} -> {TINY['subdomains']}" in lines[2]
+    # the two edge strips of the tiny waveguide store one factor, so the
+    # stored bytes are an edge strip's and the interior strip's
+    assert "distinct factors 2 -> 2" in lines[2]
+    solvers = adapter.setup("tiny").system.solvers
+    assert rec["tiny"]["factor_bytes"] == solvers[0].lu_bytes + solvers[1].lu_bytes
+    low, high = rec["tiny"]["setup_min_s"], rec["tiny"]["setup_max_s"]
+    assert low <= rec["tiny"]["setup_s"] <= high
+    assert f"range {low:.3f}-{high:.3f} -> {low:.3f}-{high:.3f} s" in lines[0]
     coarse = [line for line in lines if line.startswith("coarse quick-start")]
     assert [line.split(":")[0] for line in coarse] == [f"coarse quick-start {p}" for p in paths]
     assert all(line.endswith(", field bitwise") for line in coarse)

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import math
 import multiprocessing
 import sys
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -724,3 +726,73 @@ def test_one_trace_edge_solves_sweep_few_rows(rng):
         want = full_response(system, s, **data)
         assert got[1 - i] is None
         assert np.linalg.norm(got[i] - want[i]) <= 1e-13 * np.linalg.norm(want[i])
+
+
+def test_equal_strips_share_one_stored_factor():
+    # the quick-start waveguide's two edge strips have one matrix and its
+    # three interior strips another: each is still factored, and each pair
+    # of equal factors is stored once
+    system = quickstart_system("waveguide")
+    f = [sv.factor for sv in system.solvers]
+    assert len({id(a) for a in f}) == 2
+    assert f[0] is f[4] and f[1] is f[2] is f[3]
+    assert [sv.factor_count for sv in system.solvers] == [1] * 5
+
+
+def test_strips_sharing_a_factor_count_their_own_solves(rng):
+    # the sweeps solve each interior strip twice, the record path each
+    # edge strip once, and a full exchange every strip once
+    system = quickstart_system("waveguide")
+    solvers = system.solvers
+    size = math.prod(system.layout)
+    r = TraceVector(system.layout, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    before = [sv.solve_count for sv in solvers]
+    y = system.solve_oneway(r)
+    system.apply_interface_system(y)
+    system.apply_exchange(y)
+    solved = [sv.solve_count - b for sv, b in zip(solvers, before)]
+    assert solved == [2, 3, 3, 3, 2]
+    assert sum(sv._lu.solve_count for sv in solvers) - sum(before) == sum(solved) == 13
+
+
+def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
+    # a strip that reads another's factor sends the traces a strip built
+    # and factored alone sends, on one-sided and on two-sided data
+    system = quickstart_system("waveguide")
+    nb = system.grid.ny + 1
+    for s, sv in enumerate(system.solvers):
+        fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
+        assert fresh.factor is not sv.factor
+        left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
+        cases = [dict(left=left), dict(right=right), dict(left=left, right=right)]
+        for data in cases:
+            data = {side: d for side, d in data.items() if getattr(sv, "has_" + side)}
+            if not data:
+                continue
+            for a, b in zip(sv.respond(**data), fresh.respond(**data)):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_wedge_strips_share_no_factor():
+    # every wedge strip sees other wavenumbers; strips 2 and 4 have one
+    # shape, so share compares them and refuses
+    system = quickstart_system("wedge", k=None, omega=30.0, nppwl=8, overlap_cells=2)
+    assert len({id(sv.factor) for sv in system.solvers}) == system.nstrips == 5
+
+
+def test_systems_share_nothing_and_free_their_factors():
+    # the factors kept for sharing live as long as the system that keeps
+    # them: a second system of the same problem stores its own, and
+    # dropping the first frees its arrays
+    first, second = quickstart_system("waveguide"), quickstart_system("waveguide")
+    assert not ({id(sv.factor) for sv in first.solvers}
+                & {id(sv.factor) for sv in second.solvers})
+    refs = [weakref.ref(sv.factor) for sv in first.solvers]
+    del first
+    # a pool thread may still hold the construction's last work item for a moment
+    deadline = time.monotonic() + 10
+    while any(r() is not None for r in refs) and time.monotonic() < deadline:
+        gc.collect()
+        time.sleep(0.01)
+    assert all(r() is None for r in refs)
+    assert len({id(sv.factor) for sv in second.solvers}) == 2

@@ -12,12 +12,16 @@ checkouts take turns to run first.
 Per checkout and workload, one process sets the workload up SETUPS times
 through ``adapter.setup`` and records:
 
-- the median wall seconds of the set-ups and how many there were, and
-  VmHWM and VmRSS after the first (MB, from /proc/self/status), so the
-  high-water mark is that one set-up's; the others follow the shots;
-- the bytes of the strip factors (kB), and how many of those kB lie on
-  transparent huge pages, counted two ways (below);
-- the layout: the factors' bytes, the strips that store only the L D L^T
+- the median, least and largest wall seconds of the set-ups and how many
+  there were (set-ups in one process swing widely, so the median alone
+  reads like a comparison it is not), and VmHWM and VmRSS after the first
+  (MB, from /proc/self/status), so the high-water mark is that one
+  set-up's; the others follow the shots;
+- the bytes of the stored strip factors (kB), a factor that several strips
+  share counted once, and how many of those kB lie on transparent huge
+  pages, counted two ways (below);
+- the layout: the strips, the distinct stored factors and their bytes
+  with the pivots, the strips that store only the L D L^T
   band rows, (bandwidth + 1) * n * 16 bytes, and the strips whose
   one-sided solves skip factor rows: those numbered along y, which solve a
   right datum alone on the trailing rows, and of those the mirror strips,
@@ -52,7 +56,7 @@ Huge pages by mapping: /proc/self/smaps gives AnonHugePages per mapping, so
 a mapping that holds factors adds its AnonHugePages, capped at the factor
 bytes it holds.  Where the factors have mappings of their own the count is
 exact; where a mapping also holds other data (a malloc heap) it is an
-upper bound.  By page, in all and per strip: each resident page of a
+upper bound.  By page, in all and per stored factor: each resident page of a
 factor whose frame /proc/kpageflags marks as part of a transparent huge
 page (bit 22), found through /proc/self/pagemap.  A process that may not
 read frame numbers (they read as 0 without CAP_SYS_ADMIN) prints "n/a".
@@ -106,13 +110,14 @@ def huge_pages() -> list:
 
 
 def factor_ranges(problem) -> list:
-    """(address, bytes) of each strip's stored factor, in strip order."""
-    out = []
+    """(address, bytes, bytes with pivots) of each stored strip factor, in
+    strip order; a factor that several strips share is listed once."""
+    out = {}
     for sv in problem.system.solvers:
         lu = sv._lu
         a = lu._ld if lu._ld is not None else lu._lu
-        out.append((a.ctypes.data, a.nbytes))
-    return out
+        out.setdefault(a.ctypes.data, (a.nbytes, sv.lu_bytes))
+    return [(start, size, stored) for start, (size, stored) in out.items()]
 
 
 def huge_kb_by_mapping(factors) -> int:
@@ -120,7 +125,8 @@ def huge_kb_by_mapping(factors) -> int:
     at the factor bytes it holds."""
     total = 0
     for lo, hi, huge in huge_pages():
-        held = sum(max(0, min(hi, start + size) - max(lo, start)) for start, size in factors)
+        held = sum(max(0, min(hi, start + size) - max(lo, start))
+                   for start, size, _ in factors)
         total += min(huge, held)
     return total // 1024
 
@@ -132,7 +138,7 @@ def huge_kb_by_page(factors):
     per = []
     try:
         with open("/proc/self/pagemap", "rb") as pagemap, open("/proc/kpageflags", "rb") as flags:
-            for start, size in factors:
+            for start, size, _ in factors:
                 first, last = start // page, (start + size - 1) // page
                 pagemap.seek(first * 8)
                 count = last - first + 1
@@ -169,10 +175,11 @@ def record_workload(workload: str) -> dict:
     factors = factor_ranges(problem)
     solvers = problem.system.solvers
     rec = {"vmhwm_mb": mem["VmHWM"], "vmrss_mb": mem["VmRSS"],
-           "factor_kb": sum(n for _, n in factors) // 1024,
+           "factor_kb": sum(size for _, size, _ in factors) // 1024,
            "huge_by_mapping_kb": huge_kb_by_mapping(factors),
            "strips": len(solvers),
-           "factor_bytes": sum(sv.lu_bytes for sv in solvers),
+           "factors": len(factors),
+           "factor_bytes": sum(stored for _, _, stored in factors),
            "ldlt_strips": sum(sv.lu_bytes == (sv.bandwidth + 1) * sv.stencil.nloc * 16
                               for sv in solvers),
            "right_strips": sum(getattr(sv, "xy", False) for sv in solvers),
@@ -192,6 +199,7 @@ def record_workload(workload: str) -> dict:
     del problem, solvers, shot
     times = [seconds] + [timed_setup(workload)[0] for _ in range(SETUPS - 1)]
     rec["setup_s"], rec["setups"] = float(np.median(times)), len(times)
+    rec["setup_min_s"], rec["setup_max_s"] = min(times), max(times)
     return rec
 
 
@@ -277,19 +285,24 @@ def by_page(rec: dict) -> str:
     per = rec.get("huge_by_page_kb")
     if per is None:
         return "n/a"
-    return f"{sum(per)} kB (per strip {' '.join(map(str, per))})"
+    return f"{sum(per)} kB (per factor {' '.join(map(str, per))})"
+
+
+def setup_range(rec: dict) -> str:
+    return f"{rec['setup_min_s']:.3f}-{rec['setup_max_s']:.3f}"
 
 
 def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
     """The lines of one workload's records; worst keeps each array's largest
     difference so far."""
     lines = [
-        f"{workload} set-up: median {arrow(p, c, 'setup_s', '{:.3f}')} s of "
-        f"{arrow(p, c, 'setups')} samples, "
+        f"{workload} set-up: median {arrow(p, c, 'setup_s', '{:.3f}')} s, "
+        f"range {setup_range(p)} -> {setup_range(c)} s, of {arrow(p, c, 'setups')} samples, "
         f"VmHWM {arrow(p, c, 'vmhwm_mb', '{:.1f}')} MB, VmRSS {arrow(p, c, 'vmrss_mb', '{:.1f}')} MB",
         f"{workload} factors: {arrow(p, c, 'factor_kb')} kB, on huge pages by mapping "
         f"{arrow(p, c, 'huge_by_mapping_kb')} kB, by page {by_page(p)} -> {by_page(c)}",
-        f"{workload} layout: strips {arrow(p, c, 'strips')}, factor bytes "
+        f"{workload} layout: strips {arrow(p, c, 'strips')}, "
+        f"distinct factors {arrow(p, c, 'factors')}, factor bytes "
         f"{arrow(p, c, 'factor_bytes')}, L D L^T strips {arrow(p, c, 'ldlt_strips')}, "
         f"right-datum strips {arrow(p, c, 'right_strips')}, "
         f"mirror strips {arrow(p, c, 'mirror_strips')}"]
