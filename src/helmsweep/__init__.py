@@ -16,10 +16,8 @@ from .strips import StripDecomposition, build_strips
 from .subdomain import LocalSolver, extract_trace
 from .substructure import SubstructuredSystem, TraceVector
 from .krylov import gmres_right
-from .symbols import (AlgebraReport, C_factor, OverlapSearch, SymbolMatrices,
-                      SymbolParams, find_vanishing_overlap, lambda_symbol,
-                      lambda_waveguide, rho_factor, symbol_matrices,
-                      verify_symbol_algebra)
+from .symbols import (C_factor, SymbolMatrices, SymbolParams, lambda_symbol,
+                      lambda_waveguide, rho_factor, symbol_matrices)
 from .bench import (ProblemSpec, RunRecord, build_problem, read_field, run,
                     run_methods, sweep_study)
 
@@ -33,10 +31,8 @@ __all__ = [
     "LocalSolver", "extract_trace",
     "SubstructuredSystem", "TraceVector",
     "gmres_right",
-    "AlgebraReport", "C_factor", "OverlapSearch", "SymbolMatrices",
-    "SymbolParams", "find_vanishing_overlap", "lambda_symbol",
+    "C_factor", "SymbolMatrices", "SymbolParams", "lambda_symbol",
     "lambda_waveguide", "rho_factor", "symbol_matrices",
-    "verify_symbol_algebra",
     "ProblemSpec", "RunRecord", "build_problem", "read_field", "run",
     "run_methods", "sweep_study",
 ]

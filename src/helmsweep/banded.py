@@ -10,24 +10,17 @@ band.  A matrix with a non-finite entry is rejected before factoring.
 Every strip matrix is complex symmetric (A = A^T, see grid.py), and zgbtrf
 swaps no row on the benchmark's strips.  Then U = D L^T with D the diagonal
 of U, so only L is kept: its kl + 1 band rows, 1/D in row 0 where L's unit
-diagonal is never read.  That is (kl+1)*n*16 bytes, half of both triangles:
-40,028,352 bytes for the five waveguide-osds strips, 36,084,448 for
-wedge-jacobi.  Strips whose factors are bitwise equal store one copy
-(share, below): the waveguide-osds strips then store 15,971,904 bytes, one
-factor for the two edge strips and one for the three interior ones, and
-the wedge-jacobi strips, all different, still 36,084,448.  A solve
-is ztbsv with L, a multiply by 1/D, and ztbsv with L^T (trans 'T': the
-plain transpose, not the conjugate transpose), all in place on one array:
-the caller's right-hand side itself if it hands it over (overwrite_rhs),
-else a copy.  The second pass re-reads an L still in cache: a strip solve
-made in turn with the other strips costs 2.1 ms instead of 3.0 on
-waveguide-osds and 2.1 instead of 2.7 on wedge-jacobi.  A multiply by the
-strided row 1/D costs the largest wedge-jacobi strip (n 11086) 16 us where
-a division by D took 52 us (BENCH_23.json).
+diagonal is never read.  That is (kl+1)*n*16 bytes, half of both triangles.
+Strips whose factors are bitwise equal store one copy (share, below).  A
+solve is ztbsv with L, a multiply by 1/D, and ztbsv with L^T (trans 'T':
+the plain transpose, not the conjugate transpose), all in place on one
+array: the caller's right-hand side itself if it hands it over
+(overwrite_rhs), else a copy.  The second pass so re-reads an L still in
+cache, and a multiply by the strided row 1/D is cheaper than a division by
+D (BENCH_23.json).
 
 Such a matrix is factored one chunk of columns at a time, in a single
-zgbtrf workspace of about 4 MiB (_CHUNK_BYTES) reused along it: 1115
-columns of a waveguide-osds strip, 6 chunks.  Chunk [c0, c1)
+zgbtrf workspace of _CHUNK_BYTES reused along it.  Chunk [c0, c1)
 is rows c0 .. c1 + kl - 1 of its columns, all the rows their multipliers
 reach, so zgbtrf(M = min(n, c1 + kl) - c0, N = c1 - c0) leaves their L and
 D complete, and its rows kl + ku .. go straight into the kept factor.  The
@@ -38,9 +31,9 @@ chunk to the next: read from the kept factor and subtracted before zgbtrf
 runs.  Row 0 takes 1/D once the last chunk is done.  A matrix of one chunk
 is one zgbtrf call on its LAPACK band storage, so its L is zgbtrf's bit for
 bit, and row 0 is 1.0 / D of it.  A longer one differs from that by
-roundoff: 1.4e-15 of the largest entry on the benchmark strips.  A
-factorization so holds its factor and 4 MiB, where one call on the whole
-matrix held a workspace three times the factor.
+roundoff.  A factorization so holds its factor and one chunk's workspace,
+where a zgbtrf workspace of the whole matrix is three times the factor
+(BENCH_20.json).
 
 Any other matrix goes through the same loop as one chunk of n columns and
 keeps that chunk's workspace and pivots, zgbtrf's own LU, to be solved by
@@ -56,37 +49,34 @@ zgbtrs) call their kernel through the function pointer that scipy's Cython
 BLAS/LAPACK API exports (scipy.linalg.cython_blas and cython_lapack), as a
 ctypes function.  A ctypes call releases the GIL, so strips factored or
 solved on different threads run side by side; scipy's f2py wrappers hold it
-and serialize them.  Solving the five wedge-jacobi strips in turn on two
-threads costs 0.75 ms a solve against 1.30 ms on one; through the wrappers
-two threads took 1.40 ms against 1.22 ms (one BLAS thread, 2 shared cores,
-BENCH_13.json).  It is the same OpenBLAS routine the wrappers call, so the
-results are bitwise equal; a lone call costs 1-4 % more through ctypes.
-solve() may run on one factor from several threads at once, and counts
-every call under a lock.
+and serialize them, so through them two threads solved the wedge-jacobi
+strips no faster than one (BENCH_13.json).  It is the same OpenBLAS
+routine the wrappers call, so the results are bitwise equal.  solve() may
+run on one factor from several threads at once, and counts every call
+under a lock.
 
 BandedLU.share(other) makes a factorization read other's stored arrays and
 drops its own when the two hold the same bytes: same (n, kl, ku), same
 storage kind, and equal bits in every entry, so 0.0 and -0.0 differ.  An
 unequal pair of one shape is usually told apart on a sample of _SAMPLE
-columns: 0.1 ms for wedge-jacobi's strips 2 and 4, where comparing all of
-them took 1.7 ms; an equal waveguide-osds interior pair costs 1.1 ms.  The
-shared arrays are only read, so solves on them from several factorizations
-need no lock; each keeps its own counters and ztbsv arguments.  The
-three waveguide-osds interior strips solved in turn so read one 8 MB
-factor instead of three, at 0.17 ms per MB of factor instead of 0.31: what
-one strip solved again and again costs, 0.16-0.17 (BENCH_25.json).
+columns, at a fraction of the cost of comparing all of them.  The shared
+arrays are only read, so solves on them from several factorizations need
+no lock; each keeps its own counters and ztbsv arguments.  Strips solved
+in turn that share a factor cost per MB of factor what one strip solved
+again and again costs, less than strips with factors of their own
+(BENCH_25.json).
 
 The kept factor and the chunk workspace, which is zgbtrf's LU when it is
 kept, are each a private anonymous mapping of their own, so each goes straight
 back to the OS when released, not to a malloc arena of the thread that
-factored it.  As numpy does for its arrays of 4 MiB and more, a mapping
-that large starts on a 2 MiB boundary and is advised onto transparent huge
-pages before its first touch, up to the end of the huge page the array ends
-in, so all of it can be: every benchmark factor is.  A factor whose last
-part stayed on small pages made shots 4-6 % slower (BENCH_20.json).  The
-workspace of a matrix of several chunks is advised too: it is
-_CHUNK_BYTES, two huge pages, and on small pages its faults cost several
-per cent of a set-up.
+factored it.  As numpy does for its arrays of _HUGE_FROM bytes and more, a
+mapping that large starts on a huge page boundary and is advised onto
+transparent huge pages before its first touch, up to the end of the huge
+page the array ends in, so all of it can be: every benchmark factor is.  A
+factor whose last part stayed on small pages made shots slower
+(BENCH_20.json).  The workspace of a matrix of several chunks is advised
+too: it is _CHUNK_BYTES, whole huge pages, and on small pages its page
+faults slow a set-up.
 
 A strip solve with data on one side only need not sweep the whole factor
 (the sparse right-hand sides of Gilbert & Peierls, SISC 9(5), 1988, and
@@ -99,8 +89,7 @@ ztbsv on a trailing block of the factor, reached by offsetting the
 pointers, and does on the rows it keeps the arithmetic of the full pass:
 those rows are bitwise the full solve.  Rows < keep are NaN, so a read of
 one fails loudly.  The zgbtrs fallback always solves in full.  row_count
-adds up the factor columns the passes sweep, per right-hand side: 2 n for
-a full solve.
+adds up the factor columns the passes sweep: 2 n for a full solve.
 """
 
 from __future__ import annotations
@@ -151,10 +140,9 @@ def _ints(*values):
 _HUGE_FROM = 4 << 20
 _HUGE_PAGE = 2 << 20
 _PRIVATE = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-# the workspace zgbtrf factors one chunk of a symmetric band matrix in, the
-# L2 cache of one core of the 2-core host of BENCH_20.json.  Of 0.5, 1, 2
-# and 4 MiB, 4 factored the benchmark strips fastest there, and its peak
-# memory was within 2 MB of the smallest's.
+# the workspace zgbtrf factors one chunk of a symmetric band matrix in: of
+# the sizes tried, the one that factored the benchmark strips fastest, at a
+# peak memory close to the smallest's (BENCH_20.json)
 _CHUNK_BYTES = 4 << 20
 
 
@@ -275,9 +263,8 @@ class BandedLU:
         for width in (chunk, n) if chunk < n else (chunk,):
             # ztbsv reads the factor with leading dimension kl + 1
             ld = _workspace(kl + 1, n) if symmetric else None
-            # a whole chunk's workspace fills the two huge pages of
-            # _CHUNK_BYTES; on small pages, a page fault per 4 kB of it cost
-            # several per cent of a set-up
+            # a whole chunk's workspace fills the huge pages of _CHUNK_BYTES;
+            # on small pages, its page faults slow a set-up
             ws = _workspace(rows, min(n, width), huge=n > width)
             ipiv = np.empty(ws.shape[1], np.intc)
             unswapped = np.arange(1, ws.shape[1] + 1, dtype=np.intc)
@@ -357,26 +344,25 @@ class BandedLU:
         return True
 
     def _ldlt(self, x: ComplexArray, head: int, keep: int) -> None:
-        """Overwrite rows >= keep of the (n, k) Fortran-ordered x with those of
+        """Overwrite rows >= keep of the contiguous (n,) x with those of
         L^-T D^-1 L^-1 x, for x[:head] == 0, and rows < keep with NaN."""
         k, lda, inc = self._tbsv_args
         lower, upper = _ints(self.n - head, self.n - keep)
         # column j of the factor starts (kl + 1) entries after column j - 1
         ld = self._ld.ctypes.data
         step = self._ld.strides[1]
+        at = x.ctypes.data
         # rows < head stay zero and rows < keep are dropped
         start = max(head, keep)
-        for c in x.T:
-            at = c.ctypes.data
-            _ztbsv(b"L", b"N", b"U", lower, k, ld + head * step, lda, at + head * c.itemsize, inc)
-            c[start:] *= self._ld[0, start:]
-            _ztbsv(b"L", b"T", b"U", upper, k, ld + keep * step, lda, at + keep * c.itemsize, inc)
-            c[:keep] = np.nan
+        _ztbsv(b"L", b"N", b"U", lower, k, ld + head * step, lda, at + head * x.itemsize, inc)
+        x[start:] *= self._ld[0, start:]
+        _ztbsv(b"L", b"T", b"U", upper, k, ld + keep * step, lda, at + keep * x.itemsize, inc)
+        x[:keep] = np.nan
 
     def _gbtrs(self, x: ComplexArray) -> None:
-        """Overwrite the (n, k) Fortran-ordered x with A^-1 x by zgbtrs."""
+        """Overwrite the contiguous (n,) x with A^-1 x by zgbtrs."""
         info = ctypes.c_int(0)
-        _zgbtrs(b"N", *_ints(self.n, self.kl, self.ku, x.shape[1]), self._lu.ctypes.data,
+        _zgbtrs(b"N", *_ints(self.n, self.kl, self.ku, 1), self._lu.ctypes.data,
                 *_ints(2 * self.kl + self.ku + 1), self._ipiv.ctypes.data, x.ctypes.data,
                 *_ints(self.n), ctypes.byref(info))
         if info.value != 0:
@@ -384,27 +370,26 @@ class BandedLU:
 
     def solve(self, rhs: ComplexArray, head: int = 0, keep: int = 0,
               overwrite_rhs: bool = False) -> ComplexArray:
-        """x with A x = rhs, for a right-hand side of shape (n,) or (n, k).
+        """x with A x = rhs, for a right-hand side of shape (n,).
 
         rhs[:head] must be zero, and only x[keep:] is solved for: x[:keep]
         is NaN.  The zgbtrs fallback ignores both and solves in full.  With
-        overwrite_rhs, a Fortran-ordered complex128 rhs is solved in place
-        and returned; any other rhs is copied, as it always is without it.
+        overwrite_rhs, a contiguous complex128 rhs is solved in place and
+        returned; any other rhs is copied, as it always is without it.
         """
-        x = (np.asarray if overwrite_rhs else np.array)(rhs, dtype=np.complex128, order="F")
-        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+        x = (np.asarray if overwrite_rhs else np.array)(rhs, dtype=np.complex128, order="C")
+        if x.shape != (self.n,):
             raise ValueError(f"right-hand side of shape {x.shape} for order {self.n}")
         head, keep = operator.index(head), operator.index(keep)
         if not (0 <= head <= self.n and 0 <= keep <= self.n):
             raise ValueError(f"head {head} and keep {keep} must lie in 0..{self.n}")
-        block = x.reshape(self.n, -1, order="F")
         if self._ld is not None:
-            self._ldlt(block, head, keep)
+            self._ldlt(x, head, keep)
             rows = 2 * self.n - head - keep
         else:
-            self._gbtrs(block)
+            self._gbtrs(x)
             rows = 2 * self.n
         with self._count_lock:
             self.solve_count += 1
-            self.row_count += rows * block.shape[1]
+            self.row_count += rows
         return x

@@ -176,12 +176,13 @@ def build_problem(spec: ProblemSpec):
     return grid, kfield, bc, None
 
 
-def iterations_at(history, tol: float, maxit: int):
-    """First history index at or below tol, or '+maxit' if never reached."""
+def iterations_at(history, tol: float):
+    """First history index at or below tol, or '+N' if never reached, with
+    N = len(history) - 1 the iterations the run made."""
     for i, r in enumerate(history):
         if r <= tol:
             return i
-    return f"+{maxit}"
+    return f"+{len(history) - 1}"
 
 
 class BenchContext:
@@ -226,7 +227,7 @@ class BenchContext:
         if g_norm > 0:
             true_residual /= g_norm
         converged = report.converged and true_residual <= tol
-        counts = {f"{t:g}": iterations_at(report.history, t, spec.maxit)
+        counts = {f"{t:g}": iterations_at(report.history, t)
                   for t in spec.tolerances}
         u = system.reconstruct(h)
         # strips that share a factor store it once

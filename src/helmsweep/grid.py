@@ -6,7 +6,7 @@ Conventions, relied on by every module downstream:
   cells in y, nodes (ix, iy) for 0 <= ix <= nx, 0 <= iy <= ny located at
   (x0 + ix*h, y0 + iy*h).
 - Nodal arrays have shape (nx+1, ny+1), indexed [ix, iy].  Flattened (field
-  files, Grid.index) they are column-major: n = ix*(ny+1) + iy.  The matrix
+  files) they are column-major: n = ix*(ny+1) + iy.  The matrix
   numbering is RectStencil's own: it runs along the shorter direction to keep
   the band narrow, RectStencil.to_grid turns a flat vector in that numbering
   into a nodal array, and RectStencil.matrix() assembles its band diagonals.
@@ -83,9 +83,6 @@ class Grid:
     def ys(self) -> FloatArray:
         return self.y0 + self.h * np.arange(self.ny + 1)
 
-    def index(self, ix: int, iy: int) -> int:
-        return ix * (self.ny + 1) + iy
-
 
 def build_grid(xspan: tuple[float, float], yspan: tuple[float, float],
                k_max: float, nppwl: int) -> Grid:
@@ -143,13 +140,6 @@ class WedgeModel:
         (xa, ya), (xb, yb) = line
         return ya + (yb - ya) * (x - xa) / (xb - xa)
 
-    def velocity(self, x: float, y: float) -> float:
-        if y >= self._line_y(self.upper, x):
-            return self.velocities[0]
-        if y >= self._line_y(self.lower, x):
-            return self.velocities[1]
-        return self.velocities[2]
-
     def velocity_grid(self, xs: FloatArray, ys: FloatArray) -> FloatArray:
         y = ys[None, :]
         yu = self._line_y(self.upper, xs)[:, None]
@@ -168,10 +158,6 @@ class WavenumberField:
         v = np.asarray(self.values)
         if not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise ValueError("wavenumber values must be finite and positive")
-
-    @property
-    def k_max(self) -> float:
-        return float(self.values.max())
 
 
 def build_wavenumber(grid: Grid, model, omega: float | None = None) -> WavenumberField:

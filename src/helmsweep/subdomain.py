@@ -160,13 +160,23 @@ class LocalSolver:
         takes its own columns, and None for the homogeneous interface
         exchange.  columns = (first, last) are the local node columns the
         caller will read, None for all; the other columns may hold NaN.
-        Returns the (w+1, ny+1) nodal solution.
+        Returns the (w+1, ny+1) nodal solution.  A datum not of shape
+        (ny+1,) or a load not of the grid's shape is a ValueError naming
+        the strip and the side.
         """
-        if left is not None and not self.has_left:
-            raise ValueError(f"strip {self.strip} has no left interface")
-        if right is not None and not self.has_right:
-            raise ValueError(f"strip {self.strip} has no right interface")
+        nb = self.stencil.ny + 1
+        for side, data, has in (("left", left, self.has_left), ("right", right, self.has_right)):
+            if data is None:
+                continue
+            if not has:
+                raise ValueError(f"strip {self.strip} has no {side} interface")
+            if np.shape(data) != (nb,):
+                raise ValueError(f"strip {self.strip}: {side} datum of shape {np.shape(data)}, "
+                                 f"not ({nb},)")
         if load is not None:
+            if np.shape(load) != self.grid.shape:
+                raise ValueError(f"strip {self.strip}: load of shape {np.shape(load)}, "
+                                 f"not the grid's {self.grid.shape}")
             a, b = self.span
             load = load[a:b + 1]
         # a fresh array, or its reversed copy, which the solve overwrites
@@ -175,7 +185,6 @@ class LocalSolver:
         one_sided = (left is None) != (right is None)
         head = keep = 0
         if columns is not None and load is None and self.xy and one_sided:
-            nb = self.stencil.ny + 1
             if right is not None:
                 head, keep = self.stencil.nloc - nb, columns[0] * nb
             elif self.mirror:

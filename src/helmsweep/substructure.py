@@ -44,8 +44,8 @@ exchange (apply_exchange, source_traces, a full apply_interface_system) and
 the N solves of reconstruct go through _map, where the calling thread and
 the pool threads take the strips in turn from one counter, so the caller
 works instead of waiting.  A pool of WORKERS threads beside the working
-caller ran three threads on two CPUs, and a wedge-jacobi shot 7-10 %
-slower than with one pool thread (BENCH_23.json).  The two sweeps of
+caller runs more threads than CPUs and made wedge-jacobi shots slower
+(BENCH_23.json).  The two sweeps of
 solve_oneway and the two edge solves of the record path run one on the
 pool and one on the caller.  A strip releases the GIL in its band kernels,
 zgbtrf included (see banded.py).  solve_double_sweep stays serial: its
@@ -60,8 +60,8 @@ bitwise equal store one copy.  As each construction ends it compares its
 factor, under a lock, with those the earlier ones kept, and on a match
 reads that one and drops its own (BandedLU.share): on a homogeneous
 waveguide the two edge strips share one factor and the interior strips
-another, so waveguide-osds stores 16 MB of factors instead of 40, and a
-sweep reads one 8 MB interior factor instead of three.  A heterogeneous
+another, so a sweep reads one interior factor, not one per interior strip
+(BENCH_25.json).  A heterogeneous
 problem such as the wedge shares nothing.  Each strip keeps its own solve
 counts.  The kept factors are a local of the constructor, so a system
 dropped frees its factors, and two systems never share.  Factoring each

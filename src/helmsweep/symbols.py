@@ -12,9 +12,7 @@ and the two-half-space factor rho_j = (lambda - lambda_j)/(lambda +
 lambda_j) for the interface impedance symbol lambda_j (here the constant
 Ik).  The mode-wise convergence factor of the one-way-preconditioned
 iteration and the constant entering the Jacobi/double-sweep estimates are
-products of max-entry norms of these matrices; this module evaluates them,
-checks the cancellation algebra the sweeping analysis rests on, and
-searches for the overlap needed by the vanishing-mode decay estimate.
+products of max-entry norms of these matrices; this module evaluates them.
 
 In a waveguide of height L with Dirichlet walls the transverse transform
 is a sine series and xi is a positive integer mode number; the same
@@ -23,14 +21,19 @@ formulas apply with xi pi / L in place of xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 CUTOFF_TOL = 1e-9
-RELATION_TOL = 1e-13
-POWER_TOL = 1e-12
+
+
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def lambda_symbol(xi: float, k: float) -> tuple[complex, bool]:
@@ -41,8 +44,9 @@ def lambda_symbol(xi: float, k: float) -> tuple[complex, bool]:
     relative accuracy there.  Below the cutoff it is the outgoing branch
     I sqrt(k^2 - xi^2), above it the real one.  At the cutoff the symbol
     vanishes and downstream denominators degenerate, so the flag is set
-    instead of raising.
+    instead of raising.  A non-finite k or xi is a ValueError naming it.
     """
+    _check_finite(k=k, xi=xi)
     if k <= 0:
         raise ValueError("wavenumber must be positive")
     a = abs(xi)
@@ -60,6 +64,7 @@ def lambda_waveguide(xi: int, k: float, length: float) -> tuple[complex, bool]:
     The plane symbol at xi pi / L.  A mode at the cutoff sits exactly at
     resonance (kL/pi integer equal to xi); that is flagged, not raised.
     """
+    _check_finite(length=length)
     if length <= 0:
         raise ValueError("waveguide height must be positive")
     if not (xi >= 1 and float(xi).is_integer()):
@@ -75,7 +80,8 @@ class SymbolParams:
     the common overlap width.  The sweeping analysis assumes every strip
     width exceeds twice the overlap, which is enforced here.  mode is
     "plane" (xi any real) or "waveguide" (xi a positive integer mode
-    number, length required).
+    number, length required).  A non-finite k, xi, delta, length or strip
+    bound is a ValueError naming the field.
     """
 
     k: float
@@ -88,11 +94,18 @@ class SymbolParams:
     def __post_init__(self):
         if self.mode not in ("plane", "waveguide"):
             raise ValueError(f"mode must be 'plane' or 'waveguide', got {self.mode!r}")
+        _check_finite(delta=self.delta)
+        if self.length is not None:
+            _check_finite(length=self.length)
         if self.mode == "waveguide" and (self.length is None or self.length <= 0):
             raise ValueError("waveguide mode needs a positive height")
-        self.lam()  # rejects k <= 0 and a waveguide xi that is not a positive integer
+        # rejects a k that is not finite and positive, an xi that is not
+        # finite, and a waveguide xi that is not a positive integer
+        self.lam()
         strips = tuple((float(a), float(b)) for a, b in self.strips)
         object.__setattr__(self, "strips", strips)
+        if not all(math.isfinite(v) for s in strips for v in s):
+            raise ValueError(f"strips must have finite bounds, got {strips!r}")
         if len(strips) < 2:
             raise ValueError("need at least 2 strips")
         widths = [b - a for a, b in strips]
@@ -132,10 +145,6 @@ class SymbolMatrices:
     a_r: np.ndarray
     m_l: np.ndarray
     m_r: np.ndarray
-
-    @property
-    def exchange(self) -> np.ndarray:
-        return self.a_l + self.a_r + self.m_l + self.m_r
 
 
 def symbol_matrices(params: SymbolParams) -> SymbolMatrices:
@@ -221,104 +230,3 @@ def C_factor(params: SymbolParams) -> float:
     if nal == 0.0 or nar == 0.0:
         return float("inf")
     return (1.0 + rho / nal) * (1.0 + rho / nar + rho / (nar * nal))
-
-
-@dataclass
-class AlgebraReport:
-    """Residuals of the cancellation relations and sweep power identity."""
-
-    relations: dict = field(default_factory=dict)
-    power_errors: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_symbol_algebra(params: SymbolParams) -> AlgebraReport:
-    """Check the structural algebra of the mode matrices numerically.
-
-    The ten cancellation relations (nilpotency of M_l and M_r at order
-    N-1, and the eight vanishing pairwise products) hold by sparsity
-    alone; the even-power identity for R = sum M_r^i A_r + sum M_l^i A_l,
-
-        R^n = (X_r X_l)^{n/2} + (X_l X_r)^{n/2},  X_s = sum M_s^i A_s,
-
-    is what makes the one-way-preconditioned GMRES analysis work and is
-    verified for n = 2, 4.  The tolerances are RELATION_TOL and POWER_TOL.
-    """
-    mats = symbol_matrices(params)
-    n = params.nstrips
-    rep = AlgebraReport()
-    mp = np.linalg.matrix_power
-    relations = {
-        "Mr^(N-1)": mp(mats.m_r, n - 1),
-        "Ml^(N-1)": mp(mats.m_l, n - 1),
-        "Ml.Mr": mats.m_l @ mats.m_r,
-        "Mr.Ml": mats.m_r @ mats.m_l,
-        "Al^2": mats.a_l @ mats.a_l,
-        "Ar^2": mats.a_r @ mats.a_r,
-        "Al.Ml": mats.a_l @ mats.m_l,
-        "Ar.Mr": mats.a_r @ mats.m_r,
-        "Ml.Ar": mats.m_l @ mats.a_r,
-        "Mr.Al": mats.m_r @ mats.a_l,
-    }
-    for name, prod in relations.items():
-        err = _max_entry(prod)
-        rep.relations[name] = err
-        if err > RELATION_TOL:
-            rep.failures.append(name)
-
-    x_r = sum(mp(mats.m_r, i) @ mats.a_r for i in range(n - 1))
-    x_l = sum(mp(mats.m_l, i) @ mats.a_l for i in range(n - 1))
-    r = x_r + x_l
-    for npow in (2, 4):
-        lhs = mp(r, npow)
-        rhs = mp(x_r @ x_l, npow // 2) + mp(x_l @ x_r, npow // 2)
-        scale = max(_max_entry(lhs), 1e-300)
-        err = _max_entry(lhs - rhs) / scale
-        rep.power_errors[f"R^{npow}"] = err
-        if err > POWER_TOL:
-            rep.failures.append(f"R^{npow}")
-    return rep
-
-
-@dataclass
-class OverlapSearch:
-    """Result of the vanishing-mode overlap search."""
-
-    delta: float
-    holds: bool
-    worst_excess: float
-
-
-def find_vanishing_overlap(k: float, width: float, nstrips: int) -> OverlapSearch:
-    """Search for an overlap making |rho(xi)| < e^{-2 delta lambda(xi)}.
-
-    The decay estimate for vanishing modes is stated for "sufficiently
-    large" overlap; this doubles delta geometrically from width/32 up to
-    the width/2 ceiling allowed by the strip-width assumption and reports
-    the first delta for which the bound holds at 50 Fourier numbers in
-    [1.5 k, 4 k], all vanishing, or the ceiling with holds=False.
-    worst_excess is max(|rho| - e^{-2 delta lambda}) at the returned delta.
-    """
-    xis = np.linspace(1.5 * k, 4.0 * k, 50)
-    strips = tuple((i * width, (i + 1) * width) for i in range(nstrips))
-    delta = width / 32.0
-    ceiling = width / 2.0
-    best = None
-    while True:
-        d = min(delta, np.nextafter(ceiling, 0.0))
-        worst = -np.inf
-        for xi in xis:
-            p = SymbolParams(k=k, xi=float(xi), strips=strips, delta=d)
-            lam, cut = p.lam()
-            if cut:
-                continue
-            bound = float(np.exp(-2.0 * d * lam.real))
-            worst = max(worst, rho_factor(p) - bound)
-        best = OverlapSearch(d, worst < 0.0, worst)
-        if best.holds or delta >= ceiling:
-            return best
-        delta *= 2.0

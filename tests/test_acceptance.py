@@ -14,9 +14,9 @@ from helmsweep.bench import ProblemSpec, run, run_methods, build_problem
 from helmsweep.grid import assemble_global, solve_direct
 from helmsweep.krylov import gmres_right
 from helmsweep.substructure import TraceVector
-from helmsweep.symbols import (SymbolParams, rho_factor, C_factor,
-                               verify_symbol_algebra, find_vanishing_overlap)
+from helmsweep.symbols import SymbolParams, rho_factor, C_factor
 from conftest import dense_matrix, dense_parts, make_case
+from oracles import find_vanishing_overlap, verify_symbol_algebra
 
 
 def check(results, name, ok, detail):

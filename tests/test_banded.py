@@ -196,13 +196,12 @@ def test_fallback_factor_is_gbtrf_storage(rng, monkeypatch, kl, ku, reach):
     # zgbtrf's 1-based pivots, which scipy's wrapper shifts to 0-based
     assert np.array_equal(lu._lu, full) and np.array_equal(lu._ipiv, ipiv + 1)
     assert lu.nbytes == full.nbytes + ipiv.nbytes
-    b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = lu.solve(b)
     ref, info = gbtrs(full, kl, ku, b, ipiv)
     assert info == 0
     # the ctypes zgbtrs call is the routine scipy's wrapper calls
     assert np.array_equal(x, ref)
-    assert np.array_equal(lu.solve(b[:, 1]), gbtrs(full, kl, ku, b[:, 1], ipiv)[0])
     assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
     dense = a.toarray()
     err = np.linalg.norm(reconstruct_dense(lu) - dense)
@@ -403,19 +402,6 @@ def test_zero_pivot_in_a_later_chunk_reports_label(rng, monkeypatch):
         BandedLU(a.tocsc(), 6, 6, label="strip 3")
 
 
-def test_unswapped_block_rhs_solved_by_columns(rng):
-    a, band = helmholtz_strip(*STRIPS["ny>w"])
-    n = a.shape[0]
-    lu = BandedLU(a, band, band)
-    assert lu._ld is not None
-    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    x = lu.solve(b)
-    assert x.shape == (n, 3)
-    for j in range(3):
-        assert np.array_equal(x[:, j], lu.solve(b[:, j]))
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
 def test_swapped_symmetric_strip_keeps_gbtrs(rng, monkeypatch):
     # under-resolved (about 5 points per wavelength), zgbtrf swaps rows of
     # this symmetric strip, and L D L^T no longer describes the factor
@@ -514,16 +500,6 @@ def test_partial_solve_is_full_solve_on_kept_rows_bitwise(rng, ny, cells):
         assert lu.row_count == rows + 2 * n - head - keep
         assert np.array_equal(x[keep:], full[keep:])
         assert np.isnan(x[:keep]).all()
-    # a block right-hand side: each column as alone, each swept once
-    head, keep = n // 3, n // 2
-    b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    b[:head] = 0
-    rows = lu.row_count
-    x = lu.solve(b, head, keep)
-    assert lu.row_count == rows + 2 * (2 * n - head - keep)
-    for j in range(2):
-        assert np.array_equal(x[keep:, j], lu.solve(b[:, j])[keep:])
-    assert np.isnan(x[:keep]).all()
 
 
 def test_fallback_solve_ignores_head_and_keep(rng):
@@ -550,7 +526,7 @@ def test_head_and_keep_out_of_range_rejected(rng):
 def test_bad_rhs_shape_rejected(rng):
     a, band = helmholtz_strip(*STRIPS["ny>w"])
     lu = BandedLU(a, band, band)
-    for shape in [(a.shape[0] - 1,), (), (a.shape[0], 2, 1)]:
+    for shape in [(a.shape[0] - 1,), (), (a.shape[0], 2), (a.shape[0], 2, 1)]:
         with pytest.raises(ValueError, match="right-hand side"):
             lu.solve(np.ones(shape, dtype=np.complex128))
     assert lu.solve_count == 0
@@ -565,9 +541,9 @@ def test_solve_in_place_only_when_told_it_owns_rhs(rng, kind):
         lu = BandedLU(shuffled_dominant(rng, 462, 4, 4, 2), 4, 4)
     assert (lu._ld is not None) == (kind == "ldlt")
     n = lu.n
-    # a vector, a one-sided solve and a Fortran-ordered block
-    for shape, head, keep in [((n,), 0, 0), ((n,), n // 3, n // 2), ((n, 2), 0, 0)]:
-        b = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # a full and a one-sided solve
+    for head, keep in [(0, 0), (n // 3, n // 2)]:
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b[:head] = 0
         kept = b.copy()
         x = lu.solve(b, head, keep)

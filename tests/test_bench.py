@@ -73,9 +73,21 @@ def test_option_surface():
 
 def test_iterations_at():
     history = [1.0, 0.5, 1e-4, 1e-7]
-    assert iterations_at(history, 1e-3, 400) == 2
-    assert iterations_at(history, 1e-6, 400) == 3
-    assert iterations_at(history, 1e-9, 400) == "+400"
+    assert iterations_at(history, 1e-3) == 2
+    assert iterations_at(history, 1e-6) == 3
+    # not reached: "+" the iterations the run made
+    assert iterations_at(history, 1e-9) == "+3"
+
+
+def test_diverged_run_counts_the_iterations_it_made():
+    # the coarse waveguide diverges under jacobi fixed-point iteration and
+    # stops long before maxit; its count says how far it went
+    record = run(ProblemSpec(problem="waveguide", k=20.0, subdomains=5, overlap_cells=2,
+                             nppwl=4, tolerances=(1e-10,), solver="fixed_point",
+                             preconditioner="jacobi"))
+    assert record.stop == "diverged" and not record.converged
+    assert len(record.history) - 1 < record.spec.maxit
+    assert record.counts == {"1e-10": f"+{len(record.history) - 1}"}
 
 
 def test_problem_geometry_and_sources():
@@ -102,7 +114,7 @@ def test_problem_geometry_and_sources():
         assert bc.kind(side) == "robin"
         assert getattr(bc, side).data is None
     assert bc.top.data(300.0, 1000.0) == pytest.approx(1.0)
-    assert kfield.k_max == pytest.approx(12.0 / 1500.0)
+    assert kfield.values.max() == pytest.approx(12.0 / 1500.0)
 
 
 def test_run_and_outputs(tmp_path):
@@ -452,12 +464,16 @@ WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
     (["solve", *WAVEGUIDE_FLAGS, "--k", "2.5", "--tol", "nan"], "tolerances"),
     (["solve", *WAVEGUIDE_FLAGS, "--k", "2.5", "--omega", "99"], "not omega"),
     (["solve", "--config", {**WEDGE_CONFIG, "k": 2.5}], "not k"),
+    (["analyze-symbols", "--k", "nan"], "k must be finite"),
+    (["analyze-symbols", "--k", "20", "--overlap", "nan"], "delta must be finite"),
+    (["analyze-symbols", "--k", "20", "--width", "inf"], "strips must have finite"),
 ], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
         "missing-config", "float-subdomains", "float-overlap", "string-maxit",
         "negative-maxit", "bool-maxit", "string-omega", "string-k",
         "scalar-tolerances", "removed-wedge-upper", "removed-wedge-lower",
         "removed-wedge-velocities", "int-out-dir", "infinite-k", "infinite-omega",
-        "nan-k", "nan-tol", "k-and-omega", "wedge-k"])
+        "nan-k", "nan-tol", "k-and-omega", "wedge-k", "nan-symbol-k",
+        "nan-symbol-overlap", "infinite-symbol-width"])
 def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
     # a message and exit code 2, not a traceback; and no output left behind
     out = tmp_path / "out"

