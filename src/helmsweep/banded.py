@@ -1,29 +1,32 @@
-"""Banded LU factorization of complex band matrices.
+"""Banded LU factorization of complex-symmetric band matrices.
 
-Thin wrapper over LAPACK zgbtrf, which factors a matrix with lower
-bandwidth kl and upper bandwidth ku in the (2*kl+ku+1, n) LAPACK band layout
-with partial pivoting.  The factor is computed once and reused for any
-number of right-hand sides.  It reads the matrix's diagonals: a DIA
-matrix's own (RectStencil.matrix), any other's once its entries lie in the
-band.  A matrix with a non-finite entry is rejected before factoring.
+A matrix is given by its diagonals, {offset: (n,) array}, as
+RectStencil.diagonals() assembles them: A(i, j) sits in slot j of offset
+j - i, and the slots outside the matrix are never read.  Its half-bandwidth
+kl is the largest offset, and a missing offset is a diagonal of zeros.
+Diagonals of unequal lengths, offsets not closed under negation or reaching
+n, a non-finite entry, and a matrix not exactly complex symmetric (A = A^T
+bit for bit, as every RectStencil matrix is, see grid.py) are each a
+ValueError naming the factorization's label.  The factor is computed once,
+by LAPACK zgbtrf in its (3 kl + 1, n) band layout with partial pivoting, and
+reused for any number of right-hand sides.
 
-Every strip matrix is complex symmetric (A = A^T, see grid.py), and zgbtrf
-swaps no row on the benchmark's strips.  Then U = D L^T with D the diagonal
-of U, so only L is kept: its kl + 1 band rows, 1/D in row 0 where L's unit
-diagonal is never read.  That is (kl+1)*n*16 bytes, half of both triangles.
-Strips whose factors are bitwise equal store one copy (share, below).  A
-solve is ztbsv with L, a multiply by 1/D, and ztbsv with L^T (trans 'T':
-the plain transpose, not the conjugate transpose), all in place on one
-array: the caller's right-hand side itself if it hands it over
+On the benchmark's strips zgbtrf swaps no row.  Then U = D L^T with D the
+diagonal of U, so only L is kept: its kl + 1 band rows, 1/D in row 0 where
+L's unit diagonal is never read.  That is (kl+1)*n*16 bytes, half of both
+triangles.  Strips whose factors are bitwise equal store one copy (share,
+below).  A solve is ztbsv with L, a multiply by 1/D, and ztbsv with L^T
+(trans 'T': the plain transpose, not the conjugate transpose), all in place
+on one array: the caller's right-hand side itself if it hands it over
 (overwrite_rhs), else a copy.  The second pass so re-reads an L still in
-cache, and a multiply by the strided row 1/D is cheaper than a division by
-D (BENCH_23.json).
+cache, and a multiply by the strided row 1/D is cheaper than a division by D
+(BENCH_23.json).
 
-Such a matrix is factored one chunk of columns at a time, in a single
+A matrix is factored one chunk of columns at a time, in a single
 zgbtrf workspace of _CHUNK_BYTES reused along it.  Chunk [c0, c1)
 is rows c0 .. c1 + kl - 1 of its columns, all the rows their multipliers
 reach, so zgbtrf(M = min(n, c1 + kl) - c0, N = c1 - c0) leaves their L and
-D complete, and its rows kl + ku .. go straight into the kept factor.  The
+D complete, and its rows 2 kl .. go straight into the kept factor.  The
 pivots before c0 have changed only the chunk's leading kl x kl block, by C =
 W diag(D) W^T, where W[a, b] = l(c0 + a, c0 - kl + b) and D are the last kl
 pivots.  A chunk is at least kl columns wide, so C is the carry from one
@@ -35,14 +38,13 @@ roundoff.  A factorization so holds its factor and one chunk's workspace,
 where a zgbtrf workspace of the whole matrix is three times the factor
 (BENCH_20.json).
 
-Any other matrix goes through the same loop as one chunk of n columns and
-keeps that chunk's workspace and pivots, zgbtrf's own LU, to be solved by
-zgbtrs: a matrix that is not exactly symmetric, and one whose only chunk
-swaps a row or meets a zero pivot, which is then reported as singular.  A
-chunk of a longer matrix that swaps or meets a zero pivot sends it back
-through the loop as one chunk.  So a one-chunk matrix is factored once,
-whatever zgbtrf finds.  No benchmark strip takes this path; strips of
-coarse stock problems do (README).
+A matrix whose only chunk swaps a row keeps that chunk's workspace and
+pivots, zgbtrf's own LU, to be solved by zgbtrs; one that meets a zero
+pivot is reported as singular.  A chunk of a longer matrix that swaps or
+meets a zero pivot sends it back through the loop as one chunk of n
+columns.  So a one-chunk matrix is factored once, whatever zgbtrf finds.
+No benchmark strip takes this path; strips of coarse stock problems do
+(README).
 
 The factorization (zgbtrf and the carry's zgemm) and both solves (ztbsv,
 zgbtrs) call their kernel through the function pointer that scipy's Cython
@@ -56,7 +58,7 @@ run on one factor from several threads at once, and counts every call
 under a lock.
 
 BandedLU.share(other) makes a factorization read other's stored arrays and
-drops its own when the two hold the same bytes: same (n, kl, ku), same
+drops its own when the two hold the same bytes: same (n, kl), same
 storage kind, and equal bits in every entry, so 0.0 and -0.0 differ.  An
 unequal pair of one shape is usually told apart on a sample of _SAMPLE
 columns, at a fraction of the cost of comparing all of them.  The shared
@@ -103,7 +105,6 @@ import threading
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cython_blas, cython_lapack
-from scipy.sparse import spmatrix
 
 ComplexArray = NDArray[np.complex128]
 
@@ -171,32 +172,11 @@ def _workspace(rows: int, n: int, huge: bool = False) -> ComplexArray:
     return np.ndarray((rows, n), np.complex128, mapping, offset, order="F")
 
 
-def _diagonals(matrix: spmatrix, kl: int, ku: int, label: str) -> dict:
-    """{o: d} with d[j] = A(j - o, j) for max(0, o) <= j < min(n, n + o), as
-    DIA stores it; any other matrix is checked against the band first."""
-    n = matrix.shape[0]
-    dia = matrix.format == "dia" and matrix.data.shape[1] >= n
-    if dia:
-        offsets, data = matrix.offsets.tolist(), matrix.data[:, :n]
-        off = -np.array([o for o in offsets if abs(o) < n], int)
-    else:
-        coo = matrix.tocoo(copy=True)
-        coo.sum_duplicates()
-        off = coo.row - coo.col
-    if off.size and (off.max() > kl or -off.min() > ku):
-        raise ValueError(f"{label}: entry outside declared band: kl={kl}, ku={ku}, "
-                         f"found offsets [{-off.min()}, {off.max()}]")
-    if not dia:
-        offsets, data = range(-kl, ku + 1), np.zeros((kl + ku + 1, n), np.complex128)
-        data[kl + coo.col - coo.row, coo.col] = coo.data
-    return {o: d for o, d in zip(offsets, data) if abs(o) < n}
-
-
-def _chunk_columns(kl: int, ku: int) -> int:
-    """Columns of the chunks an exactly symmetric matrix is factored in:
+def _chunk_columns(kl: int) -> int:
+    """Columns of the chunks a matrix of half-bandwidth kl is factored in:
     _CHUNK_BYTES of zgbtrf workspace, and never fewer than kl, so a chunk
     holds every pivot the next one needs."""
-    return max(kl, 1, _CHUNK_BYTES // (16 * (2 * kl + ku + 1)))
+    return max(kl, 1, _CHUNK_BYTES // (16 * (3 * kl + 1)))
 
 
 # the columns BandedLU.share compares before all of them
@@ -210,32 +190,33 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 class BandedLU:
-    """LU factorization of a banded complex matrix, computed once at init.
+    """LU factorization of a complex-symmetric band matrix, computed once at init.
 
-    A complex-symmetric matrix factored without a row swap is stored as one
-    Fortran-contiguous (kl + 1, n) array _ld in tbsv storage: 1/D in row 0,
-    L's multipliers in rows 1..kl.  Any other matrix is factored as one
-    chunk, and keeps that chunk's workspace as zgbtrf's (2 kl + ku + 1, n)
-    array _lu and its 1-based pivots _ipiv, as zgbtrs reads them: a matrix
-    that is not exactly symmetric, one whose only chunk swaps a row, and
-    one of several chunks that swaps a row or meets a zero pivot, which is
-    factored again as one chunk.
+    A matrix factored without a row swap is stored as one Fortran-contiguous
+    (kl + 1, n) array _ld in tbsv storage: 1/D in row 0, L's multipliers in
+    rows 1..kl.  One that swaps a row is factored as one chunk, and keeps
+    that chunk's workspace as zgbtrf's (3 kl + 1, n) array _lu and its
+    1-based pivots _ipiv, as zgbtrs reads them.
     """
 
-    def __init__(self, matrix: spmatrix, kl: int, ku: int, label: str = "system"):
-        n = matrix.shape[0]
-        if matrix.shape[1] != n:
-            raise ValueError(f"{label}: matrix must be square, got {matrix.shape}")
-        diags = _diagonals(matrix, kl, ku, label)
+    def __init__(self, diagonals: dict, label: str = "system"):
+        diags = {operator.index(o): np.asarray(d) for o, d in diagonals.items()}
+        shapes = {d.shape for d in diags.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"{label}: diagonals must be (n,) arrays of one length, "
+                             f"got shapes {sorted(shapes)}")
+        (n,), kl = shapes.pop(), max(diags)
+        if {-o for o in diags} != diags.keys() or kl >= n:
+            raise ValueError(f"{label}: offsets {sorted(diags)} are not a symmetric band "
+                             f"of order {n}")
         if not all(np.isfinite(d[max(0, o):n + min(0, o)]).all() for o, d in diags.items()):
             raise ValueError(f"{label}: matrix has a non-finite entry")
-        self.n, self.kl, self.ku = n, kl, ku
-        self._ld = self._lu = self._ipiv = None
-        zero = np.zeros(n, np.complex128)
         # A(j - o, j) == A(j, j - o) for j >= o, on each diagonal pair
-        symmetric = all(np.array_equal(diags.get(o, zero)[o:], diags.get(-o, zero)[:n - o])
-                        for o in {abs(o) for o in diags} - {0})
-        self._factor(diags, symmetric, label)
+        if not all(np.array_equal(diags[o][o:], diags[-o][:n - o]) for o in diags if o > 0):
+            raise ValueError(f"{label}: matrix is not complex symmetric")
+        self.n, self.kl = n, kl
+        self._ld = self._lu = self._ipiv = None
+        self._factor(diags, label)
         # the by-reference k, lda and incx of every ztbsv call
         self._tbsv_args = _ints(kl, kl + 1, 1)
         self.factor_count = 1
@@ -243,26 +224,26 @@ class BandedLU:
         self.row_count = 0
         self._count_lock = threading.Lock()
 
-    def _factor(self, diags: dict, symmetric: bool, label: str) -> None:
-        """Factor A, the diagonals diags of _diagonals, into _ld, or else
-        into _lu and _ipiv (module docstring).
+    def _factor(self, diags: dict, label: str) -> None:
+        """Factor A, given by its diagonals diags, into _ld, or else into
+        _lu and _ipiv (module docstring).
 
         The pivots before chunk [c0, c1) have taken C = W diag(D) W^T from
         its leading kl x kl block, with W[a, b] = l(c0 + a, c0 - kl + b) and
         D the chunk before's last kl pivots; W is upper triangular, since
         l(i, k) = 0 for i - k > kl.
         """
-        n, kl, ku = self.n, self.kl, self.ku
-        rows = 2 * kl + ku + 1
+        n, kl = self.n, self.kl
+        rows = 3 * kl + 1
         info = ctypes.c_int(0)
         a, b = np.triu_indices(kl)
         w = np.zeros((kl, kl), np.complex128, order="F")
         one, zero = np.ones(1, np.complex128), np.zeros(1, np.complex128)
         carry = np.empty((kl, kl), np.complex128, order="F")
-        chunk = _chunk_columns(kl, ku) if symmetric else n
+        chunk = _chunk_columns(kl)
         for width in (chunk, n) if chunk < n else (chunk,):
             # ztbsv reads the factor with leading dimension kl + 1
-            ld = _workspace(kl + 1, n) if symmetric else None
+            ld = _workspace(kl + 1, n)
             # a whole chunk's workspace fills the huge pages of _CHUNK_BYTES;
             # on small pages, its page faults slow a set-up
             ws = _workspace(rows, min(n, width), huge=n > width)
@@ -273,23 +254,22 @@ class BandedLU:
                 # rows 0 .. kl - 1 are zgbtrf's fill-in, which it sets itself
                 ws[kl:, :c1 - c0] = 0
                 for o, d in diags.items():
-                    # A(i, j) at ws[kl + ku + i - j, j - c0]; entries above
-                    # row c0 land in the triangle LAPACK documents as unused
+                    # A(i, j) at ws[2 kl + i - j, j - c0]; entries above row
+                    # c0 land in the triangle LAPACK documents as unused
                     lo = max(o, c0)
                     hi = max(lo, min(n + o, c1))
-                    ws[kl + ku - o, lo - c0:hi - c0] = d[lo:hi]
+                    ws[2 * kl - o, lo - c0:hi - c0] = d[lo:hi]
                 if c0:
-                    # the leading block: A(c0 + r, c0 + c) at ws[kl + ku + r - c, c],
+                    # the leading block: A(c0 + r, c0 + c) at ws[2 kl + r - c, c],
                     # r, c < kl; rows of C past the last row of A are 0
-                    block = np.lib.stride_tricks.as_strided(ws[kl + ku:], (kl, kl),
+                    block = np.lib.stride_tricks.as_strided(ws[2 * kl:], (kl, kl),
                                                             (16, 16 * (rows - 1)))
                     block -= carry
-                _zgbtrf(*_ints(min(n, c1 + kl) - c0, c1 - c0, kl, ku), ws.ctypes.data,
+                _zgbtrf(*_ints(min(n, c1 + kl) - c0, c1 - c0, kl, kl), ws.ctypes.data,
                         *_ints(rows), ipiv.ctypes.data, ctypes.byref(info))
-                if (info.value != 0 or not symmetric
-                        or not np.array_equal(ipiv[:c1 - c0], unswapped[:c1 - c0])):
+                if info.value != 0 or not np.array_equal(ipiv[:c1 - c0], unswapped[:c1 - c0]):
                     break
-                ld[:, c0:c1] = ws[kl + ku:, :c1 - c0]
+                ld[:, c0:c1] = ws[2 * kl:, :c1 - c0]
                 if c1 < n and kl:
                     w[a, b] = ld[kl + a - b, c1 - kl + b]
                     wd = np.multiply(w, ld[0, c1 - kl:c1], order="F")
@@ -324,12 +304,12 @@ class BandedLU:
         """Read other's stored arrays from now on, and drop this one's, if
         they hold the same bytes; True if so.
 
-        A pair of another (n, kl, ku) or storage kind is refused first, then
+        A pair of another (n, kl) or storage kind is refused first, then
         one that differs on every _SAMPLE-th column, so an unequal pair of
         one shape costs a fraction of the full comparison.  The counters
         stay this object's own.
         """
-        if (self.n, self.kl, self.ku) != (other.n, other.kl, other.ku):
+        if (self.n, self.kl) != (other.n, other.kl):
             return False
         mine, theirs = (self._ld, self._lu, self._ipiv), (other._ld, other._lu, other._ipiv)
         if any((a is None) != (b is None) for a, b in zip(mine, theirs)):
@@ -362,8 +342,8 @@ class BandedLU:
     def _gbtrs(self, x: ComplexArray) -> None:
         """Overwrite the contiguous (n,) x with A^-1 x by zgbtrs."""
         info = ctypes.c_int(0)
-        _zgbtrs(b"N", *_ints(self.n, self.kl, self.ku, 1), self._lu.ctypes.data,
-                *_ints(2 * self.kl + self.ku + 1), self._ipiv.ctypes.data, x.ctypes.data,
+        _zgbtrs(b"N", *_ints(self.n, self.kl, self.kl, 1), self._lu.ctypes.data,
+                *_ints(3 * self.kl + 1), self._ipiv.ctypes.data, x.ctypes.data,
                 *_ints(self.n), ctypes.byref(info))
         if info.value != 0:
             raise ValueError(f"banded back-substitution failed, zgbtrs info={info.value}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -77,6 +78,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_symbols(args: argparse.Namespace) -> int:
+    for flag, value in (("--k", args.k), ("--xi-min", args.xi_min), ("--xi-max", args.xi_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     width = args.width
     strips = tuple((i * width, (i + 1) * width) for i in range(args.strips))
     if args.mode == "waveguide":

@@ -9,7 +9,7 @@ Conventions, relied on by every module downstream:
   files) they are column-major: n = ix*(ny+1) + iy.  The matrix
   numbering is RectStencil's own: it runs along the shorter direction to keep
   the band narrow, RectStencil.to_grid turns a flat vector in that numbering
-  into a nodal array, and RectStencil.matrix() assembles its band diagonals.
+  into a nodal array, and RectStencil.diagonals() assembles its band diagonals.
 - Equation (-k^2 - Lap) u = f with k = k(x, y).  Absorbing edges carry the
   impedance condition (d/dn + i*k) u = g with outward normal n; Dirichlet
   edges carry u = 0 (homogeneous only).
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import dia_matrix
 
 from .banded import BandedLU
 
@@ -268,10 +267,10 @@ class RectStencil:
             return x.reshape(self.w + 1, self.ny + 1)
         return x.reshape(self.ny + 1, self.w + 1).T
 
-    def matrix(self) -> dia_matrix:
-        """The matrix, assembled anew, as a DIA matrix of offsets 0, +-1 and
-        +-bandwidth: A(i, j) in slot j of offset j - i, and 0 in the slots
-        outside the matrix and where no coupling is."""
+    def diagonals(self) -> dict[int, ComplexArray]:
+        """The matrix, assembled anew, as {offset: (nloc,) diagonal} for the
+        offsets 0, +-1 and +-bandwidth: A(i, j) in slot j of offset j - i,
+        and 0 in the slots outside the matrix and where no coupling is."""
         h, k, free = self.grid.h, self._k, ~self.dirichlet_mask
         node = self.to_grid(np.arange(self.nloc))
         data = np.zeros((5, self.nloc), np.complex128)
@@ -279,14 +278,14 @@ class RectStencil:
         diag = (4.0 / h**2 - k**2) + 1j * (self._ghosts * (2.0 * k / h))
         # Dirichlet rows are identity rows
         self.to_grid(data[0])[...] = np.where(free, self.row_scale * diag, 1.0)
-        offsets = [0] + [node[to].flat[0] - node[at].flat[0] for _, at, to in _NEIGHBOURS]
+        offsets = [0] + [int(node[to].flat[0] - node[at].flat[0]) for _, at, to in _NEIGHBOURS]
         for row, (behind, at, to) in enumerate(_NEIGHBOURS, 1):
             # couplings into Dirichlet nodes are dropped: their value is 0
             coupling = np.full(free.shape, -1.0 / h**2)
             coupling[_EDGES[behind]] *= 2.0
             self.to_grid(data[row])[to] = np.where(free[at] & free[to],
                                                    (self.row_scale * coupling)[at], 0.0)
-        return dia_matrix((data, offsets), shape=(self.nloc, self.nloc))
+        return dict(zip(offsets, data))
 
     def rhs(self, load: ComplexArray | None = None,
             left: ComplexArray | None = None,
@@ -370,6 +369,5 @@ def assemble_global(grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
 def solve_direct(system: SparseSystem) -> ComplexArray:
     """Banded direct solve of the global system: the (nx+1, ny+1) field."""
     stencil = system.stencil
-    lu = BandedLU(stencil.matrix(), stencil.bandwidth, stencil.bandwidth,
-                  label="global system")
+    lu = BandedLU(stencil.diagonals(), label="global system")
     return stencil.to_grid(lu.solve(system.rhs))

@@ -104,15 +104,14 @@ class LocalSolver:
         if self.has_right:
             kinds["right"] = "robin"
         self.stencil = RectStencil(grid, kfield, kinds, cols=self.span)
-        matrix = self.stencil.matrix()
+        diagonals = self.stencil.diagonals()
         try:
-            self._lu = BandedLU(matrix, self.stencil.bandwidth, self.stencil.bandwidth,
-                                label=f"strip {strip}")
+            self._lu = BandedLU(diagonals, label=f"strip {strip}")
         except ValueError as err:
             raise ValueError(f"strip {strip}: local factorization failed") from err
         # a datum enters the first or the last nb rows only
         self.xy = self.stencil.ny <= self.stencil.w
-        self.mirror = self.xy and _column_reversal_invariant(matrix, self.stencil.w + 1)
+        self.mirror = self.xy and _column_reversal_invariant(diagonals, self.stencil.w + 1)
 
     @property
     def factor_count(self) -> int:
@@ -209,10 +208,10 @@ class LocalSolver:
                      for x in self.sends)
 
 
-def _column_reversal_invariant(matrix, columns: int) -> bool:
-    """P A P == A exactly, for P reversing the columns of an xy strip's RectStencil.matrix:
-    slot j of a diagonal goes to slot P j of itself (0, +-1) or its mirror (+-nb)."""
-    d = dict(zip(matrix.offsets.tolist(), matrix.data))
-    nb = matrix.shape[0] // columns
+def _column_reversal_invariant(d: dict, columns: int) -> bool:
+    """P A P == A exactly, for P reversing the columns of an xy strip's
+    diagonals d (RectStencil.diagonals): slot j of a diagonal goes to slot
+    P j of itself (0, +-1) or its mirror (+-nb)."""
+    nb = len(d[0]) // columns
     return all(np.array_equal(d[o], d[m].reshape(columns, nb)[::-1].ravel())
                for o, m in ((0, 0), (1, 1), (-1, -1), (nb, -nb)))

@@ -45,9 +45,9 @@ the N solves of reconstruct go through _map, where the calling thread and
 the pool threads take the strips in turn from one counter, so the caller
 works instead of waiting.  A pool of WORKERS threads beside the working
 caller runs more threads than CPUs and made wedge-jacobi shots slower
-(BENCH_23.json).  The two sweeps of
-solve_oneway and the two edge solves of the record path run one on the
-pool and one on the caller.  A strip releases the GIL in its band kernels,
+(BENCH_23.json).  The two sweeps of solve_oneway and the two edge solves
+of the record path go through _map too, as two tasks: the forward sweep
+and strip 1's solve first.  A strip releases the GIL in its band kernels,
 zgbtrf included (see banded.py).  solve_double_sweep stays serial: its
 backward sweep reads what the forward one wrote.  Each solve does the same
 arithmetic and writes the same block as in a serial run, and each
@@ -82,7 +82,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +125,10 @@ def _map(fn, n: int) -> list:
 
     helpers = [_pool.submit(take) for _ in range(min(n, WORKERS) - 1)]
     take()
-    # a helper that has not started would find no strip left
+    # a helper not yet started would find no strip left; result() returns sooner than wait()
     for f in helpers:
-        f.cancel()
-    wait(helpers)
+        if not f.cancel():
+            f.result()
     for err in errors:
         if err is not None:
             raise err
@@ -237,11 +237,9 @@ class SubstructuredSystem:
         r, y, ry = sweep
         n = self.nstrips
         t, o = y.reshape(self.layout), ry.blocks
-        last = _pool.submit(self.solvers[n - 1].respond, left=t[0, n - 2])
-        try:
-            o[0, 0] = self.solvers[0].respond(right=t[1, 0])[0]
-        finally:
-            o[1, n - 2] = last.result()[1]
+        first, last = _map(lambda i: self.solvers[0].respond(right=t[1, 0]) if i == 0
+                           else self.solvers[n - 1].respond(left=t[0, n - 2]), 2)
+        o[0, 0], o[1, n - 2] = first[0], last[1]
         return TraceVector(self.layout, r - ry.data)
 
     def source_traces(self, f=None) -> TraceVector:
@@ -268,20 +266,22 @@ class SubstructuredSystem:
     def solve_oneway(self, r: TraceVector) -> TraceVector:
         """Invert Id - (M_l + M_r) by two independent substitution sweeps.
 
-        The forward sweep (left blocks) runs on the strip pool while this
-        thread runs the backward sweep (right blocks).  The reflections R y
-        the sweeps produce on the way are kept for the next
+        The forward sweep (left blocks) and the backward sweep (right
+        blocks) run side by side through _map.  The reflections R y the
+        sweeps produce on the way are kept for the next
         apply_interface_system (see the module docstring).
         """
         out, reflected = self._start(r)
         o, a = out.blocks, reflected.blocks
-        forward = _pool.submit(self._forward, o, a)
-        try:
+
+        def sweep(i):
+            if i == 0:
+                return self._forward(o, a)
             for s in range(self.nstrips - 2, 0, -1):
                 a[0, s], to_left = self.solvers[s].respond(right=o[1, s])
                 o[1, s - 1] += to_left
-        finally:
-            forward.result()
+
+        _map(sweep, 2)
         self._sweep = (np.array(r.data, dtype=np.complex128), out.data.copy(),
                        reflected)
         return out

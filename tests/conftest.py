@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helmsweep.grid import (Grid, HomogeneousModel, BoundarySpec, robin,
                             dirichlet, build_wavenumber)
@@ -81,6 +82,30 @@ def band_storage(matrix, kl, ku):
     return ab
 
 
+def band_diagonals(matrix, kl):
+    """The sparse matrix as the {offset: (n,) diagonal} mapping BandedLU
+    reads, with every offset -kl..kl below n: A(i, j) scattered into slot j
+    of offset j - i, and 0 in the other slots."""
+    coo = matrix.tocoo(copy=True)
+    coo.sum_duplicates()
+    n = coo.shape[0]
+    kl = min(kl, n - 1)
+    assert coo.shape == (n, n) and np.all(np.abs(coo.col - coo.row) <= kl)
+    data = np.zeros((2 * kl + 1, n), np.complex128)
+    data[kl + coo.col - coo.row, coo.col] = coo.data
+    return dict(zip(range(-kl, kl + 1), data))
+
+
+def sparse(diagonals):
+    """The CSR matrix of a {offset: (n,) diagonal} mapping, for dense checks:
+    slot j of offset o is A(j - o, j), and the slots outside the matrix are
+    dropped."""
+    offsets = list(diagonals)
+    n = len(diagonals[offsets[0]])
+    return sp.dia_matrix((np.array([diagonals[o] for o in offsets]), offsets),
+                         shape=(n, n)).tocsr()
+
+
 def column_reversal_invariant(matrix, columns):
     """P A P == A exactly, by permuting the sparse matrix A: P reverses the
     node columns of an xy-numbered matrix with that many node columns."""
@@ -113,7 +138,7 @@ def reconstruct_dense(lu):
             full[i, i] = d[i]
             full[i, i + 1:i + 1 + m] = d[i] * mult[:m, i]
     else:
-        band, ipiv, top = lu._lu, lu._ipiv - 1, kl + lu.ku
+        band, ipiv, top = lu._lu, lu._ipiv - 1, 2 * kl
         mult = band[top + 1:]
         for j in range(n):
             for i in range(max(0, j - top), j + 1):

@@ -1,9 +1,7 @@
 import ctypes
 import mmap
-import re
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +11,8 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from helmsweep import banded
 from helmsweep.banded import BandedLU
 from helmsweep.grid import HomogeneousModel, RectStencil, build_wavenumber
-from conftest import band_storage, ldlt_parts, make_grid, reconstruct_dense
+from conftest import (band_diagonals, band_storage, ldlt_parts, make_grid, reconstruct_dense,
+                      sparse)
 
 
 def random_banded(rng, n, kl, ku):
@@ -24,22 +23,22 @@ def random_banded(rng, n, kl, ku):
     return (m + sp.eye(n) * (kl + ku + 2.0)).tocsc()
 
 
-def shuffled_dominant(rng, n, kl, ku, reach):
-    """A (kl, ku) band matrix on which partial pivoting swaps rows `reach` apart.
+def pivoting_symmetric(rng, n, kl, reach):
+    """A complex-symmetric matrix of half-bandwidth kl on which partial
+    pivoting swaps rows up to `reach` apart.
 
-    A column diagonally dominant (kl - reach, ku - reach) matrix keeps its
-    diagonal as every pivot, so reversing its rows in blocks of reach + 1
-    makes gbtrf pivot up to exactly `reach` rows down, and the matrix stays
-    as well conditioned as the unshuffled one.
+    It is the permutation that reverses the rows in blocks of reach + 1,
+    itself symmetric, plus a symmetric band of entries too small to be a
+    pivot beside its ones, so the matrix is as well conditioned as the
+    permutation.
     """
-    lo, hi = kl - reach, ku - reach
-    offsets = range(-lo, hi + 1)
-    diags = [rng.uniform(-1, 1, n) * np.exp(2j * np.pi * rng.uniform(size=n))
-             for _ in offsets]
-    m = sp.diags(diags, offsets=offsets, shape=(n, n)).tolil()
-    m.setdiag((lo + hi + 1.0) * np.exp(2j * np.pi * rng.uniform(size=n)))
-    order = np.arange(n).reshape(-1, reach + 1)[:, ::-1].ravel()
-    return m.tocsr()[order].tocsc()
+    order = np.arange(n)
+    for b in range(0, n, reach + 1):
+        order[b:b + reach + 1] = order[b:b + reach + 1][::-1]
+    off = [rng.uniform(-1, 1, n - k) * np.exp(2j * np.pi * rng.uniform(size=n - k)) / (4 * kl + 2)
+           for k in range(kl + 1)]
+    small = sp.diags(off + off[1:], [*range(kl + 1), *range(-1, -kl - 1, -1)], shape=(n, n))
+    return (small + sp.csr_matrix((np.ones(n), (np.arange(n), order)), shape=(n, n))).tocsr()
 
 
 def test_band_storage_layout(rng):
@@ -47,17 +46,21 @@ def test_band_storage_layout(rng):
     a = random_banded(rng, n, kl, ku)
     ab = band_storage(a, kl, ku)
     assert ab.shape == (2 * kl + ku + 1, n)
+    diagonals = band_diagonals(a, kl)
+    assert list(diagonals) == list(range(-kl, kl + 1))
     dense = a.toarray()
     for i in range(n):
         for j in range(n):
             if -kl <= j - i <= ku:
                 assert ab[kl + ku + i - j, j] == dense[i, j]
+            if -kl <= j - i <= kl:
+                assert diagonals[j - i][j] == dense[i, j]
 
 
 def test_solve_matches_dense(rng):
-    n, kl, ku = 40, 3, 2
-    a = random_banded(rng, n, kl, ku)
-    lu = BandedLU(a, kl, ku)
+    n, kl = 40, 3
+    a = pivoting_symmetric(rng, n, kl, 1)
+    lu = BandedLU(band_diagonals(a, kl))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = lu.solve(b)
     ref = np.linalg.solve(a.toarray(), b)
@@ -66,17 +69,18 @@ def test_solve_matches_dense(rng):
 
 
 def test_reconstruct_factored_matrix(rng):
-    n, kl, ku = 25, 2, 4
-    a = random_banded(rng, n, kl, ku)
-    lu = BandedLU(a, kl, ku)
+    n, kl = 25, 4
+    a = pivoting_symmetric(rng, n, kl, 2)
+    lu = BandedLU(band_diagonals(a, kl))
+    assert lu._ld is None
     err = np.linalg.norm(reconstruct_dense(lu) - a.toarray())
     assert err <= 1e-10 * np.linalg.norm(a.toarray())
 
 
 def test_counters(rng):
-    n, kl, ku = 10, 1, 1
-    a = random_banded(rng, n, kl, ku)
-    lu = BandedLU(a, kl, ku)
+    n = 10
+    lu = BandedLU(band_diagonals(pivoting_symmetric(rng, n, 1, 1), 1))
+    assert lu._ld is None
     assert (lu.factor_count, lu.solve_count) == (1, 0)
     for _ in range(3):
         lu.solve(np.ones(n, dtype=np.complex128))
@@ -86,15 +90,8 @@ def test_counters(rng):
 
 
 def test_singular_matrix_reports_label():
-    a = sp.csc_matrix((4, 4), dtype=np.complex128)
-    with pytest.raises(ValueError, match="strip 3"):
-        BandedLU(a, 1, 1, label="strip 3")
-
-
-def test_non_square_rejected():
-    a = sp.csc_matrix((3, 4), dtype=np.complex128)
-    with pytest.raises(ValueError, match="square"):
-        BandedLU(a, 1, 1)
+    with pytest.raises(ValueError, match="^strip 3: banded LU failed"):
+        BandedLU({o: np.zeros(4, np.complex128) for o in (-1, 0, 1)}, label="strip 3")
 
 
 def tridiagonal(n):
@@ -102,55 +99,38 @@ def tridiagonal(n):
                     dtype=np.complex128)
 
 
-# offsets are [largest above, largest below] the diagonal
-@pytest.mark.parametrize("symmetric, offsets", [(True, "8, 8"), (False, "1, 8")],
-                         ids=["symmetric", "non-symmetric"])
-def test_entry_outside_band_reports_label(symmetric, offsets):
-    a = tridiagonal(20).tolil()
-    a[10, 2] = 1.0
-    if symmetric:
-        a[2, 10] = 1.0
-    message = f"strip 3: entry outside declared band: kl=1, ku=1, found offsets [{offsets}]"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        BandedLU(a.tocsr(), 1, 1, label="strip 3")
+def ones(*lengths):
+    """Diagonals of ones at offsets 0, 1, -1, ... of the given lengths."""
+    return {o: np.ones(k, np.complex128) for o, k in zip((0, 1, -1, 2, -2), lengths)}
 
 
-# an entry at offset n - 1 below or above the diagonal: its offset is checked
-# before any (ndiag, n) array is built, which scipy would warn about
-@pytest.mark.parametrize("fmt", ["csr", "dia"])
-@pytest.mark.parametrize("i, j, offsets", [(19, 0, "1, 19"), (0, 19, "19, 1")])
-def test_far_entry_rejected_before_the_diagonals_are_built(fmt, i, j, offsets):
-    n = 20
-    a = tridiagonal(n)
-    if fmt == "csr":
-        a = a.tolil()
-        a[i, j] = 1.0
-        a = a.tocsr()
-    else:
-        # built by hand: converting to DIA is what the check must not need
-        far = np.zeros(n, np.complex128)
-        far[j] = 1.0
-        a = sp.dia_matrix((np.vstack([a.data, far]), [*a.offsets, j - i]), shape=(n, n))
-    message = f"strip 3: entry outside declared band: kl=1, ku=1, found offsets [{offsets}]"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            BandedLU(a, 1, 1, label="strip 3")
+def test_non_square_rejected():
+    # diagonals that are not (n,) arrays of one length describe no n x n matrix
+    for diagonals in (ones(5, 5, 4), {o: np.ones((5, 1)) for o in (0, 1, -1)}, {0: 1.0}, {}):
+        with pytest.raises(ValueError, match="^strip 3: diagonals must be"):
+            BandedLU(diagonals, label="strip 3")
 
 
-def symmetric_flag(monkeypatch, matrix, kl, ku):
-    """Whether BandedLU finds matrix exactly symmetric."""
-    seen = []
-    monkeypatch.setattr(BandedLU, "_factor",
-                        lambda self, diags, symmetric, label: seen.append(symmetric))
-    BandedLU(matrix, kl, ku)
-    return seen[0]
+# offsets that are no symmetric band, and a matrix that is not symmetric:
+# each rejected before anything is factored
+MALFORMED = {
+    "one-sided": (ones(5, 5), "not a symmetric band of order 5"),
+    "unpaired": ({**ones(5, 5, 5), 2: np.ones(5)}, "not a symmetric band of order 5"),
+    "offset n": ({**ones(5), 5: np.ones(5), -5: np.ones(5)}, "not a symmetric band of order 5"),
+    "non-symmetric": ({**ones(5, 5), -1: np.full(5, 2.0)}, "not complex symmetric"),
+}
 
 
-# (row, column, value) entries set on a symmetric (3, 3) band matrix declared
-# (5, 5), or (5, 3): none, an entry in one triangle only, in both, a stored
-# zero, a value changed on one side, and an entry in an upper diagonal that
-# has no lower partner
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_diagonals_rejected_naming_label(case):
+    diagonals, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=f"^strip 3: .*{message}"):
+        BandedLU(diagonals, label="strip 3")
+
+
+# (row, column, value) entries set on a symmetric (3, 3) band matrix: none,
+# an entry in one triangle only, in both, a stored zero, a value changed on
+# one side, and an entry in an upper diagonal that has no lower partner
 SYMMETRY = {"as built": ([], True),
             "one triangle": ([(7, 2, 0.5)], False),
             "both triangles": ([(7, 2, 0.5), (2, 7, 0.5)], True),
@@ -159,46 +139,55 @@ SYMMETRY = {"as built": ([], True),
             "no partner diagonal": ([(2, 7, 0.5)], False)}
 
 
+# the matrix built as CSR and handed over with every offset of its band, as
+# band_diagonals packs it, or converted to DIA and handed over with the
+# diagonals DIA stores, which need not come in pairs
 @pytest.mark.parametrize("fmt", ["csr", "dia"])
 @pytest.mark.parametrize("case", SYMMETRY)
-def test_symmetry_on_diagonals_is_the_transpose_test(rng, monkeypatch, case, fmt):
+def test_symmetry_on_diagonals_is_the_transpose_test(rng, case, fmt):
     entries, symmetric = SYMMETRY[case]
     a = symmetric_banded(rng, 30, 3).tolil()
     for i, j, v in entries:
         a[i, j] = v
     a = a.tocsr()
     assert ((a != a.T).nnz == 0) == symmetric
-    kl = 3 if case == "no partner diagonal" else 5
-    assert symmetric_flag(monkeypatch, a.todia() if fmt == "dia" else a, kl, 5) == symmetric
+    if fmt == "dia":
+        dia = a.todia()
+        diagonals = dict(zip(dia.offsets.tolist(), dia.data))
+    else:
+        diagonals = band_diagonals(a, 5)
+    if symmetric:
+        assert BandedLU(diagonals, label="strip 3")._ld is not None
+    else:
+        with pytest.raises(ValueError, match="^strip 3: (matrix is not complex symmetric|"
+                                             "offsets .* are not a symmetric band)"):
+            BandedLU(diagonals, label="strip 3")
 
 
-# reach 0 swaps no row but is not symmetric; (40, 35) takes zgbtrf's
-# blocked path, which needs kl >= 32
-@pytest.mark.parametrize("kl, ku, reach", [(3, 3, 0), (2, 5, 0), (5, 2, 0),
-                                           (3, 1, 1), (1, 3, 1), (4, 4, 2),
-                                           (40, 35, 10)])
-def test_fallback_factor_is_gbtrf_storage(rng, monkeypatch, kl, ku, reach):
-    # any factor but L D L^T keeps zgbtrf's own array and pivots for zgbtrs
+# (40, 10) takes zgbtrf's blocked path, which needs kl >= 32
+@pytest.mark.parametrize("kl, reach", [(1, 1), (3, 1), (4, 2), (40, 10)])
+def test_fallback_factor_is_gbtrf_storage(rng, monkeypatch, kl, reach):
+    # a factor that swaps a row keeps zgbtrf's own array and pivots for zgbtrs
     n = 462  # whole blocks of reach + 1 rows
-    a = shuffled_dominant(rng, n, kl, ku, reach)
-    ab = band_storage(a, kl, ku)
+    a = pivoting_symmetric(rng, n, kl, reach)
+    ab = band_storage(a, kl, kl)
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    full, ipiv, info = gbtrf(ab, kl, ku)
+    full, ipiv, info = gbtrf(ab, kl, kl)
     assert info == 0
     assert (ipiv - np.arange(n)).max() == reach
 
     calls = zgbtrf_columns(monkeypatch)
-    lu = BandedLU(a, kl, ku)
-    # not symmetric: one chunk of n columns, factored once
+    lu = BandedLU(band_diagonals(a, kl))
+    # one chunk of n columns, factored once
     assert calls == [n]
-    assert lu._ld is None and (lu.kl, lu.ku) == (kl, ku)
-    assert lu._lu.shape == (2 * kl + ku + 1, n) and lu._lu.flags.f_contiguous
+    assert lu._ld is None and lu.kl == kl
+    assert lu._lu.shape == (3 * kl + 1, n) and lu._lu.flags.f_contiguous
     # zgbtrf's 1-based pivots, which scipy's wrapper shifts to 0-based
     assert np.array_equal(lu._lu, full) and np.array_equal(lu._ipiv, ipiv + 1)
     assert lu.nbytes == full.nbytes + ipiv.nbytes
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = lu.solve(b)
-    ref, info = gbtrs(full, kl, ku, b, ipiv)
+    ref, info = gbtrs(full, kl, kl, b, ipiv)
     assert info == 0
     # the ctypes zgbtrs call is the routine scipy's wrapper calls
     assert np.array_equal(x, ref)
@@ -209,12 +198,14 @@ def test_fallback_factor_is_gbtrf_storage(rng, monkeypatch, kl, ku, reach):
 
 
 def helmholtz_strip(ny, cells, k=20.0):
-    """A Robin/Dirichlet Helmholtz strip of cells x ny cells and its band."""
+    """A Robin/Dirichlet Helmholtz strip of cells x ny cells: its diagonals,
+    its sparse matrix and its band."""
     grid = make_grid(1, ny=ny, cells_per_strip=cells)
     kfield = build_wavenumber(grid, HomogeneousModel(k))
     stencil = RectStencil(grid, kfield, {"left": "robin", "right": "robin",
                                          "bottom": "dirichlet", "top": "dirichlet"})
-    return stencil.matrix(), stencil.bandwidth
+    diagonals = stencil.diagonals()
+    return diagonals, sparse(diagonals), stencil.bandwidth
 
 
 # the matrix numbers nodes along the shorter side: columns of ny + 1 nodes
@@ -224,9 +215,10 @@ STRIPS = {"ny<=w": (24, 40), "ny>w": (40, 24)}
 
 @pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
 def test_unswapped_strip_stored_as_ldlt(rng, ny, cells):
-    a, band = helmholtz_strip(ny, cells)
+    diagonals, a, band = helmholtz_strip(ny, cells)
     n = a.shape[0]
-    lu = BandedLU(a, band, band)
+    lu = BandedLU(diagonals)
+    assert lu.kl == band
     assert lu._lu is None and lu._ipiv is None
     assert lu._ld.shape == (band + 1, n) and lu._ld.flags.f_contiguous
     assert lu.nbytes == (band + 1) * n * 16
@@ -237,7 +229,7 @@ def test_unswapped_strip_stored_as_ldlt(rng, ny, cells):
     assert info == 0 and np.array_equal(ipiv, np.arange(n))
     # one chunk: row 0 is 1/D, D U's diagonal, and L the multipliers below
     # it, both as gbtrf left them
-    assert n <= banded._chunk_columns(band, band)
+    assert n <= banded._chunk_columns(band)
     assert np.array_equal(lu._ld[0], 1.0 / full[2 * band])
     assert np.array_equal(lu._ld[1:], full[2 * band + 1:])
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -269,17 +261,21 @@ def mapping_of(array):
     return array
 
 
-# (n, kl, ku): a diagonal band, kl = 1 (also declared wider above), n <=
-# kl + 1, n = 1, a long factor of one chunk, one of several, and one of 4
-# MiB or more
-@pytest.mark.parametrize("n, kl, ku", [(40, 0, 0), (40, 1, 1), (40, 1, 3), (3, 4, 4),
-                                       (5, 4, 4), (1, 2, 2), (3000, 3, 3), (3000, 30, 30),
-                                       (3000, 90, 90)])
-def test_ldlt_factor_packed_at_the_front_of_its_workspace(rng, n, kl, ku):
-    a = symmetric_banded(rng, n, kl)
-    lu = BandedLU(a, kl, ku)
-    ab = band_storage(a, kl, ku)
-    full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, ku)
+# (n, width, kl): a matrix of bandwidth width handed over with the offsets
+# -kl..kl below n.  A diagonal band, width 1 (also with zero diagonals out to
+# 3), n <= width + 1, n = 1, a long factor of one chunk, one of several, and
+# one of 4 MiB or more
+@pytest.mark.parametrize("n, width, kl", [(40, 0, 0), (40, 1, 1), (40, 1, 3), (3, 4, 4),
+                                          (5, 4, 4), (1, 2, 2), (3000, 3, 3), (3000, 30, 30),
+                                          (3000, 90, 90)])
+def test_ldlt_factor_packed_at_the_front_of_its_workspace(rng, n, width, kl):
+    a = symmetric_banded(rng, n, width)
+    lu = BandedLU(band_diagonals(a, kl))
+    # the band is read from the offsets, zero diagonals included
+    kl = min(kl, n - 1)
+    assert lu.kl == kl
+    ab = band_storage(a, kl, kl)
+    full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, kl)
     assert info == 0 and np.array_equal(ipiv, np.arange(n))
     ld = lu._ld
     assert ld.shape == (kl + 1, n) and ld.flags.f_contiguous
@@ -288,37 +284,42 @@ def test_ldlt_factor_packed_at_the_front_of_its_workspace(rng, n, kl, ku):
     # boundary when it holds 4 MiB or more
     at = ld.ctypes.data - np.frombuffer(mapping_of(ld), np.uint8).ctypes.data
     assert ld.ctypes.data % (2 << 20) == 0 if ld.nbytes >= 4 << 20 else at == 0
-    if n <= banded._chunk_columns(kl, ku):
+    if n <= banded._chunk_columns(kl):
         # one chunk is one zgbtrf call on band_storage's array, and 1/D
-        assert np.array_equal(ld[0], 1.0 / full[kl + ku])
-        assert np.array_equal(ld[1:], full[kl + ku + 1:])
+        assert np.array_equal(ld[0], 1.0 / full[2 * kl])
+        assert np.array_equal(ld[1:], full[2 * kl + 1:])
     else:
         assert (n, kl) in {(3000, 30), (3000, 90)}
         dl = np.vstack(ldlt_parts(lu))
-        assert np.linalg.norm(dl - full[kl + ku:]) <= 1e-13 * np.linalg.norm(full[kl + ku:])
+        assert np.linalg.norm(dl - full[2 * kl:]) <= 1e-13 * np.linalg.norm(full[2 * kl:])
 
 
-def chunks_of(monkeypatch, width, kl, ku):
-    """Make BandedLU factor exactly symmetric (kl, ku) band matrices in
-    chunks of width columns."""
-    monkeypatch.setattr(banded, "_CHUNK_BYTES", 16 * (2 * kl + ku + 1) * width)
-    assert banded._chunk_columns(kl, ku) == width
+def chunks_of(monkeypatch, width, kl):
+    """Make BandedLU factor band matrices of half-bandwidth kl in chunks of
+    width columns."""
+    monkeypatch.setattr(banded, "_CHUNK_BYTES", 16 * (3 * kl + 1) * width)
+    assert banded._chunk_columns(kl) == width
 
 
 def strip_case(ny, cells):
-    a, band = helmholtz_strip(ny, cells)
-    return a, band, band
+    diagonals, a, _ = helmholtz_strip(ny, cells)
+    return a, diagonals
 
 
-# exactly symmetric matrices and their declared (kl, ku): both strip
-# numberings, a band whose last chunk is narrower than kl (610 = 20 * 30 +
-# 10 = 6 * 97 + 28), a band declared wider above, and a diagonal
+def band_case(a, kl):
+    return a, band_diagonals(a, kl)
+
+
+# exactly symmetric matrices and their diagonals: both strip numberings, the
+# stencil's own five, a band whose last chunk is narrower than kl (610 = 20
+# * 30 + 10 = 6 * 97 + 28), a band of 1 with zero diagonals out to 3, and a
+# diagonal
 CHUNKED = {
     "ny<=w strip": lambda rng: strip_case(*STRIPS["ny<=w"]),
     "ny>w strip": lambda rng: strip_case(*STRIPS["ny>w"]),
-    "kl=30": lambda rng: (symmetric_banded(rng, 610, 30), 30, 30),
-    "ku>kl": lambda rng: (symmetric_banded(rng, 610, 1), 1, 3),
-    "kl=0": lambda rng: (symmetric_banded(rng, 610, 0), 0, 0),
+    "kl=30": lambda rng: band_case(symmetric_banded(rng, 610, 30), 30),
+    "zero diagonals": lambda rng: band_case(symmetric_banded(rng, 610, 1), 3),
+    "kl=0": lambda rng: band_case(symmetric_banded(rng, 610, 0), 0),
 }
 
 
@@ -326,34 +327,34 @@ CHUNKED = {
 @pytest.mark.parametrize("columns", [None, 97], ids=["kl columns", "97 columns"])
 @pytest.mark.parametrize("case", CHUNKED)
 def test_multi_chunk_factor_matches_oracles(rng, monkeypatch, case, columns):
-    a, kl, ku = CHUNKED[case](rng)
-    n = a.shape[0]
+    a, diagonals = CHUNKED[case](rng)
+    n, kl = a.shape[0], max(diagonals)
     width = columns or max(kl, 1)
-    chunks_of(monkeypatch, width, kl, ku)
+    chunks_of(monkeypatch, width, kl)
     assert n > 2 * width
-    lu = BandedLU(a, kl, ku)
+    lu = BandedLU(diagonals)
     assert lu._lu is None and lu._ipiv is None
     ld = lu._ld
     assert ld.shape == (kl + 1, n) and ld.flags.f_contiguous
     dense = a.toarray()
     err = np.linalg.norm(reconstruct_dense(lu) - dense)
     assert err <= 1e-10 * np.linalg.norm(dense)
-    ab = band_storage(a, kl, ku)
-    full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, ku)
+    ab = band_storage(a, kl, kl)
+    full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, kl)
     assert info == 0 and np.array_equal(ipiv, np.arange(n))
     # the same factor as one zgbtrf call, to roundoff
     dl = np.vstack(ldlt_parts(lu))
-    assert np.linalg.norm(dl - full[kl + ku:]) <= 1e-13 * np.linalg.norm(full[kl + ku:])
+    assert np.linalg.norm(dl - full[2 * kl:]) <= 1e-13 * np.linalg.norm(full[2 * kl:])
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
-    assert np.array_equal(BandedLU(a, kl, ku)._ld, ld)
+    assert np.array_equal(BandedLU(diagonals)._ld, ld)
 
 
 def later_chunk_matrix(rng, monkeypatch):
     """A symmetric (6, 6) band matrix of order 610 factored in chunks of 97
     columns, and a column p of its third chunk."""
     n, kl, width = 610, 6, 97
-    chunks_of(monkeypatch, width, kl, kl)
+    chunks_of(monkeypatch, width, kl)
     return symmetric_banded(rng, n, kl).tolil(), 2 * width + 7
 
 
@@ -384,7 +385,7 @@ def test_swap_in_a_later_chunk_keeps_gbtrf_storage(rng, monkeypatch):
     ab = band_storage(a, kl, kl)
     full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, kl)
     assert info == 0 and np.flatnonzero(ipiv != np.arange(n))[0] == p
-    lu = BandedLU(a, kl, kl)
+    lu = BandedLU(band_diagonals(a, kl))
     # the chunks up to the one that swaps, then the whole matrix as one chunk
     assert calls == [97, 97, 97, n]
     assert lu._ld is None
@@ -399,16 +400,16 @@ def test_zero_pivot_in_a_later_chunk_reports_label(rng, monkeypatch):
     a[p, :] = 0
     a[:, p] = 0
     with pytest.raises(ValueError, match=f"strip 3: banded LU failed, zgbtrf info={p + 1}$"):
-        BandedLU(a.tocsc(), 6, 6, label="strip 3")
+        BandedLU(band_diagonals(a, 6), label="strip 3")
 
 
 def test_swapped_symmetric_strip_keeps_gbtrs(rng, monkeypatch):
     # under-resolved (about 5 points per wavelength), zgbtrf swaps rows of
     # this symmetric strip, and L D L^T no longer describes the factor
-    a, band = helmholtz_strip(16, 12)
+    diagonals, a, band = helmholtz_strip(16, 12)
     n = a.shape[0]
     calls = zgbtrf_columns(monkeypatch)
-    lu = BandedLU(a, band, band)
+    lu = BandedLU(diagonals)
     # one chunk, factored once: its workspace is zgbtrf's LU, bit for bit
     assert calls == [n]
     assert lu._ld is None and (lu._ipiv - np.arange(1, n + 1)).max() > 0
@@ -428,41 +429,40 @@ def test_non_finite_matrix_reports_label(bad):
     a = tridiagonal(50).tolil()
     a[17, 18] = bad
     with pytest.raises(ValueError, match="strip 3.*non-finite"):
-        BandedLU(a.tocsr(), 1, 1, label="strip 3")
+        BandedLU(band_diagonals(a, 1), label="strip 3")
 
 
 # the slots of each diagonal above the first row or below the last column
 @pytest.mark.parametrize("columns", [None, 97], ids=["one chunk", "97 columns"])
 @pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
 def test_dia_slots_outside_the_matrix_are_ignored(monkeypatch, ny, cells, columns):
-    a, band = helmholtz_strip(ny, cells)
+    diagonals, a, band = helmholtz_strip(ny, cells)
     n = a.shape[0]
     if columns:
-        chunks_of(monkeypatch, columns, band, band)
-    want = BandedLU(a.tocsr(), band, band)
-    # one more column past the matrix, NaN like the other outside slots
-    data = np.hstack([a.data, np.zeros((len(a.offsets), 1))])
-    for row, o in zip(data, a.offsets):
-        row[:max(0, o)] = np.nan
-        row[n + min(0, o):] = np.nan
-    assert np.isnan(data).sum() == 2 * (1 + band) + len(a.offsets)
-    lu = BandedLU(sp.dia_matrix((data, a.offsets), shape=a.shape), band, band)
+        chunks_of(monkeypatch, columns, band)
+    want = BandedLU(band_diagonals(a, band))
+    # NaN in every slot outside the matrix
+    data = {o: d.copy() for o, d in diagonals.items()}
+    for o, d in data.items():
+        d[:max(0, o)] = np.nan
+        d[n + min(0, o):] = np.nan
+    assert sum(np.isnan(d).sum() for d in data.values()) == 2 * (1 + band)
+    lu = BandedLU(data)
     assert lu._ld is not None and np.array_equal(lu._ld, want._ld)
     # a NaN inside the matrix is rejected, naming its strip
-    for k, o in enumerate(a.offsets):
-        bad = data.copy()
-        bad[k, max(0, o) + 3] = np.nan
+    for o in data:
+        bad = {p: d.copy() for p, d in data.items()}
+        bad[o][max(0, o) + 3] = np.nan
         with pytest.raises(ValueError, match="^strip 3: matrix has a non-finite entry$"):
-            BandedLU(sp.dia_matrix((bad, a.offsets), shape=a.shape), band, band,
-                     label="strip 3")
+            BandedLU(bad, label="strip 3")
 
 
 @pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
 def test_ctypes_tbsv_is_scipy_tbsv_bitwise(rng, ny, cells):
     # the GIL-free kernel is the routine get_blas_funcs("tbsv") wraps
-    a, band = helmholtz_strip(ny, cells)
+    diagonals, a, band = helmholtz_strip(ny, cells)
     n = a.shape[0]
-    lu = BandedLU(a, band, band)
+    lu = BandedLU(diagonals)
     ld = lu._ld
     tbsv = get_blas_funcs("tbsv", (ld,))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -484,9 +484,9 @@ def test_ctypes_tbsv_is_scipy_tbsv_bitwise(rng, ny, cells):
 def test_partial_solve_is_full_solve_on_kept_rows_bitwise(rng, ny, cells):
     # with b[:head] == 0, rows >= keep of solve(b, head, keep) are those of
     # solve(b) bit for bit, and rows < keep are NaN
-    a, band = helmholtz_strip(ny, cells)
+    diagonals, a, band = helmholtz_strip(ny, cells)
     n = a.shape[0]
-    lu = BandedLU(a, band, band)
+    lu = BandedLU(diagonals)
     assert lu._ld is not None
     edges = [(0, 0), (0, n), (n, 0), (n, n), (n - band, n - 1), (1, 1)]
     drawn = [tuple(rng.integers(0, n + 1, 2)) for _ in range(20)]
@@ -503,7 +503,7 @@ def test_partial_solve_is_full_solve_on_kept_rows_bitwise(rng, ny, cells):
 
 
 def test_fallback_solve_ignores_head_and_keep(rng):
-    lu = BandedLU(shuffled_dominant(rng, 462, 4, 4, 2), 4, 4)
+    lu = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
     assert lu._ld is None
     n = lu.n
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -514,8 +514,7 @@ def test_fallback_solve_ignores_head_and_keep(rng):
 
 
 def test_head_and_keep_out_of_range_rejected(rng):
-    a, band = helmholtz_strip(*STRIPS["ny<=w"])
-    lu = BandedLU(a, band, band)
+    lu = BandedLU(helmholtz_strip(*STRIPS["ny<=w"])[0])
     n = lu.n
     for head, keep in [(-1, 0), (0, -1), (n + 1, 0), (0, n + 1)]:
         with pytest.raises(ValueError, match="head"):
@@ -524,9 +523,8 @@ def test_head_and_keep_out_of_range_rejected(rng):
 
 
 def test_bad_rhs_shape_rejected(rng):
-    a, band = helmholtz_strip(*STRIPS["ny>w"])
-    lu = BandedLU(a, band, band)
-    for shape in [(a.shape[0] - 1,), (), (a.shape[0], 2), (a.shape[0], 2, 1)]:
+    lu = BandedLU(helmholtz_strip(*STRIPS["ny>w"])[0])
+    for shape in [(lu.n - 1,), (), (lu.n, 2), (lu.n, 2, 1)]:
         with pytest.raises(ValueError, match="right-hand side"):
             lu.solve(np.ones(shape, dtype=np.complex128))
     assert lu.solve_count == 0
@@ -535,10 +533,9 @@ def test_bad_rhs_shape_rejected(rng):
 @pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])
 def test_solve_in_place_only_when_told_it_owns_rhs(rng, kind):
     if kind == "ldlt":
-        a, band = helmholtz_strip(*STRIPS["ny<=w"])
-        lu = BandedLU(a, band, band)
+        lu = BandedLU(helmholtz_strip(*STRIPS["ny<=w"])[0])
     else:
-        lu = BandedLU(shuffled_dominant(rng, 462, 4, 4, 2), 4, 4)
+        lu = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
     assert (lu._ld is not None) == (kind == "ldlt")
     n = lu.n
     # a full and a one-sided solve
@@ -557,10 +554,9 @@ def test_solve_in_place_only_when_told_it_owns_rhs(rng, kind):
 def test_concurrent_solves_counted_and_bitwise(rng, kind):
     # two threads solving with one factor lose no count and no bit
     if kind == "ldlt":
-        a, band = helmholtz_strip(*STRIPS["ny>w"])
-        lu = BandedLU(a, band, band)
+        lu = BandedLU(helmholtz_strip(*STRIPS["ny>w"])[0])
     else:
-        lu = BandedLU(shuffled_dominant(rng, 462, 4, 4, 2), 4, 4)
+        lu = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
     assert (lu._ld is not None) == (kind == "ldlt")
     n, threads, solves = lu.n, 2, 200
     rhs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(threads)]
@@ -590,8 +586,8 @@ def test_concurrent_solves_counted_and_bitwise(rng, kind):
 
 def factor_pair(rng, kind):
     """Two BandedLU of one matrix, stored as L D L^T or as zgbtrf's LU."""
-    a = symmetric_banded(rng, 300, 3) if kind == "ldlt" else shuffled_dominant(rng, 300, 3, 3, 1)
-    first, second = BandedLU(a, 3, 3), BandedLU(a, 3, 3)
+    a = symmetric_banded(rng, 300, 3) if kind == "ldlt" else pivoting_symmetric(rng, 300, 3, 1)
+    first, second = BandedLU(band_diagonals(a, 3)), BandedLU(band_diagonals(a, 3))
     assert (first._ld is not None) == (kind == "ldlt")
     return first, second
 
@@ -637,12 +633,12 @@ def test_share_refuses_a_factor_one_entry_apart(rng, case):
 
 def test_share_refuses_another_shape_or_storage_kind(rng):
     a = symmetric_banded(rng, 300, 3)
-    ld = BandedLU(a, 3, 3)
-    others = {"n": BandedLU(symmetric_banded(rng, 299, 3), 3, 3),
-              # one matrix, a band declared wider: another kl, or ku alone
-              "kl": BandedLU(a, 4, 4), "ku": BandedLU(a, 3, 4),
-              "storage": BandedLU(shuffled_dominant(rng, 300, 3, 3, 1), 3, 3)}
-    assert others["ku"]._ld.shape == ld._ld.shape and others["storage"]._ld is None
+    ld = BandedLU(band_diagonals(a, 3))
+    others = {"n": BandedLU(band_diagonals(symmetric_banded(rng, 299, 3), 3)),
+              # one matrix, with zero diagonals out to 4: another kl
+              "kl": BandedLU(band_diagonals(a, 4)),
+              "storage": BandedLU(band_diagonals(pivoting_symmetric(rng, 300, 3, 1), 3))}
+    assert others["kl"].kl == 4 and others["storage"]._ld is None
     for name, other in others.items():
         assert not ld.share(other), name
         assert not other.share(ld), name

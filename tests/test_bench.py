@@ -316,7 +316,7 @@ def test_every_strip_factor_is_ldlt(name):
         warnings.simplefilter("ignore", UserWarning)
         solvers = bench.BenchContext(ProblemSpec(**LDLT_SPECS[name])).system.solvers
     assert [sv.lu_bytes for sv in solvers] == [
-        (sv.bandwidth + 1) * sv.stencil.matrix().shape[0] * 16 for sv in solvers]
+        (sv.bandwidth + 1) * sv.stencil.nloc * 16 for sv in solvers]
 
 
 def test_fixed_point_solver_path():
@@ -467,13 +467,21 @@ WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
     (["analyze-symbols", "--k", "nan"], "k must be finite"),
     (["analyze-symbols", "--k", "20", "--overlap", "nan"], "delta must be finite"),
     (["analyze-symbols", "--k", "20", "--width", "inf"], "strips must have finite"),
+    # checked before a range of xi is built from them
+    (["analyze-symbols", "--mode", "waveguide", "--length", "1", "--k", "inf"],
+     "--k must be finite"),
+    (["analyze-symbols", "--mode", "waveguide", "--length", "1", "--k", "nan"],
+     "--k must be finite"),
+    (["analyze-symbols", "--k", "5", "--xi-max", "inf"], "--xi-max must be finite"),
+    (["analyze-symbols", "--k", "5", "--xi-min", "nan"], "--xi-min must be finite"),
 ], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
         "missing-config", "float-subdomains", "float-overlap", "string-maxit",
         "negative-maxit", "bool-maxit", "string-omega", "string-k",
         "scalar-tolerances", "removed-wedge-upper", "removed-wedge-lower",
         "removed-wedge-velocities", "int-out-dir", "infinite-k", "infinite-omega",
         "nan-k", "nan-tol", "k-and-omega", "wedge-k", "nan-symbol-k",
-        "nan-symbol-overlap", "infinite-symbol-width"])
+        "nan-symbol-overlap", "infinite-symbol-width", "infinite-waveguide-k",
+        "nan-waveguide-k", "infinite-xi-max", "nan-xi-min"])
 def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
     # a message and exit code 2, not a traceback; and no output left behind
     out = tmp_path / "out"

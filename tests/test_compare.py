@@ -42,6 +42,11 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     low, high = rec["tiny"]["setup_min_s"], rec["tiny"]["setup_max_s"]
     assert low <= rec["tiny"]["setup_s"] <= high
     assert f"range {low:.3f}-{high:.3f} -> {low:.3f}-{high:.3f} s" in lines[0]
+    # the direct solve, timed as often as the set-ups
+    low, high = rec["tiny"]["direct_min_s"], rec["tiny"]["direct_max_s"]
+    assert low <= rec["tiny"]["direct_s"] <= high
+    direct = [line for line in lines if line.startswith("tiny direct solve")]
+    assert f"range {low:.3f}-{high:.3f} -> {low:.3f}-{high:.3f} s, of 3 -> 3 samples" in direct[0]
     coarse = [line for line in lines if line.startswith("coarse quick-start")]
     assert [line.split(":")[0] for line in coarse] == [f"coarse quick-start {p}" for p in paths]
     assert all(line.endswith(", field bitwise") for line in coarse)

@@ -8,7 +8,7 @@ from helmsweep.grid import (Grid, HomogeneousModel, WedgeModel, BoundarySpec,
                             EdgeCondition, RectStencil, SIDES, robin, dirichlet,
                             build_grid, build_wavenumber, assemble_global,
                             problem_load, solve_direct)
-from conftest import band_storage
+from conftest import band_diagonals, sparse
 from oracles import wedge_velocity
 
 
@@ -52,7 +52,7 @@ def test_global_matrix_complex_symmetric():
     grid = Grid(0.0, 2.0, 0.0, 1.0, 16, 8, 0.125)
     kfield = build_wavenumber(grid, HomogeneousModel(5.0))
     system = assemble_global(grid, kfield, waveguide_bc())
-    a = system.stencil.matrix().tocsr()
+    a = sparse(system.stencil.diagonals())
     asym = (a - a.T).tocoo()
     assert asym.nnz == 0 or np.max(np.abs(asym.data)) == 0.0
 
@@ -61,7 +61,7 @@ def test_global_matrix_bandwidth():
     grid = Grid(0.0, 2.0, 0.0, 1.0, 16, 8, 0.125)
     kfield = build_wavenumber(grid, HomogeneousModel(5.0))
     system = assemble_global(grid, kfield, waveguide_bc())
-    coo = system.stencil.matrix().tocoo()
+    coo = sparse(system.stencil.diagonals()).tocoo()
     assert np.max(np.abs(coo.row - coo.col)) <= grid.ny + 1
 
 
@@ -69,7 +69,7 @@ def test_dirichlet_rows_are_identity():
     grid = Grid(0.0, 2.0, 0.0, 1.0, 16, 8, 0.125)
     kfield = build_wavenumber(grid, HomogeneousModel(5.0))
     system = assemble_global(grid, kfield, waveguide_bc())
-    a = system.stencil.matrix().tocsr()
+    a = sparse(system.stencil.diagonals())
     node = system.stencil.to_grid(np.arange(grid.npoints))
     for ix in range(grid.nx + 1):
         for iy in (0, grid.ny):
@@ -243,12 +243,16 @@ def test_stencil_matches_node_by_node_reference(case, rng):
                 grid, kfield, kinds, cols)
             numberings.add("xy" if node[0, 1] == 1 else "yx")
             assert np.array_equal(stencil.to_grid(np.arange(stencil.nloc)), node)
-            got, ref = canonical(stencil.matrix()), canonical(matrix)
+            diagonals = stencil.diagonals()
+            got, ref = canonical(sparse(diagonals)), canonical(matrix)
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
             assert_bitwise(got.data, ref.data)
+            # the diagonals BandedLU reads, slot by slot, zeros included
             bw = stencil.bandwidth
-            assert_bitwise(band_storage(stencil.matrix(), bw, bw), band_storage(matrix, bw, bw))
+            assert sorted(diagonals) == [-bw, -1, 0, 1, bw]
+            for o, d in band_diagonals(matrix, bw).items():
+                assert_bitwise(diagonals.get(o, np.zeros_like(d)), d)
             assert_bitwise(stencil.row_scale, row_scale)
             assert_bitwise(stencil.dirichlet_mask, dmask)
             shape = (stencil.w + 1, grid.ny + 1)

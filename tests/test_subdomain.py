@@ -2,14 +2,13 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from helmsweep.grid import (HomogeneousModel, BoundarySpec, RectStencil, robin, dirichlet,
                             build_wavenumber, assemble_global, problem_load,
                             solve_direct)
 from helmsweep.strips import build_strips
 from helmsweep.subdomain import LocalSolver, extract_trace
-from conftest import make_grid, left_bump, reconstruct_dense
+from conftest import make_grid, left_bump, reconstruct_dense, sparse
 
 
 def small_setup(nstrips=3, k=5.0):
@@ -103,33 +102,33 @@ def test_local_matrix_symmetric_and_banded():
     grid, kfield, bc, decomp = small_setup()
     for i in (1, 2, 3):
         solver = LocalSolver(grid, kfield, bc, decomp, i)
-        a = solver.stencil.matrix().tocsr()
+        a = sparse(solver.stencil.diagonals())
         asym = (a - a.T).tocoo()
         assert asym.nnz == 0 or np.max(np.abs(asym.data)) == 0.0
         assert solver.bandwidth <= grid.ny + 2
 
 
 def test_strip_keeps_its_factor_and_not_its_matrix(monkeypatch):
-    # the matrix a strip is factored from is freed once the strip is set
-    # up; neither the strip nor its stencil holds it, as sparse or as an
-    # (ndiag, n) array
+    # the diagonals a strip is factored from are freed once the strip is
+    # set up; neither the strip nor its stencil holds them, as a mapping,
+    # one by one or as an (ndiag, n) array
     grid, kfield, bc, decomp = small_setup()
-    made, assemble = [], RectStencil.matrix
+    made, assemble = [], RectStencil.diagonals
 
-    def matrix(stencil):
-        m = assemble(stencil)
-        made.append(weakref.ref(m))
-        return m
+    def diagonals(stencil):
+        d = assemble(stencil)
+        made.append([weakref.ref(a) for a in d.values()])
+        return d
 
-    monkeypatch.setattr(RectStencil, "matrix", matrix)
+    monkeypatch.setattr(RectStencil, "diagonals", diagonals)
     for i in (1, 2, 3):
         solver = LocalSolver(grid, kfield, bc, decomp, i)
-        assert len(made) == i and made[-1]() is None
+        assert len(made) == i and all(ref() is None for ref in made[-1])
         n = solver.stencil.nloc
         for owner in (solver, solver.stencil):
             for name, value in vars(owner).items():
-                assert not sp.issparse(value), name
-                assert not (isinstance(value, np.ndarray) and n in value.shape[1:]), name
+                arrays = value.values() if isinstance(value, dict) else [value]
+                assert not any(isinstance(a, np.ndarray) and n in a.shape for a in arrays), name
         assert solver._lu._ld.shape == (solver.bandwidth + 1, n)
 
 
@@ -138,7 +137,7 @@ def test_factored_matrix_reproduced():
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
     assert solver._lu._ld is not None
     dense = reconstruct_dense(solver._lu)
-    err = np.linalg.norm(dense - solver.stencil.matrix().toarray())
+    err = np.linalg.norm(dense - sparse(solver.stencil.diagonals()).toarray())
     assert err <= 1e-10 * np.linalg.norm(dense)
 
 

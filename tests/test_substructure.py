@@ -22,8 +22,8 @@ from helmsweep.krylov import gmres_right, richardson
 from helmsweep.strips import StripDecomposition, build_strips
 from helmsweep.subdomain import LocalSolver, _column_reversal_invariant, extract_trace
 from helmsweep.substructure import SubstructuredSystem, TraceVector
-from conftest import (band_storage, column_reversal_invariant, dense_matrix, dense_parts,
-                      make_case)
+from conftest import (band_diagonals, band_storage, column_reversal_invariant, dense_matrix,
+                      dense_parts, make_case, sparse)
 
 
 def test_layout_slots_and_order():
@@ -426,27 +426,27 @@ FACTOR_SPECS = {**POOLED_SPECS,
 @pytest.mark.parametrize("problem", sorted(FACTOR_SPECS))
 def test_pooled_factors_are_the_serial_ones_bitwise(problem, n):
     # strips factored on the pool store what a factorization on this
-    # thread stores, what one from the same matrix as CSR stores, and what
-    # scipy's f2py gbtrf returns; so does the global system
+    # thread stores, what one from the whole band of the same matrix
+    # stores, and what scipy's f2py gbtrf returns; so does the global system
     spec = ProblemSpec(**FACTOR_SPECS[problem], subdomains=n, overlap_cells=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         system = BenchContext(spec).system
     stencil = assemble_global(system.grid, system.kfield, system.bc).stencil
-    bw = stencil.bandwidth
-    assert_same_factor(BandedLU(stencil.matrix().tocsr(), bw, bw),
-                       BandedLU(stencil.matrix(), bw, bw))
+    diagonals, bw = stencil.diagonals(), stencil.bandwidth
+    assert_same_factor(BandedLU(band_diagonals(sparse(diagonals), bw)), BandedLU(diagonals))
     for sv in system.solvers:
-        a, bw = sv.stencil.matrix(), sv.bandwidth
-        pooled, serial = sv._lu, BandedLU(a, bw, bw)
-        assert_same_factor(BandedLU(a.tocsr(), bw, bw), pooled)
+        diagonals, bw = sv.stencil.diagonals(), sv.bandwidth
+        a = sparse(diagonals)
+        pooled, serial = sv._lu, BandedLU(diagonals)
+        assert_same_factor(BandedLU(band_diagonals(a, bw)), pooled)
         ab = band_storage(a, bw, bw)
         full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, bw, bw)
         assert info == 0
         if serial._ld is not None:
             assert pooled._lu is None and pooled._ipiv is None
             # one chunk, so one zgbtrf call as in the f2py wrapper
-            assert a.shape[0] <= banded._chunk_columns(bw, bw)
+            assert a.shape[0] <= banded._chunk_columns(bw)
             assert np.array_equal(pooled._ld, serial._ld)
             assert np.array_equal(pooled._ld[0], 1.0 / full[2 * bw])
             assert np.array_equal(pooled._ld[1:], full[2 * bw + 1:])
@@ -465,8 +465,7 @@ def test_pivoted_strips_solve_the_coarse_waveguide():
     ctx = BenchContext(spec)
     assert [sv._lu._ld is None for sv in ctx.system.solvers] == [False, True, True, True, False]
     direct = assemble_global(ctx.grid, ctx.kfield, ctx.bc)
-    bw = direct.stencil.bandwidth
-    assert BandedLU(direct.stencil.matrix(), bw, bw)._ld is None
+    assert BandedLU(direct.stencil.diagonals())._ld is None
     u = solve_direct(direct)
     for preconditioner, iterations in {"jacobi": 34, "ds": 15, "osds": 29}.items():
         rec = ctx.solve(dataclasses.replace(spec, preconditioner=preconditioner))
@@ -531,22 +530,58 @@ def test_pool_leaves_one_worker_to_the_caller():
 
 
 def test_sweeps_and_record_path_keep_their_pool_thread(rng, monkeypatch):
-    # solve_oneway's forward sweep (left data) and the record path's last
-    # strip run on the pool, the backward sweep and strip 0 on this thread
+    # solve_oneway's forward sweep (left data) and backward sweep (right
+    # data) run side by side, one on this thread and one on the pool, and
+    # so do the record path's two edge solves.  The first solve of each
+    # waits for the other's, so the two threads take one each
     system = make_case(5)
+    monkeypatch.setattr(substructure, "WORKERS", 2)
+    barrier = threading.Barrier(2, timeout=10)
+    first = {(1, "left"), (3, "right"), (4, "left"), (0, "right")}
     ran = []
-    for sv in system.solvers:
-        def respond(left=None, right=None, load=None, respond=sv.respond):
-            ran.append(("left" if right is None else "right", threading.current_thread()))
+    for s, sv in enumerate(system.solvers):
+        def respond(left=None, right=None, load=None, respond=sv.respond, s=s):
+            side = "left" if right is None else "right"
+            ran.append((side, threading.current_thread()))
+            if (s, side) in first:
+                barrier.wait()
             return respond(left, right, load)
         monkeypatch.setattr(sv, "respond", respond)
+
+    def check(solves):
+        assert len(ran) == solves
+        threads = {side: {t for s, t in ran if s == side} for side in ("left", "right")}
+        assert all(len(t) == 1 for t in threads.values())
+        pair = threads["left"] | threads["right"]
+        assert len(pair) == 2 and threading.current_thread() in pair
+        assert any(t.name.startswith("helmsweep-strip") for t in pair)
+        ran.clear()
+
     r = TraceVector(system.layout, rng.standard_normal(math.prod(system.layout)) + 0j)
-    system.apply_interface_system(system.solve_oneway(r))
-    # 2N - 4 sweep solves and the two edge solves: no full exchange
-    assert len(ran) == 2 * system.nstrips - 2
-    for side, thread in ran:
-        assert (thread is threading.current_thread()) == (side == "right")
-        assert side == "right" or thread.name.startswith("helmsweep-strip")
+    y = system.solve_oneway(r)
+    check(2 * system.nstrips - 4)
+    # the two edge solves: no full exchange
+    system.apply_interface_system(y)
+    check(2)
+
+
+@pytest.mark.parametrize("operator", ["solve_oneway", "record path"])
+def test_failing_sweeps_raise_the_first_in_strip_order(operator, monkeypatch):
+    # when both of the two tasks fail, the first one's failure is raised,
+    # as apply_exchange raises it, and not with the other's as its context
+    system = make_case(4)
+    r = TraceVector(system.layout, np.ones(math.prod(system.layout), np.complex128))
+    y = system.solve_oneway(r)
+    for s, sv in enumerate(system.solvers):
+        def fail(left=None, right=None, load=None, s=s):
+            raise RuntimeError(f"strip {s + 1} failed")
+        monkeypatch.setattr(sv, "respond", fail)
+    apply, first = {"solve_oneway": (lambda: system.solve_oneway(r), "strip 2"),
+                    "record path": (lambda: system.apply_interface_system(y), "strip 1")}[operator]
+    with pytest.raises(RuntimeError) as raised:
+        apply()
+    assert str(raised.value) == f"{first} failed"
+    assert raised.value.__context__ is None
 
 
 def test_failing_strip_factor_raises_after_the_others(monkeypatch):
@@ -557,14 +592,14 @@ def test_failing_strip_factor_raises_after_the_others(monkeypatch):
     for fails in ("strip 2", "caller"):
         ended, failed = [], []
 
-        def factor(matrix, kl, ku, label):
+        def factor(diagonals, label):
             try:
                 meet(int(label.split()[1]) - 1)
                 if label == fails or fails == "caller" and threading.current_thread() is caller:
                     failed.append(label)
                     raise ValueError("banded LU failed")
                 time.sleep(0.05)
-                return BandedLU(matrix, kl, ku, label)
+                return BandedLU(diagonals, label)
             finally:
                 ended.append(label)
 
@@ -657,7 +692,8 @@ def test_mirror_check_on_diagonals_is_the_permuted_matrix_test(problem):
     system = quickstart_system(problem)
     for sv in system.solvers:
         assert sv.xy
-        assert sv.mirror == column_reversal_invariant(sv.stencil.matrix(), sv.stencil.w + 1)
+        assert sv.mirror == column_reversal_invariant(sparse(sv.stencil.diagonals()),
+                                                      sv.stencil.w + 1)
     # one wavenumber of strip 3 made 1 % larger, one column in from its
     # left edge: no mirror; the same one column in from its right edge
     # too: a mirror again
@@ -665,9 +701,9 @@ def test_mirror_check_on_diagonals_is_the_permuted_matrix_test(problem):
     for column in (a + 1, b - 1):
         values[column, 5] *= 1.01
         sv = LocalSolver(system.grid, WavenumberField(values), system.bc, system.decomp, 3)
-        matrix, columns = sv.stencil.matrix(), sv.stencil.w + 1
-        assert column_reversal_invariant(matrix, columns) == (column == b - 1)
-        assert _column_reversal_invariant(matrix, columns) == (column == b - 1)
+        diagonals, columns = sv.stencil.diagonals(), sv.stencil.w + 1
+        assert column_reversal_invariant(sparse(diagonals), columns) == (column == b - 1)
+        assert _column_reversal_invariant(diagonals, columns) == (column == b - 1)
         assert sv.mirror == (column == b - 1)
 
 

@@ -9,7 +9,7 @@ temporary directory outside both checkouts, and no bytecode is written, so
 nothing is written under either root.  For each benchmark workload the two
 checkouts take turns to run first.
 
-Per checkout and workload, one process sets the workload up SETUPS times
+Per checkout and workload, one process sets the workload up REPEATS times
 through ``adapter.setup`` and records:
 
 - the median, least and largest wall seconds of the set-ups and how many
@@ -34,8 +34,9 @@ through ``adapter.setup`` and records:
 A second process runs the benchmark's monodomain oracle
 (``adapter.direct_field``: ``grid.solve_direct`` of the global system) on
 the workload's grid, for the source of shot 1 of seed 1, without the
-strips ever being built, and records its wall seconds and VmHWM before and
-after it.  Two more processes per checkout run a quick-start waveguide
+strips ever being built, REPEATS times, and records the median, least and
+largest wall seconds of those solves, and VmHWM before and after the
+first.  Two more processes per checkout run a quick-start waveguide
 (k=20, N=5) along ``run_methods``' path, one ``BenchContext`` and one
 ``solve`` per preconditioner: gmres with jacobi, ds and osds, and
 fixed_point with jacobi and osds.  "quick-start" is the README's (nppwl 16,
@@ -74,7 +75,8 @@ from pathlib import Path
 import numpy as np
 
 SEED = 1
-SETUPS = 3
+# the set-ups, and the direct solves, timed in one process
+REPEATS = 3
 SHOTS = (0, 1, 2)
 ARRAYS = ("g", "h", "field")
 QUICKSTARTS = {"quick-start": dict(problem="waveguide", k=20.0, subdomains=5,
@@ -114,8 +116,7 @@ def factor_ranges(problem) -> list:
     strip order; a factor that several strips share is listed once."""
     out = {}
     for sv in problem.system.solvers:
-        lu = sv._lu
-        a = lu._ld if lu._ld is not None else lu._lu
+        a = sv.factor
         out.setdefault(a.ctypes.data, (a.nbytes, sv.lu_bytes))
     return [(start, size, stored) for start, (size, stored) in out.items()]
 
@@ -166,7 +167,7 @@ def timed_setup(workload: str):
 
 
 def record_workload(workload: str) -> dict:
-    """SETUPS set-ups of workload, the first's memory and layout, and its
+    """REPEATS set-ups of workload, the first's memory and layout, and its
     shots 0-2."""
     from perfbench import adapter
 
@@ -197,14 +198,15 @@ def record_workload(workload: str) -> dict:
         for name in ARRAYS:
             rec[f"shot {i}/{name}"] = getattr(shot, name)
     del problem, solvers, shot
-    times = [seconds] + [timed_setup(workload)[0] for _ in range(SETUPS - 1)]
+    times = [seconds] + [timed_setup(workload)[0] for _ in range(REPEATS - 1)]
     rec["setup_s"], rec["setups"] = float(np.median(times)), len(times)
     rec["setup_min_s"], rec["setup_max_s"] = min(times), max(times)
     return rec
 
 
 def record_direct(workload: str) -> dict:
-    """The monodomain direct solve on workload's grid, without its strips."""
+    """REPEATS monodomain direct solves on workload's grid, without its
+    strips, and the memory of the first."""
     from helmsweep import bench
     from perfbench import adapter
 
@@ -215,11 +217,16 @@ def record_direct(workload: str) -> dict:
     problem = adapter.Problem(spec, mesh, kfield, bc, system=None)
     f = adapter.source(problem, 1, 1)
     before = status()
-    t0 = time.perf_counter()
-    adapter.direct_field(problem, f)
-    seconds = time.perf_counter() - t0
-    return {"direct_s": seconds, "direct_hwm_before_mb": before["VmHWM"],
-            "direct_hwm_after_mb": status()["VmHWM"]}
+    times = []
+    for i in range(REPEATS):
+        t0 = time.perf_counter()
+        adapter.direct_field(problem, f)
+        times.append(time.perf_counter() - t0)
+        if i == 0:
+            after = status()
+    return {"direct_s": float(np.median(times)), "direct_solves": len(times),
+            "direct_min_s": min(times), "direct_max_s": max(times),
+            "direct_hwm_before_mb": before["VmHWM"], "direct_hwm_after_mb": after["VmHWM"]}
 
 
 def record_quickstart(name: str) -> dict:
@@ -288,8 +295,8 @@ def by_page(rec: dict) -> str:
     return f"{sum(per)} kB (per factor {' '.join(map(str, per))})"
 
 
-def setup_range(rec: dict) -> str:
-    return f"{rec['setup_min_s']:.3f}-{rec['setup_max_s']:.3f}"
+def time_range(rec: dict, name: str) -> str:
+    return f"{rec[name + '_min_s']:.3f}-{rec[name + '_max_s']:.3f}"
 
 
 def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
@@ -297,7 +304,8 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
     difference so far."""
     lines = [
         f"{workload} set-up: median {arrow(p, c, 'setup_s', '{:.3f}')} s, "
-        f"range {setup_range(p)} -> {setup_range(c)} s, of {arrow(p, c, 'setups')} samples, "
+        f"range {time_range(p, 'setup')} -> {time_range(c, 'setup')} s, "
+        f"of {arrow(p, c, 'setups')} samples, "
         f"VmHWM {arrow(p, c, 'vmhwm_mb', '{:.1f}')} MB, VmRSS {arrow(p, c, 'vmrss_mb', '{:.1f}')} MB",
         f"{workload} factors: {arrow(p, c, 'factor_kb')} kB, on huge pages by mapping "
         f"{arrow(p, c, 'huge_by_mapping_kb')} kB, by page {by_page(p)} -> {by_page(c)}",
@@ -315,7 +323,9 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
                      f"strip solves {arrow(p, c, key + '/solves')}, "
                      + ", ".join(f"{name} {diff_text(d)}" for name, d in diffs.items())
                      + f", true residual {arrow(p, c, key + '/true_residual', '{!r}')}")
-    lines.append(f"{workload} direct solve: {arrow(p, c, 'direct_s', '{:.3f}')} s, "
+    lines.append(f"{workload} direct solve: median {arrow(p, c, 'direct_s', '{:.3f}')} s, "
+                 f"range {time_range(p, 'direct')} -> {time_range(c, 'direct')} s, "
+                 f"of {arrow(p, c, 'direct_solves')} samples, "
                  f"VmHWM before {arrow(p, c, 'direct_hwm_before_mb', '{:.1f}')} MB, "
                  f"after {arrow(p, c, 'direct_hwm_after_mb', '{:.1f}')} MB")
     return lines
