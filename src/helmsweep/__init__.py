@@ -16,8 +16,8 @@ from .strips import StripDecomposition, build_strips
 from .subdomain import LocalSolver, extract_trace
 from .substructure import SubstructuredSystem, TraceVector
 from .krylov import gmres_right
-from .symbols import (C_factor, SymbolMatrices, SymbolParams, lambda_symbol,
-                      lambda_waveguide, rho_factor, symbol_matrices)
+from .symbols import (C_factor, SymbolParams, lambda_symbol, lambda_waveguide,
+                      rho_factor, symbol_matrices)
 from .bench import (ProblemSpec, RunRecord, build_problem, read_field, run,
                     run_methods, sweep_study)
 
@@ -31,7 +31,7 @@ __all__ = [
     "LocalSolver", "extract_trace",
     "SubstructuredSystem", "TraceVector",
     "gmres_right",
-    "C_factor", "SymbolMatrices", "SymbolParams", "lambda_symbol",
+    "C_factor", "SymbolParams", "lambda_symbol",
     "lambda_waveguide", "rho_factor", "symbol_matrices",
     "ProblemSpec", "RunRecord", "build_problem", "read_field", "run",
     "run_methods", "sweep_study",

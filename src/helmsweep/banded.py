@@ -14,7 +14,7 @@ reused for any number of right-hand sides.
 On the benchmark's strips zgbtrf swaps no row.  Then U = D L^T with D the
 diagonal of U, so only L is kept: its kl + 1 band rows, 1/D in row 0 where
 L's unit diagonal is never read.  That is (kl+1)*n*16 bytes, half of both
-triangles.  Strips whose factors are bitwise equal store one copy (share,
+triangles.  Strips whose factors are bitwise equal store one copy (same,
 below).  A solve is ztbsv with L, a multiply by 1/D, and ztbsv with L^T
 (trans 'T': the plain transpose, not the conjugate transpose), all in place
 on one array: the caller's right-hand side itself if it hands it over
@@ -53,20 +53,19 @@ ctypes function.  A ctypes call releases the GIL, so strips factored or
 solved on different threads run side by side; scipy's f2py wrappers hold it
 and serialize them, so through them two threads solved the wedge-jacobi
 strips no faster than one (BENCH_13.json).  It is the same OpenBLAS
-routine the wrappers call, so the results are bitwise equal.  solve() may
-run on one factor from several threads at once, and counts every call
-under a lock.
+routine the wrappers call, so the results are bitwise equal.  A BandedLU
+is not changed once __init__ returns, and a solve only reads the factor,
+so any number of strips may solve with one factor at once.
 
-BandedLU.share(other) makes a factorization read other's stored arrays and
-drops its own when the two hold the same bytes: same (n, kl), same
-storage kind, and equal bits in every entry, so 0.0 and -0.0 differ.  An
-unequal pair of one shape is usually told apart on a sample of _SAMPLE
-columns, at a fraction of the cost of comparing all of them.  The shared
-arrays are only read, so solves on them from several factorizations need
-no lock; each keeps its own counters and ztbsv arguments.  Strips solved
-in turn that share a factor cost per MB of factor what one strip solved
-again and again costs, less than strips with factors of their own
-(BENCH_25.json).
+BandedLU.same(other) tells whether two factorizations hold the same bytes:
+same (n, kl), same storage kind (ldlt: the L D L^T band rows, or zgbtrf's
+LU), and equal bits in every entry, so 0.0 and -0.0 differ.  An unequal
+pair of one shape is usually told apart on a sample of _SAMPLE columns, at
+a fraction of the cost of comparing all of them.  Strips whose factors are
+the same solve with one BandedLU and drop the other (substructure.py).
+Strips solved in turn that share a factor cost per MB of factor what one
+strip solved again and again costs, less than strips with factors of their
+own (BENCH_25.json).
 
 The kept factor and the chunk workspace, which is zgbtrf's LU when it is
 kept, are each a private anonymous mapping of their own, so each goes straight
@@ -90,8 +89,8 @@ keep alone, so that pass runs on the trailing n - keep rows.  Each pass is
 ztbsv on a trailing block of the factor, reached by offsetting the
 pointers, and does on the rows it keeps the arithmetic of the full pass:
 those rows are bitwise the full solve.  Rows < keep are NaN, so a read of
-one fails loudly.  The zgbtrs fallback always solves in full.  row_count
-adds up the factor columns the passes sweep: 2 n for a full solve.
+one fails loudly.  The zgbtrs fallback always solves in full.  A solve so
+sweeps 2 n - head - keep factor columns, or 2 n by zgbtrs.
 """
 
 from __future__ import annotations
@@ -100,7 +99,6 @@ import contextlib
 import ctypes
 import mmap
 import operator
-import threading
 
 import numpy as np
 from numpy.typing import NDArray
@@ -179,7 +177,7 @@ def _chunk_columns(kl: int) -> int:
     return max(kl, 1, _CHUNK_BYTES // (16 * (3 * kl + 1)))
 
 
-# the columns BandedLU.share compares before all of them
+# the columns BandedLU.same compares before all of them
 _SAMPLE = 64
 
 
@@ -219,10 +217,6 @@ class BandedLU:
         self._factor(diags, label)
         # the by-reference k, lda and incx of every ztbsv call
         self._tbsv_args = _ints(kl, kl + 1, 1)
-        self.factor_count = 1
-        self.solve_count = 0
-        self.row_count = 0
-        self._count_lock = threading.Lock()
 
     def _factor(self, diags: dict, label: str) -> None:
         """Factor A, given by its diagonals diags, into _ld, or else into
@@ -296,19 +290,18 @@ class BandedLU:
 
     @property
     def factor(self) -> ComplexArray:
-        """The stored factor, _ld or else _lu: the same array on every
-        BandedLU that shares it."""
+        """The stored factor, _ld or else _lu."""
         return self._lu if self._ld is None else self._ld
 
-    def share(self, other: "BandedLU") -> bool:
-        """Read other's stored arrays from now on, and drop this one's, if
-        they hold the same bytes; True if so.
+    @property
+    def ldlt(self) -> bool:
+        """True if the factor is stored as L D L^T, whose solves read head
+        and keep; False if as zgbtrf's LU, whose solves ignore them."""
+        return self._ld is not None
 
-        A pair of another (n, kl) or storage kind is refused first, then
-        one that differs on every _SAMPLE-th column, so an unequal pair of
-        one shape costs a fraction of the full comparison.  The counters
-        stay this object's own.
-        """
+    def same(self, other: "BandedLU") -> bool:
+        """True if other stores the same bytes: the same (n, kl), storage
+        kind and bits, compared on every _SAMPLE-th column first."""
         if (self.n, self.kl) != (other.n, other.kl):
             return False
         mine, theirs = (self._ld, self._lu, self._ipiv), (other._ld, other._lu, other._ipiv)
@@ -316,12 +309,8 @@ class BandedLU:
             return False
         pairs = [(_bits(a), _bits(b)) for a, b in zip(mine, theirs) if a is not None]
         step = max(1, self.n // _SAMPLE)
-        if not all(np.array_equal(a[::step], b[::step]) for a, b in pairs):
-            return False
-        if not all(np.array_equal(a, b) for a, b in pairs):
-            return False
-        self._ld, self._lu, self._ipiv = theirs
-        return True
+        return (all(np.array_equal(a[::step], b[::step]) for a, b in pairs)
+                and all(np.array_equal(a, b) for a, b in pairs))
 
     def _ldlt(self, x: ComplexArray, head: int, keep: int) -> None:
         """Overwrite rows >= keep of the contiguous (n,) x with those of
@@ -363,13 +352,8 @@ class BandedLU:
         head, keep = operator.index(head), operator.index(keep)
         if not (0 <= head <= self.n and 0 <= keep <= self.n):
             raise ValueError(f"head {head} and keep {keep} must lie in 0..{self.n}")
-        if self._ld is not None:
+        if self.ldlt:
             self._ldlt(x, head, keep)
-            rows = 2 * self.n - head - keep
         else:
             self._gbtrs(x)
-            rows = 2 * self.n
-        with self._count_lock:
-            self.solve_count += 1
-            self.row_count += rows
         return x

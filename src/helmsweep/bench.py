@@ -231,7 +231,7 @@ class BenchContext:
                   for t in spec.tolerances}
         u = system.reconstruct(h)
         # strips that share a factor store it once
-        stored = {id(sv.factor): sv.lu_bytes for sv in system.solvers}
+        stored = {id(sv.lu): sv.lu.nbytes for sv in system.solvers}
         return RunRecord(spec=spec, counts=counts, history=list(report.history),
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=self.g.data.size,

@@ -39,6 +39,8 @@ included, is a full one.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .banded import BandedLU
@@ -78,6 +80,11 @@ class LocalSolver:
     strip i-1's right interface (None past either end), window the local
     node columns those traces read, and owned the global columns [lo, hi)
     the strip contributes to a reconstructed field.
+
+    lu is the strip's BandedLU, one object on all strips whose factors are
+    bitwise equal (substructure.py).  Each strip counts its own work:
+    factor_count (1), solve_count, and row_count, the factor columns its
+    solves swept, 2 n for a full solve.
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
@@ -106,42 +113,17 @@ class LocalSolver:
         self.stencil = RectStencil(grid, kfield, kinds, cols=self.span)
         diagonals = self.stencil.diagonals()
         try:
-            self._lu = BandedLU(diagonals, label=f"strip {strip}")
+            self.lu = BandedLU(diagonals, label=f"strip {strip}")
         except ValueError as err:
             raise ValueError(f"strip {strip}: local factorization failed") from err
         # a datum enters the first or the last nb rows only
         self.xy = self.stencil.ny <= self.stencil.w
         self.mirror = self.xy and _column_reversal_invariant(diagonals, self.stencil.w + 1)
-
-    @property
-    def factor_count(self) -> int:
-        return self._lu.factor_count
-
-    @property
-    def solve_count(self) -> int:
-        return self._lu.solve_count
-
-    @property
-    def row_count(self) -> int:
-        """Factor columns the solves swept, 2 n for a full solve."""
-        return self._lu.row_count
-
-    @property
-    def lu_bytes(self) -> int:
-        """Bytes of the LU factors and pivot indices this strip's solves
-        read, whether or not another strip shares them."""
-        return self._lu.nbytes
-
-    @property
-    def factor(self) -> ComplexArray:
-        """The stored factor array, the same object on every strip that
-        shares it."""
-        return self._lu.factor
-
-    def share(self, other: "LocalSolver") -> bool:
-        """Solve with other's factor from now on, and drop this strip's, if
-        the two are bitwise equal (BandedLU.share); True if so."""
-        return self._lu.share(other._lu)
+        self.factor_count = 1
+        self.solve_count = 0
+        self.row_count = 0
+        # the two sweeps of solve_oneway solve the interior strips at once
+        self._count_lock = threading.Lock()
 
     @property
     def bandwidth(self) -> int:
@@ -181,17 +163,22 @@ class LocalSolver:
         # a fresh array, or its reversed copy, which the solve overwrites
         rhs = self.stencil.rhs(load, left, right)
         to_grid = self.stencil.to_grid
+        n = self.stencil.nloc
         one_sided = (left is None) != (right is None)
         head = keep = 0
+        flip = False
         if columns is not None and load is None and self.xy and one_sided:
             if right is not None:
-                head, keep = self.stencil.nloc - nb, columns[0] * nb
+                head, keep = n - nb, columns[0] * nb
             elif self.mirror:
-                flipped = to_grid(rhs)[::-1].ravel()
-                x = self._lu.solve(flipped, self.stencil.nloc - nb,
-                                   (self.stencil.w - columns[1]) * nb, overwrite_rhs=True)
-                return to_grid(x)[::-1]
-        return to_grid(self._lu.solve(rhs, head, keep, overwrite_rhs=True))
+                flip = True
+                rhs = to_grid(rhs)[::-1].ravel()
+                head, keep = n - nb, (self.stencil.w - columns[1]) * nb
+        x = to_grid(self.lu.solve(rhs, head, keep, overwrite_rhs=True))
+        with self._count_lock:
+            self.solve_count += 1
+            self.row_count += 2 * n - head - keep if self.lu.ldlt else 2 * n
+        return x[::-1] if flip else x
 
     def respond(self, left: ComplexArray | None = None,
                 right: ComplexArray | None = None,

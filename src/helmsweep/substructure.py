@@ -56,19 +56,18 @@ failure is raised once every strip of the call is done, the first in strip
 order.
 
 Every strip is still assembled and factored, but strips whose factors are
-bitwise equal store one copy.  As each construction ends it compares its
-factor, under a lock, with those the earlier ones kept, and on a match
-reads that one and drops its own (BandedLU.share): on a homogeneous
-waveguide the two edge strips share one factor and the interior strips
-another, so a sweep reads one interior factor, not one per interior strip
-(BENCH_25.json).  A heterogeneous
-problem such as the wedge shares nothing.  Each strip keeps its own solve
-counts.  The kept factors are a local of the constructor, so a system
-dropped frees its factors, and two systems never share.  Factoring each
-distinct matrix only once would save the duplicate factorizations too,
-but the benchmark checks one factorization span per strip
-(perfbench/tests/test_perfbench.py), so that waits for ROADMAP items 1
-and 2.
+bitwise equal share one BandedLU.  As each construction ends it compares its
+factor, under a lock, with those kept so far (BandedLU.same), and on a
+match solves with that one and drops its own: on a homogeneous waveguide
+the two edge strips share one factor and the interior strips another, so a
+sweep reads one interior factor, not one per interior strip
+(BENCH_25.json).  A heterogeneous problem such as the wedge shares nothing.
+Each strip counts its own solves (LocalSolver).  The kept factors are a
+local of the constructor, so a system dropped frees its factors, and two
+systems never share.  Factoring each distinct matrix only once would save
+the duplicate factorizations too, but the benchmark checks one
+factorization span per strip (perfbench/tests/test_perfbench.py), so that
+waits for ROADMAP items 1 and 2.
 
 Every operator is a pattern of LocalSolver.respond, which tells its strip
 solve which node columns the outgoing traces read.  A solve with one-sided
@@ -181,15 +180,18 @@ class SubstructuredSystem:
         self._edges = list(_edge_loads(grid, bc))
         self.decomp = decomp
         self.nstrips = decomp.nstrips
-        # the strips that keep their own factor; a later strip with a bitwise
-        # equal one reads theirs and drops its own copy
+        # the distinct factors so far; a later strip with a bitwise equal
+        # one solves with it and drops its own
         kept, lock = [], threading.Lock()
 
         def build(s):
             sv = LocalSolver(grid, kfield, bc, decomp, s + 1)
             with lock:
-                if not any(sv.share(other) for other in kept):
-                    kept.append(sv)
+                match = next((lu for lu in kept if sv.lu.same(lu)), None)
+                if match is None:
+                    kept.append(sv.lu)
+                else:
+                    sv.lu = match
             return sv
 
         self.solvers = _map(build, decomp.nstrips)

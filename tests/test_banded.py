@@ -10,6 +10,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from helmsweep import banded
 from helmsweep.banded import BandedLU
+from helmsweep.bench import BenchContext, ProblemSpec
 from helmsweep.grid import HomogeneousModel, RectStencil, build_wavenumber
 from conftest import (band_diagonals, band_storage, ldlt_parts, make_grid, reconstruct_dense,
                       sparse)
@@ -77,16 +78,23 @@ def test_reconstruct_factored_matrix(rng):
     assert err <= 1e-10 * np.linalg.norm(a.toarray())
 
 
-def test_counters(rng):
-    n = 10
-    lu = BandedLU(band_diagonals(pivoting_symmetric(rng, n, 1, 1), 1))
-    assert lu._ld is None
-    assert (lu.factor_count, lu.solve_count) == (1, 0)
-    for _ in range(3):
-        lu.solve(np.ones(n, dtype=np.complex128))
-    assert (lu.factor_count, lu.solve_count) == (1, 3)
-    # a full solve sweeps the factor's n columns twice
-    assert lu.row_count == 3 * 2 * n
+def test_counters():
+    # a factor keeps no counts: the strip that solves through it counts one
+    # factorization, each solve, and the factor rows it swept, 2 n for a
+    # full solve through either storage kind.  The coarse waveguide's end
+    # strips are L D L^T factors and its interior strips pivoted ones.
+    spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5, overlap_cells=2, nppwl=4,
+                       tolerances=(1e-10,))
+    solvers = BenchContext(spec).system.solvers
+    assert [sv.lu.ldlt for sv in solvers] == [True, False, False, False, True]
+    for sv in solvers[:2]:
+        assert not any(hasattr(sv.lu, c) for c in ("factor_count", "solve_count", "row_count"))
+        solves, rows = sv.solve_count, sv.row_count
+        d = np.ones(sv.stencil.ny + 1, np.complex128)
+        for _ in range(3):
+            sv.solve(right=d) if sv.strip == 1 else sv.solve(left=d, right=d)
+        assert (sv.factor_count, sv.solve_count - solves) == (1, 3)
+        assert sv.row_count - rows == 3 * 2 * sv.stencil.nloc
 
 
 def test_singular_matrix_reports_label():
@@ -494,23 +502,19 @@ def test_partial_solve_is_full_solve_on_kept_rows_bitwise(rng, ny, cells):
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b[:head] = 0
         full = lu.solve(b)
-        solves, rows = lu.solve_count, lu.row_count
         x = lu.solve(b, head, keep)
-        assert lu.solve_count == solves + 1
-        assert lu.row_count == rows + 2 * n - head - keep
         assert np.array_equal(x[keep:], full[keep:])
         assert np.isnan(x[:keep]).all()
 
 
 def test_fallback_solve_ignores_head_and_keep(rng):
     lu = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
-    assert lu._ld is None
+    assert lu._ld is None and not lu.ldlt
     n = lu.n
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b[:200] = 0
     full = lu.solve(b)
     assert np.array_equal(lu.solve(b, 200, 300), full)
-    assert (lu.solve_count, lu.row_count) == (2, 2 * 2 * n)
 
 
 def test_head_and_keep_out_of_range_rejected(rng):
@@ -519,7 +523,6 @@ def test_head_and_keep_out_of_range_rejected(rng):
     for head, keep in [(-1, 0), (0, -1), (n + 1, 0), (0, n + 1)]:
         with pytest.raises(ValueError, match="head"):
             lu.solve(np.zeros(n, dtype=np.complex128), head, keep)
-    assert (lu.solve_count, lu.row_count) == (0, 0)
 
 
 def test_bad_rhs_shape_rejected(rng):
@@ -527,7 +530,6 @@ def test_bad_rhs_shape_rejected(rng):
     for shape in [(lu.n - 1,), (), (lu.n, 2), (lu.n, 2, 1)]:
         with pytest.raises(ValueError, match="right-hand side"):
             lu.solve(np.ones(shape, dtype=np.complex128))
-    assert lu.solve_count == 0
 
 
 @pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])
@@ -536,7 +538,7 @@ def test_solve_in_place_only_when_told_it_owns_rhs(rng, kind):
         lu = BandedLU(helmholtz_strip(*STRIPS["ny<=w"])[0])
     else:
         lu = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
-    assert (lu._ld is not None) == (kind == "ldlt")
+    assert lu.ldlt == (lu._ld is not None) == (kind == "ldlt")
     n = lu.n
     # a full and a one-sided solve
     for head, keep in [(0, 0), (n // 3, n // 2)]:
@@ -551,8 +553,8 @@ def test_solve_in_place_only_when_told_it_owns_rhs(rng, kind):
 
 
 @pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])
-def test_concurrent_solves_counted_and_bitwise(rng, kind):
-    # two threads solving with one factor lose no count and no bit
+def test_concurrent_solves_bitwise(rng, kind):
+    # two threads solving with one factor lose no bit
     if kind == "ldlt":
         lu = BandedLU(helmholtz_strip(*STRIPS["ny>w"])[0])
     else:
@@ -561,13 +563,13 @@ def test_concurrent_solves_counted_and_bitwise(rng, kind):
     n, threads, solves = lu.n, 2, 200
     rhs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(threads)]
     expect = [lu.solve(b) for b in rhs]
-    lu.solve_count = 0
-    bad = []
+    bad, done = [], []
 
     def work(t):
         for _ in range(solves):
             if not np.array_equal(lu.solve(rhs[t]), expect[t]):
                 bad.append(t)
+            done.append(t)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -581,7 +583,7 @@ def test_concurrent_solves_counted_and_bitwise(rng, kind):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert bad == []
-    assert lu.solve_count == threads * solves
+    assert len(done) == threads * solves
 
 
 def factor_pair(rng, kind):
@@ -593,16 +595,17 @@ def factor_pair(rng, kind):
 
 
 @pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])
-def test_share_reads_an_equal_factor_and_keeps_its_counts(rng, kind):
+def test_share_accepts_an_equal_factor_and_changes_neither(rng, kind):
+    # same only compares: each factorization keeps its own arrays
     first, second = factor_pair(rng, kind)
+    kept = [(a.factor, a._ipiv, a.factor.copy()) for a in (first, second)]
     b = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     x = second.solve(b)
-    assert second.share(first)
-    assert second.factor is first.factor
-    assert second._ipiv is first._ipiv
-    assert np.array_equal(second.solve(b), x)
-    assert (first.solve_count, second.solve_count) == (0, 2)
-    assert (first.factor_count, second.factor_count) == (1, 1)
+    assert second.same(first) and first.same(second) and first.same(first)
+    assert second.factor is not first.factor
+    for a, (factor, ipiv, copy) in zip((first, second), kept):
+        assert a.factor is factor and a._ipiv is ipiv and np.array_equal(a.factor, copy)
+    assert np.array_equal(first.solve(b), x)
 
 
 # one bit of an entry that the sampled columns miss: a value, the sign of a
@@ -626,9 +629,7 @@ def test_share_refuses_a_factor_one_entry_apart(rng, case):
         array[at] = -0.0
     else:
         array[at] = np.nextafter(array[at].real, np.inf) + 1j * array[at].imag
-    kept = getattr(second, name)
-    assert not second.share(first) and not first.share(second)
-    assert second.factor is not first.factor and getattr(second, name) is kept
+    assert not second.same(first) and not first.same(second)
 
 
 def test_share_refuses_another_shape_or_storage_kind(rng):
@@ -640,6 +641,5 @@ def test_share_refuses_another_shape_or_storage_kind(rng):
               "storage": BandedLU(band_diagonals(pivoting_symmetric(rng, 300, 3, 1), 3))}
     assert others["kl"].kl == 4 and others["storage"]._ld is None
     for name, other in others.items():
-        assert not ld.share(other), name
-        assert not other.share(ld), name
-        assert ld.factor is not other.factor
+        assert not ld.same(other), name
+        assert not other.same(ld), name

@@ -158,7 +158,7 @@ def test_record_counts_solves_and_factor_bytes(tmp_path):
     assert record.factorizations == 5
     # no strip swaps a row, so each stores its L and D band rows only; the
     # two edge strips share one factor and the three interior strips another
-    lus = [sv._lu for sv in ctx.system.solvers]
+    lus = [sv.lu for sv in ctx.system.solvers]
     assert all(lu._lu is None and lu._ipiv is None for lu in lus)
     stored = {id(lu._ld): lu._ld.nbytes for lu in lus}
     assert (record.distinct_factors, record.lu_bytes) == (2, sum(stored.values()))
@@ -315,7 +315,7 @@ def test_every_strip_factor_is_ldlt(name):
         # wedge-jacobi's strips are narrower than twice its overlap
         warnings.simplefilter("ignore", UserWarning)
         solvers = bench.BenchContext(ProblemSpec(**LDLT_SPECS[name])).system.solvers
-    assert [sv.lu_bytes for sv in solvers] == [
+    assert [sv.lu.nbytes for sv in solvers] == [
         (sv.bandwidth + 1) * sv.stencil.nloc * 16 for sv in solvers]
 
 
@@ -357,6 +357,10 @@ def test_sweep_study(tmp_path):
     assert len(records) == 2
     table = (tmp_path / "table.csv").read_text().strip().splitlines()
     assert len(table) == 3
+    with pytest.raises(ValueError, match="vary must be"):
+        sweep_study(tiny_spec(), "nppwl", [8])
+    with pytest.raises(ValueError, match="at least one value"):
+        sweep_study(tiny_spec(), "overlap", [])
 
 
 def test_cli_solve(tmp_path, capsys):
@@ -377,15 +381,19 @@ def test_cli_config_with_overrides(tmp_path, capsys):
     assert "jacobi" in capsys.readouterr().out
 
 
-def test_cli_sweep(capsys):
+def test_cli_sweep(tmp_path, capsys):
     rc = main(["sweep", "--problem", "waveguide", "--k", "2.5",
                "--subdomains", "2", "--overlap-cells", "2", "--nppwl", "8",
                "--tol", "1e-6", "--vary", "subdomains", "--values", "2,3",
-               "--preconds", "osds"])
+               "--preconds", "osds", "--out", str(tmp_path)])
     assert rc == 0
-    out = capsys.readouterr().out.strip().splitlines()
+    captured = capsys.readouterr()
+    out = captured.out.strip().splitlines()
     assert out[0].startswith("subdomains")
     assert len(out) == 3
+    # the table goes to stdout and to table.csv, whose place goes to stderr
+    assert (tmp_path / "table.csv").read_text().strip().splitlines() == out
+    assert captured.err == f"table.csv in {tmp_path}\n"
 
 
 def test_cli_symbols(tmp_path):
@@ -438,6 +446,9 @@ WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
 
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--problem", "wedge"], "omega"),
+    (["solve", "--k", "2.5"], "--problem (or a config file naming one) is required"),
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "problem": "lake"}], "unknown problem"),
+    (["solve", "--config", {**WAVEGUIDE_CONFIG, "solver": "cg"}], "unknown solver"),
     (["analyze-symbols", "--k", "20", "--overlap", "0.6"], "twice the overlap"),
     (["analyze-symbols", "--k", "20", "--mode", "waveguide"], "--length"),
     (["solve", "--config", "no-such-config.json"], "no-such-config.json"),
@@ -474,7 +485,8 @@ WEDGE_CONFIG = {"problem": "wedge", "omega": 12.0, "subdomains": 2, "nppwl": 8}
      "--k must be finite"),
     (["analyze-symbols", "--k", "5", "--xi-max", "inf"], "--xi-max must be finite"),
     (["analyze-symbols", "--k", "5", "--xi-min", "nan"], "--xi-min must be finite"),
-], ids=["wedge-without-omega", "overlap-too-wide", "waveguide-without-length",
+], ids=["wedge-without-omega", "no-problem", "unknown-problem", "unknown-solver",
+        "overlap-too-wide", "waveguide-without-length",
         "missing-config", "float-subdomains", "float-overlap", "string-maxit",
         "negative-maxit", "bool-maxit", "string-omega", "string-k",
         "scalar-tolerances", "removed-wedge-upper", "removed-wedge-lower",

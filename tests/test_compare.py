@@ -38,7 +38,7 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     # stored bytes are an edge strip's and the interior strip's
     assert "distinct factors 2 -> 2" in lines[2]
     solvers = adapter.setup("tiny").system.solvers
-    assert rec["tiny"]["factor_bytes"] == solvers[0].lu_bytes + solvers[1].lu_bytes
+    assert rec["tiny"]["factor_bytes"] == solvers[0].lu.nbytes + solvers[1].lu.nbytes
     low, high = rec["tiny"]["setup_min_s"], rec["tiny"]["setup_max_s"]
     assert low <= rec["tiny"]["setup_s"] <= high
     assert f"range {low:.3f}-{high:.3f} -> {low:.3f}-{high:.3f} s" in lines[0]

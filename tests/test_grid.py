@@ -5,8 +5,8 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from helmsweep.grid import (Grid, HomogeneousModel, WedgeModel, BoundarySpec,
-                            EdgeCondition, RectStencil, SIDES, robin, dirichlet,
-                            build_grid, build_wavenumber, assemble_global,
+                            EdgeCondition, RectStencil, SIDES, WavenumberField, robin,
+                            dirichlet, build_grid, build_wavenumber, assemble_global,
                             problem_load, solve_direct)
 from conftest import band_diagonals, sparse
 from oracles import wedge_velocity
@@ -30,6 +30,38 @@ def test_build_grid_adjusts_to_fit():
 def test_build_grid_rejects_incommensurate_spans():
     with pytest.raises(ValueError, match="incommensurate"):
         build_grid((0.0, 1.0), (0.0, 0.997), 20.0, 8)
+
+
+UNIT = Grid(0.0, 1.0, 0.0, 1.0, 4, 4, 0.25)
+UNIT_K = build_wavenumber(UNIT, HomogeneousModel(2.0))
+ROBIN = {s: "robin" for s in SIDES}
+BAD_INPUT = {
+    "no cells": (lambda: Grid(0.0, 1.0, 0.0, 1.0, 0, 4, 0.25), "at least one cell"),
+    "cell size": (lambda: Grid(0.0, 1.0, 0.0, 1.0, 4, 4, -0.25), "cell size"),
+    "oblong cells": (lambda: Grid(0.0, 1.0, 0.0, 1.0, 4, 5, 0.25), "not square"),
+    "reversed span": (lambda: build_grid((1.0, 0.0), (0.0, 1.0), 20.0, 8), "spans must"),
+    "k_max": (lambda: build_grid((0.0, 1.0), (0.0, 1.0), 0.0, 8), "k_max"),
+    "nppwl": (lambda: build_grid((0.0, 1.0), (0.0, 1.0), 20.0, 1), "nppwl"),
+    "zero wavenumber": (lambda: WavenumberField(np.array([1.0, 0.0])), "finite and positive"),
+    "nan wavenumber": (lambda: WavenumberField(np.array([1.0, np.nan])), "finite and positive"),
+    "wedge without omega": (lambda: build_wavenumber(UNIT, WedgeModel()), "needs omega"),
+    "unknown model": (lambda: build_wavenumber(UNIT, "layered"), "unknown velocity model"),
+    "edge kind": (lambda: EdgeCondition("neumann"), "unknown edge condition kind"),
+    "empty columns": (lambda: RectStencil(UNIT, UNIT_K, ROBIN, cols=(2, 2)), "bad column range"),
+    "columns past the grid": (lambda: RectStencil(UNIT, UNIT_K, ROBIN, cols=(0, 5)),
+                              "bad column range"),
+    "missing side": (lambda: RectStencil(UNIT, UNIT_K, {**ROBIN, "top": None}), "side top needs"),
+    "field of another grid": (lambda: assemble_global(UNIT, WavenumberField(np.ones((3, 3))),
+                                                      BoundarySpec(*[robin()] * 4)),
+                              "does not match the grid"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_rejected(case):
+    make, message = case
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_grid_index_column_major():

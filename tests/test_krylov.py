@@ -98,6 +98,17 @@ def test_happy_breakdown(rng):
     assert np.allclose(rep.solution, b / 3.0)
 
 
+def test_rotation_of_a_zero_diagonal_entry():
+    # A e1 = e2, so the first Hessenberg column is (0, 1): its rotation
+    # swaps the two rows, step 1 reduces nothing and step 2 is exact
+    a = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    b = np.array([1, 0], dtype=np.complex128)
+    rep = gmres_right(lambda v: a @ v, b, tol=1e-12, maxit=5)
+    assert rep.converged and rep.iterations == 2
+    assert rep.history[:2] == [1.0, 1.0] and rep.history[2] <= 1e-15
+    assert np.allclose(rep.solution, [0, 1], rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("a, b, residual", [
     # op(b) = 0: the Krylov space closes at once and nothing reduces the residual
     ([[0, 1, 0], [0, 0, 0], [0, 0, 1]], [1, 0, 0], 1.0),

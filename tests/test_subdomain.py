@@ -1,3 +1,5 @@
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -129,14 +131,14 @@ def test_strip_keeps_its_factor_and_not_its_matrix(monkeypatch):
             for name, value in vars(owner).items():
                 arrays = value.values() if isinstance(value, dict) else [value]
                 assert not any(isinstance(a, np.ndarray) and n in a.shape for a in arrays), name
-        assert solver._lu._ld.shape == (solver.bandwidth + 1, n)
+        assert solver.lu._ld.shape == (solver.bandwidth + 1, n)
 
 
 def test_factored_matrix_reproduced():
     grid, kfield, bc, decomp = small_setup()
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
-    assert solver._lu._ld is not None
-    dense = reconstruct_dense(solver._lu)
+    assert solver.lu._ld is not None
+    dense = reconstruct_dense(solver.lu)
     err = np.linalg.norm(dense - sparse(solver.stencil.diagonals()).toarray())
     assert err <= 1e-10 * np.linalg.norm(dense)
 
@@ -179,3 +181,59 @@ def test_malformed_data_rejected_naming_strip_and_side():
         with pytest.raises(ValueError, match=f"strip 2: {message}"):
             solver.solve(**kwargs)
     assert solver.solve_count == 0
+
+
+def test_strip_index_and_missing_interface_rejected():
+    grid, kfield, bc, decomp = small_setup()
+    for strip in (0, 4):
+        with pytest.raises(ValueError, match=f"strip index {strip} out of range 1..3"):
+            LocalSolver(grid, kfield, bc, decomp, strip)
+    d = np.ones(grid.ny + 1, np.complex128)
+    for strip, side in ((1, "left"), (3, "right")):
+        solver = LocalSolver(grid, kfield, bc, decomp, strip)
+        with pytest.raises(ValueError, match=f"strip {strip} has no {side} interface"):
+            solver.solve(**{side: d})
+        assert solver.solve_count == 0
+
+
+def test_solve_rejected_by_the_factor_counts_nothing():
+    # columns past either end of the strip ask BandedLU for rows it lacks
+    grid, kfield, bc, decomp = small_setup()
+    solver = LocalSolver(grid, kfield, bc, decomp, 2)
+    assert solver.xy and solver.mirror
+    w, d = solver.stencil.w, np.ones(grid.ny + 1, np.complex128)
+    for data, columns in [(dict(right=d), (-1, w)), (dict(right=d), (w + 2, w + 2)),
+                          (dict(left=d), (0, -2)), (dict(left=d), (0, w + 1))]:
+        with pytest.raises(ValueError, match="head"):
+            solver.solve(**data, columns=columns)
+    assert (solver.solve_count, solver.row_count) == (0, 0)
+
+
+def test_concurrent_solves_of_one_strip_lose_no_count(rng):
+    # the two sweeps of solve_oneway solve one interior strip at once; four
+    # threads switching every microsecond lose no count
+    grid, kfield, bc, decomp = small_setup()
+    solver = LocalSolver(grid, kfield, bc, decomp, 2)
+    d = rng.standard_normal(grid.ny + 1) + 1j * rng.standard_normal(grid.ny + 1)
+    solver.respond(right=d)
+    rows = solver.row_count
+    assert 0 < rows < 2 * solver.stencil.nloc
+    threads, solves = 4, 200
+
+    def work():
+        for _ in range(solves):
+            solver.respond(right=d)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    calls = 1 + threads * solves
+    assert (solver.solve_count, solver.row_count) == (calls, calls * rows)

@@ -438,7 +438,7 @@ def test_pooled_factors_are_the_serial_ones_bitwise(problem, n):
     for sv in system.solvers:
         diagonals, bw = sv.stencil.diagonals(), sv.bandwidth
         a = sparse(diagonals)
-        pooled, serial = sv._lu, BandedLU(diagonals)
+        pooled, serial = sv.lu, BandedLU(diagonals)
         assert_same_factor(BandedLU(band_diagonals(a, bw)), pooled)
         ab = band_storage(a, bw, bw)
         full, ipiv, info = get_lapack_funcs("gbtrf", (ab,))(ab, bw, bw)
@@ -463,7 +463,16 @@ def test_pivoted_strips_solve_the_coarse_waveguide():
     spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5, overlap_cells=2, nppwl=4,
                        tolerances=(1e-10,))
     ctx = BenchContext(spec)
-    assert [sv._lu._ld is None for sv in ctx.system.solvers] == [False, True, True, True, False]
+    assert [sv.lu.ldlt for sv in ctx.system.solvers] == [True, False, False, False, True]
+    # a one-sided solve of a pivoted strip ignores head and keep: it sweeps
+    # the factor in full, as a two-sided one does
+    d = np.ones(ctx.grid.ny + 1, np.complex128)
+    for sv, data in [(ctx.system.solvers[1], dict(right=d)),
+                     (ctx.system.solvers[3], dict(left=d)),
+                     (ctx.system.solvers[2], dict(left=d, right=d))]:
+        rows = sv.row_count
+        sv.respond(**data)
+        assert sv.row_count - rows == 2 * sv.stencil.nloc
     direct = assemble_global(ctx.grid, ctx.kfield, ctx.bc)
     assert BandedLU(direct.stencil.diagonals())._ld is None
     u = solve_direct(direct)
@@ -769,9 +778,10 @@ def test_equal_strips_share_one_stored_factor():
     # three interior strips another: each is still factored, and each pair
     # of equal factors is stored once
     system = quickstart_system("waveguide")
-    f = [sv.factor for sv in system.solvers]
+    f = [sv.lu for sv in system.solvers]
     assert len({id(a) for a in f}) == 2
     assert f[0] is f[4] and f[1] is f[2] is f[3]
+    assert not f[0].same(f[1])
     assert [sv.factor_count for sv in system.solvers] == [1] * 5
 
 
@@ -788,7 +798,7 @@ def test_strips_sharing_a_factor_count_their_own_solves(rng):
     system.apply_exchange(y)
     solved = [sv.solve_count - b for sv, b in zip(solvers, before)]
     assert solved == [2, 3, 3, 3, 2]
-    assert sum(sv._lu.solve_count for sv in solvers) - sum(before) == sum(solved) == 13
+    assert solvers[1].lu is solvers[2].lu is solvers[3].lu and solvers[0].lu is solvers[4].lu
 
 
 def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
@@ -798,7 +808,7 @@ def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
     nb = system.grid.ny + 1
     for s, sv in enumerate(system.solvers):
         fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
-        assert fresh.factor is not sv.factor
+        assert fresh.lu is not sv.lu and fresh.lu.same(sv.lu)
         left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
         cases = [dict(left=left), dict(right=right), dict(left=left, right=right)]
         for data in cases:
@@ -811,9 +821,9 @@ def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
 
 def test_wedge_strips_share_no_factor():
     # every wedge strip sees other wavenumbers; strips 2 and 4 have one
-    # shape, so share compares them and refuses
+    # shape, so same compares them and refuses
     system = quickstart_system("wedge", k=None, omega=30.0, nppwl=8, overlap_cells=2)
-    assert len({id(sv.factor) for sv in system.solvers}) == system.nstrips == 5
+    assert len({id(sv.lu) for sv in system.solvers}) == system.nstrips == 5
 
 
 def test_systems_share_nothing_and_free_their_factors():
@@ -821,9 +831,10 @@ def test_systems_share_nothing_and_free_their_factors():
     # them: a second system of the same problem stores its own, and
     # dropping the first frees its arrays
     first, second = quickstart_system("waveguide"), quickstart_system("waveguide")
-    assert not ({id(sv.factor) for sv in first.solvers}
-                & {id(sv.factor) for sv in second.solvers})
-    refs = [weakref.ref(sv.factor) for sv in first.solvers]
+    assert not ({id(sv.lu) for sv in first.solvers} & {id(sv.lu) for sv in second.solvers})
+    assert not ({id(sv.lu.factor) for sv in first.solvers}
+                & {id(sv.lu.factor) for sv in second.solvers})
+    refs = [weakref.ref(x) for sv in first.solvers for x in (sv.lu, sv.lu.factor)]
     del first
     # a pool thread may still hold the construction's last work item for a moment
     deadline = time.monotonic() + 10
@@ -831,4 +842,4 @@ def test_systems_share_nothing_and_free_their_factors():
         gc.collect()
         time.sleep(0.01)
     assert all(r() is None for r in refs)
-    assert len({id(sv.factor) for sv in second.solvers}) == 2
+    assert len({id(sv.lu) for sv in second.solvers}) == 2

@@ -106,13 +106,20 @@ def test_interface_reflection_coefficient():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SymbolParams(k=20.0, xi=5.0, strips=equal_strips(1), delta=0.1)
-    with pytest.raises(ValueError):
-        SymbolParams(k=20.0, xi=5.0, strips=equal_strips(3), delta=0.5)
-    with pytest.raises(ValueError):
-        SymbolParams(k=20.0, xi=2.0, strips=equal_strips(3), delta=0.1,
-                     mode="waveguide")
+    base = dict(k=20.0, xi=5.0, strips=equal_strips(3), delta=0.1)
+    for fields, message in [(dict(strips=equal_strips(1)), "at least 2 strips"),
+                            (dict(delta=0.5), "twice the overlap"),
+                            (dict(xi=2.0, mode="waveguide"), "positive height"),
+                            (dict(mode="spherical"), "mode must be"),
+                            (dict(k=0.0), "wavenumber must be positive"),
+                            (dict(strips=((0.0, 1.0), (1.0, 1.0), (0.0, 1.0))), "strip widths"),
+                            (dict(delta=-0.1), "overlap must be nonnegative")]:
+        with pytest.raises(ValueError, match=message):
+            SymbolParams(**{**base, **fields})
+    with pytest.raises(ValueError, match="wavenumber must be positive"):
+        lambda_symbol(5.0, -20.0)
+    with pytest.raises(ValueError, match="height must be positive"):
+        lambda_waveguide(2, 20.0, 0.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

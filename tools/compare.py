@@ -19,7 +19,7 @@ through ``adapter.setup`` and records:
   set-up's; the others follow the shots;
 - the bytes of the stored strip factors (kB), a factor that several strips
   share counted once, and how many of those kB lie on transparent huge
-  pages, counted two ways (below);
+  pages (below);
 - the layout: the strips, the distinct stored factors and their bytes
   with the pivots, the strips that store only the L D L^T
   band rows, (bandwidth + 1) * n * 16 bytes, and the strips whose
@@ -55,17 +55,12 @@ itself checks that its runs are deterministic.
 
 Huge pages by mapping: /proc/self/smaps gives AnonHugePages per mapping, so
 a mapping that holds factors adds its AnonHugePages, capped at the factor
-bytes it holds.  Where the factors have mappings of their own the count is
-exact; where a mapping also holds other data (a malloc heap) it is an
-upper bound.  By page, in all and per stored factor: each resident page of a
-factor whose frame /proc/kpageflags marks as part of a transparent huge
-page (bit 22), found through /proc/self/pagemap.  A process that may not
-read frame numbers (they read as 0 without CAP_SYS_ADMIN) prints "n/a".
+bytes it holds.  Every stored factor has a mapping of its own (banded.py),
+so the count is exact.
 """
 
 import os
 import re
-import struct
 import subprocess
 import sys
 import tempfile
@@ -111,13 +106,19 @@ def huge_pages() -> list:
     return maps
 
 
+def strip_lu(sv):
+    """A strip's BandedLU; a checkout from before it was public holds it as _lu."""
+    return getattr(sv, "lu", None) or sv._lu
+
+
 def factor_ranges(problem) -> list:
     """(address, bytes, bytes with pivots) of each stored strip factor, in
     strip order; a factor that several strips share is listed once."""
     out = {}
     for sv in problem.system.solvers:
-        a = sv.factor
-        out.setdefault(a.ctypes.data, (a.nbytes, sv.lu_bytes))
+        lu = strip_lu(sv)
+        a = lu.factor
+        out.setdefault(a.ctypes.data, (a.nbytes, lu.nbytes))
     return [(start, size, stored) for start, (size, stored) in out.items()]
 
 
@@ -130,31 +131,6 @@ def huge_kb_by_mapping(factors) -> int:
                    for start, size, _ in factors)
         total += min(huge, held)
     return total // 1024
-
-
-def huge_kb_by_page(factors):
-    """kB of each factor's resident pages that belong to a transparent huge
-    page, or None if frame numbers cannot be read."""
-    page = os.sysconf("SC_PAGE_SIZE")
-    per = []
-    try:
-        with open("/proc/self/pagemap", "rb") as pagemap, open("/proc/kpageflags", "rb") as flags:
-            for start, size, _ in factors:
-                first, last = start // page, (start + size - 1) // page
-                pagemap.seek(first * 8)
-                count = last - first + 1
-                entries = struct.unpack(f"{count}Q", pagemap.read(count * 8))
-                frames = [e & ((1 << 55) - 1) for e in entries if e >> 63]
-                if frames and not any(frames):
-                    return None
-                huge = 0
-                for frame in frames:
-                    flags.seek(frame * 8)
-                    huge += struct.unpack("Q", flags.read(8))[0] >> 22 & 1
-                per.append(huge * page // 1024)
-    except OSError:
-        return None
-    return per
 
 
 def timed_setup(workload: str):
@@ -181,13 +157,10 @@ def record_workload(workload: str) -> dict:
            "strips": len(solvers),
            "factors": len(factors),
            "factor_bytes": sum(stored for _, _, stored in factors),
-           "ldlt_strips": sum(sv.lu_bytes == (sv.bandwidth + 1) * sv.stencil.nloc * 16
+           "ldlt_strips": sum(strip_lu(sv).nbytes == (sv.bandwidth + 1) * sv.stencil.nloc * 16
                               for sv in solvers),
            "right_strips": sum(getattr(sv, "xy", False) for sv in solvers),
            "mirror_strips": sum(getattr(sv, "mirror", False) for sv in solvers)}
-    per = huge_kb_by_page(factors)
-    if per is not None:
-        rec["huge_by_page_kb"] = np.array(per)
     for i in SHOTS:
         f = adapter.source(problem, SEED, i)
         before = adapter.solve_count(problem)
@@ -288,13 +261,6 @@ def track(worst: dict, key: str, d) -> None:
         worst[key] = max(worst[key] or 0.0, d)
 
 
-def by_page(rec: dict) -> str:
-    per = rec.get("huge_by_page_kb")
-    if per is None:
-        return "n/a"
-    return f"{sum(per)} kB (per factor {' '.join(map(str, per))})"
-
-
 def time_range(rec: dict, name: str) -> str:
     return f"{rec[name + '_min_s']:.3f}-{rec[name + '_max_s']:.3f}"
 
@@ -308,7 +274,7 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
         f"of {arrow(p, c, 'setups')} samples, "
         f"VmHWM {arrow(p, c, 'vmhwm_mb', '{:.1f}')} MB, VmRSS {arrow(p, c, 'vmrss_mb', '{:.1f}')} MB",
         f"{workload} factors: {arrow(p, c, 'factor_kb')} kB, on huge pages by mapping "
-        f"{arrow(p, c, 'huge_by_mapping_kb')} kB, by page {by_page(p)} -> {by_page(c)}",
+        f"{arrow(p, c, 'huge_by_mapping_kb')} kB",
         f"{workload} layout: strips {arrow(p, c, 'strips')}, "
         f"distinct factors {arrow(p, c, 'factors')}, factor bytes "
         f"{arrow(p, c, 'factor_bytes')}, L D L^T strips {arrow(p, c, 'ldlt_strips')}, "
