@@ -46,10 +46,10 @@ columns.  So a one-chunk matrix is factored once, whatever zgbtrf finds.
 No benchmark strip takes this path; strips of coarse stock problems do
 (README).
 
-The factorization (zgbtrf and the carry's zgemm) and both solves (ztbsv,
-zgbtrs) call their kernel through the function pointer that scipy's Cython
-BLAS/LAPACK API exports (scipy.linalg.cython_blas and cython_lapack), as a
-ctypes function.  A ctypes call releases the GIL, so strips factored or
+The factorization (zgbtrf and the carry's zgemm), both solves (ztbsv,
+zgbtrs) and tail_inverse (ztrsm, ztrmm) call their kernel through the
+function pointer that scipy's Cython BLAS/LAPACK API exports
+(scipy.linalg.cython_blas and cython_lapack), as a ctypes function.  A ctypes call releases the GIL, so strips factored or
 solved on different threads run side by side; scipy's f2py wrappers hold it
 and serialize them, so through them two threads solved the wedge-jacobi
 strips no faster than one (BENCH_13.json).  It is the same OpenBLAS
@@ -79,18 +79,25 @@ factor whose last part stayed on small pages made shots slower
 too: it is _CHUNK_BYTES, whole huge pages, and on small pages its page
 faults slow a set-up.
 
-A strip solve with data on one side only need not sweep the whole factor
-(the sparse right-hand sides of Gilbert & Peierls, SISC 9(5), 1988, and
-the sparse requested entries of Amestoy, Duff, L'Excellent & Rouet, SISC
-37(2), 2015).  solve(rhs, head, keep) takes rhs[:head] == 0, so L^-1 rhs is
-zero there too and the L pass runs on rows >= head only; and it returns
-only rows >= keep, which the L^T back-substitution computes from rows >=
-keep alone, so that pass runs on the trailing n - keep rows.  Each pass is
-ztbsv on a trailing block of the factor, reached by offsetting the
-pointers, and does on the rows it keeps the arithmetic of the full pass:
-those rows are bitwise the full solve.  Rows < keep are NaN, so a read of
-one fails loudly.  The zgbtrs fallback always solves in full.  A solve so
-sweeps 2 n - head - keep factor columns, or 2 n by zgbtrs.
+A strip's interface response is a few columns of A^-1, built once
+(tail_inverse).  For n a multiple of kl, panel p is rows p kl .. p kl + kl
+- 1, and R_p = A^-1[n - kl:, panel p] is, by symmetry, X_p^T, the rows of
+panel p of X = A^-1 [0; I_kl], the response to unit data on the last kl
+rows.  L X = [0; I] is zero above the trailing panel, so one
+back-substitution with kl right-hand sides gives X, here transposed: R of
+the trailing panel is L_tt^-T D^-1 L_tt^-1, from I by two ztrsm with its
+kl x kl block of L and a multiply by 1/D between them, and then, panel by
+panel upwards, R_p = -R_(p+1) C L_pp^-1, where C, the rows of L below
+panel p in its columns, is upper triangular: ztrmm on C, ztrsm on L_pp.
+L(i, j) sits at flat offset i + j kl of the factor, so each of these
+blocks is a dense matrix with leading dimension kl, of which BLAS reads
+one triangle, all inside the band.  Multiplied from the right, OpenBLAS
+took the two triangles in 175 us a panel on a waveguide-osds strip,
+against 215 us from the left.  The pass stops at the lowest panel asked
+for, keeps only those, and holds two panels of workspace.  It has half
+the flops of an LU factorization from the lowest panel down: 16 ms on a
+waveguide-osds interior strip, whose factorization takes 30-34 ms
+(BENCH_30.json).
 """
 
 from __future__ import annotations
@@ -124,6 +131,8 @@ def _kernel(module, name: str, nargs: int):
 
 
 _ztbsv = _kernel(cython_blas, "ztbsv", 9)
+_ztrsm = _kernel(cython_blas, "ztrsm", 11)
+_ztrmm = _kernel(cython_blas, "ztrmm", 11)
 _zgbtrf = _kernel(cython_lapack, "zgbtrf", 8)
 _zgbtrs = _kernel(cython_lapack, "zgbtrs", 11)
 _zgemm = _kernel(cython_blas, "zgemm", 13)
@@ -215,8 +224,8 @@ class BandedLU:
         self.n, self.kl = n, kl
         self._ld = self._lu = self._ipiv = None
         self._factor(diags, label)
-        # the by-reference k, lda and incx of every ztbsv call
-        self._tbsv_args = _ints(kl, kl + 1, 1)
+        # the by-reference n, k, lda and incx of every ztbsv call
+        self._tbsv_args = _ints(n, kl, kl + 1, 1)
 
     def _factor(self, diags: dict, label: str) -> None:
         """Factor A, given by its diagonals diags, into _ld, or else into
@@ -295,8 +304,8 @@ class BandedLU:
 
     @property
     def ldlt(self) -> bool:
-        """True if the factor is stored as L D L^T, whose solves read head
-        and keep; False if as zgbtrf's LU, whose solves ignore them."""
+        """True if the factor is stored as L D L^T, which tail_inverse
+        reads; False if as zgbtrf's LU."""
         return self._ld is not None
 
     def same(self, other: "BandedLU") -> bool:
@@ -312,21 +321,12 @@ class BandedLU:
         return (all(np.array_equal(a[::step], b[::step]) for a, b in pairs)
                 and all(np.array_equal(a, b) for a, b in pairs))
 
-    def _ldlt(self, x: ComplexArray, head: int, keep: int) -> None:
-        """Overwrite rows >= keep of the contiguous (n,) x with those of
-        L^-T D^-1 L^-1 x, for x[:head] == 0, and rows < keep with NaN."""
-        k, lda, inc = self._tbsv_args
-        lower, upper = _ints(self.n - head, self.n - keep)
-        # column j of the factor starts (kl + 1) entries after column j - 1
-        ld = self._ld.ctypes.data
-        step = self._ld.strides[1]
-        at = x.ctypes.data
-        # rows < head stay zero and rows < keep are dropped
-        start = max(head, keep)
-        _ztbsv(b"L", b"N", b"U", lower, k, ld + head * step, lda, at + head * x.itemsize, inc)
-        x[start:] *= self._ld[0, start:]
-        _ztbsv(b"L", b"T", b"U", upper, k, ld + keep * step, lda, at + keep * x.itemsize, inc)
-        x[:keep] = np.nan
+    def _ldlt(self, x: ComplexArray) -> None:
+        """Overwrite the contiguous (n,) x with L^-T D^-1 L^-1 x."""
+        n, k, lda, inc = self._tbsv_args
+        _ztbsv(b"L", b"N", b"U", n, k, self._ld.ctypes.data, lda, x.ctypes.data, inc)
+        x *= self._ld[0]
+        _ztbsv(b"L", b"T", b"U", n, k, self._ld.ctypes.data, lda, x.ctypes.data, inc)
 
     def _gbtrs(self, x: ComplexArray) -> None:
         """Overwrite the contiguous (n,) x with A^-1 x by zgbtrs."""
@@ -337,23 +337,66 @@ class BandedLU:
         if info.value != 0:
             raise ValueError(f"banded back-substitution failed, zgbtrs info={info.value}")
 
-    def solve(self, rhs: ComplexArray, head: int = 0, keep: int = 0,
-              overwrite_rhs: bool = False) -> ComplexArray:
+    def solve(self, rhs: ComplexArray, overwrite_rhs: bool = False) -> ComplexArray:
         """x with A x = rhs, for a right-hand side of shape (n,).
 
-        rhs[:head] must be zero, and only x[keep:] is solved for: x[:keep]
-        is NaN.  The zgbtrs fallback ignores both and solves in full.  With
-        overwrite_rhs, a contiguous complex128 rhs is solved in place and
-        returned; any other rhs is copied, as it always is without it.
+        With overwrite_rhs, a contiguous complex128 rhs is solved in place
+        and returned; any other rhs is copied, as it always is without it.
         """
         x = (np.asarray if overwrite_rhs else np.array)(rhs, dtype=np.complex128, order="C")
         if x.shape != (self.n,):
             raise ValueError(f"right-hand side of shape {x.shape} for order {self.n}")
-        head, keep = operator.index(head), operator.index(keep)
-        if not (0 <= head <= self.n and 0 <= keep <= self.n):
-            raise ValueError(f"head {head} and keep {keep} must lie in 0..{self.n}")
         if self.ldlt:
-            self._ldlt(x, head, keep)
+            self._ldlt(x)
         else:
             self._gbtrs(x)
         return x
+
+    def tail_inverse(self, panels) -> ComplexArray:
+        """R with R[i] = A^-1[n - kl:, p kl:(p + 1) kl] for p = panels[i]
+        (module docstring), an (len(panels), kl, kl) array.
+
+        Only an L D L^T factor whose n is a multiple of kl >= 1 has panels,
+        p = 0 .. n / kl - 1; any other factor or panel is a ValueError.
+        """
+        n, kl = self.n, self.kl
+        if not self.ldlt or kl == 0 or n % kl:
+            raise ValueError(f"no kl-row panels in a factor of order {n}, kl {kl}"
+                             f"{'' if self.ldlt else ', stored as LU'}")
+        panels = [operator.index(p) for p in panels]
+        bottom = n // kl - 1
+        if not panels or not all(0 <= p <= bottom for p in panels):
+            raise ValueError(f"panels {panels} must be some of 0..{bottom}")
+        out = np.empty((len(panels), kl, kl), np.complex128)
+        k, = _ints(kl)
+        one, minus = np.ones(1, np.complex128), -np.ones(1, np.complex128)
+        base = self._ld.ctypes.data
+
+        def block(row, col):
+            # L(row + a, col + b) at flat offset (row + a) + (col + b) kl
+            return base + (row + col * kl) * 16
+
+        def trsm(trans, p, r):
+            # r := r L_pp^-1, or r L_pp^-T
+            _ztrsm(b"R", b"L", trans, b"U", k, k, one.ctypes.data, block(p * kl, p * kl), k,
+                   r.ctypes.data, k)
+
+        # R of the trailing panel, X_t^T = L_tt^-T D^-1 L_tt^-1, as I L_tt^-T D^-1 L_tt^-1
+        r = np.asfortranarray(np.eye(kl, dtype=np.complex128))
+        trsm(b"T", bottom, r)
+        r *= self._ld[0, n - kl:]
+        trsm(b"N", bottom, r)
+        work = np.empty_like(r)
+        for p in range(bottom, min(panels) - 1, -1):
+            if p < bottom:
+                # R_p = X_p^T = -R_(p+1) C L_pp^-1, C = L(rows of panel p + 1,
+                # columns of panel p); on the right, BLAS takes these
+                # triangles faster than their transposes on the left
+                work[...] = r
+                _ztrmm(b"R", b"U", b"N", b"N", k, k, minus.ctypes.data,
+                       block((p + 1) * kl, p * kl), k, work.ctypes.data, k)
+                trsm(b"N", p, work)
+                r, work = work, r
+            for i in (i for i, q in enumerate(panels) if q == p):
+                out[i] = r
+        return out

@@ -129,10 +129,11 @@ class RunRecord:
     true_residual: float = 0.0
     ortho_defect: float = 0.0
     strip_solves: int = 0
-    strip_rows: int = 0
+    block_responses: int = 0
     factorizations: int = 0
     lu_bytes: int = 0
     distinct_factors: int = 0
+    block_bytes: int = 0
     workers: int = 1
     stop: str = "tol"
     seconds: list = dataclasses.field(default_factory=list)
@@ -209,7 +210,7 @@ class BenchContext:
         system, layout = self.system, self.system.layout
         tol = min(spec.tolerances)
         solves_before = sum(sv.solve_count for sv in system.solvers)
-        rows_before = sum(sv.row_count for sv in system.solvers)
+        blocks_before = sum(sv.block_count for sv in system.solvers)
         sweep = {"jacobi": None, "ds": system.solve_double_sweep,
                  "osds": system.solve_oneway}[spec.preconditioner]
 
@@ -230,8 +231,10 @@ class BenchContext:
         counts = {f"{t:g}": iterations_at(report.history, t)
                   for t in spec.tolerances}
         u = system.reconstruct(h)
-        # strips that share a factor store it once
+        # strips that share a factor, or a block set, store it once
         stored = {id(sv.lu): sv.lu.nbytes for sv in system.solvers}
+        blocks = {id(sv.blocks): sum(b.nbytes for b in sv.blocks.values())
+                  for sv in system.solvers if sv.blocks is not None}
         return RunRecord(spec=spec, counts=counts, history=list(report.history),
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=self.g.data.size,
@@ -241,10 +244,11 @@ class BenchContext:
                          ortho_defect=report.ortho_defect,
                          strip_solves=sum(sv.solve_count for sv in system.solvers)
                          - solves_before,
-                         strip_rows=sum(sv.row_count for sv in system.solvers)
-                         - rows_before,
+                         block_responses=sum(sv.block_count for sv in system.solvers)
+                         - blocks_before,
                          factorizations=sum(sv.factor_count for sv in system.solvers),
                          lu_bytes=sum(stored.values()), distinct_factors=len(stored),
+                         block_bytes=sum(blocks.values()),
                          workers=WORKERS,
                          stop=report.stop, seconds=list(report.seconds),
                          waived=[] if self.decomp.width_bound_ok else ["width_bound"],

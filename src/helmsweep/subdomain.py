@@ -25,16 +25,21 @@ interface column strictly inside it:
     right-normal (+x):  (v[g+1] - v[g-1])/(2h) + i*k[g]*v[g]
 
 A strip numbered along y (ny <= w, every waveguide and cavity strip) keeps
-node column i in rows i*nb .. i*nb + nb - 1, nb = ny + 1.  A solve with no
-load and a right datum alone then has a right-hand side that is zero above
-row n - nb, and a caller that reads only the node columns from c on needs
-only the rows from c*nb on: the solve asks BandedLU for just those (see
-banded.py), bitwise the full solve on the columns read.  A left datum alone
-takes the same path on a strip that its column reversal P maps onto itself
-(P A P = A exactly, checked once on the diagonals it is factored from): the
-reversed datum is a right datum, and the field is reversed back, which
-moves it by roundoff.  Any other solve, the wedge's (numbered along x)
-included, is a full one.
+node column i in rows i*nb .. i*nb + nb - 1, nb = ny + 1, which is also its
+half-bandwidth.  A right datum d enters the last nb rows as S d, S the
+diagonal of the datum's (2/h) row scales, so the field it makes is X S d,
+X = A^-1 [0; I], and a trace it sends is a linear map of three node
+columns of that field: one nb x nb block.  BandedLU.tail_inverse gives the
+node columns of X that the sends read, and form_blocks turns them into the
+strip's blocks.  On a strip that its column reversal P maps onto itself (P
+A P = A exactly, checked once on the diagonals it is factored from) the
+field of a left datum is P X S d: the left blocks come from the same
+columns, reversed.  respond answers data with no load by block products,
+0 solves, when each datum side it gets has a block: on a strip numbered
+along y with an L D L^T factor, any data but a left datum on a strip that
+is no mirror.  Any other response is one full solve: a load, every strip
+numbered along x (the wedge's: its blocks would cost 2 nb solves), and
+every strip whose factor swapped a row.
 """
 
 from __future__ import annotations
@@ -77,14 +82,16 @@ class LocalSolver:
     right-hand side, so repeated applications reuse the factorization.  The
     strip's geometry is fixed here too: sends holds the (interface column,
     normal) of the trace for strip i+1's left interface and of the one for
-    strip i-1's right interface (None past either end), window the local
-    node columns those traces read, and owned the global columns [lo, hi)
-    the strip contributes to a reconstructed field.
+    strip i-1's right interface (None past either end), and owned the
+    global columns [lo, hi) the strip contributes to a reconstructed field.
+    columns are the node columns of A^-1 [0; I] its blocks are formed from,
+    None if it has none (module docstring).
 
     lu is the strip's BandedLU, one object on all strips whose factors are
-    bitwise equal (substructure.py).  Each strip counts its own work:
-    factor_count (1), solve_count, and row_count, the factor columns its
-    solves swept, 2 n for a full solve.
+    bitwise equal, and blocks, once formed, {side: (sends, nb, nb) array},
+    one object on strips with bitwise equal blocks (substructure.py).  Each
+    strip counts its own work: factor_count (1), solve_count and
+    block_count, the responses answered by block products.
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
@@ -100,9 +107,6 @@ class LocalSolver:
         self.has_right = strip <= n - 1
         self.sends = ((decomp.spans[strip][0], "left") if self.has_right else None,
                       (decomp.spans[strip - 2][1], "right") if self.has_left else None)
-        # extract_trace reads an interface column and its two neighbours
-        read = [column - self.span[0] for column, _ in filter(None, self.sends)]
-        self.window = (min(read) - 1, max(read) + 1)
         self.owned = (decomp.cuts[strip - 1], decomp.cuts[strip] + (strip == n))
 
         kinds = {s: bc.kind(s) for s in SIDES}
@@ -116,35 +120,59 @@ class LocalSolver:
             self.lu = BandedLU(diagonals, label=f"strip {strip}")
         except ValueError as err:
             raise ValueError(f"strip {strip}: local factorization failed") from err
-        # a datum enters the first or the last nb rows only
         self.xy = self.stencil.ny <= self.stencil.w
         self.mirror = self.xy and _column_reversal_invariant(diagonals, self.stencil.w + 1)
+        # the data sides blocks answer: the right one, and the left one on a
+        # mirror strip, whose field is the reversed field of right data
+        self._sides = [side for side, has in (("left", self.has_left and self.mirror),
+                                              ("right", self.has_right))
+                       if has and self.xy and self.lu.ldlt]
+        # extract_trace reads an interface column and its two neighbours
+        read = {column - self.span[0] + i for column, _ in filter(None, self.sends)
+                for i in (-1, 0, 1)}
+        self.columns = tuple(sorted({self.stencil.w - c if side == "left" else c
+                                     for side in self._sides for c in read})) or None
+        self.blocks = None
         self.factor_count = 1
         self.solve_count = 0
-        self.row_count = 0
-        # the two sweeps of solve_oneway solve the interior strips at once
+        self.block_count = 0
+        # the two sweeps of solve_oneway respond on the interior strips at once
         self._count_lock = threading.Lock()
 
     @property
     def bandwidth(self) -> int:
         return self.stencil.bandwidth
 
-    def solve(self, left: ComplexArray | None = None,
-              right: ComplexArray | None = None,
-              load: ComplexArray | None = None,
-              columns: tuple[int, int] | None = None) -> ComplexArray:
-        """Solve the strip problem for interface data and a nodal load.
+    def form_blocks(self, response: ComplexArray) -> dict:
+        """{side: (sends, nb, nb)} blocks, sends in order with None skipped:
+        the traces this strip sends are blocks[side] @ datum.
 
-        left/right are trace data on the strip's interface columns (rejected
-        if the strip has no such interface).  load is the whole grid's
-        problem_load for solves of the true problem, of which the strip
-        takes its own columns, and None for the homogeneous interface
-        exchange.  columns = (first, last) are the local node columns the
-        caller will read, None for all; the other columns may hold NaN.
-        Returns the (w+1, ny+1) nodal solution.  A datum not of shape
-        (ny+1,) or a load not of the grid's shape is a ValueError naming
-        the strip and the side.
+        response[i] is node column columns[i] of A^-1 [0; I] transposed, as
+        BandedLU.tail_inverse returns it: a field indexed (node column,
+        unit datum, node).
         """
+        # columns holds each column a trace reads with its two neighbours
+        at = {c: i for i, c in enumerate(self.columns)}
+        w, h = self.stencil.w, self.grid.h
+        blocks = {}
+        for side in self._sides:
+            edge = 0 if side == "left" else -1
+            # each unit datum's row of the right-hand side: S in X S d
+            scale = self.stencil.row_scale[edge] * (2.0 / h)
+            out = []
+            for column, normal in filter(None, self.sends):
+                c = column - self.span[0]
+                # the field three columns wide, reversed for a left datum
+                field = (response[at[c - 1]:at[c + 1] + 1] if side == "right"
+                         else response[at[w - c - 1]:at[w - c + 1] + 1][::-1])
+                trace = extract_trace(field, (column - 1, column + 1), column, normal,
+                                      self.kfield, h)
+                out.append((trace * scale[:, None]).T)
+            blocks[side] = np.ascontiguousarray(np.stack(out))
+        return blocks
+
+    def _check(self, left, right) -> None:
+        """ValueError unless each datum given fits an interface of the strip."""
         nb = self.stencil.ny + 1
         for side, data, has in (("left", left, self.has_left), ("right", right, self.has_right)):
             if data is None:
@@ -154,45 +182,61 @@ class LocalSolver:
             if np.shape(data) != (nb,):
                 raise ValueError(f"strip {self.strip}: {side} datum of shape {np.shape(data)}, "
                                  f"not ({nb},)")
+
+    def solve(self, left: ComplexArray | None = None,
+              right: ComplexArray | None = None,
+              load: ComplexArray | None = None) -> ComplexArray:
+        """Solve the strip problem for interface data and a nodal load.
+
+        left/right are trace data on the strip's interface columns (rejected
+        if the strip has no such interface).  load is the whole grid's
+        problem_load for solves of the true problem, of which the strip
+        takes its own columns, and None for the homogeneous interface
+        exchange.  Returns the (w+1, ny+1) nodal solution.  A datum not of
+        shape (ny+1,) or a load not of the grid's shape is a ValueError
+        naming the strip and the side.
+        """
+        self._check(left, right)
         if load is not None:
             if np.shape(load) != self.grid.shape:
                 raise ValueError(f"strip {self.strip}: load of shape {np.shape(load)}, "
                                  f"not the grid's {self.grid.shape}")
             a, b = self.span
             load = load[a:b + 1]
-        # a fresh array, or its reversed copy, which the solve overwrites
-        rhs = self.stencil.rhs(load, left, right)
-        to_grid = self.stencil.to_grid
-        n = self.stencil.nloc
-        one_sided = (left is None) != (right is None)
-        head = keep = 0
-        flip = False
-        if columns is not None and load is None and self.xy and one_sided:
-            if right is not None:
-                head, keep = n - nb, columns[0] * nb
-            elif self.mirror:
-                flip = True
-                rhs = to_grid(rhs)[::-1].ravel()
-                head, keep = n - nb, (self.stencil.w - columns[1]) * nb
-        x = to_grid(self.lu.solve(rhs, head, keep, overwrite_rhs=True))
+        # a fresh array, which the solve overwrites
+        x = self.lu.solve(self.stencil.rhs(load, left, right), overwrite_rhs=True)
         with self._count_lock:
             self.solve_count += 1
-            self.row_count += 2 * n - head - keep if self.lu.ldlt else 2 * n
-        return x[::-1] if flip else x
+        return self.stencil.to_grid(x)
+
+    def blocked(self, *sides: str) -> bool:
+        """True if a response to data on these sides is a block product."""
+        return self.blocks is not None and all(side in self.blocks for side in sides)
 
     def respond(self, left: ComplexArray | None = None,
                 right: ComplexArray | None = None,
                 load: ComplexArray | None = None):
-        """Solve on this data; return the traces (to_right, to_left) it sends.
+        """The traces (to_right, to_left) this data sends; an edge strip
+        sends one trace and None in place of the other.
 
-        The solve is told the window the traces read, so with one-sided
-        data and no load it can skip the rest; an edge strip sends one
-        trace and None in place of the other.
+        With no load, and a block for each datum side given, they are block
+        products; otherwise they are read off a full solve.
         """
-        v = self.solve(left, right, load, self.window)
-        return tuple(None if x is None else
-                     extract_trace(v, self.span, *x, self.kfield, self.grid.h)
-                     for x in self.sends)
+        data = {side: d for side, d in (("left", left), ("right", right)) if d is not None}
+        if load is not None or not self.blocked(*data):
+            v = self.solve(left, right, load)
+            return tuple(None if x is None else
+                         extract_trace(v, self.span, *x, self.kfield, self.grid.h)
+                         for x in self.sends)
+        self._check(left, right)
+        out = np.zeros((sum(x is not None for x in self.sends), self.stencil.ny + 1),
+                       np.complex128)
+        for side, d in data.items():
+            out += self.blocks[side] @ d
+        with self._count_lock:
+            self.block_count += 1
+        traces = iter(out)
+        return tuple(None if x is None else next(traces) for x in self.sends)
 
 
 def _column_reversal_invariant(d: dict, columns: int) -> bool:

@@ -28,28 +28,38 @@ With M = M_l + M_r and R = A_l + A_r, T = M + R gives
     (Id - T)(Id - M)^{-1} = Id - R (Id - M)^{-1},
 
 so the one-way-preconditioned operator needs R y for y = (Id - M)^{-1} r.
-Every sweep solve of an interior strip has one-sided data and sends its
+Every sweep response of an interior strip has one-sided data and sends its
 other outgoing trace across as a reflection, so the sweep leaves R y short
-of two entries; the two edge solves (the last strip on its left datum, the
-first on its right) finish it.  solve_oneway keeps (r, y, partial R y), and
-the next apply_interface_system, if handed y, returns r - R y: 2N-2 strip
-solves per preconditioned product instead of 3N-4.  The record is used at
-most once; any other operator call drops it.
+of two entries; the two edge responses (the last strip on its left datum,
+the first on its right) finish it.  solve_oneway keeps (r, y, partial R
+y), and the next apply_interface_system, if handed y, returns r - R y:
+2N-2 strip responses per preconditioned product instead of 3N-4.  The
+record is used at most once; any other operator call drops it.
+
+A response with no load is a block product on a strip numbered along y
+whose factor is L D L^T, for every datum side but the left one of a strip
+that is no mirror (subdomain.py), and one strip solve otherwise.  So on
+the waveguide a GMRES iteration costs 0 strip solves, with jacobi, ds or
+osds, and a shot N for its source traces and N for its field.  On the
+wedge, whose strips are numbered along x, it costs N with jacobi, 2N-2
+with osds and 3N-2 with ds.
 
 Strip work that does not depend on other strips runs concurrently, on
 WORKERS threads, one per CPU the process may run on: the calling thread
 and a pool of WORKERS - 1 (at least one).  The N strip constructions
-(assembly and factorization) of SubstructuredSystem, the N solves of an
+(assembly and factorization) of SubstructuredSystem, the N responses of an
 exchange (apply_exchange, source_traces, a full apply_interface_system) and
 the N solves of reconstruct go through _map, where the calling thread and
 the pool threads take the strips in turn from one counter, so the caller
 works instead of waiting.  A pool of WORKERS threads beside the working
 caller runs more threads than CPUs and made wedge-jacobi shots slower
-(BENCH_23.json).  The two sweeps of solve_oneway and the two edge solves
-of the record path go through _map too, as two tasks: the forward sweep
-and strip 1's solve first.  A strip releases the GIL in its band kernels,
-zgbtrf included (see banded.py).  solve_double_sweep stays serial: its
-backward sweep reads what the forward one wrote.  Each solve does the same
+(BENCH_23.json).  The two sweeps of solve_oneway and the two edge responses
+of the record path go through _map too, as two tasks, the forward sweep
+and strip 1's response first, unless each of their responses is a block
+product: then they run on the calling thread, since a hand-off to the
+pool costs more than they do (BENCH_30.json).  A strip releases the GIL
+in its band kernels, zgbtrf included (see banded.py).  solve_double_sweep
+stays serial: its backward sweep reads what the forward one wrote.  Each solve does the same
 arithmetic and writes the same block as in a serial run, and each
 factorization is the serial one, so every result is bitwise the same.  A
 failure is raised once every strip of the call is done, the first in strip
@@ -59,8 +69,8 @@ Every strip is still assembled and factored, but strips whose factors are
 bitwise equal share one BandedLU.  As each construction ends it compares its
 factor, under a lock, with those kept so far (BandedLU.same), and on a
 match solves with that one and drops its own: on a homogeneous waveguide
-the two edge strips share one factor and the interior strips another, so a
-sweep reads one interior factor, not one per interior strip
+the two edge strips share one factor and the interior strips another, so
+their solves read one interior factor, not one per interior strip
 (BENCH_25.json).  A heterogeneous problem such as the wedge shares nothing.
 Each strip counts its own solves (LocalSolver).  The kept factors are a
 local of the constructor, so a system dropped frees its factors, and two
@@ -69,16 +79,18 @@ the duplicate factorizations too, but the benchmark checks one
 factorization span per strip (perfbench/tests/test_perfbench.py), so that
 waits for ROADMAP items 1 and 2.
 
-Every operator is a pattern of LocalSolver.respond, which tells its strip
-solve which node columns the outgoing traces read.  A solve with one-sided
-data and no load, every sweep solve and the two edge solves of an exchange
-or of the record path, then sweeps only part of the strip's factor (see
-subdomain.py); source_traces and reconstruct carry a load and solve in full.
+A strip's blocks are formed from a few node columns of its factor's
+A^-1, built by BandedLU.tail_inverse once per (factor, columns): the
+waveguide's edge strips share one build and its interior strips another.
+Each build is queued, as its factor is kept, behind the N constructions of
+the same _map, so a thread that has no strip left to factor builds while
+the other factors the last one.  Strips whose blocks are bitwise equal then
+share one block set, as they share a factor.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -107,18 +119,30 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
-def _map(fn, n: int) -> list:
+def _map(fn, n: int, queue: list | None = None) -> list:
     """[fn(0), ..., fn(n-1)], the strips taken in turn by this thread and
-    up to WORKERS - 1 pool threads; the first failure in strip order is
-    raised once every strip has ended."""
-    results, errors = [None] * n, [None] * n
-    # next() on a count is atomic under the GIL
-    order = itertools.count()
+    up to WORKERS - 1 pool threads.  fn may append callables of no
+    argument to queue; they are taken after the last strip, from the same
+    hand-out, and their results dropped.  The first failure, in strip
+    order and then in queue order, is raised once every call has ended."""
+    queue = [] if queue is None else queue
+    results, errors = [None] * n, {}
+    taken, lock = [0], threading.Lock()
 
     def take() -> None:
-        while (s := next(order)) < n:
+        while True:
+            # a call appended after this check is taken by the thread that
+            # appended it, which checks again when its call ends
+            with lock:
+                s = taken[0]
+                if s >= n + len(queue):
+                    return
+                taken[0] += 1
             try:
-                results[s] = fn(s)
+                if s < n:
+                    results[s] = fn(s)
+                else:
+                    queue[s - n]()
             except BaseException as err:  # raised below, as a future would
                 errors[s] = err
 
@@ -128,10 +152,21 @@ def _map(fn, n: int) -> list:
     for f in helpers:
         if not f.cancel():
             f.result()
-    for err in errors:
-        if err is not None:
-            raise err
+    if errors:
+        raise errors[min(errors)]
     return results
+
+
+def _each(fn, n: int) -> list:
+    """[fn(0), ..., fn(n-1)] on the calling thread, for calls too short to
+    hand to the pool."""
+    return [fn(s) for s in range(n)]
+
+
+def _equal(a: dict, b: dict) -> bool:
+    """True if the block sets a and b hold the same sides and bits."""
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[k].view(np.uint64), b[k].view(np.uint64)) for k in a)
 
 
 @dataclass
@@ -181,8 +216,13 @@ class SubstructuredSystem:
         self.decomp = decomp
         self.nstrips = decomp.nstrips
         # the distinct factors so far; a later strip with a bitwise equal
-        # one solves with it and drops its own
-        kept, lock = [], threading.Lock()
+        # one solves with it and drops its own.  Each strip with blocks
+        # needs the columns of its factor's A^-1 it names, built once per
+        # (factor, columns), queued behind the factorizations
+        kept, responses, builds, lock = [], {}, [], threading.Lock()
+
+        def respond_to_unit_data(key, lu):
+            responses[key] = lu.tail_inverse(key[1])
 
         def build(s):
             sv = LocalSolver(grid, kfield, bc, decomp, s + 1)
@@ -192,10 +232,29 @@ class SubstructuredSystem:
                     kept.append(sv.lu)
                 else:
                     sv.lu = match
+                key = (id(sv.lu), sv.columns)
+                if sv.columns is not None and key not in responses:
+                    responses[key] = None
+                    builds.append(functools.partial(respond_to_unit_data, key, sv.lu))
             return sv
 
-        self.solvers = _map(build, decomp.nstrips)
-        self.layout = (2, decomp.nstrips - 1, grid.ny + 1)
+        self.solvers = _map(build, decomp.nstrips, builds)
+        # strips whose blocks are bitwise equal keep one copy
+        formed = []
+        for sv in self.solvers:
+            if sv.columns is not None:
+                blocks = sv.form_blocks(responses[id(sv.lu), sv.columns])
+                sv.blocks = next((b for b in formed if _equal(b, blocks)), blocks)
+                if sv.blocks is blocks:
+                    formed.append(blocks)
+        n = decomp.nstrips
+        # sweeps and edge responses that are block products all along run
+        # on the calling thread: a pool hand-off costs more than they do
+        self._serial_sweeps = all(sv.blocked("left") and sv.blocked("right")
+                                  for sv in self.solvers[1:n - 1])
+        self._serial_edges = (self.solvers[0].blocked("right")
+                              and self.solvers[n - 1].blocked("left"))
+        self.layout = (2, n - 1, grid.ny + 1)
         # (r, y, partial R y) of the last solve_oneway, for one
         # apply_interface_system on y
         self._sweep = None
@@ -239,8 +298,9 @@ class SubstructuredSystem:
         r, y, ry = sweep
         n = self.nstrips
         t, o = y.reshape(self.layout), ry.blocks
-        first, last = _map(lambda i: self.solvers[0].respond(right=t[1, 0]) if i == 0
-                           else self.solvers[n - 1].respond(left=t[0, n - 2]), 2)
+        first, last = (_each if self._serial_edges else _map)(
+            lambda i: self.solvers[0].respond(right=t[1, 0]) if i == 0
+            else self.solvers[n - 1].respond(left=t[0, n - 2]), 2)
         o[0, 0], o[1, n - 2] = first[0], last[1]
         return TraceVector(self.layout, r - ry.data)
 
@@ -283,7 +343,7 @@ class SubstructuredSystem:
                 a[0, s], to_left = self.solvers[s].respond(right=o[1, s])
                 o[1, s - 1] += to_left
 
-        _map(sweep, 2)
+        (_each if self._serial_sweeps else _map)(sweep, 2)
         self._sweep = (np.array(r.data, dtype=np.complex128), out.data.copy(),
                        reflected)
         return out

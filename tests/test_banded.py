@@ -80,21 +80,20 @@ def test_reconstruct_factored_matrix(rng):
 
 def test_counters():
     # a factor keeps no counts: the strip that solves through it counts one
-    # factorization, each solve, and the factor rows it swept, 2 n for a
-    # full solve through either storage kind.  The coarse waveguide's end
-    # strips are L D L^T factors and its interior strips pivoted ones.
+    # factorization and each solve, through either storage kind.  The
+    # coarse waveguide's end strips are L D L^T factors and its interior
+    # strips pivoted ones.
     spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5, overlap_cells=2, nppwl=4,
                        tolerances=(1e-10,))
     solvers = BenchContext(spec).system.solvers
     assert [sv.lu.ldlt for sv in solvers] == [True, False, False, False, True]
     for sv in solvers[:2]:
-        assert not any(hasattr(sv.lu, c) for c in ("factor_count", "solve_count", "row_count"))
-        solves, rows = sv.solve_count, sv.row_count
+        assert not any(hasattr(sv.lu, c) for c in ("factor_count", "solve_count", "block_count"))
+        solves = sv.solve_count
         d = np.ones(sv.stencil.ny + 1, np.complex128)
         for _ in range(3):
             sv.solve(right=d) if sv.strip == 1 else sv.solve(left=d, right=d)
         assert (sv.factor_count, sv.solve_count - solves) == (1, 3)
-        assert sv.row_count - rows == 3 * 2 * sv.stencil.nloc
 
 
 def test_singular_matrix_reports_label():
@@ -489,40 +488,44 @@ def test_ctypes_tbsv_is_scipy_tbsv_bitwise(rng, ny, cells):
 
 
 @pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
-def test_partial_solve_is_full_solve_on_kept_rows_bitwise(rng, ny, cells):
-    # with b[:head] == 0, rows >= keep of solve(b, head, keep) are those of
-    # solve(b) bit for bit, and rows < keep are NaN
+def test_tail_inverse_matches_full_solves(rng, ny, cells):
+    # R[i] = A^-1[n - kl:, panel p] for p = panels[i], any order, repeats
+    # included; by symmetry, rows of panel p of the solves of the last kl
+    # unit vectors
     diagonals, a, band = helmholtz_strip(ny, cells)
-    n = a.shape[0]
     lu = BandedLU(diagonals)
-    assert lu._ld is not None
-    edges = [(0, 0), (0, n), (n, 0), (n, n), (n - band, n - 1), (1, 1)]
-    drawn = [tuple(rng.integers(0, n + 1, 2)) for _ in range(20)]
-    for head, keep in edges + drawn:
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b[:head] = 0
-        full = lu.solve(b)
-        x = lu.solve(b, head, keep)
-        assert np.array_equal(x[keep:], full[keep:])
-        assert np.isnan(x[:keep]).all()
+    n, kl = lu.n, lu.kl
+    last = n // kl - 1
+    assert n % kl == 0 and kl == band
+    units = np.eye(n, dtype=np.complex128)[:, n - kl:]
+    x = np.stack([lu.solve(e) for e in units.T])
+    panels = [last, 0, 3, last - 1, 3, *rng.integers(0, last + 1, 4)]
+    r = lu.tail_inverse(panels)
+    assert r.shape == (len(panels), kl, kl)
+    for got, p in zip(r, panels):
+        want = x[:, p * kl:(p + 1) * kl]
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # the trailing panel alone stops after it: the rows it returns are those
+    # of the whole pass
+    assert np.array_equal(lu.tail_inverse([last])[0], r[0])
 
 
-def test_fallback_solve_ignores_head_and_keep(rng):
-    lu = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
-    assert lu._ld is None and not lu.ldlt
-    n = lu.n
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    b[:200] = 0
-    full = lu.solve(b)
-    assert np.array_equal(lu.solve(b, 200, 300), full)
+def test_tail_inverse_needs_an_ldlt_factor_of_whole_panels(rng):
+    pivoted = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
+    assert not pivoted.ldlt
+    odd = BandedLU(band_diagonals(symmetric_banded(rng, 301, 3), 3))
+    assert odd.ldlt and odd.n % odd.kl
+    for lu, message in ((pivoted, "stored as LU"), (odd, "order 301, kl 3")):
+        with pytest.raises(ValueError, match=message):
+            lu.tail_inverse([0])
 
 
-def test_head_and_keep_out_of_range_rejected(rng):
+def test_tail_panels_out_of_range_rejected():
     lu = BandedLU(helmholtz_strip(*STRIPS["ny<=w"])[0])
-    n = lu.n
-    for head, keep in [(-1, 0), (0, -1), (n + 1, 0), (0, n + 1)]:
-        with pytest.raises(ValueError, match="head"):
-            lu.solve(np.zeros(n, dtype=np.complex128), head, keep)
+    last = lu.n // lu.kl - 1
+    for panels in ([-1], [last + 1], [0, last + 1], []):
+        with pytest.raises(ValueError, match=f"must be some of 0..{last}"):
+            lu.tail_inverse(panels)
 
 
 def test_bad_rhs_shape_rejected(rng):
@@ -540,16 +543,13 @@ def test_solve_in_place_only_when_told_it_owns_rhs(rng, kind):
         lu = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
     assert lu.ldlt == (lu._ld is not None) == (kind == "ldlt")
     n = lu.n
-    # a full and a one-sided solve
-    for head, keep in [(0, 0), (n // 3, n // 2)]:
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b[:head] = 0
-        kept = b.copy()
-        x = lu.solve(b, head, keep)
-        assert np.array_equal(b, kept) and not np.shares_memory(x, b)
-        y = lu.solve(b, head, keep, overwrite_rhs=True)
-        assert y is b
-        assert np.array_equal(y, x, equal_nan=True)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    kept = b.copy()
+    x = lu.solve(b)
+    assert np.array_equal(b, kept) and not np.shares_memory(x, b)
+    y = lu.solve(b, overwrite_rhs=True)
+    assert y is b
+    assert np.array_equal(y, x)
 
 
 @pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])

@@ -149,12 +149,13 @@ def test_run_and_outputs(tmp_path):
 
 def test_record_counts_solves_and_factor_bytes(tmp_path):
     # the README quick-start with osds to 1e-6: 8 iterations of 2N-2 strip
-    # solves, then N for the true-residual exchange and N for the field
+    # responses, then N for the true-residual exchange, all block products,
+    # and N strip solves for the field
     spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5,
                        overlap_cells=4, nppwl=16, tolerances=(1e-6,))
     ctx = bench.BenchContext(spec)
     record = ctx.solve(spec)
-    assert (record.counts["1e-06"], record.strip_solves) == (8, 74)
+    assert (record.counts["1e-06"], record.strip_solves, record.block_responses) == (8, 5, 69)
     assert record.factorizations == 5
     # no strip swaps a row, so each stores its L and D band rows only; the
     # two edge strips share one factor and the three interior strips another
@@ -165,34 +166,34 @@ def test_record_counts_solves_and_factor_bytes(tmp_path):
 
     bench.write_outputs(record, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert (manifest["strip_solves"], manifest["factorizations"], manifest["lu_bytes"],
-            manifest["distinct_factors"]) == (74, 5, record.lu_bytes, 2)
-    assert manifest["strip_rows"] == record.strip_rows
+    assert (manifest["strip_solves"], manifest["block_responses"], manifest["factorizations"],
+            manifest["lu_bytes"], manifest["distinct_factors"]) == (5, 69, 5, record.lu_bytes, 2)
+    assert manifest["block_bytes"] == record.block_bytes > 0
 
 
-def strip_rows_of_full_solves(ctx, spec):
-    """(record, 2 n summed over the strip solves of ctx.solve(spec))."""
-    solves = [sv.solve_count for sv in ctx.system.solvers]
+def test_record_counts_block_responses():
+    # the quick-start waveguide has blocks on all five strips: the interior
+    # strips share one set of four nb x nb blocks (two data sides, two
+    # traces), and each edge strip keeps one.  The wedge, numbered along x,
+    # has none, and solves on every response
+    spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5,
+                       overlap_cells=4, nppwl=16, tolerances=(1e-6,), preconditioner="jacobi")
+    ctx = bench.BenchContext(spec)
     record = ctx.solve(spec)
-    full = sum(2 * sv.stencil.nloc * (sv.solve_count - before)
-               for sv, before in zip(ctx.system.solvers, solves))
-    return record, full
-
-
-def test_record_counts_factor_rows_swept():
-    # the wedge, numbered along x, solves every strip in full: 2 n factor
-    # columns a solve; the quick-start osds run's one-sided solves sweep fewer
+    nb = ctx.grid.ny + 1
+    assert all(sv.blocks for sv in ctx.system.solvers)
+    assert record.block_bytes == (4 + 1 + 1) * nb * nb * 16
+    # each iteration an exchange, then the true-residual exchange
+    iterations = len(record.history) - 1
+    assert (record.strip_solves, record.block_responses) == (5, 5 * (iterations + 1))
     wedge = ProblemSpec(problem="wedge", omega=12.0, subdomains=2, nppwl=8,
                         preconditioner="jacobi", tolerances=(1e-6,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        ctx = bench.BenchContext(wedge)
-    record, full = strip_rows_of_full_solves(ctx, wedge)
-    assert record.strip_solves > 0 and record.strip_rows == full
-    spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5,
-                       overlap_cells=4, nppwl=16, tolerances=(1e-6,))
-    record, full = strip_rows_of_full_solves(bench.BenchContext(spec), spec)
-    assert record.strip_solves == 74 and 0 < record.strip_rows < full
+        record = bench.BenchContext(wedge).solve(wedge)
+    iterations = len(record.history) - 1
+    assert (record.block_bytes, record.block_responses) == (0, 0)
+    assert record.strip_solves == 2 * (iterations + 2)
 
 
 def test_manifest_keys_follow_the_record(tmp_path):

@@ -39,6 +39,13 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     assert "distinct factors 2 -> 2" in lines[2]
     solvers = adapter.setup("tiny").system.solvers
     assert rec["tiny"]["factor_bytes"] == solvers[0].lu.nbytes + solvers[1].lu.nbytes
+    # every strip of the tiny waveguide has blocks; the edge strips send
+    # one trace each, the interior strip two, on each of its two data
+    nb = solvers[0].stencil.ny + 1
+    assert rec["tiny"]["block_strips"] == 3 and rec["tiny"]["build_s"] > 0
+    assert rec["tiny"]["block_bytes"] == (1 + 1 + 4) * nb * nb * 16
+    assert f"block bytes {rec['tiny']['block_bytes']} -> {rec['tiny']['block_bytes']}" in lines[2]
+    assert "strips with blocks 3 -> 3" in lines[2]
     low, high = rec["tiny"]["setup_min_s"], rec["tiny"]["setup_max_s"]
     assert low <= rec["tiny"]["setup_s"] <= high
     assert f"range {low:.3f}-{high:.3f} -> {low:.3f}-{high:.3f} s" in lines[0]

@@ -71,9 +71,19 @@ def test_strip_geometry(problem, n):
         to_right = (d.spans[i + 1][0], "left") if i + 1 < n else None
         to_left = (d.spans[i - 1][1], "right") if i > 0 else None
         assert sv.sends == (to_right, to_left)
-        read = [x[0] for x in (to_right, to_left) if x is not None]
-        assert sv.window == (min(read) - a - 1, max(read) - a + 1)
-        assert 0 <= sv.window[0] and sv.window[1] <= b - a
+        # the node columns the traces read, for a right datum, and
+        # reversed for a left datum on a mirror strip
+        read = {x[0] - a + i for x in (to_right, to_left) if x is not None for i in (-1, 0, 1)}
+        assert 0 <= min(read) and max(read) <= b - a
+        sides = [s for s, has in (("right", sv.has_right), ("left", sv.has_left and sv.mirror))
+                 if has]
+        if sv.xy and sv.lu.ldlt and sides:
+            w = b - a
+            assert sv.columns == tuple(sorted({w - c if s == "left" else c
+                                               for s in sides for c in read}))
+            assert sv.blocks.keys() == set(sides)
+        else:
+            assert sv.columns is None and sv.blocks is None
         assert sv.owned == (d.cuts[i], d.cuts[i + 1] if i + 1 < n else nx + 1)
         assert a <= sv.owned[0] and sv.owned[1] <= b + 1
 def test_overlap_depth():

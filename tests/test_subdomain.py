@@ -144,8 +144,8 @@ def test_factored_matrix_reproduced():
 
 
 def test_solves_leave_their_data_alone_and_return_fresh_arrays(rng):
-    # every path of an interior mirror strip: the full solve with a load,
-    # both data, a right datum on the trailing rows, a left one reversed
+    # solves with a load, both data and each datum alone, and responses by
+    # solves and by block products
     grid, kfield, bc, decomp = small_setup()
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
     assert solver.xy and solver.mirror
@@ -154,15 +154,17 @@ def test_solves_leave_their_data_alone_and_return_fresh_arrays(rng):
     load = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     data = (left, right, load)
     kept = [d.copy() for d in data]
-    for args, columns in [((left, right, load), None), ((left, right, None), None),
-                          ((None, right, None), solver.window),
-                          ((left, None, None), solver.window)]:
-        first = solver.solve(*args, columns=columns)
-        again = first.copy()
-        second = solver.solve(*args, columns=columns)
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, again, equal_nan=True)
-        assert np.array_equal(first, second, equal_nan=True)
+    cases = [(left, right, load), (left, right, None), (None, right, None), (left, None, None)]
+    for call in (solver.solve, solver.respond):
+        if call == solver.respond:
+            solver.blocks = solver.form_blocks(solver.lu.tail_inverse(solver.columns))
+        for args in cases:
+            first = call(*args)
+            again = np.array(first)
+            second = call(*args)
+            assert not any(np.shares_memory(a, b) for a in first for b in second)
+            assert np.array_equal(first, again)
+            assert np.array_equal(first, second)
     assert all(np.array_equal(d, k) for d, k in zip(data, kept))
 
 
@@ -196,32 +198,36 @@ def test_strip_index_and_missing_interface_rejected():
         assert solver.solve_count == 0
 
 
-def test_solve_rejected_by_the_factor_counts_nothing():
-    # columns past either end of the strip ask BandedLU for rows it lacks
+def test_solve_rejected_by_the_factor_counts_nothing(monkeypatch):
+    # a solve counts once its factor has solved
     grid, kfield, bc, decomp = small_setup()
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
-    assert solver.xy and solver.mirror
-    w, d = solver.stencil.w, np.ones(grid.ny + 1, np.complex128)
-    for data, columns in [(dict(right=d), (-1, w)), (dict(right=d), (w + 2, w + 2)),
-                          (dict(left=d), (0, -2)), (dict(left=d), (0, w + 1))]:
-        with pytest.raises(ValueError, match="head"):
-            solver.solve(**data, columns=columns)
-    assert (solver.solve_count, solver.row_count) == (0, 0)
+
+    def reject(rhs, overwrite_rhs=False):
+        raise ValueError("banded back-substitution failed")
+
+    monkeypatch.setattr(solver.lu, "solve", reject)
+    d = np.ones(grid.ny + 1, np.complex128)
+    for data in (dict(right=d), dict(left=d), dict(load=np.ones(grid.shape))):
+        with pytest.raises(ValueError, match="back-substitution"):
+            solver.respond(**data)
+    assert (solver.solve_count, solver.block_count) == (0, 0)
 
 
 def test_concurrent_solves_of_one_strip_lose_no_count(rng):
-    # the two sweeps of solve_oneway solve one interior strip at once; four
-    # threads switching every microsecond lose no count
+    # the two sweeps of solve_oneway respond on one interior strip at once;
+    # four threads switching every microsecond lose no count, of solves
+    # (left data, no left blocks) or of block products (right data)
     grid, kfield, bc, decomp = small_setup()
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
+    blocks = solver.form_blocks(solver.lu.tail_inverse(solver.columns))
+    solver.blocks = {"right": blocks["right"]}
     d = rng.standard_normal(grid.ny + 1) + 1j * rng.standard_normal(grid.ny + 1)
-    solver.respond(right=d)
-    rows = solver.row_count
-    assert 0 < rows < 2 * solver.stencil.nloc
     threads, solves = 4, 200
 
     def work():
         for _ in range(solves):
+            solver.respond(left=d)
             solver.respond(right=d)
 
     interval = sys.getswitchinterval()
@@ -235,5 +241,5 @@ def test_concurrent_solves_of_one_strip_lose_no_count(rng):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
-    calls = 1 + threads * solves
-    assert (solver.solve_count, solver.row_count) == (calls, calls * rows)
+    calls = threads * solves
+    assert (solver.solve_count, solver.block_count) == (calls, calls)

@@ -285,9 +285,28 @@ def strip_solves(system, call):
     return sum(sv.solve_count for sv in system.solvers) - before
 
 
+def totals(system):
+    """(strip solves, block products) so far, summed over the strips."""
+    return (sum(sv.solve_count for sv in system.solvers),
+            sum(sv.block_count for sv in system.solvers))
+
+
+def responses(system, call):
+    """(strip solves, block products) of call()."""
+    before = totals(system)
+    call()
+    return tuple(a - b for a, b in zip(totals(system), before))
+
+
+# every strip of make_case numbered along x (rows of w + 1 nodes), with
+# cells_per_strip 6: no blocks, every response a solve
+YX = dict(ny=16, cells_per_strip=6)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_strip_solves_per_call(n, rng):
-    system = make_case(n, cells_per_strip=6)
+    system = make_case(n, **YX)
+    assert not any(sv.xy or sv.blocks for sv in system.solvers)
     size = math.prod(system.layout)
     h = TraceVector(system.layout, rng.standard_normal(size) + 1j * rng.standard_normal(size))
     expected = {
@@ -325,21 +344,50 @@ def test_strip_solves_per_call(n, rng):
              for m in (0, 1, 2)]
     assert steps[:2] == [0, 2 * n - 2]
     assert steps[2] - steps[1] == 3 * n - 4
+    assert sum(sv.block_count for sv in system.solvers) == 0
 
 
-def test_osds_gmres_costs_2n_minus_2_solves_per_iteration():
-    # each iteration is one fused preconditioned product; the solution is
-    # the stored preconditioned vectors, so no closing sweep
-    system = make_case(5, cells_per_strip=6)
-    layout = system.layout
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_strip_solves_per_call_on_xy_strips(n, rng):
+    # every strip numbered along y and a mirror: each response without a
+    # load is a block product, so only source_traces and reconstruct solve
+    system = make_case(n, cells_per_strip=10)
+    assert all(sv.xy and sv.mirror and sv.blocks for sv in system.solvers)
+    size = math.prod(system.layout)
+    h = TraceVector(system.layout, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    expected = {
+        "apply_exchange": (lambda: system.apply_exchange(h), 0, n),
+        "source_traces": (lambda: system.source_traces(None), n, 0),
+        "reconstruct": (lambda: system.reconstruct(h), n, 0),
+        "solve_oneway": (lambda: system.solve_oneway(h), 0, 2 * n - 4),
+        "preconditioned product": (lambda: system.apply_interface_system(
+            system.solve_oneway(h)), 0, 2 * n - 2),
+        "solve_double_sweep": (lambda: system.solve_double_sweep(h), 0, 2 * n - 2),
+        "full product": (lambda: system.apply_interface_system(h), 0, n),
+    }
+    for name, (call, solves, products) in expected.items():
+        assert responses(system, call) == (solves, products), name
     g = system.source_traces(None)
-    before = sum(sv.solve_count for sv in system.solvers)
-    rep = gmres_right(lambda x: system.apply_interface_system(TraceVector(layout, x)).data,
-                      g.data, lambda x: system.solve_oneway(TraceVector(layout, x)).data,
-                      tol=1e-10, maxit=50)
-    assert rep.converged and rep.iterations > 1
-    solves = sum(sv.solve_count for sv in system.solvers) - before
-    assert solves == rep.iterations * (2 * system.nstrips - 2)
+    assert [strip_solves(system, lambda m=m: fixed_point(system, g, "osds", tol=0.0, maxit=m))
+            for m in (0, 1, 2)] == [0, 0, 0]
+
+
+def test_osds_gmres_costs_2n_minus_2_responses_per_iteration():
+    # each iteration is one fused preconditioned product of 2N - 2 strip
+    # responses, solves on strips numbered along x and block products on
+    # strips numbered along y; the solution is the stored preconditioned
+    # vectors, so no closing sweep
+    for system, solves in ((make_case(5, **YX), True), (make_case(5, cells_per_strip=10), False)):
+        layout = system.layout
+        g = system.source_traces(None)
+        before = totals(system)
+        rep = gmres_right(lambda x: system.apply_interface_system(TraceVector(layout, x)).data,
+                          g.data, lambda x: system.solve_oneway(TraceVector(layout, x)).data,
+                          tol=1e-10, maxit=50)
+        assert rep.converged and rep.iterations > 1
+        counts = tuple(a - b for a, b in zip(totals(system), before))
+        per_iteration = rep.iterations * (2 * system.nstrips - 2)
+        assert counts == ((per_iteration, 0) if solves else (0, per_iteration))
 
 
 # xy numbering (columns of ny + 1 nodes) on waveguide strips, yx (rows of
@@ -464,15 +512,15 @@ def test_pivoted_strips_solve_the_coarse_waveguide():
                        tolerances=(1e-10,))
     ctx = BenchContext(spec)
     assert [sv.lu.ldlt for sv in ctx.system.solvers] == [True, False, False, False, True]
-    # a one-sided solve of a pivoted strip ignores head and keep: it sweeps
-    # the factor in full, as a two-sided one does
+    # a pivoted strip has no blocks: each of its responses is a solve
+    assert [sv.blocks is not None for sv in ctx.system.solvers] == [True, False, False, False, True]
     d = np.ones(ctx.grid.ny + 1, np.complex128)
     for sv, data in [(ctx.system.solvers[1], dict(right=d)),
                      (ctx.system.solvers[3], dict(left=d)),
                      (ctx.system.solvers[2], dict(left=d, right=d))]:
-        rows = sv.row_count
+        solves = sv.solve_count
         sv.respond(**data)
-        assert sv.row_count - rows == 2 * sv.stencil.nloc
+        assert (sv.solve_count - solves, sv.block_count) == (1, 0)
     direct = assemble_global(ctx.grid, ctx.kfield, ctx.bc)
     assert BandedLU(direct.stencil.diagonals())._ld is None
     u = solve_direct(direct)
@@ -517,6 +565,47 @@ def test_map_runs_every_strip_once_in_strip_order(monkeypatch, n):
     assert out == [[-s for s in range(n)]] and counts == [1] * n
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_map_runs_queued_calls_once_after_the_strips(monkeypatch, n):
+    # each strip queues two calls, as each new factor queues its build;
+    # six threads switching every microsecond lose none and run none twice
+    pool = ThreadPoolExecutor(max_workers=5)
+    monkeypatch.setattr(substructure, "_pool", pool)
+    monkeypatch.setattr(substructure, "WORKERS", 6)
+    queue, ran = [], []
+
+    def strip(s):
+        for k in range(2):
+            queue.append(lambda s=s, k=k: ran.append((s, k)))
+        return s
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert substructure._map(strip, n, queue) == list(range(n))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == [(s, k) for s in range(n) for k in range(2)]
+
+    # the first failure in strip order, and then in queue order
+    def queue_failure(s):
+        raise RuntimeError(f"queued {s}")
+
+    def fails(strip):
+        def fn(s):
+            queue.append(lambda s=s: queue_failure(s))
+            if strip and s == n - 1:
+                raise RuntimeError(f"strip {s}")
+            return s
+        return fn
+
+    for strip, message in ((True, f"strip {n - 1}"), (False, "queued 0")):
+        queue.clear()
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            substructure._map(fails(strip), n, queue)
+    pool.shutdown()
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_map_runs_strips_on_the_caller_and_a_pool_thread(monkeypatch, n):
     meet = two_threads_take_the_first_strips(monkeypatch)
@@ -543,7 +632,7 @@ def test_sweeps_and_record_path_keep_their_pool_thread(rng, monkeypatch):
     # data) run side by side, one on this thread and one on the pool, and
     # so do the record path's two edge solves.  The first solve of each
     # waits for the other's, so the two threads take one each
-    system = make_case(5)
+    system = make_case(5, **YX)
     monkeypatch.setattr(substructure, "WORKERS", 2)
     barrier = threading.Barrier(2, timeout=10)
     first = {(1, "left"), (3, "right"), (4, "left"), (0, "right")}
@@ -572,6 +661,28 @@ def test_sweeps_and_record_path_keep_their_pool_thread(rng, monkeypatch):
     # the two edge solves: no full exchange
     system.apply_interface_system(y)
     check(2)
+
+
+def test_block_sweeps_and_record_path_run_on_the_calling_thread(rng, monkeypatch):
+    # when each of their responses is a block product, the sweeps and the
+    # edge responses are no pool work; an exchange still is
+    system = make_case(5)
+    assert all(sv.blocks for sv in system.solvers)
+    threads = set()
+    for sv in system.solvers:
+        def respond(*args, respond=sv.respond, **kwargs):
+            threads.add(threading.current_thread())
+            return respond(*args, **kwargs)
+        monkeypatch.setattr(sv, "respond", respond)
+    mapped = []
+    real = substructure._map
+    monkeypatch.setattr(substructure, "_map", lambda *a: mapped.append(a[1]) or real(*a))
+    r = TraceVector(system.layout, rng.standard_normal(math.prod(system.layout)) + 0j)
+    system.apply_interface_system(system.solve_oneway(r))
+    system.solve_double_sweep(r)
+    assert threads == {threading.current_thread()} and mapped == []
+    system.apply_exchange(r)
+    assert mapped == [system.nstrips]
 
 
 @pytest.mark.parametrize("operator", ["solve_oneway", "record path"])
@@ -624,7 +735,8 @@ def test_failing_strip_factor_raises_after_the_others(monkeypatch):
 
 @pytest.mark.parametrize("operator", ["apply_exchange", "source_traces", "reconstruct"])
 def test_failing_strip_raises_after_the_other_solves(operator, monkeypatch):
-    system = make_case(5)
+    # strips numbered along x, whose exchange responses are solves
+    system = make_case(5, **YX)
     meet = two_threads_take_the_first_strips(monkeypatch)
     caller = threading.current_thread()
     h = TraceVector.zeros(system.layout)
@@ -729,48 +841,77 @@ def full_response(system, s, left=None, right=None):
 
 
 def test_one_sided_responses_match_full_solves(rng):
-    # a right datum takes the trailing rows, bitwise the full solve; a left
-    # datum on a mirror strip is solved reversed, to roundoff; on cavity
-    # strip 5, no mirror strip, it is the full solve
-    system = quickstart_system("cavity")
-    n, nb = system.nstrips, system.grid.ny + 1
-    for s, sv in enumerate(system.solvers):
-        d = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
-        if sv.has_right:
-            got, want = sv.respond(right=d), full_response(system, s, right=d)
-            for a, b in zip(got, want):
-                assert (a is None and b is None) or np.array_equal(a, b)
-        if sv.has_left:
-            rows = sv.row_count
-            got, want = sv.respond(left=d), full_response(system, s, left=d)
-            swept = sv.row_count - rows - 2 * sv.stencil.nloc
-            for a, b in zip(got, want):
-                if b is None:
-                    assert a is None
-                elif sv.mirror:
-                    assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
-                else:
-                    assert np.array_equal(a, b)
-            assert (swept < 2 * sv.stencil.nloc) == sv.mirror
-    assert not system.solvers[n - 1].mirror
+    # every strip, each datum side alone and both: a block product agrees
+    # with the traces of a full solve to roundoff.  Cavity strip 5 is no
+    # mirror strip, so its left datum is a full solve
+    for problem in ("waveguide", "cavity"):
+        system = quickstart_system(problem)
+        nb = system.grid.ny + 1
+        for s, sv in enumerate(system.solvers):
+            assert set(sv.blocks or ()) == {side for side in ("left", "right")
+                                        if getattr(sv, "has_" + side)
+                                        and (side == "right" or sv.mirror)}, (problem, s)
+            left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+                           for _ in range(2))
+            for data in (dict(left=left), dict(right=right), dict(left=left, right=right)):
+                data = {side: d for side, d in data.items() if getattr(sv, "has_" + side)}
+                if not data:
+                    continue
+                counts = sv.solve_count, sv.block_count
+                got = sv.respond(**data)
+                blocked = sv.blocked(*data)
+                assert (sv.solve_count - counts[0], sv.block_count - counts[1]) == (
+                    (0, 1) if blocked else (1, 0))
+                want = full_response(system, s, **data)
+                for a, b in zip(got, want):
+                    if b is None:
+                        assert a is None
+                    elif blocked:
+                        assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b), (problem, s)
+                    else:
+                        assert np.array_equal(a, b)
+        assert system.solvers[-1].blocked("left") == (problem == "waveguide")
 
 
-def test_one_trace_edge_solves_sweep_few_rows(rng):
-    # an edge strip, as in the record path's edge solves, sends one trace,
-    # overlap_cells columns in from its datum's side: the L pass sweeps the
-    # datum's nb rows, the L^T pass the overlap_cells + 2 node columns from
-    # the far neighbour of the trace's column (reversed on strip N)
+def test_edge_strips_build_few_panels(rng, monkeypatch):
+    # an edge strip sends one trace, overlap_cells columns in from its
+    # datum's side: its blocks need the three node columns that trace reads
+    # (reversed on strip N), so the build runs overlap_cells + 2 panels up
+    # from the last.  The two edge strips share one build, and the three
+    # interior strips another
+    built = []
+    tail_inverse = BandedLU.tail_inverse
+    monkeypatch.setattr(BandedLU, "tail_inverse",
+                        lambda lu, panels: built.append(panels) or tail_inverse(lu, panels))
     system = quickstart_system("waveguide")
-    n, nb = system.nstrips, system.grid.ny + 1
+    n, nb, m = system.nstrips, system.grid.ny + 1, 4
+    for s in (0, n - 1):
+        sv = system.solvers[s]
+        w = sv.stencil.w
+        assert sv.columns == (w - m - 1, w - m, w - m + 1)
+    assert sorted(built, key=len) == [system.solvers[0].columns, system.solvers[1].columns]
     d = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
     for s, data, i in [(0, dict(right=d), 0), (n - 1, dict(left=d), 1)]:
-        sv = system.solvers[s]
-        rows = sv.row_count
-        got = sv.respond(**data)
-        assert sv.row_count - rows == (1 + 4 + 2) * nb
+        got = system.solvers[s].respond(**data)
         want = full_response(system, s, **data)
         assert got[1 - i] is None
         assert np.linalg.norm(got[i] - want[i]) <= 1e-13 * np.linalg.norm(want[i])
+
+
+def test_wedge_responses_are_full_solves_bitwise(rng):
+    # strips numbered along x have no blocks: a response is the traces of
+    # one full solve, bit for bit
+    system = quickstart_system("wedge", k=None, omega=30.0, nppwl=8, overlap_cells=2)
+    nb = system.grid.ny + 1
+    for s, sv in enumerate(system.solvers):
+        assert (sv.xy, sv.columns, sv.blocks) == (False, None, None)
+        left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
+        data = {side: d for side, d in (("left", left), ("right", right))
+                if getattr(sv, "has_" + side)}
+        solves = sv.solve_count
+        for a, b in zip(sv.respond(**data), full_response(system, s, **data)):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert (sv.solve_count - solves, sv.block_count) == (2, 0)
 
 
 def test_equal_strips_share_one_stored_factor():
@@ -786,29 +927,38 @@ def test_equal_strips_share_one_stored_factor():
 
 
 def test_strips_sharing_a_factor_count_their_own_solves(rng):
-    # the sweeps solve each interior strip twice, the record path each
-    # edge strip once, and a full exchange every strip once
+    # the sweeps respond on each interior strip twice, the record path on
+    # each edge strip once, and a full exchange on every strip once, all by
+    # block products; the source traces and the field solve every strip once
     system = quickstart_system("waveguide")
     solvers = system.solvers
     size = math.prod(system.layout)
     r = TraceVector(system.layout, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    before = [sv.solve_count for sv in solvers]
+    before = [(sv.solve_count, sv.block_count) for sv in solvers]
     y = system.solve_oneway(r)
     system.apply_interface_system(y)
     system.apply_exchange(y)
-    solved = [sv.solve_count - b for sv, b in zip(solvers, before)]
-    assert solved == [2, 3, 3, 3, 2]
+    system.source_traces()
+    system.reconstruct(y)
+    counted = [(sv.solve_count - a, sv.block_count - b) for sv, (a, b) in zip(solvers, before)]
+    assert counted == [(2, 2), (2, 3), (2, 3), (2, 3), (2, 2)]
     assert solvers[1].lu is solvers[2].lu is solvers[3].lu and solvers[0].lu is solvers[4].lu
+    # the interior strips share one block set; the edge strips send other traces
+    assert solvers[1].blocks is solvers[2].blocks is solvers[3].blocks
+    assert solvers[0].blocks.keys() == {"right"} and solvers[4].blocks.keys() == {"left"}
 
 
 def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
-    # a strip that reads another's factor sends the traces a strip built
-    # and factored alone sends, on one-sided and on two-sided data
+    # a strip that reads another's factor and blocks sends the traces a
+    # strip factored alone, with blocks of its own build, sends, on
+    # one-sided and on two-sided data
     system = quickstart_system("waveguide")
     nb = system.grid.ny + 1
     for s, sv in enumerate(system.solvers):
         fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
         assert fresh.lu is not sv.lu and fresh.lu.same(sv.lu)
+        fresh.blocks = fresh.form_blocks(fresh.lu.tail_inverse(fresh.columns))
+        assert fresh.blocks is not sv.blocks
         left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
         cases = [dict(left=left), dict(right=right), dict(left=left, right=right)]
         for data in cases:

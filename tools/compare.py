@@ -21,12 +21,12 @@ through ``adapter.setup`` and records:
   share counted once, and how many of those kB lie on transparent huge
   pages (below);
 - the layout: the strips, the distinct stored factors and their bytes
-  with the pivots, the strips that store only the L D L^T
-  band rows, (bandwidth + 1) * n * 16 bytes, and the strips whose
-  one-sided solves skip factor rows: those numbered along y, which solve a
-  right datum alone on the trailing rows, and of those the mirror strips,
-  which solve a left datum alone the same way (a checkout without these
-  paths counts 0);
+  with the pivots, the bytes of the distinct block sets that answer
+  responses without a solve and the seconds of one more pass of the builds
+  they are formed from (BandedLU.tail_inverse, once per distinct factor
+  and columns), the strips that store only the L D L^T band rows,
+  (bandwidth + 1) * n * 16 bytes, and the strips with blocks (a checkout
+  without blocks counts 0);
 - shots 0-2 of seed 1 through ``adapter.shot``, the benchmark's own solve
   path: GMRES iterations, strip solves, g (trace right-hand side), h (trace
   solution), the field and the true residual ||g - (Id - T) h|| / ||g||.
@@ -133,6 +133,19 @@ def huge_kb_by_mapping(factors) -> int:
     return total // 1024
 
 
+def block_layout(problem) -> tuple:
+    """(bytes of the distinct block sets, seconds of one more pass of the
+    builds they are formed from, strips with blocks), all 0 on a checkout
+    without blocks."""
+    blocked = [sv for sv in problem.system.solvers if getattr(sv, "blocks", None)]
+    sets = {id(sv.blocks): sum(b.nbytes for b in sv.blocks.values()) for sv in blocked}
+    builds = {(id(sv.lu), sv.columns): sv for sv in blocked}
+    t0 = time.perf_counter()
+    for sv in builds.values():
+        sv.lu.tail_inverse(sv.columns)
+    return sum(sets.values()), time.perf_counter() - t0, len(blocked)
+
+
 def timed_setup(workload: str):
     """(seconds, problem) of one adapter.setup of workload."""
     from perfbench import adapter
@@ -151,16 +164,17 @@ def record_workload(workload: str) -> dict:
     mem = status()
     factors = factor_ranges(problem)
     solvers = problem.system.solvers
+    block_bytes, build_s, block_strips = block_layout(problem)
     rec = {"vmhwm_mb": mem["VmHWM"], "vmrss_mb": mem["VmRSS"],
            "factor_kb": sum(size for _, size, _ in factors) // 1024,
            "huge_by_mapping_kb": huge_kb_by_mapping(factors),
            "strips": len(solvers),
            "factors": len(factors),
            "factor_bytes": sum(stored for _, _, stored in factors),
+           "block_bytes": block_bytes, "build_s": build_s,
            "ldlt_strips": sum(strip_lu(sv).nbytes == (sv.bandwidth + 1) * sv.stencil.nloc * 16
                               for sv in solvers),
-           "right_strips": sum(getattr(sv, "xy", False) for sv in solvers),
-           "mirror_strips": sum(getattr(sv, "mirror", False) for sv in solvers)}
+           "block_strips": block_strips}
     for i in SHOTS:
         f = adapter.source(problem, SEED, i)
         before = adapter.solve_count(problem)
@@ -277,9 +291,10 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
         f"{arrow(p, c, 'huge_by_mapping_kb')} kB",
         f"{workload} layout: strips {arrow(p, c, 'strips')}, "
         f"distinct factors {arrow(p, c, 'factors')}, factor bytes "
-        f"{arrow(p, c, 'factor_bytes')}, L D L^T strips {arrow(p, c, 'ldlt_strips')}, "
-        f"right-datum strips {arrow(p, c, 'right_strips')}, "
-        f"mirror strips {arrow(p, c, 'mirror_strips')}"]
+        f"{arrow(p, c, 'factor_bytes')}, block bytes {arrow(p, c, 'block_bytes')}, "
+        f"build {arrow(p, c, 'build_s', '{:.4f}')} s, "
+        f"L D L^T strips {arrow(p, c, 'ldlt_strips')}, "
+        f"strips with blocks {arrow(p, c, 'block_strips')}"]
     for i in SHOTS:
         key = f"shot {i}"
         diffs = {name: difference(p[f"{key}/{name}"], c[f"{key}/{name}"]) for name in ARRAYS}
