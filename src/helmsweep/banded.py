@@ -14,8 +14,7 @@ reused for any number of right-hand sides.
 On the benchmark's strips zgbtrf swaps no row.  Then U = D L^T with D the
 diagonal of U, so only L is kept: its kl + 1 band rows, 1/D in row 0 where
 L's unit diagonal is never read.  That is (kl+1)*n*16 bytes, half of both
-triangles.  Strips whose factors are bitwise equal store one copy (same,
-below).  A solve is ztbsv with L, a multiply by 1/D, and ztbsv with L^T
+triangles.  A solve is ztbsv with L, a multiply by 1/D, and ztbsv with L^T
 (trans 'T': the plain transpose, not the conjugate transpose), all in place
 on one array: the caller's right-hand side itself if it hands it over
 (overwrite_rhs), else a copy.  The second pass so re-reads an L still in
@@ -55,17 +54,10 @@ and serialize them, so through them two threads solved the wedge-jacobi
 strips no faster than one (BENCH_13.json).  It is the same OpenBLAS
 routine the wrappers call, so the results are bitwise equal.  A BandedLU
 is not changed once __init__ returns, and a solve only reads the factor,
-so any number of strips may solve with one factor at once.
-
-BandedLU.same(other) tells whether two factorizations hold the same bytes:
-same (n, kl), same storage kind (ldlt: the L D L^T band rows, or zgbtrf's
-LU), and equal bits in every entry, so 0.0 and -0.0 differ.  An unequal
-pair of one shape is usually told apart on a sample of _SAMPLE columns, at
-a fraction of the cost of comparing all of them.  Strips whose factors are
-the same solve with one BandedLU and drop the other (substructure.py).
-Strips solved in turn that share a factor cost per MB of factor what one
-strip solved again and again costs, less than strips with factors of their
-own (BENCH_25.json).
+so any number of strips may solve with one factor at once: strips built
+from equal inputs share one (substructure.py).  Strips solved in turn that
+share a factor cost per MB of factor what one strip solved again and again
+costs, less than strips with factors of their own (BENCH_25.json).
 
 The kept factor and the chunk workspace, which is zgbtrf's LU when it is
 kept, are each a private anonymous mapping of their own, so each goes straight
@@ -91,12 +83,10 @@ panel upwards, R_p = -R_(p+1) C L_pp^-1, where C, the rows of L below
 panel p in its columns, is upper triangular: ztrmm on C, ztrsm on L_pp.
 L(i, j) sits at flat offset i + j kl of the factor, so each of these
 blocks is a dense matrix with leading dimension kl, of which BLAS reads
-one triangle, all inside the band.  Multiplied from the right, OpenBLAS
-took the two triangles in 175 us a panel on a waveguide-osds strip,
-against 215 us from the left.  The pass stops at the lowest panel asked
-for, keeps only those, and holds two panels of workspace.  It has half
-the flops of an LU factorization from the lowest panel down: 16 ms on a
-waveguide-osds interior strip, whose factorization takes 30-34 ms
+one triangle, all inside the band; OpenBLAS took the two triangles
+faster from the right than from the left.  The pass stops at the lowest
+panel asked for, keeps only those, and holds two panels of workspace.  It
+has half the flops of an LU factorization from the lowest panel down
 (BENCH_30.json).
 """
 
@@ -184,16 +174,6 @@ def _chunk_columns(kl: int) -> int:
     _CHUNK_BYTES of zgbtrf workspace, and never fewer than kl, so a chunk
     holds every pivot the next one needs."""
     return max(kl, 1, _CHUNK_BYTES // (16 * (3 * kl + 1)))
-
-
-# the columns BandedLU.same compares before all of them
-_SAMPLE = 64
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    """The Fortran-ordered a by columns, one row each, as integers that are
-    equal exactly where a's bytes are: 0.0 and -0.0 differ."""
-    return a.T.view(np.uint64) if a.dtype == np.complex128 else a.T
 
 
 class BandedLU:
@@ -307,19 +287,6 @@ class BandedLU:
         """True if the factor is stored as L D L^T, which tail_inverse
         reads; False if as zgbtrf's LU."""
         return self._ld is not None
-
-    def same(self, other: "BandedLU") -> bool:
-        """True if other stores the same bytes: the same (n, kl), storage
-        kind and bits, compared on every _SAMPLE-th column first."""
-        if (self.n, self.kl) != (other.n, other.kl):
-            return False
-        mine, theirs = (self._ld, self._lu, self._ipiv), (other._ld, other._lu, other._ipiv)
-        if any((a is None) != (b is None) for a, b in zip(mine, theirs)):
-            return False
-        pairs = [(_bits(a), _bits(b)) for a, b in zip(mine, theirs) if a is not None]
-        step = max(1, self.n // _SAMPLE)
-        return (all(np.array_equal(a[::step], b[::step]) for a, b in pairs)
-                and all(np.array_equal(a, b) for a, b in pairs))
 
     def _ldlt(self, x: ComplexArray) -> None:
         """Overwrite the contiguous (n,) x with L^-T D^-1 L^-1 x."""

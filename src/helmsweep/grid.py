@@ -267,6 +267,13 @@ class RectStencil:
             return x.reshape(self.w + 1, self.ny + 1)
         return x.reshape(self.ny + 1, self.w + 1).T
 
+    def key(self) -> tuple:
+        """Every input diagonals() reads: stencils with equal keys assemble
+        bitwise equal matrices.  It must name each such input, so a new one
+        that diagonals() reads is added here too."""
+        return (self.w, self.ny, self.grid.h, tuple(self.side_kinds[s] for s in SIDES),
+                self._k.tobytes())
+
     def diagonals(self) -> dict[int, ComplexArray]:
         """The matrix, assembled anew, as {offset: (nloc,) diagonal} for the
         offsets 0, +-1 and +-bandwidth: A(i, j) in slot j of offset j - i,

@@ -88,10 +88,10 @@ class LocalSolver:
     None if it has none (module docstring).
 
     lu is the strip's BandedLU, one object on all strips whose factors are
-    bitwise equal, and blocks, once formed, {side: (sends, nb, nb) array},
-    one object on strips with bitwise equal blocks (substructure.py).  Each
-    strip counts its own work: factor_count (1), solve_count and
-    block_count, the responses answered by block products.
+    built from equal inputs, and blocks, once formed, {side: (sends, nb, nb)
+    array}, one object on strips whose blocks are built from equal inputs
+    (substructure.py).  Each strip counts its own work: factor_count (1),
+    solve_count and block_count, the responses answered by block products.
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,

@@ -55,37 +55,39 @@ works instead of waiting.  A pool of WORKERS threads beside the working
 caller runs more threads than CPUs and made wedge-jacobi shots slower
 (BENCH_23.json).  The two sweeps of solve_oneway and the two edge responses
 of the record path go through _map too, as two tasks, the forward sweep
-and strip 1's response first, unless each of their responses is a block
-product: then they run on the calling thread, since a hand-off to the
-pool costs more than they do (BENCH_30.json).  A strip releases the GIL
-in its band kernels, zgbtrf included (see banded.py).  solve_double_sweep
-stays serial: its backward sweep reads what the forward one wrote.  Each solve does the same
+and strip 1's response first.  These, and an exchange with no load, run on
+the calling thread instead when each of their responses is a block
+product, since a hand-off to the pool costs more than they do
+(BENCH_30.json).  A strip releases the GIL in its band kernels, zgbtrf
+included (see banded.py).  solve_double_sweep stays serial: its backward
+sweep reads what the forward one wrote.  Each solve does the same
 arithmetic and writes the same block as in a serial run, and each
 factorization is the serial one, so every result is bitwise the same.  A
 failure is raised once every strip of the call is done, the first in strip
 order.
 
-Every strip is still assembled and factored, but strips whose factors are
-bitwise equal share one BandedLU.  As each construction ends it compares its
-factor, under a lock, with those kept so far (BandedLU.same), and on a
-match solves with that one and drops its own: on a homogeneous waveguide
-the two edge strips share one factor and the interior strips another, so
-their solves read one interior factor, not one per interior strip
-(BENCH_25.json).  A heterogeneous problem such as the wedge shares nothing.
-Each strip counts its own solves (LocalSolver).  The kept factors are a
-local of the constructor, so a system dropped frees its factors, and two
-systems never share.  Factoring each distinct matrix only once would save
-the duplicate factorizations too, but the benchmark checks one
-factorization span per strip (perfbench/tests/test_perfbench.py), so that
-waits for ROADMAP items 1 and 2.
+Strips built from equal inputs share what is built from them, decided by
+the stencil's key (RectStencil.key: every input its matrix is assembled
+from) as each construction ends.  Every strip is still assembled and
+factored, but one whose key was seen solves with that strip's BandedLU and
+drops its own: on a homogeneous waveguide the two edge strips share one
+factor and the interior strips another, so their solves read one interior
+factor, not one per interior strip (BENCH_25.json).  A heterogeneous
+problem such as the wedge shares nothing.  Each strip counts its own
+solves (LocalSolver).  The shared factors are a local of the constructor,
+so a system dropped frees its factors, and two systems never share.
+Factoring each distinct matrix only once would save the duplicate
+factorizations too, but the benchmark checks one factorization span per
+strip (perfbench/tests/test_perfbench.py): that is ROADMAP item 1.
 
 A strip's blocks are formed from a few node columns of its factor's
-A^-1, built by BandedLU.tail_inverse once per (factor, columns): the
+A^-1, built by BandedLU.tail_inverse once per (key, columns): the
 waveguide's edge strips share one build and its interior strips another.
 Each build is queued, as its factor is kept, behind the N constructions of
 the same _map, so a thread that has no strip left to factor builds while
-the other factors the last one.  Strips whose blocks are bitwise equal then
-share one block set, as they share a factor.
+the other factors the last one.  Blocks are formed once per (key,
+columns, sends relative to the strip), and strips with equal ones share
+that block set.
 """
 
 from __future__ import annotations
@@ -163,12 +165,6 @@ def _each(fn, n: int) -> list:
     return [fn(s) for s in range(n)]
 
 
-def _equal(a: dict, b: dict) -> bool:
-    """True if the block sets a and b hold the same sides and bits."""
-    return a.keys() == b.keys() and all(
-        np.array_equal(a[k].view(np.uint64), b[k].view(np.uint64)) for k in a)
-
-
 @dataclass
 class TraceVector:
     """Stacked interface data: the flat array data, on which the solvers do
@@ -215,41 +211,39 @@ class SubstructuredSystem:
         self._edges = list(_edge_loads(grid, bc))
         self.decomp = decomp
         self.nstrips = decomp.nstrips
-        # the distinct factors so far; a later strip with a bitwise equal
-        # one solves with it and drops its own.  Each strip with blocks
-        # needs the columns of its factor's A^-1 it names, built once per
-        # (factor, columns), queued behind the factorizations
-        kept, responses, builds, lock = [], {}, [], threading.Lock()
+        # shared by stencil key: the factor, the columns of its A^-1 that
+        # blocks are formed from (built once per (key, columns), queued
+        # behind the factorizations) and the block sets
+        keys = [None] * decomp.nstrips
+        factors, responses, sets, builds, lock = {}, {}, {}, [], threading.Lock()
 
-        def respond_to_unit_data(key, lu):
-            responses[key] = lu.tail_inverse(key[1])
+        def respond_to_unit_data(at, lu):
+            responses[at] = lu.tail_inverse(at[1])
 
         def build(s):
             sv = LocalSolver(grid, kfield, bc, decomp, s + 1)
+            keys[s] = key = sv.stencil.key()
             with lock:
-                match = next((lu for lu in kept if sv.lu.same(lu)), None)
-                if match is None:
-                    kept.append(sv.lu)
-                else:
-                    sv.lu = match
-                key = (id(sv.lu), sv.columns)
-                if sv.columns is not None and key not in responses:
-                    responses[key] = None
-                    builds.append(functools.partial(respond_to_unit_data, key, sv.lu))
+                sv.lu = factors.setdefault(key, sv.lu)
+                at = (key, sv.columns)
+                if sv.columns is not None and at not in responses:
+                    responses[at] = None
+                    builds.append(functools.partial(respond_to_unit_data, at, sv.lu))
             return sv
 
         self.solvers = _map(build, decomp.nstrips, builds)
-        # strips whose blocks are bitwise equal keep one copy
-        formed = []
-        for sv in self.solvers:
+        for key, sv in zip(keys, self.solvers):
             if sv.columns is not None:
-                blocks = sv.form_blocks(responses[id(sv.lu), sv.columns])
-                sv.blocks = next((b for b in formed if _equal(b, blocks)), blocks)
-                if sv.blocks is blocks:
-                    formed.append(blocks)
+                # with the matrix, the sends fix the datum sides with blocks
+                at = (key, sv.columns, tuple(None if x is None else (x[0] - sv.span[0], x[1])
+                                             for x in sv.sends))
+                if at not in sets:
+                    sets[at] = sv.form_blocks(responses[key, sv.columns])
+                sv.blocks = sets[at]
         n = decomp.nstrips
-        # sweeps and edge responses that are block products all along run
-        # on the calling thread: a pool hand-off costs more than they do
+        # sweeps, edge responses and exchanges of data that are block
+        # products all along run on the calling thread: a pool hand-off
+        # costs more than they do
         self._serial_sweeps = all(sv.blocked("left") and sv.blocked("right")
                                   for sv in self.solvers[1:n - 1])
         self._serial_edges = (self.solvers[0].blocked("right")
@@ -274,7 +268,8 @@ class SubstructuredSystem:
             left, right = (None, None) if t is None else self._data(t, s)
             return self.solvers[s].respond(left, right, load)
 
-        for s, (to_right, to_left) in enumerate(_map(respond, self.nstrips)):
+        run = _each if load is None and self._serial_sweeps and self._serial_edges else _map
+        for s, (to_right, to_left) in enumerate(run(respond, self.nstrips)):
             if to_right is not None:
                 o[0, s] = to_right
             if to_left is not None:

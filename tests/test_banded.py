@@ -585,61 +585,3 @@ def test_concurrent_solves_bitwise(rng, kind):
     assert bad == []
     assert len(done) == threads * solves
 
-
-def factor_pair(rng, kind):
-    """Two BandedLU of one matrix, stored as L D L^T or as zgbtrf's LU."""
-    a = symmetric_banded(rng, 300, 3) if kind == "ldlt" else pivoting_symmetric(rng, 300, 3, 1)
-    first, second = BandedLU(band_diagonals(a, 3)), BandedLU(band_diagonals(a, 3))
-    assert (first._ld is not None) == (kind == "ldlt")
-    return first, second
-
-
-@pytest.mark.parametrize("kind", ["ldlt", "gbtrs"])
-def test_share_accepts_an_equal_factor_and_changes_neither(rng, kind):
-    # same only compares: each factorization keeps its own arrays
-    first, second = factor_pair(rng, kind)
-    kept = [(a.factor, a._ipiv, a.factor.copy()) for a in (first, second)]
-    b = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    x = second.solve(b)
-    assert second.same(first) and first.same(second) and first.same(first)
-    assert second.factor is not first.factor
-    for a, (factor, ipiv, copy) in zip((first, second), kept):
-        assert a.factor is factor and a._ipiv is ipiv and np.array_equal(a.factor, copy)
-    assert np.array_equal(first.solve(b), x)
-
-
-# one bit of an entry that the sampled columns miss: a value, the sign of a
-# zero in the unused corner of the factor, and a pivot index
-ONE_ENTRY = {"value": ("ldlt", "factor", (1, 301 % 64)),
-             "zero sign": ("ldlt", "factor", (3, 299)),
-             "lu value": ("gbtrs", "factor", (7, 301 % 64)),
-             "pivot": ("gbtrs", "_ipiv", (301 % 64,))}
-
-
-@pytest.mark.parametrize("case", ONE_ENTRY.values(), ids=ONE_ENTRY.keys())
-def test_share_refuses_a_factor_one_entry_apart(rng, case):
-    kind, name, at = case
-    first, second = factor_pair(rng, kind)
-    step = 300 // banded._SAMPLE
-    assert at[-1] % step
-    array = getattr(second, name)
-    if name == "_ipiv":
-        array[at] = 300 + 1 - array[at]
-    elif array[at] == 0:
-        array[at] = -0.0
-    else:
-        array[at] = np.nextafter(array[at].real, np.inf) + 1j * array[at].imag
-    assert not second.same(first) and not first.same(second)
-
-
-def test_share_refuses_another_shape_or_storage_kind(rng):
-    a = symmetric_banded(rng, 300, 3)
-    ld = BandedLU(band_diagonals(a, 3))
-    others = {"n": BandedLU(band_diagonals(symmetric_banded(rng, 299, 3), 3)),
-              # one matrix, with zero diagonals out to 4: another kl
-              "kl": BandedLU(band_diagonals(a, 4)),
-              "storage": BandedLU(band_diagonals(pivoting_symmetric(rng, 300, 3, 1), 3))}
-    assert others["kl"].kl == 4 and others["storage"]._ld is None
-    for name, other in others.items():
-        assert not ld.same(other), name
-        assert not other.same(ld), name

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import multiprocessing
 import sys
@@ -664,8 +665,9 @@ def test_sweeps_and_record_path_keep_their_pool_thread(rng, monkeypatch):
 
 
 def test_block_sweeps_and_record_path_run_on_the_calling_thread(rng, monkeypatch):
-    # when each of their responses is a block product, the sweeps and the
-    # edge responses are no pool work; an exchange still is
+    # when each of their responses is a block product, the sweeps, the
+    # edge responses and an exchange of data are no pool work; the source
+    # traces, which carry a load, still are
     system = make_case(5)
     assert all(sv.blocks for sv in system.solvers)
     threads = set()
@@ -682,6 +684,8 @@ def test_block_sweeps_and_record_path_run_on_the_calling_thread(rng, monkeypatch
     system.solve_double_sweep(r)
     assert threads == {threading.current_thread()} and mapped == []
     system.apply_exchange(r)
+    assert threads == {threading.current_thread()} and mapped == []
+    system.source_traces()
     assert mapped == [system.nstrips]
 
 
@@ -922,7 +926,7 @@ def test_equal_strips_share_one_stored_factor():
     f = [sv.lu for sv in system.solvers]
     assert len({id(a) for a in f}) == 2
     assert f[0] is f[4] and f[1] is f[2] is f[3]
-    assert not f[0].same(f[1])
+    assert f[0].factor.tobytes() != f[1].factor.tobytes()
     assert [sv.factor_count for sv in system.solvers] == [1] * 5
 
 
@@ -956,7 +960,7 @@ def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
     nb = system.grid.ny + 1
     for s, sv in enumerate(system.solvers):
         fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
-        assert fresh.lu is not sv.lu and fresh.lu.same(sv.lu)
+        assert fresh.lu is not sv.lu and fresh.lu.factor.tobytes() == sv.lu.factor.tobytes()
         fresh.blocks = fresh.form_blocks(fresh.lu.tail_inverse(fresh.columns))
         assert fresh.blocks is not sv.blocks
         left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
@@ -970,10 +974,41 @@ def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
 
 
 def test_wedge_strips_share_no_factor():
-    # every wedge strip sees other wavenumbers; strips 2 and 4 have one
-    # shape, so same compares them and refuses
+    # every wedge strip sees other wavenumbers, so no two have one key,
+    # though strips 2 and 4 have one shape
     system = quickstart_system("wedge", k=None, omega=30.0, nppwl=8, overlap_cells=2)
     assert len({id(sv.lu) for sv in system.solvers}) == system.nstrips == 5
+
+
+SMALL = {"waveguide": dict(k=10.0, nppwl=8, overlap_cells=2),
+         "cavity": dict(k=10.0, nppwl=8, overlap_cells=2),
+         "wedge": dict(k=None, omega=30.0, nppwl=8, overlap_cells=2)}
+
+
+@pytest.mark.parametrize("nstrips", [2, 3, 5])
+@pytest.mark.parametrize("problem", SMALL)
+def test_strips_share_exactly_when_their_keys_are_equal(problem, nstrips):
+    # the oracle is the bits of each strip's assembled matrix: two strips
+    # have equal keys exactly when those are equal, and exactly then hold
+    # one factor; strips holding one block set form equal blocks alone
+    system = quickstart_system(problem, subdomains=nstrips, **SMALL[problem])
+    solvers = system.solvers
+    keys = [sv.stencil.key() for sv in solvers]
+    bits = [{o: d.tobytes() for o, d in sv.stencil.diagonals().items()} for sv in solvers]
+    for a, b in itertools.combinations(range(nstrips), 2):
+        assert (keys[a] == keys[b]) == (bits[a] == bits[b]) == (solvers[a].lu is solvers[b].lu)
+    for s, sv in enumerate(solvers):
+        if sv.blocks is None:
+            continue
+        fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
+        own = fresh.form_blocks(fresh.lu.tail_inverse(fresh.columns))
+        assert own.keys() == sv.blocks.keys()
+        assert all(own[side].tobytes() == sv.blocks[side].tobytes() for side in own)
+    if problem == "cavity":
+        # its last strip has no block: its one datum is a left one, and it is no mirror
+        assert solvers[-1].blocks is None
+    if problem == "wedge":
+        assert all(sv.blocks is None for sv in solvers)
 
 
 def test_systems_share_nothing_and_free_their_factors():

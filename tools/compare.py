@@ -25,8 +25,7 @@ through ``adapter.setup`` and records:
   responses without a solve and the seconds of one more pass of the builds
   they are formed from (BandedLU.tail_inverse, once per distinct factor
   and columns), the strips that store only the L D L^T band rows,
-  (bandwidth + 1) * n * 16 bytes, and the strips with blocks (a checkout
-  without blocks counts 0);
+  (bandwidth + 1) * n * 16 bytes, and the strips with blocks;
 - shots 0-2 of seed 1 through ``adapter.shot``, the benchmark's own solve
   path: GMRES iterations, strip solves, g (trace right-hand side), h (trace
   solution), the field and the true residual ||g - (Id - T) h|| / ||g||.
@@ -106,19 +105,13 @@ def huge_pages() -> list:
     return maps
 
 
-def strip_lu(sv):
-    """A strip's BandedLU; a checkout from before it was public holds it as _lu."""
-    return getattr(sv, "lu", None) or sv._lu
-
-
 def factor_ranges(problem) -> list:
     """(address, bytes, bytes with pivots) of each stored strip factor, in
     strip order; a factor that several strips share is listed once."""
     out = {}
     for sv in problem.system.solvers:
-        lu = strip_lu(sv)
-        a = lu.factor
-        out.setdefault(a.ctypes.data, (a.nbytes, lu.nbytes))
+        a = sv.lu.factor
+        out.setdefault(a.ctypes.data, (a.nbytes, sv.lu.nbytes))
     return [(start, size, stored) for start, (size, stored) in out.items()]
 
 
@@ -135,9 +128,8 @@ def huge_kb_by_mapping(factors) -> int:
 
 def block_layout(problem) -> tuple:
     """(bytes of the distinct block sets, seconds of one more pass of the
-    builds they are formed from, strips with blocks), all 0 on a checkout
-    without blocks."""
-    blocked = [sv for sv in problem.system.solvers if getattr(sv, "blocks", None)]
+    builds they are formed from, strips with blocks)."""
+    blocked = [sv for sv in problem.system.solvers if sv.blocks]
     sets = {id(sv.blocks): sum(b.nbytes for b in sv.blocks.values()) for sv in blocked}
     builds = {(id(sv.lu), sv.columns): sv for sv in blocked}
     t0 = time.perf_counter()
@@ -172,7 +164,7 @@ def record_workload(workload: str) -> dict:
            "factors": len(factors),
            "factor_bytes": sum(stored for _, _, stored in factors),
            "block_bytes": block_bytes, "build_s": build_s,
-           "ldlt_strips": sum(strip_lu(sv).nbytes == (sv.bandwidth + 1) * sv.stencil.nloc * 16
+           "ldlt_strips": sum(sv.lu.nbytes == (sv.bandwidth + 1) * sv.stencil.nloc * 16
                               for sv in solvers),
            "block_strips": block_strips}
     for i in SHOTS:
