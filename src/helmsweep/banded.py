@@ -69,7 +69,11 @@ page the array ends in, so all of it can be: every benchmark factor is.  A
 factor whose last part stayed on small pages made shots slower
 (BENCH_20.json).  The workspace of a matrix of several chunks is advised
 too: it is _CHUNK_BYTES, whole huge pages, and on small pages its page
-faults slow a set-up.
+faults slow a set-up.  tail_inverse's output is a mapping of its own too:
+all of X is about a factor's size, and from a pool thread's malloc arena
+its 8 MB stayed resident after the strips that kept it were dropped.  A
+5 s waveguide-osds benchmark run, which sets the workload up five times,
+then read peak_rss_mb 116.1 MB, against 108.7 MB with the mapping.
 
 A strip's interface response is a few columns of A^-1, built once
 (tail_inverse).  For n a multiple of kl, panel p is rows p kl .. p kl + kl
@@ -85,7 +89,10 @@ L(i, j) sits at flat offset i + j kl of the factor, so each of these
 blocks is a dense matrix with leading dimension kl, of which BLAS reads
 one triangle, all inside the band; OpenBLAS took the two triangles
 faster from the right than from the left.  The pass stops at the lowest
-panel asked for, keeps only those, and holds two panels of workspace.  It
+panel asked for, builds each panel asked for in its place in the output
+and any other in one of two panels of workspace.  Each R_p is kept
+Fortran-ordered, so all the panels in order are X in C order, the (n, kl)
+array a strip that keeps its columns multiplies by (subdomain.py).  It
 has half the flops of an LU factorization from the lowest panel down
 (BENCH_30.json).
 """
@@ -321,7 +328,10 @@ class BandedLU:
 
     def tail_inverse(self, panels) -> ComplexArray:
         """R with R[i] = A^-1[n - kl:, p kl:(p + 1) kl] for p = panels[i]
-        (module docstring), an (len(panels), kl, kl) array.
+        (module docstring), an (len(panels), kl, kl) array whose blocks
+        R[i] are each Fortran-ordered.  Asked for every panel in order,
+        range(n // kl), R.transpose(0, 2, 1).reshape(n, kl) is X = A^-1
+        [0; I_kl] in C order, the same memory.
 
         Only an L D L^T factor whose n is a multiple of kl >= 1 has panels,
         p = 0 .. n / kl - 1; any other factor or panel is a ValueError.
@@ -334,7 +344,12 @@ class BandedLU:
         bottom = n // kl - 1
         if not panels or not all(0 <= p <= bottom for p in panels):
             raise ValueError(f"panels {panels} must be some of 0..{bottom}")
-        out = np.empty((len(panels), kl, kl), np.complex128)
+        # R[i] is X_p^T, so C-ordered X is R with each block Fortran-ordered;
+        # in a mapping of its own, as a factor is, since all of X is as large
+        out = _workspace(kl * kl, len(panels)).T.reshape(-1, kl, kl).transpose(0, 2, 1)
+        where = {}
+        for i, p in enumerate(panels):
+            where.setdefault(p, []).append(i)
         k, = _ints(kl)
         one, minus = np.ones(1, np.complex128), -np.ones(1, np.complex128)
         base = self._ld.ctypes.data
@@ -348,14 +363,19 @@ class BandedLU:
             _ztrsm(b"R", b"L", trans, b"U", k, k, one.ctypes.data, block(p * kl, p * kl), k,
                    r.ctypes.data, k)
 
-        # R of the trailing panel, X_t^T = L_tt^-T D^-1 L_tt^-1, as I L_tt^-T D^-1 L_tt^-1
-        r = np.asfortranarray(np.eye(kl, dtype=np.complex128))
-        trsm(b"T", bottom, r)
-        r *= self._ld[0, n - kl:]
-        trsm(b"N", bottom, r)
-        work = np.empty_like(r)
+        # each panel asked for is built in its first block of out, any other
+        # in whichever workspace block the panel below it is not in
+        spare = [np.empty((kl, kl), np.complex128, order="F") for _ in range(2)]
+        r = None
         for p in range(bottom, min(panels) - 1, -1):
-            if p < bottom:
+            work = out[where[p][0]] if p in where else spare[r is spare[0]]
+            if r is None:
+                # X_t^T = L_tt^-T D^-1 L_tt^-1, as I L_tt^-T D^-1 L_tt^-1
+                work[...] = np.eye(kl)
+                trsm(b"T", bottom, work)
+                work *= self._ld[0, n - kl:]
+                trsm(b"N", bottom, work)
+            else:
                 # R_p = X_p^T = -R_(p+1) C L_pp^-1, C = L(rows of panel p + 1,
                 # columns of panel p); on the right, BLAS takes these
                 # triangles faster than their transposes on the left
@@ -363,7 +383,7 @@ class BandedLU:
                 _ztrmm(b"R", b"U", b"N", b"N", k, k, minus.ctypes.data,
                        block((p + 1) * kl, p * kl), k, work.ctypes.data, k)
                 trsm(b"N", p, work)
-                r, work = work, r
-            for i in (i for i, q in enumerate(panels) if q == p):
-                out[i] = r
+            for i in where.get(p, ())[1:]:
+                out[i] = work
+            r = work
         return out

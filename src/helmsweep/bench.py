@@ -134,6 +134,8 @@ class RunRecord:
     lu_bytes: int = 0
     distinct_factors: int = 0
     block_bytes: int = 0
+    kept_bytes: int = 0
+    kept_fields: int = 0
     workers: int = 1
     stop: str = "tol"
     seconds: list = dataclasses.field(default_factory=list)
@@ -211,6 +213,7 @@ class BenchContext:
         tol = min(spec.tolerances)
         solves_before = sum(sv.solve_count for sv in system.solvers)
         blocks_before = sum(sv.block_count for sv in system.solvers)
+        kept_before = sum(sv.kept_count for sv in system.solvers)
         sweep = {"jacobi": None, "ds": system.solve_double_sweep,
                  "osds": system.solve_oneway}[spec.preconditioner]
 
@@ -235,6 +238,7 @@ class BenchContext:
         stored = {id(sv.lu): sv.lu.nbytes for sv in system.solvers}
         blocks = {id(sv.blocks): sum(b.nbytes for b in sv.blocks.values())
                   for sv in system.solvers if sv.blocks is not None}
+        kept = {id(sv.kept): sv.kept.nbytes for sv in system.solvers if sv.kept is not None}
         return RunRecord(spec=spec, counts=counts, history=list(report.history),
                          converged=converged, unknowns=self.grid.npoints,
                          trace_size=self.g.data.size,
@@ -248,7 +252,8 @@ class BenchContext:
                          - blocks_before,
                          factorizations=sum(sv.factor_count for sv in system.solvers),
                          lu_bytes=sum(stored.values()), distinct_factors=len(stored),
-                         block_bytes=sum(blocks.values()),
+                         block_bytes=sum(blocks.values()), kept_bytes=sum(kept.values()),
+                         kept_fields=sum(sv.kept_count for sv in system.solvers) - kept_before,
                          workers=WORKERS,
                          stop=report.stop, seconds=list(report.seconds),
                          waived=[] if self.decomp.width_bound_ok else ["width_bound"],

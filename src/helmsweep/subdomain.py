@@ -40,6 +40,23 @@ along y with an L D L^T factor, any data but a left datum on a strip that
 is no mirror.  Any other response is one full solve: a load, every strip
 numbered along x (the wedge's: its blocks would cost 2 nb solves), and
 every strip whose factor swapped a row.
+
+A strip with blocks on both data sides (keeps: a mirror strip numbered
+along y, with an L D L^T factor and a neighbour on each side, as the
+waveguide's and cavity's interior strips are) keeps every node column of
+X: kept, the (n, nb) array that BandedLU.tail_inverse returns, in C
+order, when asked for every panel, and that its blocks are formed from.
+The field of data d_l, d_r and a load is then v + X S_r d_r + P X S_l
+d_l, v the field of the load alone, so a field costs a product with X
+instead of a strip solve once v is known: source_traces keeps v, and
+reconstruct on the same load uses it (substructure.py).  That costs about
+one factor's bytes more per key whose strips send both ways (7,982,208
+bytes on a waveguide-osds interior strip, whose factor stores 8,084,736),
+and a build of all its panels instead of those its sends read (82 instead
+of 79 there, 16.5 ms against 14.8 ms on one BLAS thread).  An edge strip
+sends one trace a few columns in from its datum, so its build stops
+there: its full columns would cost 7.8 MB and about 15 ms more set-up
+(16.3 ms against 1.1 ms) for one solve a shot, so they stay out.
 """
 
 from __future__ import annotations
@@ -85,13 +102,17 @@ class LocalSolver:
     strip i-1's right interface (None past either end), and owned the
     global columns [lo, hi) the strip contributes to a reconstructed field.
     columns are the node columns of A^-1 [0; I] its blocks are formed from,
-    None if it has none (module docstring).
+    None if it has none, and all of them if it keeps them (keeps; module
+    docstring).
 
     lu is the strip's BandedLU, one object on all strips whose factors are
     built from equal inputs, and blocks, once formed, {side: (sends, nb, nb)
     array}, one object on strips whose blocks are built from equal inputs
-    (substructure.py).  Each strip counts its own work: factor_count (1),
-    solve_count and block_count, the responses answered by block products.
+    (substructure.py).  kept, on a strip that keeps, is X as an (n, nb)
+    array, one object on strips of one key.  Each strip counts its own
+    work: factor_count (1), solve_count, block_count, the responses
+    answered by block products, and kept_count, the fields reconstruct
+    took from kept.
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
@@ -127,15 +148,21 @@ class LocalSolver:
         self._sides = [side for side, has in (("left", self.has_left and self.mirror),
                                               ("right", self.has_right))
                        if has and self.xy and self.lu.ldlt]
+        # a strip with blocks on both data sides keeps every node column of
+        # X, from which reconstruct takes its field (module docstring)
+        self.keeps = self._sides == ["left", "right"]
         # extract_trace reads an interface column and its two neighbours
         read = {column - self.span[0] + i for column, _ in filter(None, self.sends)
                 for i in (-1, 0, 1)}
-        self.columns = tuple(sorted({self.stencil.w - c if side == "left" else c
-                                     for side in self._sides for c in read})) or None
+        self.columns = (tuple(range(self.stencil.w + 1)) if self.keeps else
+                        tuple(sorted({self.stencil.w - c if side == "left" else c
+                                      for side in self._sides for c in read})) or None)
         self.blocks = None
+        self.kept = None
         self.factor_count = 1
         self.solve_count = 0
         self.block_count = 0
+        self.kept_count = 0
         # the two sweeps of solve_oneway respond on the interior strips at once
         self._count_lock = threading.Lock()
 
@@ -219,24 +246,32 @@ class LocalSolver:
         """The traces (to_right, to_left) this data sends; an edge strip
         sends one trace and None in place of the other.
 
-        With no load, and a block for each datum side given, they are block
-        products; otherwise they are read off a full solve.
+        With no load, some data and a block for each datum side given, they
+        are block products, which check no datum: one not of shape (ny+1,)
+        fails in the product, or broadcasts.  Otherwise they are read off a
+        full solve.
         """
-        data = {side: d for side, d in (("left", left), ("right", right)) if d is not None}
-        if load is not None or not self.blocked(*data):
-            v = self.solve(left, right, load)
-            return tuple(None if x is None else
-                         extract_trace(v, self.span, *x, self.kfield, self.grid.h)
-                         for x in self.sends)
-        self._check(left, right)
-        out = np.zeros((sum(x is not None for x in self.sends), self.stencil.ny + 1),
-                       np.complex128)
-        for side, d in data.items():
-            out += self.blocks[side] @ d
+        blocks = self.blocks
+        if (load is not None or blocks is None or (left is None and right is None)
+                or (left is not None and "left" not in blocks)
+                or (right is not None and "right" not in blocks)):
+            return self.sent(self.solve(left, right, load))
+        # bitwise the products' sum added onto zeros: a product holds no
+        # -0.0 for a zero to turn into +0.0
+        out = blocks["left"] @ left if left is not None else blocks["right"] @ right
+        if left is not None and right is not None:
+            out += blocks["right"] @ right
         with self._count_lock:
             self.block_count += 1
-        traces = iter(out)
-        return tuple(None if x is None else next(traces) for x in self.sends)
+        if self.sends[1] is None:
+            return out[0], None
+        return (None, out[0]) if self.sends[0] is None else (out[0], out[1])
+
+    def sent(self, v: ComplexArray) -> tuple:
+        """The traces (to_right, to_left) the strip's field v sends."""
+        return tuple(None if x is None else
+                     extract_trace(v, self.span, *x, self.kfield, self.grid.h)
+                     for x in self.sends)
 
 
 def _column_reversal_invariant(d: dict, columns: int) -> bool:

@@ -40,20 +40,30 @@ A response with no load is a block product on a strip numbered along y
 whose factor is L D L^T, for every datum side but the left one of a strip
 that is no mirror (subdomain.py), and one strip solve otherwise.  So on
 the waveguide a GMRES iteration costs 0 strip solves, with jacobi, ds or
-osds, and a shot N for its source traces and N for its field.  On the
-wedge, whose strips are numbered along x, it costs N with jacobi, 2N-2
-with osds and 3N-2 with ds.
+osds.  On the wedge, whose strips are numbered along x, it costs N with
+jacobi, 2N-2 with osds and 3N-2 with ds.
+
+source_traces keeps a second record, (load, fields): its load and the
+field of that load on each strip that keeps its columns of A^-1 [0; I]
+(LocalSolver.keeps).  Operator calls leave it alone, and the next
+source_traces replaces it.  reconstruct on a load bitwise equal to the
+kept one takes each such strip's field as the kept field plus products
+with the kept columns, one zgemm per key over all its strips, beside the
+solves of the other strips; on any other load every strip solves.  So a
+waveguide shot costs N strip solves for its source traces and 2, on the
+edge strips, for its field, where it cost 2N.  The wedge keeps no
+columns, and its shots cost 2N solves as before.
 
 Strip work that does not depend on other strips runs concurrently, on
 WORKERS threads, one per CPU the process may run on: the calling thread
 and a pool of WORKERS - 1 (at least one).  The N strip constructions
 (assembly and factorization) of SubstructuredSystem, the N responses of an
 exchange (apply_exchange, source_traces, a full apply_interface_system) and
-the N solves of reconstruct go through _map, where the calling thread and
-the pool threads take the strips in turn from one counter, so the caller
-works instead of waiting.  A pool of WORKERS threads beside the working
-caller runs more threads than CPUs and made wedge-jacobi shots slower
-(BENCH_23.json).  The two sweeps of solve_oneway and the two edge responses
+the solves and products of reconstruct go through _map, where the calling
+thread and the pool threads take the strips in turn from one counter, so
+the caller works instead of waiting.  A pool of WORKERS threads beside
+the working caller runs more threads than CPUs and made wedge-jacobi shots
+slower (BENCH_23.json).  The two sweeps of solve_oneway and the two edge responses
 of the record path go through _map too, as two tasks, the forward sweep
 and strip 1's response first.  These, and an exchange with no load, run on
 the calling thread instead when each of their responses is a block
@@ -81,8 +91,10 @@ factorizations too, but the benchmark checks one factorization span per
 strip (perfbench/tests/test_perfbench.py): that is ROADMAP item 1.
 
 A strip's blocks are formed from a few node columns of its factor's
-A^-1, built by BandedLU.tail_inverse once per (key, columns): the
-waveguide's edge strips share one build and its interior strips another.
+A^-1, or all of them on a strip that keeps them, built by
+BandedLU.tail_inverse once per (key, columns): the waveguide's edge strips
+share one build and its interior strips another, whose columns they keep
+as one array.
 Each build is queued, as its factor is kept, behind the N constructions of
 the same _map, so a thread that has no strip left to factor builds while
 the other factors the last one.  Blocks are formed once per (key,
@@ -100,6 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .banded import _ints, _zgemm
 from .grid import (BoundarySpec, ComplexArray, Grid, WavenumberField, _add_edge_loads,
                    _edge_loads)
 from .strips import StripDecomposition
@@ -215,7 +228,7 @@ class SubstructuredSystem:
         # blocks are formed from (built once per (key, columns), queued
         # behind the factorizations) and the block sets
         keys = [None] * decomp.nstrips
-        factors, responses, sets, builds, lock = {}, {}, {}, [], threading.Lock()
+        factors, responses, sets, kept, builds, lock = {}, {}, {}, {}, [], threading.Lock()
 
         def respond_to_unit_data(at, lu):
             responses[at] = lu.tail_inverse(at[1])
@@ -234,12 +247,17 @@ class SubstructuredSystem:
         self.solvers = _map(build, decomp.nstrips, builds)
         for key, sv in zip(keys, self.solvers):
             if sv.columns is not None:
+                response = responses[key, sv.columns]
                 # with the matrix, the sends fix the datum sides with blocks
                 at = (key, sv.columns, tuple(None if x is None else (x[0] - sv.span[0], x[1])
                                              for x in sv.sends))
                 if at not in sets:
-                    sets[at] = sv.form_blocks(responses[key, sv.columns])
+                    sets[at] = sv.form_blocks(response)
                 sv.blocks = sets[at]
+                if sv.keeps:
+                    # every panel: X itself, the same memory
+                    sv.kept = kept.setdefault(key, response.transpose(0, 2, 1).reshape(
+                        sv.stencil.nloc, -1))
         n = decomp.nstrips
         # sweeps, edge responses and exchanges of data that are block
         # products all along run on the calling thread: a pool hand-off
@@ -252,21 +270,30 @@ class SubstructuredSystem:
         # (r, y, partial R y) of the last solve_oneway, for one
         # apply_interface_system on y
         self._sweep = None
+        # (load, {strip: field}) of the last source_traces, the fields of
+        # the strips that keep columns, for reconstruct on that load
+        self._source = None
 
     def _data(self, t, s: int):
         """Strip s's (left, right) data in the block view t."""
         return (t[0, s - 1] if s > 0 else None,
                 t[1, s] if s < self.nstrips - 1 else None)
 
-    def _exchange(self, t=None, load=None) -> TraceVector:
-        """Every strip responds once to its data in t (none if t is None)."""
+    def _exchange(self, t=None, load=None, fields=None) -> TraceVector:
+        """Every strip responds once to its data in t (none if t is None)
+        and load; fields, if given, takes the field of each strip that
+        keeps columns."""
         self._sweep = None
         out = TraceVector.zeros(self.layout)
         o = out.blocks
 
         def respond(s):
+            sv = self.solvers[s]
             left, right = (None, None) if t is None else self._data(t, s)
-            return self.solvers[s].respond(left, right, load)
+            if fields is None or sv.kept is None:
+                return sv.respond(left, right, load)
+            fields[s] = v = sv.solve(left, right, load)
+            return sv.sent(v)
 
         run = _each if load is None and self._serial_sweeps and self._serial_edges else _map
         for s, (to_right, to_left) in enumerate(run(respond, self.nstrips)):
@@ -300,8 +327,15 @@ class SubstructuredSystem:
         return TraceVector(self.layout, r - ry.data)
 
     def source_traces(self, f=None) -> TraceVector:
-        """Right-hand side G: outgoing traces of the true local sources."""
-        return self._exchange(load=_add_edge_loads(self.grid, f, self._edges))
+        """Right-hand side G: outgoing traces of the true local sources.
+
+        Keeps the load and, on each strip that keeps columns, its field,
+        for reconstruct (module docstring).
+        """
+        load, fields = _add_edge_loads(self.grid, f, self._edges), {}
+        g = self._exchange(load=load, fields=fields)
+        self._source = (load, fields) if fields else None
+        return g
 
     def _forward(self, o, a) -> None:
         """Forward substitution sweep, in place on block views o and a.
@@ -373,17 +407,58 @@ class SubstructuredSystem:
 
         Each strip solves with its trace data and the true sources; the
         global field takes each strip's values on its owned cut columns.
+        If the load equals the last source_traces', a strip that keeps
+        columns takes its field from them and the field kept then instead
+        (module docstring), all such strips of one key in one product.
         """
         self._sweep = None
         load = _add_edge_loads(self.grid, f, self._edges)
         u = np.zeros(self.grid.shape, dtype=np.complex128)
         t = h.blocks
+        source = self._source
+        fields = source[1] if source is not None and np.array_equal(load, source[0]) else {}
+        by_columns = {}
+        for s in fields:
+            by_columns.setdefault(id(self.solvers[s].kept), []).append(s)
 
-        def fill(s):
+        def owned(s):
+            """Strip s's owned columns, in u and in the strip's field."""
             sv = self.solvers[s]
             lo, hi = sv.owned
             a = sv.span[0]
-            u[lo:hi, :] = sv.solve(*self._data(t, s), load)[lo - a:hi - a, :]
+            return slice(lo, hi), slice(lo - a, hi - a)
 
-        _map(fill, self.nstrips)
+        def fill(s):
+            into, cols = owned(s)
+            u[into] = self.solvers[s].solve(*self._data(t, s), load)[cols]
+
+        def superpose(strips):
+            # kept field + X S_r d_r + P X S_l d_l, every datum one column
+            # of a zgemm with X
+            x = self.solvers[strips[0]].kept
+            (n, nb), m = x.shape, 2 * len(strips)
+            d = np.empty((nb, m), np.complex128, order="F")
+            for j, s in enumerate(strips):
+                # S of the last column and of the first
+                last, first = self.solvers[s].stencil.row_scale[[-1, 0]] * (2.0 / self.grid.h)
+                left, right = self._data(t, s)
+                d[:, 2 * j] = last * right
+                d[:, 2 * j + 1] = first * left
+            y = np.empty((n, m), np.complex128, order="F")
+            one, zero = np.ones(1, np.complex128), np.zeros(1, np.complex128)
+            # C-ordered X is X^T to BLAS
+            _zgemm(b"T", b"N", *_ints(n, m, nb), one.ctypes.data, x.ctypes.data, *_ints(nb),
+                   d.ctypes.data, *_ints(nb), zero.ctypes.data, y.ctypes.data, *_ints(n))
+            for j, s in enumerate(strips):
+                sv = self.solvers[s]
+                right, left = (sv.stencil.to_grid(y[:, i]) for i in (2 * j, 2 * j + 1))
+                into, cols = owned(s)
+                u[into] = fields[s][cols] + right[cols] + left[::-1][cols]
+                with sv._count_lock:
+                    sv.kept_count += 1
+
+        # the products first: each takes longer than a solve
+        tasks = ([functools.partial(superpose, strips) for strips in by_columns.values()]
+                 + [functools.partial(fill, s) for s in range(self.nstrips) if s not in fields])
+        _map(lambda i: tasks[i](), len(tasks))
         return u

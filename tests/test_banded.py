@@ -510,6 +510,24 @@ def test_tail_inverse_matches_full_solves(rng, ny, cells):
     assert np.array_equal(lu.tail_inverse([last])[0], r[0])
 
 
+@pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
+def test_tail_inverse_of_every_panel_is_x_in_place(ny, cells):
+    # asked for every panel in order, R is X = A^-1 [0; I] in C order, with
+    # no copy; each panel is bitwise the one a shorter pass returns
+    lu = BandedLU(helmholtz_strip(ny, cells)[0])
+    n, kl = lu.n, lu.kl
+    r = lu.tail_inverse(range(n // kl))
+    assert all(block.flags.f_contiguous for block in r)
+    x = r.transpose(0, 2, 1).reshape(n, kl)
+    assert np.shares_memory(x, r) and x.flags.c_contiguous
+    units = np.eye(n, dtype=np.complex128)[:, n - kl:]
+    want = np.stack([lu.solve(e) for e in units.T], axis=1)
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+    panels = [3, 1, n // kl - 1, 3]
+    assert all(got.tobytes() == r[p].tobytes()
+               for got, p in zip(lu.tail_inverse(panels), panels))
+
+
 def test_tail_inverse_needs_an_ldlt_factor_of_whole_panels(rng):
     pivoted = BandedLU(band_diagonals(pivoting_symmetric(rng, 462, 4, 2), 4))
     assert not pivoted.ldlt

@@ -149,13 +149,18 @@ def test_run_and_outputs(tmp_path):
 
 def test_record_counts_solves_and_factor_bytes(tmp_path):
     # the README quick-start with osds to 1e-6: 8 iterations of 2N-2 strip
-    # responses, then N for the true-residual exchange, all block products,
-    # and N strip solves for the field
+    # responses, then N for the true-residual exchange, all block products;
+    # for the field, a strip solve on each edge strip, and the three
+    # interior strips' fields from their kept columns
     spec = ProblemSpec(problem="waveguide", k=20.0, subdomains=5,
                        overlap_cells=4, nppwl=16, tolerances=(1e-6,))
     ctx = bench.BenchContext(spec)
     record = ctx.solve(spec)
-    assert (record.counts["1e-06"], record.strip_solves, record.block_responses) == (8, 5, 69)
+    assert (record.counts["1e-06"], record.strip_solves, record.block_responses,
+            record.kept_fields) == (8, 2, 69, 3)
+    # the interior strips share one (n, nb) array of kept columns
+    interior = ctx.system.solvers[1]
+    assert record.kept_bytes == interior.stencil.nloc * (ctx.grid.ny + 1) * 16
     assert record.factorizations == 5
     # no strip swaps a row, so each stores its L and D band rows only; the
     # two edge strips share one factor and the three interior strips another
@@ -167,8 +172,9 @@ def test_record_counts_solves_and_factor_bytes(tmp_path):
     bench.write_outputs(record, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert (manifest["strip_solves"], manifest["block_responses"], manifest["factorizations"],
-            manifest["lu_bytes"], manifest["distinct_factors"]) == (5, 69, 5, record.lu_bytes, 2)
+            manifest["lu_bytes"], manifest["distinct_factors"]) == (2, 69, 5, record.lu_bytes, 2)
     assert manifest["block_bytes"] == record.block_bytes > 0
+    assert (manifest["kept_bytes"], manifest["kept_fields"]) == (record.kept_bytes, 3)
 
 
 def test_record_counts_block_responses():
@@ -185,7 +191,8 @@ def test_record_counts_block_responses():
     assert record.block_bytes == (4 + 1 + 1) * nb * nb * 16
     # each iteration an exchange, then the true-residual exchange
     iterations = len(record.history) - 1
-    assert (record.strip_solves, record.block_responses) == (5, 5 * (iterations + 1))
+    assert (record.strip_solves, record.block_responses) == (2, 5 * (iterations + 1))
+    assert record.kept_fields == 3
     wedge = ProblemSpec(problem="wedge", omega=12.0, subdomains=2, nppwl=8,
                         preconditioner="jacobi", tolerances=(1e-6,))
     with warnings.catch_warnings():
@@ -193,6 +200,7 @@ def test_record_counts_block_responses():
         record = bench.BenchContext(wedge).solve(wedge)
     iterations = len(record.history) - 1
     assert (record.block_bytes, record.block_responses) == (0, 0)
+    assert (record.kept_bytes, record.kept_fields) == (0, 0)
     assert record.strip_solves == 2 * (iterations + 2)
 
 

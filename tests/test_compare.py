@@ -33,6 +33,7 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     shots = [line for line in lines if line.startswith("tiny shot")]
     assert len(shots) == len(compare.SHOTS) and len(lines) == len(shots) + 5 + len(paths)
     assert all("g bitwise, h bitwise, field bitwise" in line for line in shots)
+    assert all(line.endswith(" MB") for line in shots)
     assert f"strips {TINY['subdomains']} -> {TINY['subdomains']}" in lines[2]
     # the two edge strips of the tiny waveguide store one factor, so the
     # stored bytes are an edge strip's and the interior strip's
@@ -46,6 +47,12 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     assert rec["tiny"]["block_bytes"] == (1 + 1 + 4) * nb * nb * 16
     assert f"block bytes {rec['tiny']['block_bytes']} -> {rec['tiny']['block_bytes']}" in lines[2]
     assert "strips with blocks 3 -> 3" in lines[2]
+    # the interior strip keeps every node column of X: (n, nb) complex
+    kept = solvers[1].stencil.nloc * nb * 16
+    assert rec["tiny"]["kept_bytes"] == kept
+    assert f"kept column bytes {kept} -> {kept}" in lines[2]
+    assert all(f"VmRSS {rec['tiny'][f'shot {i}/vmrss_mb']:.1f} -> " in shots[i]
+               for i in compare.SHOTS)
     low, high = rec["tiny"]["setup_min_s"], rec["tiny"]["setup_max_s"]
     assert low <= rec["tiny"]["setup_s"] <= high
     assert f"range {low:.3f}-{high:.3f} -> {low:.3f}-{high:.3f} s" in lines[0]

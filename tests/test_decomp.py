@@ -79,11 +79,15 @@ def test_strip_geometry(problem, n):
                  if has]
         if sv.xy and sv.lu.ldlt and sides:
             w = b - a
-            assert sv.columns == tuple(sorted({w - c if s == "left" else c
-                                               for s in sides for c in read}))
+            # a strip with blocks on both data sides keeps every column
+            assert sv.keeps == (len(sides) == 2)
+            assert sv.columns == (tuple(range(w + 1)) if sv.keeps else
+                                  tuple(sorted({w - c if s == "left" else c
+                                                for s in sides for c in read})))
             assert sv.blocks.keys() == set(sides)
+            assert (sv.kept is not None) == sv.keeps
         else:
-            assert sv.columns is None and sv.blocks is None
+            assert sv.columns is None and sv.blocks is None and sv.kept is None
         assert sv.owned == (d.cuts[i], d.cuts[i + 1] if i + 1 < n else nx + 1)
         assert a <= sv.owned[0] and sv.owned[1] <= b + 1
 def test_overlap_depth():

@@ -351,23 +351,28 @@ def test_strip_solves_per_call(n, rng):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_strip_solves_per_call_on_xy_strips(n, rng):
     # every strip numbered along y and a mirror: each response without a
-    # load is a block product, so only source_traces and reconstruct solve
+    # load is a block product, so only source_traces and reconstruct solve,
+    # and reconstruct on the load of source_traces only on the two edge
+    # strips: the N - 2 others take their fields from their kept columns
     system = make_case(n, cells_per_strip=10)
     assert all(sv.xy and sv.mirror and sv.blocks for sv in system.solvers)
+    assert [sv.keeps for sv in system.solvers] == [0 < s < n - 1 for s in range(n)]
     size = math.prod(system.layout)
     h = TraceVector(system.layout, rng.standard_normal(size) + 1j * rng.standard_normal(size))
     expected = {
         "apply_exchange": (lambda: system.apply_exchange(h), 0, n),
         "source_traces": (lambda: system.source_traces(None), n, 0),
-        "reconstruct": (lambda: system.reconstruct(h), n, 0),
+        "reconstruct": (lambda: system.reconstruct(h), 2, 0),
         "solve_oneway": (lambda: system.solve_oneway(h), 0, 2 * n - 4),
         "preconditioned product": (lambda: system.apply_interface_system(
             system.solve_oneway(h)), 0, 2 * n - 2),
         "solve_double_sweep": (lambda: system.solve_double_sweep(h), 0, 2 * n - 2),
         "full product": (lambda: system.apply_interface_system(h), 0, n),
     }
+    kept = sum(sv.kept_count for sv in system.solvers)
     for name, (call, solves, products) in expected.items():
         assert responses(system, call) == (solves, products), name
+    assert sum(sv.kept_count for sv in system.solvers) - kept == n - 2
     g = system.source_traces(None)
     assert [strip_solves(system, lambda m=m: fixed_point(system, g, "osds", tol=0.0, maxit=m))
             for m in (0, 1, 2)] == [0, 0, 0]
@@ -451,13 +456,21 @@ def test_pooled_operators_match_serial_loops_bitwise(problem, n, rng):
     assert np.array_equal(got.data, y)
     assert np.array_equal(system.apply_interface_system(got).data, fused)
 
+    # source traces of another load: reconstruct solves every strip
+    system.source_traces(None)
+    assert np.array_equal(system.reconstruct(TraceVector(system.layout, h), f),
+                          solved_field(system, t, load))
+
+
+def solved_field(system, t, load):
+    """The field of the data t and the load, one strip solve after another."""
     u = np.zeros(system.grid.shape, dtype=np.complex128)
     cuts = system.decomp.cuts[:-1] + (system.grid.nx + 1,)
     for s, sv in enumerate(system.solvers):
         v = sv.solve(*system._data(t, s), load)
         lo, hi = cuts[s], cuts[s + 1]
         u[lo:hi] = v[lo - sv.span[0]:hi - sv.span[0]]
-    assert np.array_equal(system.reconstruct(TraceVector(system.layout, h), f), u)
+    return u
 
 
 def assert_same_factor(lu, other):
@@ -933,7 +946,9 @@ def test_equal_strips_share_one_stored_factor():
 def test_strips_sharing_a_factor_count_their_own_solves(rng):
     # the sweeps respond on each interior strip twice, the record path on
     # each edge strip once, and a full exchange on every strip once, all by
-    # block products; the source traces and the field solve every strip once
+    # block products; the source traces solve every strip once, and the
+    # field every edge strip, the interior ones taking it from their kept
+    # columns
     system = quickstart_system("waveguide")
     solvers = system.solvers
     size = math.prod(system.layout)
@@ -945,7 +960,8 @@ def test_strips_sharing_a_factor_count_their_own_solves(rng):
     system.source_traces()
     system.reconstruct(y)
     counted = [(sv.solve_count - a, sv.block_count - b) for sv, (a, b) in zip(solvers, before)]
-    assert counted == [(2, 2), (2, 3), (2, 3), (2, 3), (2, 2)]
+    assert counted == [(2, 2), (1, 3), (1, 3), (1, 3), (2, 2)]
+    assert [sv.kept_count for sv in solvers] == [0, 1, 1, 1, 0]
     assert solvers[1].lu is solvers[2].lu is solvers[3].lu and solvers[0].lu is solvers[4].lu
     # the interior strips share one block set; the edge strips send other traces
     assert solvers[1].blocks is solvers[2].blocks is solvers[3].blocks
@@ -1028,3 +1044,118 @@ def test_systems_share_nothing_and_free_their_factors():
         time.sleep(0.01)
     assert all(r() is None for r in refs)
     assert len({id(sv.lu) for sv in second.solvers}) == 2
+
+
+def random_data(system, rng):
+    """Random traces t, as a (2, N-1, ny+1) array, and a random volume source."""
+    t = (rng.standard_normal(system.layout) + 1j * rng.standard_normal(system.layout))
+    f = rng.standard_normal(system.grid.shape) + 1j * rng.standard_normal(system.grid.shape)
+    return t, f
+
+
+def kept_fields(system):
+    return sum(sv.kept_count for sv in system.solvers)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("problem", SMALL)
+def test_reconstruct_from_kept_columns_matches_strip_solves(problem, n, rng):
+    # on the load of the last source_traces, each interior strip of the
+    # waveguide and cavity takes its field from its kept columns and kept
+    # load field, which agree with a strip solve to roundoff; no wedge
+    # strip keeps columns, so its field is the strip solves' bit for bit
+    for overrides in (SMALL[problem], {"k": None, "omega": 30.0} if problem == "wedge" else {}):
+        system = quickstart_system(problem, subdomains=n, **overrides)
+        keeps = [sv.keeps for sv in system.solvers]
+        assert keeps == [problem != "wedge" and 0 < s < n - 1 for s in range(n)]
+        t, f = random_data(system, rng)
+        system.source_traces(f)
+        before = (sum(sv.solve_count for sv in system.solvers), kept_fields(system))
+        got = system.reconstruct(TraceVector(system.layout, t.ravel()), f)
+        assert (sum(sv.solve_count for sv in system.solvers) - before[0],
+                kept_fields(system) - before[1]) == (n - sum(keeps), sum(keeps))
+        want = solved_field(system, t, problem_load(system.grid, system.bc, f))
+        if problem == "wedge":
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), overrides
+
+
+def test_reconstruct_takes_kept_fields_only_on_the_kept_load(rng):
+    # bitwise the strip solves with no source traces before, and on a load
+    # other than the last source_traces'; on that load, from the kept
+    # columns, and again after operator calls, until source traces of
+    # another load replace the record
+    system = make_case(5, cells_per_strip=10)
+    n, layout = system.nstrips, system.layout
+    t, f = random_data(system, rng)
+    other = 2.0 * f
+    h = TraceVector(layout, t.ravel())
+
+    def field(source):
+        solves, kept = sum(sv.solve_count for sv in system.solvers), kept_fields(system)
+        u = system.reconstruct(h, source)
+        return u, (sum(sv.solve_count for sv in system.solvers) - solves,
+                   kept_fields(system) - kept)
+
+    def solved(source):
+        return solved_field(system, t, problem_load(system.grid, system.bc, source))
+
+    u, counts = field(f)
+    assert counts == (n, 0) and u.tobytes() == solved(f).tobytes()
+    system.source_traces(f)
+    u, counts = field(other)
+    assert counts == (n, 0) and u.tobytes() == solved(other).tobytes()
+    first, counts = field(f)
+    assert counts == (2, n - 2)
+    assert np.linalg.norm(first - solved(f)) <= 1e-13 * np.linalg.norm(first)
+    system.apply_interface_system(system.solve_oneway(h))
+    system.apply_exchange(h)
+    again, counts = field(f)
+    assert counts == (2, n - 2) and again.tobytes() == first.tobytes()
+    system.source_traces(other)
+    u, counts = field(f)
+    assert counts == (n, 0) and u.tobytes() == solved(f).tobytes()
+
+
+def test_block_responses_are_products_added_onto_zeros_bitwise(rng):
+    # each block response is the sum of the products of its data sides
+    # added onto zeros, bit for bit, and counts one block product
+    for problem in ("waveguide", "cavity"):
+        system = quickstart_system(problem)
+        nb = system.grid.ny + 1
+        for sv in system.solvers:
+            left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+                           for _ in range(2))
+            for data in (dict(left=left), dict(right=right), dict(left=left, right=right)):
+                if not data.keys() <= set(sv.blocks or ()):
+                    continue
+                out = np.zeros((sum(x is not None for x in sv.sends), nb), np.complex128)
+                for side, d in data.items():
+                    out += sv.blocks[side] @ d
+                rows = iter(out)
+                want = tuple(None if x is None else next(rows) for x in sv.sends)
+                counts = sv.solve_count, sv.block_count
+                got = sv.respond(**data)
+                assert (sv.solve_count, sv.block_count) == (counts[0], counts[1] + 1)
+                assert all((a is None and b is None) or a.tobytes() == b.tobytes()
+                           for a, b in zip(got, want)), (problem, sv.strip, data.keys())
+
+
+def test_kept_columns_are_the_interior_build_itself():
+    # the interior strips of the quick-start waveguide share one (n, nb)
+    # array of X = A^-1 [0; I], the memory of their one tail_inverse
+    # build of every panel, from which their blocks are formed
+    system = quickstart_system("waveguide")
+    kept = [sv.kept for sv in system.solvers]
+    assert kept[0] is None and kept[-1] is None
+    assert kept[1] is kept[2] is kept[3]
+    sv = system.solvers[1]
+    x, nb = kept[1], system.grid.ny + 1
+    assert x.shape == (sv.stencil.nloc, nb) and x.flags.c_contiguous
+    units = np.eye(sv.stencil.nloc, dtype=np.complex128)[:, -nb:]
+    want = np.stack([sv.lu.solve(e) for e in units.T], axis=1)
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+    fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, 2)
+    own = fresh.form_blocks(fresh.lu.tail_inverse(fresh.columns))
+    assert all(own[side].tobytes() == sv.blocks[side].tobytes() for side in own)

@@ -24,11 +24,14 @@ through ``adapter.setup`` and records:
   with the pivots, the bytes of the distinct block sets that answer
   responses without a solve and the seconds of one more pass of the builds
   they are formed from (BandedLU.tail_inverse, once per distinct factor
-  and columns), the strips that store only the L D L^T band rows,
-  (bandwidth + 1) * n * 16 bytes, and the strips with blocks;
+  and columns), the bytes of the distinct kept columns that reconstruct
+  takes interior fields from (0 for a checkout that keeps none), the
+  strips that store only the L D L^T band rows, (bandwidth + 1) * n * 16
+  bytes, and the strips with blocks;
 - shots 0-2 of seed 1 through ``adapter.shot``, the benchmark's own solve
   path: GMRES iterations, strip solves, g (trace right-hand side), h (trace
-  solution), the field and the true residual ||g - (Id - T) h|| / ||g||.
+  solution), the field, the true residual ||g - (Id - T) h|| / ||g|| and
+  VmRSS after the shot, so a footprint that stays after set-up shows.
 
 A second process runs the benchmark's monodomain oracle
 (``adapter.direct_field``: ``grid.solve_direct`` of the global system) on
@@ -138,6 +141,12 @@ def block_layout(problem) -> tuple:
     return sum(sets.values()), time.perf_counter() - t0, len(blocked)
 
 
+def kept_bytes(problem) -> int:
+    """Bytes of the distinct kept columns of the strips."""
+    kept = (getattr(sv, "kept", None) for sv in problem.system.solvers)
+    return sum({id(x): x.nbytes for x in kept if x is not None}.values())
+
+
 def timed_setup(workload: str):
     """(seconds, problem) of one adapter.setup of workload."""
     from perfbench import adapter
@@ -164,6 +173,7 @@ def record_workload(workload: str) -> dict:
            "factors": len(factors),
            "factor_bytes": sum(stored for _, _, stored in factors),
            "block_bytes": block_bytes, "build_s": build_s,
+           "kept_bytes": kept_bytes(problem),
            "ldlt_strips": sum(sv.lu.nbytes == (sv.bandwidth + 1) * sv.stencil.nloc * 16
                               for sv in solvers),
            "block_strips": block_strips}
@@ -174,6 +184,7 @@ def record_workload(workload: str) -> dict:
         rec[f"shot {i}/iterations"] = shot.iterations
         rec[f"shot {i}/solves"] = adapter.solve_count(problem) - before
         rec[f"shot {i}/true_residual"] = adapter.true_residual(problem, shot.g, shot.h)
+        rec[f"shot {i}/vmrss_mb"] = status()["VmRSS"]
         for name in ARRAYS:
             rec[f"shot {i}/{name}"] = getattr(shot, name)
     del problem, solvers, shot
@@ -285,6 +296,7 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
         f"distinct factors {arrow(p, c, 'factors')}, factor bytes "
         f"{arrow(p, c, 'factor_bytes')}, block bytes {arrow(p, c, 'block_bytes')}, "
         f"build {arrow(p, c, 'build_s', '{:.4f}')} s, "
+        f"kept column bytes {arrow(p, c, 'kept_bytes')}, "
         f"L D L^T strips {arrow(p, c, 'ldlt_strips')}, "
         f"strips with blocks {arrow(p, c, 'block_strips')}"]
     for i in SHOTS:
@@ -295,7 +307,8 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
         lines.append(f"{workload} {key}: iterations {arrow(p, c, key + '/iterations')}, "
                      f"strip solves {arrow(p, c, key + '/solves')}, "
                      + ", ".join(f"{name} {diff_text(d)}" for name, d in diffs.items())
-                     + f", true residual {arrow(p, c, key + '/true_residual', '{!r}')}")
+                     + f", true residual {arrow(p, c, key + '/true_residual', '{!r}')}, "
+                     f"VmRSS {arrow(p, c, key + '/vmrss_mb', '{:.1f}')} MB")
     lines.append(f"{workload} direct solve: median {arrow(p, c, 'direct_s', '{:.3f}')} s, "
                  f"range {time_range(p, 'direct')} -> {time_range(c, 'direct')} s, "
                  f"of {arrow(p, c, 'direct_solves')} samples, "
