@@ -88,23 +88,26 @@ panel p in its columns, is upper triangular: ztrmm on C, ztrsm on L_pp.
 L(i, j) sits at flat offset i + j kl of the factor, so each of these
 blocks is a dense matrix with leading dimension kl, of which BLAS reads
 one triangle, all inside the band; OpenBLAS took the two triangles
-faster from the right than from the left.  The pass stops at the lowest
-panel asked for, builds each panel asked for in its place in the output
-and any other in one of two panels of workspace.  Each R_p is kept
-Fortran-ordered, so all the panels in order are X in C order, the (n, kl)
-array a strip that keeps its columns multiplies by (subdomain.py).  It
-has half the flops of an LU factorization from the lowest panel down
-(BENCH_30.json).
+faster from the right than from the left.  tail_inverse(first) runs the
+pass from the trailing panel up to panel first, and builds each R_p in its
+place in the output from the one below it.  Each R_p is kept
+Fortran-ordered, so the output is X from row first kl on, in C order: with
+first 0, all of X, the (n, kl) array a strip that keeps it multiplies by
+(subdomain.py).  It has half the flops of an LU factorization from panel
+first down (BENCH_30.json).
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import mmap
 import operator
+import os
 
 import numpy as np
+import scipy
 from numpy.typing import NDArray
 from scipy.linalg import cython_blas, cython_lapack
 
@@ -133,6 +136,30 @@ _ztrmm = _kernel(cython_blas, "ztrmm", 11)
 _zgbtrf = _kernel(cython_lapack, "zgbtrf", 8)
 _zgbtrs = _kernel(cython_lapack, "zgbtrs", 11)
 _zgemm = _kernel(cython_blas, "zgemm", 13)
+
+
+@functools.cache
+def _blas_threads_local():
+    """scipy's openblas_set_num_threads_local as a ctypes call, looked up on
+    first use: it sets the library's thread count and returns the count it
+    had.
+
+    The count is the library's, not the calling thread's, whatever the name
+    says: in the OpenBLAS scipy bundles, a count set on one thread is the
+    one another thread reads back.  The library is the OpenBLAS mapped
+    (/proc/self/maps) from under scipy's install, scipy/ or scipy.libs/,
+    which the kernels above run in; numpy's own OpenBLAS is left alone.
+    Where the process maps no such library or symbol, the call sets nothing
+    and returns None.
+    """
+    root = os.path.dirname(scipy.__file__)
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        for path in {line.split()[-1] for line in fh if root in line and "openblas" in line}:
+            call = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+            if call is not None:
+                call.argtypes, call.restype = [ctypes.c_int], ctypes.c_int
+                return call
+    return lambda threads: None
 
 
 def _ints(*values):
@@ -326,30 +353,25 @@ class BandedLU:
             self._gbtrs(x)
         return x
 
-    def tail_inverse(self, panels) -> ComplexArray:
-        """R with R[i] = A^-1[n - kl:, p kl:(p + 1) kl] for p = panels[i]
-        (module docstring), an (len(panels), kl, kl) array whose blocks
-        R[i] are each Fortran-ordered.  Asked for every panel in order,
-        range(n // kl), R.transpose(0, 2, 1).reshape(n, kl) is X = A^-1
-        [0; I_kl] in C order, the same memory.
+    def tail_inverse(self, first: int = 0) -> ComplexArray:
+        """X = A^-1 [0; I_kl] from row first * kl on (module docstring): a
+        C-ordered (n - first kl, kl) array, panels first .. n / kl - 1 of X.
 
         Only an L D L^T factor whose n is a multiple of kl >= 1 has panels,
-        p = 0 .. n / kl - 1; any other factor or panel is a ValueError.
+        0 .. n / kl - 1; any other factor, or a first outside them, is a
+        ValueError.
         """
         n, kl = self.n, self.kl
         if not self.ldlt or kl == 0 or n % kl:
             raise ValueError(f"no kl-row panels in a factor of order {n}, kl {kl}"
                              f"{'' if self.ldlt else ', stored as LU'}")
-        panels = [operator.index(p) for p in panels]
-        bottom = n // kl - 1
-        if not panels or not all(0 <= p <= bottom for p in panels):
-            raise ValueError(f"panels {panels} must be some of 0..{bottom}")
-        # R[i] is X_p^T, so C-ordered X is R with each block Fortran-ordered;
+        first, bottom = operator.index(first), n // kl - 1
+        if not 0 <= first <= bottom:
+            raise ValueError(f"first panel {first} must lie in 0..{bottom}")
         # in a mapping of its own, as a factor is, since all of X is as large
-        out = _workspace(kl * kl, len(panels)).T.reshape(-1, kl, kl).transpose(0, 2, 1)
-        where = {}
-        for i, p in enumerate(panels):
-            where.setdefault(p, []).append(i)
+        x = _workspace(kl, n - first * kl).T
+        # R_p = X_p^T is r[p - first], panel p of x seen Fortran-ordered
+        r = x.reshape(-1, kl, kl).transpose(0, 2, 1)
         k, = _ints(kl)
         one, minus = np.ones(1, np.complex128), -np.ones(1, np.complex128)
         base = self._ld.ctypes.data
@@ -358,32 +380,22 @@ class BandedLU:
             # L(row + a, col + b) at flat offset (row + a) + (col + b) kl
             return base + (row + col * kl) * 16
 
-        def trsm(trans, p, r):
-            # r := r L_pp^-1, or r L_pp^-T
+        def trsm(trans, p):
+            # R_p := R_p L_pp^-1, or R_p L_pp^-T
             _ztrsm(b"R", b"L", trans, b"U", k, k, one.ctypes.data, block(p * kl, p * kl), k,
-                   r.ctypes.data, k)
+                   r[p - first].ctypes.data, k)
 
-        # each panel asked for is built in its first block of out, any other
-        # in whichever workspace block the panel below it is not in
-        spare = [np.empty((kl, kl), np.complex128, order="F") for _ in range(2)]
-        r = None
-        for p in range(bottom, min(panels) - 1, -1):
-            work = out[where[p][0]] if p in where else spare[r is spare[0]]
-            if r is None:
-                # X_t^T = L_tt^-T D^-1 L_tt^-1, as I L_tt^-T D^-1 L_tt^-1
-                work[...] = np.eye(kl)
-                trsm(b"T", bottom, work)
-                work *= self._ld[0, n - kl:]
-                trsm(b"N", bottom, work)
-            else:
-                # R_p = X_p^T = -R_(p+1) C L_pp^-1, C = L(rows of panel p + 1,
-                # columns of panel p); on the right, BLAS takes these
-                # triangles faster than their transposes on the left
-                work[...] = r
-                _ztrmm(b"R", b"U", b"N", b"N", k, k, minus.ctypes.data,
-                       block((p + 1) * kl, p * kl), k, work.ctypes.data, k)
-                trsm(b"N", p, work)
-            for i in where.get(p, ())[1:]:
-                out[i] = work
-            r = work
-        return out
+        # R_t = X_t^T = L_tt^-T D^-1 L_tt^-1, as I L_tt^-T D^-1 L_tt^-1
+        r[-1] = np.eye(kl)
+        trsm(b"T", bottom)
+        r[-1] *= self._ld[0, n - kl:]
+        trsm(b"N", bottom)
+        for p in range(bottom - 1, first - 1, -1):
+            # R_p = -R_(p+1) C L_pp^-1, C = L(rows of panel p + 1, columns of
+            # panel p); on the right, BLAS takes these triangles faster than
+            # their transposes on the left
+            r[p - first] = r[p - first + 1]
+            _ztrmm(b"R", b"U", b"N", b"N", k, k, minus.ctypes.data,
+                   block((p + 1) * kl, p * kl), k, r[p - first].ctypes.data, k)
+            trsm(b"N", p)
+        return x

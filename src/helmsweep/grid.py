@@ -23,9 +23,12 @@ Conventions, relied on by every module downstream:
   no conjugation) without changing the solution.
 - The problem's data therefore enters as one nodal load, f + (2/h) g on the
   Robin edges (problem_load), times each row's scale.  A strip's impedance
-  interface is an absorbing edge too: its data enters its edge column the
-  same way (RectStencil.rhs).  This module alone turns data into a
-  right-hand side.
+  interface is an absorbing edge too: its data d enters its edge column the
+  same way, as S d with S = (2/h) times the column's row scales
+  (RectStencil.datum_scale).  This module alone turns data into a
+  right-hand side, and computes S; the strips' block products scale by it
+  too (subdomain.py).  Row scales are 0 or powers of two, so S d is
+  bitwise the row scale times (2/h) d.
 - Dirichlet rows are identity rows with zero right-hand side, and couplings
   into Dirichlet nodes are dropped (their value is 0), preserving symmetry.
   A corner shared by a Dirichlet edge and an absorbing edge is Dirichlet.
@@ -260,6 +263,8 @@ class RectStencil:
                 self._ghosts[_EDGES[s]] += 1
         # each eliminated ghost halves the row, which keeps A = A^T
         self.row_scale = np.where(self.dirichlet_mask, 0.0, 0.5 ** self._ghosts)
+        # S, the scales of a datum on the first column and on the last
+        self.datum_scale = self.row_scale[[0, -1]] * (2.0 / grid.h)
 
     def to_grid(self, x: ComplexArray) -> ComplexArray:
         """View a flat vector in matrix numbering as a (w+1, ny+1) nodal array."""
@@ -301,7 +306,8 @@ class RectStencil:
 
         load is a (w+1, ny+1) nodal array (a slice of problem_load) or None.
         left and right are the data g of (d/dn + i*k) v = g on the first and
-        last columns; each enters as the load (2/h) g on its column alone.
+        last columns; each enters as the load (2/h) g on its column alone,
+        S g with S its datum_scale row.
         """
         flat = np.zeros(self.nloc, dtype=np.complex128)
         out = self.to_grid(flat)
@@ -309,7 +315,7 @@ class RectStencil:
             out += self.row_scale * load
         for col, data in ((0, left), (-1, right)):
             if data is not None:
-                out[col] += self.row_scale[col] * ((2.0 / self.grid.h) * data)
+                out[col] += self.datum_scale[col] * data
         return flat
 
 

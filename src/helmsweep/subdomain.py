@@ -27,36 +27,37 @@ interface column strictly inside it:
 A strip numbered along y (ny <= w, every waveguide and cavity strip) keeps
 node column i in rows i*nb .. i*nb + nb - 1, nb = ny + 1, which is also its
 half-bandwidth.  A right datum d enters the last nb rows as S d, S the
-diagonal of the datum's (2/h) row scales, so the field it makes is X S d,
-X = A^-1 [0; I], and a trace it sends is a linear map of three node
-columns of that field: one nb x nb block.  BandedLU.tail_inverse gives the
-node columns of X that the sends read, and form_blocks turns them into the
-strip's blocks.  On a strip that its column reversal P maps onto itself (P
-A P = A exactly, checked once on the diagonals it is factored from) the
-field of a left datum is P X S d: the left blocks come from the same
-columns, reversed.  respond answers data with no load by block products,
-0 solves, when each datum side it gets has a block: on a strip numbered
-along y with an L D L^T factor, any data but a left datum on a strip that
-is no mirror.  Any other response is one full solve: a load, every strip
-numbered along x (the wedge's: its blocks would cost 2 nb solves), and
-every strip whose factor swapped a row.
+diagonal of RectStencil.datum_scale, so the field it makes is X S d, X =
+A^-1 [0; I], and a trace it sends is a linear map of three node columns of
+that field: one nb x nb block.  BandedLU.tail_inverse(first) gives the
+rows of X from node column first on, first the lowest node column a send
+reads, and form_blocks turns the columns each send reads into the strip's
+blocks.  On a strip that its column reversal P maps onto itself (P A P =
+A exactly, checked once on the diagonals it is factored from) the field of
+a left datum is P X S d: the left blocks come from X's columns at the
+mirrored place, reversed.  respond answers data with no load by block
+products, 0 solves, when each datum side it gets has a block: on a strip
+numbered along y with an L D L^T factor, any data but a left datum on a
+strip that is no mirror.  Any other response is one full solve: a load,
+every strip numbered along x (the wedge's: its blocks would cost 2 nb
+solves), and every strip whose factor swapped a row.
 
 A strip with blocks on both data sides (keeps: a mirror strip numbered
 along y, with an L D L^T factor and a neighbour on each side, as the
-waveguide's and cavity's interior strips are) keeps every node column of
-X: kept, the (n, nb) array that BandedLU.tail_inverse returns, in C
-order, when asked for every panel, and that its blocks are formed from.
-The field of data d_l, d_r and a load is then v + X S_r d_r + P X S_l
-d_l, v the field of the load alone, so a field costs a product with X
-instead of a strip solve once v is known: source_traces keeps v, and
-reconstruct on the same load uses it (substructure.py).  That costs about
-one factor's bytes more per key whose strips send both ways (7,982,208
-bytes on a waveguide-osds interior strip, whose factor stores 8,084,736),
-and a build of all its panels instead of those its sends read (82 instead
-of 79 there, 16.5 ms against 14.8 ms on one BLAS thread).  An edge strip
-sends one trace a few columns in from its datum, so its build stops
-there: its full columns would cost 7.8 MB and about 15 ms more set-up
-(16.3 ms against 1.1 ms) for one solve a shot, so they stay out.
+waveguide's and cavity's interior strips are) has first 0 and keeps all of
+X: kept, the C-ordered (n, nb) array that BandedLU.tail_inverse(0) returns
+and its blocks are formed from.  The field of data d_l, d_r and a load is
+then v + X S_r d_r + P X S_l d_l, v the field of the load alone, so a
+field costs a product with X instead of a strip solve once v is known:
+source_traces keeps v, and reconstruct on the same load uses it
+(substructure.py).  That costs about one factor's bytes more per key whose
+strips send both ways (7,982,208 bytes on a waveguide-osds interior strip,
+whose factor stores 8,084,736), and a build of all its panels instead of
+those its sends read (82 instead of 79 there, 16.5 ms against 14.8 ms on
+one BLAS thread).  An edge strip sends one trace a few columns in from its
+datum, so its build stops there, at first: all of its X would cost 7.8 MB
+and about 15 ms more set-up (16.3 ms against 1.1 ms) for one solve a shot,
+so it stays out.
 """
 
 from __future__ import annotations
@@ -101,18 +102,18 @@ class LocalSolver:
     normal) of the trace for strip i+1's left interface and of the one for
     strip i-1's right interface (None past either end), and owned the
     global columns [lo, hi) the strip contributes to a reconstructed field.
-    columns are the node columns of A^-1 [0; I] its blocks are formed from,
-    None if it has none, and all of them if it keeps them (keeps; module
-    docstring).
+    first is the lowest node column of X = A^-1 [0; I] its blocks are
+    formed from, 0 if it keeps X (keeps; module docstring), and None if it
+    has no blocks.
 
     lu is the strip's BandedLU, one object on all strips whose factors are
     built from equal inputs, and blocks, once formed, {side: (sends, nb, nb)
     array}, one object on strips whose blocks are built from equal inputs
-    (substructure.py).  kept, on a strip that keeps, is X as an (n, nb)
-    array, one object on strips of one key.  Each strip counts its own
-    work: factor_count (1), solve_count, block_count, the responses
-    answered by block products, and kept_count, the fields reconstruct
-    took from kept.
+    (substructure.py).  kept, on a strip that keeps, is X, the (n, nb)
+    array its blocks are formed from, one object on strips of one key.
+    Each strip counts its own work: factor_count (1), solve_count,
+    block_count, the responses answered by block products, and kept_count,
+    the fields reconstruct took from kept.
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
@@ -151,18 +152,13 @@ class LocalSolver:
         # a strip with blocks on both data sides keeps every node column of
         # X, from which reconstruct takes its field (module docstring)
         self.keeps = self._sides == ["left", "right"]
-        # extract_trace reads an interface column and its two neighbours
-        read = {column - self.span[0] + i for column, _ in filter(None, self.sends)
-                for i in (-1, 0, 1)}
-        self.columns = (tuple(range(self.stencil.w + 1)) if self.keeps else
-                        tuple(sorted({self.stencil.w - c if side == "left" else c
-                                      for side in self._sides for c in read})) or None)
-        self.blocks = None
-        self.kept = None
+        # the lowest node column of X a send reads (_window)
+        self.first = (None if not self._sides else 0 if self.keeps else
+                      min(self._window(side, column) for side in self._sides
+                          for column, _ in filter(None, self.sends)))
+        self.blocks = self.kept = None
         self.factor_count = 1
-        self.solve_count = 0
-        self.block_count = 0
-        self.kept_count = 0
+        self.solve_count = self.block_count = self.kept_count = 0
         # the two sweeps of solve_oneway respond on the interior strips at once
         self._count_lock = threading.Lock()
 
@@ -170,28 +166,33 @@ class LocalSolver:
     def bandwidth(self) -> int:
         return self.stencil.bandwidth
 
-    def form_blocks(self, response: ComplexArray) -> dict:
+    def _window(self, side: str, column: int) -> int:
+        """The first of the three node columns of X that the trace at the
+        interface column reads for a datum on side: extract_trace reads c -
+        1 .. c + 1 of the field, c = column - span[0], which is X on a
+        right datum and X reversed, P X, on a left one."""
+        c = column - self.span[0]
+        return (c if side == "right" else self.stencil.w - c) - 1
+
+    def form_blocks(self, x: ComplexArray) -> dict:
         """{side: (sends, nb, nb)} blocks, sends in order with None skipped:
         the traces this strip sends are blocks[side] @ datum.
 
-        response[i] is node column columns[i] of A^-1 [0; I] transposed, as
-        BandedLU.tail_inverse returns it: a field indexed (node column,
-        unit datum, node).
+        x is X = A^-1 [0; I] from node column first on, as
+        BandedLU.tail_inverse(first) returns it.
         """
-        # columns holds each column a trace reads with its two neighbours
-        at = {c: i for i, c in enumerate(self.columns)}
-        w, h = self.stencil.w, self.grid.h
+        h, nb = self.grid.h, self.stencil.ny + 1
+        # node column first + i of X as a field indexed (unit datum, node)
+        field_of = x.reshape(-1, nb, nb).transpose(0, 2, 1)
         blocks = {}
         for side in self._sides:
-            edge = 0 if side == "left" else -1
             # each unit datum's row of the right-hand side: S in X S d
-            scale = self.stencil.row_scale[edge] * (2.0 / h)
+            scale = self.stencil.datum_scale[0 if side == "left" else -1]
             out = []
             for column, normal in filter(None, self.sends):
-                c = column - self.span[0]
+                lo = self._window(side, column) - self.first
                 # the field three columns wide, reversed for a left datum
-                field = (response[at[c - 1]:at[c + 1] + 1] if side == "right"
-                         else response[at[w - c - 1]:at[w - c + 1] + 1][::-1])
+                field = field_of[lo:lo + 3] if side == "right" else field_of[lo:lo + 3][::-1]
                 trace = extract_trace(field, (column - 1, column + 1), column, normal,
                                       self.kfield, h)
                 out.append((trace * scale[:, None]).T)

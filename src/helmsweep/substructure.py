@@ -44,15 +44,15 @@ osds.  On the wedge, whose strips are numbered along x, it costs N with
 jacobi, 2N-2 with osds and 3N-2 with ds.
 
 source_traces keeps a second record, (load, fields): its load and the
-field of that load on each strip that keeps its columns of A^-1 [0; I]
+field of that load on each strip that keeps its X = A^-1 [0; I]
 (LocalSolver.keeps).  Operator calls leave it alone, and the next
 source_traces replaces it.  reconstruct on a load bitwise equal to the
 kept one takes each such strip's field as the kept field plus products
-with the kept columns, one zgemm per key over all its strips, beside the
+with the kept X, one zgemm per key over all its strips, beside the
 solves of the other strips; on any other load every strip solves.  So a
 waveguide shot costs N strip solves for its source traces and 2, on the
-edge strips, for its field, where it cost 2N.  The wedge keeps no
-columns, and its shots cost 2N solves as before.
+edge strips, for its field, where it cost 2N.  The wedge keeps no X, and
+its shots cost 2N solves as before.
 
 Strip work that does not depend on other strips runs concurrently, on
 WORKERS threads, one per CPU the process may run on: the calling thread
@@ -74,7 +74,15 @@ sweep reads what the forward one wrote.  Each solve does the same
 arithmetic and writes the same block as in a serial run, and each
 factorization is the serial one, so every result is bitwise the same.  A
 failure is raised once every strip of the call is done, the first in strip
-order.
+order.  While _map runs, scipy's OpenBLAS, where the band kernels run,
+runs on one thread (banded._blas_threads_local), and once every strip of
+the call has ended it gets back the count it had.  That count is the
+library's, shared by every thread of the process, so scipy BLAS calls on
+other threads run on one thread meanwhile too, and of two _map calls
+running at once on different threads, the first to end restores the count
+while the other still runs (no helmsweep operator does that).  A BLAS
+thread per CPU beside each strip thread made the set-up of waveguide k=40,
+N=10, osds take 4.1-4.6 s on 2 shared cores, against 1.5-1.6 s with one.
 
 Strips built from equal inputs share what is built from them, decided by
 the stencil's key (RectStencil.key: every input its matrix is assembled
@@ -90,16 +98,15 @@ Factoring each distinct matrix only once would save the duplicate
 factorizations too, but the benchmark checks one factorization span per
 strip (perfbench/tests/test_perfbench.py): that is ROADMAP item 1.
 
-A strip's blocks are formed from a few node columns of its factor's
-A^-1, or all of them on a strip that keeps them, built by
-BandedLU.tail_inverse once per (key, columns): the waveguide's edge strips
-share one build and its interior strips another, whose columns they keep
-as one array.
-Each build is queued, as its factor is kept, behind the N constructions of
-the same _map, so a thread that has no strip left to factor builds while
-the other factors the last one.  Blocks are formed once per (key,
-columns, sends relative to the strip), and strips with equal ones share
-that block set.
+A strip's blocks are formed from the rows of its X from node column
+LocalSolver.first on, all of X on a strip that keeps it, built by
+BandedLU.tail_inverse once per (key, first): the waveguide's edge strips
+share one build and its interior strips another, which they keep as one
+array.  Each build is queued, as its factor is kept, behind the N
+constructions of the same _map, so a thread that has no strip left to
+factor builds while the other factors the last one.  Blocks are formed
+once per (key, first, sends relative to the strip), and strips with equal
+ones share that block set.
 """
 
 from __future__ import annotations
@@ -112,7 +119,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import _ints, _zgemm
+from .banded import _blas_threads_local, _ints, _zgemm
 from .grid import (BoundarySpec, ComplexArray, Grid, WavenumberField, _add_edge_loads,
                    _edge_loads)
 from .strips import StripDecomposition
@@ -139,7 +146,9 @@ def _map(fn, n: int, queue: list | None = None) -> list:
     up to WORKERS - 1 pool threads.  fn may append callables of no
     argument to queue; they are taken after the last strip, from the same
     hand-out, and their results dropped.  The first failure, in strip
-    order and then in queue order, is raised once every call has ended."""
+    order and then in queue order, is raised once every call has ended.
+    scipy's OpenBLAS runs on one thread until then, and then on the count
+    it had (module docstring)."""
     queue = [] if queue is None else queue
     results, errors = [None] * n, {}
     taken, lock = [0], threading.Lock()
@@ -161,12 +170,16 @@ def _map(fn, n: int, queue: list | None = None) -> list:
             except BaseException as err:  # raised below, as a future would
                 errors[s] = err
 
-    helpers = [_pool.submit(take) for _ in range(min(n, WORKERS) - 1)]
-    take()
-    # a helper not yet started would find no strip left; result() returns sooner than wait()
-    for f in helpers:
-        if not f.cancel():
-            f.result()
+    threads = _blas_threads_local()(1)
+    try:
+        helpers = [_pool.submit(take) for _ in range(min(n, WORKERS) - 1)]
+        take()
+        # a helper not yet started would find no strip left; result() returns sooner than wait()
+        for f in helpers:
+            if not f.cancel():
+                f.result()
+    finally:
+        _blas_threads_local()(threads)
     if errors:
         raise errors[min(errors)]
     return results
@@ -224,40 +237,37 @@ class SubstructuredSystem:
         self._edges = list(_edge_loads(grid, bc))
         self.decomp = decomp
         self.nstrips = decomp.nstrips
-        # shared by stencil key: the factor, the columns of its A^-1 that
-        # blocks are formed from (built once per (key, columns), queued
-        # behind the factorizations) and the block sets
+        # shared by stencil key: the factor, the rows of its X that blocks
+        # are formed from (built once per (key, first), queued behind the
+        # factorizations) and the block sets
         keys = [None] * decomp.nstrips
-        factors, responses, sets, kept, builds, lock = {}, {}, {}, {}, [], threading.Lock()
+        factors, xs, sets, queue, lock = {}, {}, {}, [], threading.Lock()
 
-        def respond_to_unit_data(at, lu):
-            responses[at] = lu.tail_inverse(at[1])
+        def build_x(at, lu):
+            xs[at] = lu.tail_inverse(at[1])
 
         def build(s):
             sv = LocalSolver(grid, kfield, bc, decomp, s + 1)
             keys[s] = key = sv.stencil.key()
             with lock:
                 sv.lu = factors.setdefault(key, sv.lu)
-                at = (key, sv.columns)
-                if sv.columns is not None and at not in responses:
-                    responses[at] = None
-                    builds.append(functools.partial(respond_to_unit_data, at, sv.lu))
+                at = (key, sv.first)
+                if sv.first is not None and at not in xs:
+                    xs[at] = None
+                    queue.append(functools.partial(build_x, at, sv.lu))
             return sv
 
-        self.solvers = _map(build, decomp.nstrips, builds)
+        self.solvers = _map(build, decomp.nstrips, queue)
         for key, sv in zip(keys, self.solvers):
-            if sv.columns is not None:
-                response = responses[key, sv.columns]
+            if sv.first is not None:
+                x = xs[key, sv.first]
                 # with the matrix, the sends fix the datum sides with blocks
-                at = (key, sv.columns, tuple(None if x is None else (x[0] - sv.span[0], x[1])
-                                             for x in sv.sends))
+                at = (key, sv.first, tuple(None if t is None else (t[0] - sv.span[0], t[1])
+                                           for t in sv.sends))
                 if at not in sets:
-                    sets[at] = sv.form_blocks(response)
+                    sets[at] = sv.form_blocks(x)
                 sv.blocks = sets[at]
-                if sv.keeps:
-                    # every panel: X itself, the same memory
-                    sv.kept = kept.setdefault(key, response.transpose(0, 2, 1).reshape(
-                        sv.stencil.nloc, -1))
+                sv.kept = x if sv.keeps else None
         n = decomp.nstrips
         # sweeps, edge responses and exchanges of data that are block
         # products all along run on the calling thread: a pool hand-off
@@ -271,7 +281,7 @@ class SubstructuredSystem:
         # apply_interface_system on y
         self._sweep = None
         # (load, {strip: field}) of the last source_traces, the fields of
-        # the strips that keep columns, for reconstruct on that load
+        # the strips that keep X, for reconstruct on that load
         self._source = None
 
     def _data(self, t, s: int):
@@ -282,7 +292,7 @@ class SubstructuredSystem:
     def _exchange(self, t=None, load=None, fields=None) -> TraceVector:
         """Every strip responds once to its data in t (none if t is None)
         and load; fields, if given, takes the field of each strip that
-        keeps columns."""
+        keeps X."""
         self._sweep = None
         out = TraceVector.zeros(self.layout)
         o = out.blocks
@@ -329,7 +339,7 @@ class SubstructuredSystem:
     def source_traces(self, f=None) -> TraceVector:
         """Right-hand side G: outgoing traces of the true local sources.
 
-        Keeps the load and, on each strip that keeps columns, its field,
+        Keeps the load and, on each strip that keeps X, its field,
         for reconstruct (module docstring).
         """
         load, fields = _add_edge_loads(self.grid, f, self._edges), {}
@@ -407,8 +417,8 @@ class SubstructuredSystem:
 
         Each strip solves with its trace data and the true sources; the
         global field takes each strip's values on its owned cut columns.
-        If the load equals the last source_traces', a strip that keeps
-        columns takes its field from them and the field kept then instead
+        If the load equals the last source_traces', a strip that keeps X
+        takes its field from it and the field kept then instead
         (module docstring), all such strips of one key in one product.
         """
         self._sweep = None
@@ -417,9 +427,9 @@ class SubstructuredSystem:
         t = h.blocks
         source = self._source
         fields = source[1] if source is not None and np.array_equal(load, source[0]) else {}
-        by_columns = {}
+        by_x = {}
         for s in fields:
-            by_columns.setdefault(id(self.solvers[s].kept), []).append(s)
+            by_x.setdefault(id(self.solvers[s].kept), []).append(s)
 
         def owned(s):
             """Strip s's owned columns, in u and in the strip's field."""
@@ -439,11 +449,9 @@ class SubstructuredSystem:
             (n, nb), m = x.shape, 2 * len(strips)
             d = np.empty((nb, m), np.complex128, order="F")
             for j, s in enumerate(strips):
-                # S of the last column and of the first
-                last, first = self.solvers[s].stencil.row_scale[[-1, 0]] * (2.0 / self.grid.h)
-                left, right = self._data(t, s)
-                d[:, 2 * j] = last * right
-                d[:, 2 * j + 1] = first * left
+                # S_r d_r and S_l d_l
+                d[:, 2 * j:2 * j + 2] = (self.solvers[s].stencil.datum_scale[::-1]
+                                         * self._data(t, s)[::-1]).T
             y = np.empty((n, m), np.complex128, order="F")
             one, zero = np.ones(1, np.complex128), np.zeros(1, np.complex128)
             # C-ordered X is X^T to BLAS
@@ -458,7 +466,7 @@ class SubstructuredSystem:
                     sv.kept_count += 1
 
         # the products first: each takes longer than a solve
-        tasks = ([functools.partial(superpose, strips) for strips in by_columns.values()]
+        tasks = ([functools.partial(superpose, strips) for strips in by_x.values()]
                  + [functools.partial(fill, s) for s in range(self.nstrips) if s not in fields])
         _map(lambda i: tasks[i](), len(tasks))
         return u

@@ -488,44 +488,40 @@ def test_ctypes_tbsv_is_scipy_tbsv_bitwise(rng, ny, cells):
 
 
 @pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
-def test_tail_inverse_matches_full_solves(rng, ny, cells):
-    # R[i] = A^-1[n - kl:, panel p] for p = panels[i], any order, repeats
-    # included; by symmetry, rows of panel p of the solves of the last kl
-    # unit vectors
+def test_tail_inverse_matches_full_solves(ny, cells):
+    # the rows of X = A^-1 [0; I] from panel first on are those of the
+    # solves of the last kl unit vectors, for the first panel, a middle one
+    # and the last
     diagonals, a, band = helmholtz_strip(ny, cells)
     lu = BandedLU(diagonals)
     n, kl = lu.n, lu.kl
     last = n // kl - 1
     assert n % kl == 0 and kl == band
     units = np.eye(n, dtype=np.complex128)[:, n - kl:]
-    x = np.stack([lu.solve(e) for e in units.T])
-    panels = [last, 0, 3, last - 1, 3, *rng.integers(0, last + 1, 4)]
-    r = lu.tail_inverse(panels)
-    assert r.shape == (len(panels), kl, kl)
-    for got, p in zip(r, panels):
-        want = x[:, p * kl:(p + 1) * kl]
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    # the trailing panel alone stops after it: the rows it returns are those
-    # of the whole pass
-    assert np.array_equal(lu.tail_inverse([last])[0], r[0])
+    want = np.stack([lu.solve(e) for e in units.T], axis=1)
+    for first in (0, last // 2, last):
+        x = lu.tail_inverse(first)
+        assert x.shape == (n - first * kl, kl)
+        rows = want[first * kl:]
+        assert np.linalg.norm(x - rows) <= 1e-13 * np.linalg.norm(rows)
 
 
 @pytest.mark.parametrize("ny, cells", STRIPS.values(), ids=STRIPS.keys())
 def test_tail_inverse_of_every_panel_is_x_in_place(ny, cells):
-    # asked for every panel in order, R is X = A^-1 [0; I] in C order, with
-    # no copy; each panel is bitwise the one a shorter pass returns
+    # X is built in place, C-ordered, in memory of its own: each panel's
+    # Fortran-ordered block is a view of it; a shorter pass returns
+    # bitwise the rows of the whole one
     lu = BandedLU(helmholtz_strip(ny, cells)[0])
     n, kl = lu.n, lu.kl
-    r = lu.tail_inverse(range(n // kl))
-    assert all(block.flags.f_contiguous for block in r)
-    x = r.transpose(0, 2, 1).reshape(n, kl)
-    assert np.shares_memory(x, r) and x.flags.c_contiguous
-    units = np.eye(n, dtype=np.complex128)[:, n - kl:]
-    want = np.stack([lu.solve(e) for e in units.T], axis=1)
-    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
-    panels = [3, 1, n // kl - 1, 3]
-    assert all(got.tobytes() == r[p].tobytes()
-               for got, p in zip(lu.tail_inverse(panels), panels))
+    x = lu.tail_inverse()
+    assert x.shape == (n, kl) and x.flags.c_contiguous
+    panels = x.reshape(-1, kl, kl).transpose(0, 2, 1)
+    assert np.shares_memory(panels, x) and all(p.flags.f_contiguous for p in panels)
+    assert not np.shares_memory(x, lu.factor)
+    for first in (1, 3, n // kl - 1):
+        part = lu.tail_inverse(first)
+        assert part.flags.c_contiguous and not np.shares_memory(part, x)
+        assert part.tobytes() == x[first * kl:].tobytes()
 
 
 def test_tail_inverse_needs_an_ldlt_factor_of_whole_panels(rng):
@@ -535,15 +531,15 @@ def test_tail_inverse_needs_an_ldlt_factor_of_whole_panels(rng):
     assert odd.ldlt and odd.n % odd.kl
     for lu, message in ((pivoted, "stored as LU"), (odd, "order 301, kl 3")):
         with pytest.raises(ValueError, match=message):
-            lu.tail_inverse([0])
+            lu.tail_inverse(0)
 
 
 def test_tail_panels_out_of_range_rejected():
     lu = BandedLU(helmholtz_strip(*STRIPS["ny<=w"])[0])
     last = lu.n // lu.kl - 1
-    for panels in ([-1], [last + 1], [0, last + 1], []):
-        with pytest.raises(ValueError, match=f"must be some of 0..{last}"):
-            lu.tail_inverse(panels)
+    for first in (-1, last + 1):
+        with pytest.raises(ValueError, match=f"first panel {first} must lie in 0..{last}"):
+            lu.tail_inverse(first)
 
 
 def test_bad_rhs_shape_rejected(rng):

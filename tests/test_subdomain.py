@@ -157,7 +157,7 @@ def test_solves_leave_their_data_alone_and_return_fresh_arrays(rng):
     cases = [(left, right, load), (left, right, None), (None, right, None), (left, None, None)]
     for call in (solver.solve, solver.respond):
         if call == solver.respond:
-            solver.blocks = solver.form_blocks(solver.lu.tail_inverse(solver.columns))
+            solver.blocks = solver.form_blocks(solver.lu.tail_inverse(solver.first))
         for args in cases:
             first = call(*args)
             again = np.array(first)
@@ -220,7 +220,7 @@ def test_concurrent_solves_of_one_strip_lose_no_count(rng):
     # (left data, no left blocks) or of block products (right data)
     grid, kfield, bc, decomp = small_setup()
     solver = LocalSolver(grid, kfield, bc, decomp, 2)
-    blocks = solver.form_blocks(solver.lu.tail_inverse(solver.columns))
+    blocks = solver.form_blocks(solver.lu.tail_inverse(solver.first))
     solver.blocks = {"right": blocks["right"]}
     d = rng.standard_normal(grid.ny + 1) + 1j * rng.standard_normal(grid.ny + 1)
     threads, solves = 4, 200

@@ -637,6 +637,41 @@ def test_map_runs_strips_on_the_caller_and_a_pool_thread(monkeypatch, n):
     assert any(t.name.startswith("helmsweep-strip") for t in first)
 
 
+def test_strip_threads_run_scipy_blas_on_one_thread(monkeypatch):
+    # a count is read through the one it returns when set; it is the
+    # library's, so the caller's count shows on a pool thread too.  The
+    # caller and a pool thread each take a strip, the caller's ending first:
+    # both run on one BLAS thread, and the count comes back once the pool
+    # thread's strip has ended too
+    threads_local = banded._blas_threads_local()
+
+    def count():
+        had = threads_local(1)
+        threads_local(had)
+        return had
+
+    if count() is None:
+        pytest.skip("scipy's OpenBLAS has no settable thread count")
+    meet = two_threads_take_the_first_strips(monkeypatch)
+    caller = threading.current_thread()
+
+    def record(s):
+        meet(s)
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)
+        return threading.current_thread(), count()
+
+    before = threads_local(2)
+    try:
+        seen = dict(substructure._map(record, 2))
+        assert count() == 2
+        assert substructure._pool.submit(count).result() == 2
+    finally:
+        threads_local(before)
+    assert caller in seen and len(seen) == 2
+    assert list(seen.values()) == [1, 1]
+
+
 def test_pool_leaves_one_worker_to_the_caller():
     assert substructure._pool._max_workers == max(1, substructure.WORKERS - 1)
 
@@ -804,6 +839,13 @@ def test_forked_child_gets_its_own_strip_pool():
         assert pool.map_async(_counts, [spec]).get(timeout=30) == [counts]
 
 
+def as_the_system_builds(call):
+    """call(), run as SubstructuredSystem factors its strips and builds
+    their blocks: through _map, on one scipy BLAS thread, whose bits can
+    differ from several threads'."""
+    return substructure._map(lambda _: call(), 1)[0]
+
+
 def quickstart_system(problem, **overrides):
     spec = ProblemSpec(**{**dict(problem=problem, k=20.0, subdomains=5, overlap_cells=4,
                                  nppwl=16, tolerances=(1e-6,)), **overrides})
@@ -899,14 +941,15 @@ def test_edge_strips_build_few_panels(rng, monkeypatch):
     built = []
     tail_inverse = BandedLU.tail_inverse
     monkeypatch.setattr(BandedLU, "tail_inverse",
-                        lambda lu, panels: built.append(panels) or tail_inverse(lu, panels))
+                        lambda lu, first: built.append(first) or tail_inverse(lu, first))
     system = quickstart_system("waveguide")
     n, nb, m = system.nstrips, system.grid.ny + 1, 4
     for s in (0, n - 1):
         sv = system.solvers[s]
         w = sv.stencil.w
-        assert sv.columns == (w - m - 1, w - m, w - m + 1)
-    assert sorted(built, key=len) == [system.solvers[0].columns, system.solvers[1].columns]
+        assert sv.first == w - m - 1
+        assert sv.lu.n // nb - sv.first == m + 2
+    assert sorted(built) == [system.solvers[1].first, system.solvers[0].first] == [0, w - m - 1]
     d = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
     for s, data, i in [(0, dict(right=d), 0), (n - 1, dict(left=d), 1)]:
         got = system.solvers[s].respond(**data)
@@ -921,7 +964,7 @@ def test_wedge_responses_are_full_solves_bitwise(rng):
     system = quickstart_system("wedge", k=None, omega=30.0, nppwl=8, overlap_cells=2)
     nb = system.grid.ny + 1
     for s, sv in enumerate(system.solvers):
-        assert (sv.xy, sv.columns, sv.blocks) == (False, None, None)
+        assert (sv.xy, sv.first, sv.blocks) == (False, None, None)
         left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
         data = {side: d for side, d in (("left", left), ("right", right))
                 if getattr(sv, "has_" + side)}
@@ -975,9 +1018,11 @@ def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
     system = quickstart_system("waveguide")
     nb = system.grid.ny + 1
     for s, sv in enumerate(system.solvers):
-        fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
+        fresh = as_the_system_builds(
+            lambda: LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1))
         assert fresh.lu is not sv.lu and fresh.lu.factor.tobytes() == sv.lu.factor.tobytes()
-        fresh.blocks = fresh.form_blocks(fresh.lu.tail_inverse(fresh.columns))
+        fresh.blocks = as_the_system_builds(
+            lambda: fresh.form_blocks(fresh.lu.tail_inverse(fresh.first)))
         assert fresh.blocks is not sv.blocks
         left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
         cases = [dict(left=left), dict(right=right), dict(left=left, right=right)]
@@ -1016,8 +1061,9 @@ def test_strips_share_exactly_when_their_keys_are_equal(problem, nstrips):
     for s, sv in enumerate(solvers):
         if sv.blocks is None:
             continue
-        fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
-        own = fresh.form_blocks(fresh.lu.tail_inverse(fresh.columns))
+        fresh = as_the_system_builds(
+            lambda: LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1))
+        own = as_the_system_builds(lambda: fresh.form_blocks(fresh.lu.tail_inverse(fresh.first)))
         assert own.keys() == sv.blocks.keys()
         assert all(own[side].tobytes() == sv.blocks[side].tobytes() for side in own)
     if problem == "cavity":
@@ -1156,6 +1202,7 @@ def test_kept_columns_are_the_interior_build_itself():
     units = np.eye(sv.stencil.nloc, dtype=np.complex128)[:, -nb:]
     want = np.stack([sv.lu.solve(e) for e in units.T], axis=1)
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
-    fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, 2)
-    own = fresh.form_blocks(fresh.lu.tail_inverse(fresh.columns))
+    fresh = as_the_system_builds(
+        lambda: LocalSolver(system.grid, system.kfield, system.bc, system.decomp, 2))
+    own = as_the_system_builds(lambda: fresh.form_blocks(fresh.lu.tail_inverse(fresh.first)))
     assert all(own[side].tobytes() == sv.blocks[side].tobytes() for side in own)

@@ -24,7 +24,8 @@ through ``adapter.setup`` and records:
   with the pivots, the bytes of the distinct block sets that answer
   responses without a solve and the seconds of one more pass of the builds
   they are formed from (BandedLU.tail_inverse, once per distinct factor
-  and columns), the bytes of the distinct kept columns that reconstruct
+  and first node column, or tuple of node columns on a checkout from before
+  LocalSolver.first), the bytes of the distinct kept X that reconstruct
   takes interior fields from (0 for a checkout that keeps none), the
   strips that store only the L D L^T band rows, (bandwidth + 1) * n * 16
   bytes, and the strips with blocks;
@@ -134,10 +135,13 @@ def block_layout(problem) -> tuple:
     builds they are formed from, strips with blocks)."""
     blocked = [sv for sv in problem.system.solvers if sv.blocks]
     sets = {id(sv.blocks): sum(b.nbytes for b in sv.blocks.values()) for sv in blocked}
-    builds = {(id(sv.lu), sv.columns): sv for sv in blocked}
+    # what tail_inverse takes: a strip's first node column of X, or, on a
+    # checkout from before first, its tuple of node columns
+    builds = {(id(sv.lu), sv.first if hasattr(sv, "first") else sv.columns): sv
+              for sv in blocked}
     t0 = time.perf_counter()
-    for sv in builds.values():
-        sv.lu.tail_inverse(sv.columns)
+    for (_, at), sv in builds.items():
+        sv.lu.tail_inverse(at)
     return sum(sets.values()), time.perf_counter() - t0, len(blocked)
 
 
