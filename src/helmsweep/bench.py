@@ -227,7 +227,7 @@ class BenchContext:
         # converged means ||g - (Id - T) h|| <= tol ||g||, checked with a full
         # exchange rather than taken from the solver's own recurrence
         g, g_norm = self.g.data, float(np.linalg.norm(self.g.data))
-        true_residual = float(np.linalg.norm(g - (h.data - system.apply_exchange(h).data)))
+        true_residual = float(np.linalg.norm(g - system.apply_interface_system(h).data))
         if g_norm > 0:
             true_residual /= g_norm
         converged = report.converged and true_residual <= tol

@@ -48,13 +48,22 @@ waveguide's and cavity's interior strips are) has first 0 and keeps all of
 X: kept, the C-ordered (n, nb) array that BandedLU.tail_inverse(0) returns
 and its blocks are formed from.  The field of data d_l, d_r and a load is
 then v + X S_r d_r + P X S_l d_l, v the field of the load alone, so a
-field costs a product with X instead of a strip solve once v is known:
-source_traces keeps v, and reconstruct on the same load uses it
-(substructure.py).  That costs about one factor's bytes more per key whose
-strips send both ways (7,982,208 bytes on a waveguide-osds interior strip,
-whose factor stores 8,084,736), and a build of all its panels instead of
-those its sends read (82 instead of 79 there, 16.5 ms against 14.8 ms on
-one BLAS thread).  An edge strip sends one trace a few columns in from its
+field costs a product with X instead of a strip solve once v is known.
+Such a strip keeps a record of its last response to a load alone, as
+source_traces makes: the columns of the load it reads, load[a:b+1], all
+that v depends on, and v.  Responses to data leave the record alone, and
+the next response to a load alone replaces it.  kept_field(load) returns v
+when load's columns are bitwise the kept ones, and None otherwise;
+reconstruct takes the field of each strip that returns one as v plus the
+products with X, one zgemm per key over all its strips, beside the solves
+of the other strips (substructure.py).  So a waveguide shot costs N strip
+solves for its source traces and 2, on the edge strips, for its field,
+where it cost 2N; the wedge keeps no X, and its shots cost 2N solves.
+Keeping X costs about one factor's bytes more per key whose strips send
+both ways (7,982,208 bytes on a waveguide-osds interior strip, whose
+factor stores 8,084,736), and a build of all its panels instead of those
+its sends read (82 instead of 79 there, 16.5 ms against 14.8 ms on one
+BLAS thread).  An edge strip sends one trace a few columns in from its
 datum, so its build stops there, at first: all of its X would cost 7.8 MB
 and about 15 ms more set-up (16.3 ms against 1.1 ms) for one solve a shot,
 so it stays out.
@@ -113,7 +122,7 @@ class LocalSolver:
     array its blocks are formed from, one object on strips of one key.
     Each strip counts its own work: factor_count (1), solve_count,
     block_count, the responses answered by block products, and kept_count,
-    the fields reconstruct took from kept.
+    the fields kept_field returned.
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
@@ -157,6 +166,9 @@ class LocalSolver:
                       min(self._window(side, column) for side in self._sides
                           for column, _ in filter(None, self.sends)))
         self.blocks = self.kept = None
+        # (load[a:b+1], its field) of the last response to a load alone, on
+        # a strip that keeps X (module docstring)
+        self._load_field = None
         self.factor_count = 1
         self.solve_count = self.block_count = self.kept_count = 0
         # the two sweeps of solve_oneway respond on the interior strips at once
@@ -250,13 +262,20 @@ class LocalSolver:
         With no load, some data and a block for each datum side given, they
         are block products, which check no datum: one not of shape (ny+1,)
         fails in the product, or broadcasts.  Otherwise they are read off a
-        full solve.
+        full solve, whose field a strip that keeps X keeps for kept_field
+        when the load comes alone.
         """
         blocks = self.blocks
         if (load is not None or blocks is None or (left is None and right is None)
                 or (left is not None and "left" not in blocks)
                 or (right is not None and "right" not in blocks)):
-            return self.sent(self.solve(left, right, load))
+            v = self.solve(left, right, load)
+            if self.kept is not None and load is not None and left is None and right is None:
+                a, b = self.span
+                self._load_field = (load[a:b + 1].copy(), v)
+            return tuple(None if x is None else
+                         extract_trace(v, self.span, *x, self.kfield, self.grid.h)
+                         for x in self.sends)
         # bitwise the products' sum added onto zeros: a product holds no
         # -0.0 for a zero to turn into +0.0
         out = blocks["left"] @ left if left is not None else blocks["right"] @ right
@@ -268,11 +287,17 @@ class LocalSolver:
             return out[0], None
         return (None, out[0]) if self.sends[0] is None else (out[0], out[1])
 
-    def sent(self, v: ComplexArray) -> tuple:
-        """The traces (to_right, to_left) the strip's field v sends."""
-        return tuple(None if x is None else
-                     extract_trace(v, self.span, *x, self.kfield, self.grid.h)
-                     for x in self.sends)
+    def kept_field(self, load: ComplexArray) -> ComplexArray | None:
+        """The field kept from the last response to a load alone, if load's
+        columns are bitwise the ones it was kept for (counted in
+        kept_count), else None."""
+        record = self._load_field
+        a, b = self.span
+        if record is None or not np.array_equal(load[a:b + 1], record[0]):
+            return None
+        with self._count_lock:
+            self.kept_count += 1
+        return record[1]
 
 
 def _column_reversal_invariant(d: dict, columns: int) -> bool:

@@ -43,17 +43,6 @@ the waveguide a GMRES iteration costs 0 strip solves, with jacobi, ds or
 osds.  On the wedge, whose strips are numbered along x, it costs N with
 jacobi, 2N-2 with osds and 3N-2 with ds.
 
-source_traces keeps a second record, (load, fields): its load and the
-field of that load on each strip that keeps its X = A^-1 [0; I]
-(LocalSolver.keeps).  Operator calls leave it alone, and the next
-source_traces replaces it.  reconstruct on a load bitwise equal to the
-kept one takes each such strip's field as the kept field plus products
-with the kept X, one zgemm per key over all its strips, beside the
-solves of the other strips; on any other load every strip solves.  So a
-waveguide shot costs N strip solves for its source traces and 2, on the
-edge strips, for its field, where it cost 2N.  The wedge keeps no X, and
-its shots cost 2N solves as before.
-
 Strip work that does not depend on other strips runs concurrently, on
 WORKERS threads, one per CPU the process may run on: the calling thread
 and a pool of WORKERS - 1 (at least one).  The N strip constructions
@@ -74,13 +63,12 @@ sweep reads what the forward one wrote.  Each solve does the same
 arithmetic and writes the same block as in a serial run, and each
 factorization is the serial one, so every result is bitwise the same.  A
 failure is raised once every strip of the call is done, the first in strip
-order.  While _map runs, scipy's OpenBLAS, where the band kernels run,
-runs on one thread (banded._blas_threads_local), and once every strip of
-the call has ended it gets back the count it had.  That count is the
-library's, shared by every thread of the process, so scipy BLAS calls on
-other threads run on one thread meanwhile too, and of two _map calls
-running at once on different threads, the first to end restores the count
-while the other still runs (no helmsweep operator does that).  A BLAS
+order.  While any _map runs, scipy's OpenBLAS, where the band kernels run,
+runs on one thread (banded._blas_threads_local): the first of the _map
+calls running at once, on any threads, sets it, and the last to end
+restores the count it had.  That count is the library's, shared by every
+thread of the process, so scipy BLAS calls on other threads run on one
+thread meanwhile too.  A BLAS
 thread per CPU beside each strip thread made the set-up of waveguide k=40,
 N=10, osds take 4.1-4.6 s on 2 shared cores, against 1.5-1.6 s with one.
 
@@ -139,6 +127,8 @@ def _new_pool() -> None:
 _new_pool()
 # a forked child inherits the pool but none of its threads
 os.register_at_fork(after_in_child=_new_pool)
+# the _map calls running, and scipy's BLAS thread count before the first
+_pinned, _pin_lock = [0, None], threading.Lock()
 
 
 def _map(fn, n: int, queue: list | None = None) -> list:
@@ -147,8 +137,8 @@ def _map(fn, n: int, queue: list | None = None) -> list:
     argument to queue; they are taken after the last strip, from the same
     hand-out, and their results dropped.  The first failure, in strip
     order and then in queue order, is raised once every call has ended.
-    scipy's OpenBLAS runs on one thread until then, and then on the count
-    it had (module docstring)."""
+    scipy's OpenBLAS runs on one thread until the last _map running ends
+    (module docstring)."""
     queue = [] if queue is None else queue
     results, errors = [None] * n, {}
     taken, lock = [0], threading.Lock()
@@ -170,7 +160,10 @@ def _map(fn, n: int, queue: list | None = None) -> list:
             except BaseException as err:  # raised below, as a future would
                 errors[s] = err
 
-    threads = _blas_threads_local()(1)
+    with _pin_lock:
+        if _pinned[0] == 0:
+            _pinned[1] = _blas_threads_local()(1)
+        _pinned[0] += 1
     try:
         helpers = [_pool.submit(take) for _ in range(min(n, WORKERS) - 1)]
         take()
@@ -179,7 +172,10 @@ def _map(fn, n: int, queue: list | None = None) -> list:
             if not f.cancel():
                 f.result()
     finally:
-        _blas_threads_local()(threads)
+        with _pin_lock:
+            _pinned[0] -= 1
+            if _pinned[0] == 0:
+                _blas_threads_local()(_pinned[1])
     if errors:
         raise errors[min(errors)]
     return results
@@ -193,33 +189,24 @@ def _each(fn, n: int) -> list:
 
 @dataclass
 class TraceVector:
-    """Stacked interface data: the flat array data, on which the solvers do
-    their vector arithmetic, and its block view.
-
-    layout is the (2, N-1, ny+1) block shape of SubstructuredSystem.layout.
+    """Stacked interface data as the public operators take and return it:
+    the flat array data, on which the solvers do their vector arithmetic,
+    and layout, the (2, N-1, ny+1) block shape of SubstructuredSystem.layout
+    that data reshapes to.
     """
 
     layout: tuple[int, int, int]
     data: ComplexArray
-
-    @classmethod
-    def zeros(cls, layout: tuple[int, int, int]) -> "TraceVector":
-        return cls(layout, np.zeros(layout, dtype=np.complex128).ravel())
-
-    @property
-    def blocks(self) -> ComplexArray:
-        """data as a (2, N-1, ny+1) view: [0, i-2] is strip i's left datum,
-        [1, i-1] its right datum."""
-        return self.data.reshape(self.layout)
 
 
 class SubstructuredSystem:
     """Factored strips plus the interface operators built on them.
 
     Every operator is a pattern of solvers[s].respond, the traces strip s
-    sends to its neighbors; reconstruct keeps the fields.  Strips are
-    indexed from 0 here: strip s reads its data from blocks[0, s-1] and
-    blocks[1, s], and sends to blocks[0, s] and blocks[1, s-1].
+    sends to its neighbors; reconstruct keeps the fields.  Inside, traces
+    are (2, N-1, ny+1) arrays t, data reshaped.  Strips are indexed from 0
+    here: strip s reads its data from t[0, s-1] and t[1, s], and sends to
+    t[0, s] and t[1, s-1].
     """
 
     def __init__(self, grid: Grid, kfield: WavenumberField, bc: BoundarySpec,
@@ -237,10 +224,9 @@ class SubstructuredSystem:
         self._edges = list(_edge_loads(grid, bc))
         self.decomp = decomp
         self.nstrips = decomp.nstrips
-        # shared by stencil key: the factor, the rows of its X that blocks
-        # are formed from (built once per (key, first), queued behind the
-        # factorizations) and the block sets
-        keys = [None] * decomp.nstrips
+        # shared by stencil key: the factor, then, by the factor, the rows
+        # of its X that blocks are formed from (built once per (factor,
+        # first), queued behind the factorizations) and the block sets
         factors, xs, sets, queue, lock = {}, {}, {}, [], threading.Lock()
 
         def build_x(at, lu):
@@ -248,22 +234,22 @@ class SubstructuredSystem:
 
         def build(s):
             sv = LocalSolver(grid, kfield, bc, decomp, s + 1)
-            keys[s] = key = sv.stencil.key()
+            key = sv.stencil.key()
             with lock:
                 sv.lu = factors.setdefault(key, sv.lu)
-                at = (key, sv.first)
+                at = (id(sv.lu), sv.first)
                 if sv.first is not None and at not in xs:
                     xs[at] = None
                     queue.append(functools.partial(build_x, at, sv.lu))
             return sv
 
         self.solvers = _map(build, decomp.nstrips, queue)
-        for key, sv in zip(keys, self.solvers):
+        for sv in self.solvers:
             if sv.first is not None:
-                x = xs[key, sv.first]
+                x = xs[id(sv.lu), sv.first]
                 # with the matrix, the sends fix the datum sides with blocks
-                at = (key, sv.first, tuple(None if t is None else (t[0] - sv.span[0], t[1])
-                                           for t in sv.sends))
+                at = (id(sv.lu), sv.first, tuple(None if t is None else (t[0] - sv.span[0], t[1])
+                                                 for t in sv.sends))
                 if at not in sets:
                     sets[at] = sv.form_blocks(x)
                 sv.blocks = sets[at]
@@ -280,30 +266,24 @@ class SubstructuredSystem:
         # (r, y, partial R y) of the last solve_oneway, for one
         # apply_interface_system on y
         self._sweep = None
-        # (load, {strip: field}) of the last source_traces, the fields of
-        # the strips that keep X, for reconstruct on that load
-        self._source = None
 
     def _data(self, t, s: int):
-        """Strip s's (left, right) data in the block view t."""
+        """Strip s's (left, right) data in the traces t."""
         return (t[0, s - 1] if s > 0 else None,
                 t[1, s] if s < self.nstrips - 1 else None)
 
-    def _exchange(self, t=None, load=None, fields=None) -> TraceVector:
-        """Every strip responds once to its data in t (none if t is None)
-        and load; fields, if given, takes the field of each strip that
-        keeps X."""
+    def _vector(self, t) -> TraceVector:
+        return TraceVector(self.layout, t.ravel())
+
+    def _exchange(self, t=None, load=None) -> ComplexArray:
+        """The traces every strip sends, responding once to its data in t
+        (none if t is None) and load."""
         self._sweep = None
-        out = TraceVector.zeros(self.layout)
-        o = out.blocks
+        o = np.zeros(self.layout, dtype=np.complex128)
 
         def respond(s):
-            sv = self.solvers[s]
             left, right = (None, None) if t is None else self._data(t, s)
-            if fields is None or sv.kept is None:
-                return sv.respond(left, right, load)
-            fields[s] = v = sv.solve(left, right, load)
-            return sv.sent(v)
+            return self.solvers[s].respond(left, right, load)
 
         run = _each if load is None and self._serial_sweeps and self._serial_edges else _map
         for s, (to_right, to_left) in enumerate(run(respond, self.nstrips)):
@@ -311,11 +291,11 @@ class SubstructuredSystem:
                 o[0, s] = to_right
             if to_left is not None:
                 o[1, s - 1] = to_left
-        return out
+        return o
 
     def apply_exchange(self, h: TraceVector) -> TraceVector:
         """Full exchange T: one strip solve each, both outgoing traces."""
-        return self._exchange(h.blocks)
+        return self._vector(self._exchange(h.data.reshape(self.layout)))
 
     def apply_interface_system(self, h: TraceVector) -> TraceVector:
         """(Id - T) h, the substructured system operator.
@@ -326,29 +306,23 @@ class SubstructuredSystem:
         """
         sweep, self._sweep = self._sweep, None
         if sweep is None or not np.array_equal(h.data, sweep[1]):
-            return TraceVector(self.layout, h.data - self.apply_exchange(h).data)
+            return TraceVector(self.layout,
+                               h.data - self._exchange(h.data.reshape(self.layout)).ravel())
         r, y, ry = sweep
         n = self.nstrips
-        t, o = y.reshape(self.layout), ry.blocks
+        t = y.reshape(self.layout)
         first, last = (_each if self._serial_edges else _map)(
             lambda i: self.solvers[0].respond(right=t[1, 0]) if i == 0
             else self.solvers[n - 1].respond(left=t[0, n - 2]), 2)
-        o[0, 0], o[1, n - 2] = first[0], last[1]
-        return TraceVector(self.layout, r - ry.data)
+        ry[0, 0], ry[1, n - 2] = first[0], last[1]
+        return TraceVector(self.layout, r - ry.ravel())
 
     def source_traces(self, f=None) -> TraceVector:
-        """Right-hand side G: outgoing traces of the true local sources.
-
-        Keeps the load and, on each strip that keeps X, its field,
-        for reconstruct (module docstring).
-        """
-        load, fields = _add_edge_loads(self.grid, f, self._edges), {}
-        g = self._exchange(load=load, fields=fields)
-        self._source = (load, fields) if fields else None
-        return g
+        """Right-hand side G: outgoing traces of the true local sources."""
+        return self._vector(self._exchange(load=_add_edge_loads(self.grid, f, self._edges)))
 
     def _forward(self, o, a) -> None:
-        """Forward substitution sweep, in place on block views o and a.
+        """Forward substitution sweep, in place on traces o and a.
 
         Replaces o's left blocks by the solution x of (Id - M_l) x = o_l and
         puts into a's right blocks the reflections A_r x the sweep produced
@@ -358,11 +332,11 @@ class SubstructuredSystem:
             to_right, a[1, s - 1] = self.solvers[s].respond(left=o[0, s - 1])
             o[0, s] += to_right
 
-    def _start(self, r: TraceVector) -> tuple[TraceVector, TraceVector]:
-        """A copy of r and zero reflections, for the sweeps to fill in."""
+    def _start(self, r: TraceVector) -> tuple[ComplexArray, ComplexArray]:
+        """A copy of r's traces and zero reflections, for the sweeps to fill in."""
         self._sweep = None
-        return (TraceVector(self.layout, np.array(r.data, dtype=np.complex128)),
-                TraceVector.zeros(self.layout))
+        return (np.array(r.data, dtype=np.complex128).reshape(self.layout),
+                np.zeros(self.layout, dtype=np.complex128))
 
     def solve_oneway(self, r: TraceVector) -> TraceVector:
         """Invert Id - (M_l + M_r) by two independent substitution sweeps.
@@ -372,8 +346,7 @@ class SubstructuredSystem:
         sweeps produce on the way are kept for the next
         apply_interface_system (see the module docstring).
         """
-        out, reflected = self._start(r)
-        o, a = out.blocks, reflected.blocks
+        o, a = self._start(r)
 
         def sweep(i):
             if i == 0:
@@ -383,9 +356,8 @@ class SubstructuredSystem:
                 o[1, s - 1] += to_left
 
         (_each if self._serial_sweeps else _map)(sweep, 2)
-        self._sweep = (np.array(r.data, dtype=np.complex128), out.data.copy(),
-                       reflected)
-        return out
+        self._sweep = (np.array(r.data, dtype=np.complex128), o.ravel().copy(), a)
+        return self._vector(o)
 
     def solve_double_sweep(self, r: TraceVector) -> TraceVector:
         """Forward sweep on left data, then a backward sweep carrying both.
@@ -400,33 +372,32 @@ class SubstructuredSystem:
         has not yet overwritten.
         """
         n = self.nstrips
-        rl = r.blocks[0]
-        out, reflected = self._start(r)
-        o = out.blocks
-        self._forward(o, reflected.blocks)
+        rl = r.data.reshape(self.layout)[0]
+        o, a = self._start(r)
+        self._forward(o, a)
         for s in range(n - 1, -1, -1):
             to_right, to_left = self.solvers[s].respond(*self._data(o, s))
             if s > 0:
                 o[1, s - 1] += to_left
             if s < n - 1:
                 o[0, s] = rl[s] + to_right
-        return out
+        return self._vector(o)
 
     def reconstruct(self, h: TraceVector, f=None) -> ComplexArray:
         """Assemble the volume solution from converged traces.
 
         Each strip solves with its trace data and the true sources; the
         global field takes each strip's values on its owned cut columns.
-        If the load equals the last source_traces', a strip that keeps X
-        takes its field from it and the field kept then instead
-        (module docstring), all such strips of one key in one product.
+        A strip whose kept_field(load) is known takes its field from it and
+        its kept X instead (subdomain.py), all such strips of one key in one
+        product.
         """
         self._sweep = None
         load = _add_edge_loads(self.grid, f, self._edges)
         u = np.zeros(self.grid.shape, dtype=np.complex128)
-        t = h.blocks
-        source = self._source
-        fields = source[1] if source is not None and np.array_equal(load, source[0]) else {}
+        t = h.data.reshape(self.layout)
+        fields = {s: v for s, v in enumerate(sv.kept_field(load) for sv in self.solvers)
+                  if v is not None}
         by_x = {}
         for s in fields:
             by_x.setdefault(id(self.solvers[s].kept), []).append(s)
@@ -458,12 +429,9 @@ class SubstructuredSystem:
             _zgemm(b"T", b"N", *_ints(n, m, nb), one.ctypes.data, x.ctypes.data, *_ints(nb),
                    d.ctypes.data, *_ints(nb), zero.ctypes.data, y.ctypes.data, *_ints(n))
             for j, s in enumerate(strips):
-                sv = self.solvers[s]
-                right, left = (sv.stencil.to_grid(y[:, i]) for i in (2 * j, 2 * j + 1))
+                right, left = (self.solvers[s].stencil.to_grid(y[:, i]) for i in (2 * j, 2 * j + 1))
                 into, cols = owned(s)
                 u[into] = fields[s][cols] + right[cols] + left[::-1][cols]
-                with sv._count_lock:
-                    sv.kept_count += 1
 
         # the products first: each takes longer than a solve
         tasks = ([functools.partial(superpose, strips) for strips in by_x.values()]

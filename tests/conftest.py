@@ -41,7 +41,7 @@ def dense_matrix(op, layout):
     n = math.prod(layout)
     mat = np.zeros((n, n), dtype=np.complex128)
     for j in range(n):
-        e = TraceVector.zeros(layout)
+        e = TraceVector(layout, np.zeros(n, dtype=np.complex128))
         e.data[j] = 1.0
         mat[:, j] = op(e).data
     return mat

@@ -22,7 +22,9 @@ def load_tool():
 def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monkeypatch):
     compare = load_tool()
     monkeypatch.setitem(adapter.WORKLOADS, "tiny", TINY)
-    rec = {"tiny": {**compare.record_workload("tiny"), **compare.record_direct("tiny")}}
+    code = compare.code_lines(ROOT)
+    rec = {compare.CODE: code,
+           "tiny": {**compare.record_workload("tiny"), **compare.record_direct("tiny")}}
 
     # the quick-start whose interior strips pivot; it runs in about a second
     rec["coarse quick-start"] = compare.record_quickstart("coarse quick-start")
@@ -31,7 +33,9 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     lines = compare.report(rec, rec)
     print("\n".join(lines))
     shots = [line for line in lines if line.startswith("tiny shot")]
-    assert len(shots) == len(compare.SHOTS) and len(lines) == len(shots) + 5 + len(paths)
+    assert len(shots) == len(compare.SHOTS) and len(lines) == len(shots) + 6 + len(paths)
+    assert lines[0] == f"code lines of src/helmsweep: {code} -> {code}"
+    lines = lines[1:]
     assert all("g bitwise, h bitwise, field bitwise" in line for line in shots)
     assert all(line.endswith(" MB") for line in shots)
     assert f"strips {TINY['subdomains']} -> {TINY['subdomains']}" in lines[2]
@@ -71,7 +75,9 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     scaled = {k: v * (1 + 1e-10) if k.endswith("/h") else v for k, v in rec["tiny"].items()}
     moved = {k: v * (1 + 1e-9) if k == "gmres ds/field" else v
              for k, v in rec["coarse quick-start"].items()}
-    lines = compare.report(rec, {"tiny": scaled, "coarse quick-start": moved})
+    lines = compare.report(rec, {compare.CODE: code - 1, "tiny": scaled,
+                                 "coarse quick-start": moved})
+    assert lines[0] == f"code lines of src/helmsweep: {code} -> {code - 1}"
     print("\n".join(lines))
     assert all("g bitwise, h 1.00e-10, field bitwise" in line
                for line in lines if line.startswith("tiny shot"))
@@ -79,3 +85,27 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
         "field " + ("1.00e-09" if p == "gmres ds" else "bitwise") for p in paths]
     assert lines[-1] == ("largest relative difference: g bitwise, h 1.00e-10, field bitwise, "
                          "quick-start field 1.00e-09")
+
+
+def test_code_lines_skip_comments_docstrings_and_layout(tmp_path):
+    compare = load_tool()
+    package = tmp_path / "src" / "helmsweep"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # counted: a token besides the comment
+
+
+def f(x):
+    """One-line docstring."""
+    return os.path.join(x,
+                        "y")
+''')
+    (package / "b.py").write_text('''x = """a string that is no docstring,
+over two lines"""
+"""a string statement of its own"""
+''')
+    # import, def, return and its continuation; the assignment's two lines
+    assert compare.code_lines(tmp_path) == 4 + 2

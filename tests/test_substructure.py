@@ -27,6 +27,10 @@ from conftest import (band_diagonals, band_storage, column_reversal_invariant, d
                       dense_parts, make_case, sparse)
 
 
+def zero_traces(system):
+    return TraceVector(system.layout, np.zeros(math.prod(system.layout), np.complex128))
+
+
 def test_layout_slots_and_order():
     system = make_case(4, ny=8)
     assert system.layout == (2, 3, 9)
@@ -35,18 +39,11 @@ def test_layout_slots_and_order():
     # start at flat offsets 9 * slot
     v = TraceVector(system.layout, np.arange(54, dtype=np.complex128))
     order = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert [int(v.blocks[side, j][0].real) for side, j in order] == [0, 9, 18, 27, 36, 45]
-    assert np.shares_memory(v.blocks, v.data)
+    blocks = v.data.reshape(v.layout)
+    assert [int(blocks[side, j][0].real) for side, j in order] == [0, 9, 18, 27, 36, 45]
     one_strip = StripDecomposition(cuts=(0, 8), spans=((0, 8),))
     with pytest.raises(ValueError, match="2 strips"):
         SubstructuredSystem(system.grid, system.kfield, system.bc, one_strip)
-
-
-def test_trace_vector_views_and_arithmetic(rng):
-    lay = (2, 2, 4)
-    v = TraceVector.zeros(lay)
-    v.blocks[0, 0] = 1.0 + 2.0j
-    assert np.all(v.data[:4] == 1.0 + 2.0j) and np.all(v.data[4:] == 0.0)
 
 
 def global_traces(system):
@@ -54,15 +51,15 @@ def global_traces(system):
     grid, kfield, decomp = system.grid, system.kfield, system.decomp
     sysm = assemble_global(grid, kfield, system.bc)
     u = solve_direct(sysm).reshape(grid.shape)
-    h = TraceVector.zeros(system.layout)
+    t = np.zeros(system.layout, dtype=np.complex128)
     span = (0, grid.nx)
     for i in range(2, decomp.nstrips + 1):
         col = decomp.spans[i - 1][0]
-        h.blocks[0, i - 2] = extract_trace(u, span, col, "left", kfield, grid.h)
+        t[0, i - 2] = extract_trace(u, span, col, "left", kfield, grid.h)
     for i in range(1, decomp.nstrips):
         col = decomp.spans[i - 1][1]
-        h.blocks[1, i - 1] = extract_trace(u, span, col, "right", kfield, grid.h)
-    return u, h
+        t[1, i - 1] = extract_trace(u, span, col, "right", kfield, grid.h)
+    return u, TraceVector(system.layout, t.ravel())
 
 
 def test_monodomain_traces_solve_interface_system():
@@ -83,7 +80,7 @@ def test_reconstruct_matches_direct_solve():
 
 def test_exchange_linear_and_zero():
     system = make_case(3)
-    z = system.apply_exchange(TraceVector.zeros(system.layout))
+    z = system.apply_exchange(zero_traces(system))
     assert np.linalg.norm(z.data) == 0.0
     rng = np.random.default_rng(7)
     size = math.prod(system.layout)
@@ -190,8 +187,9 @@ def test_source_traces_local_to_strip_with_data():
     # only strip 1 touches the driven edge, so only its outgoing block is set
     system = make_case(4)
     g = system.source_traces(None)
-    assert np.max(np.abs(g.blocks[0, 0])) > 0.0
-    g.blocks[0, 0] = 0.0
+    blocks = g.data.reshape(g.layout)
+    assert np.max(np.abs(blocks[0, 0])) > 0.0
+    blocks[0, 0] = 0.0
     assert np.max(np.abs(g.data)) == 0.0
 
 
@@ -201,7 +199,7 @@ def test_misshapen_volume_source_rejected(method):
     system = make_case(3)
     nx1, ny1 = system.grid.shape
     call = {"source_traces": system.source_traces,
-            "reconstruct": lambda f: system.reconstruct(TraceVector.zeros(system.layout), f)}
+            "reconstruct": lambda f: system.reconstruct(zero_traces(system), f)}
     for shape in ((nx1, 1), (nx1 + 1, ny1)):
         with pytest.raises(ValueError, match="shape"):
             call[method](np.ones(shape))
@@ -251,7 +249,7 @@ def fixed_point(system, g, preconditioner, tol, maxit):
 
 def test_fixed_point_zero_source():
     system = make_case(3)
-    h, history, converged = fixed_point(system, TraceVector.zeros(system.layout),
+    h, history, converged = fixed_point(system, zero_traces(system),
                                         "jacobi", tol=1e-6, maxit=1000)
     assert converged
     assert history == [0.0]
@@ -672,6 +670,76 @@ def test_strip_threads_run_scipy_blas_on_one_thread(monkeypatch):
     assert list(seen.values()) == [1, 1]
 
 
+def test_overlapping_maps_keep_one_blas_thread_until_the_last_ends():
+    # _map calls on two threads of their own overlap: the first ends while
+    # the second's strip still runs, which reads 1, and the count set
+    # before, 2, is back once both have ended
+    threads_local = banded._blas_threads_local()
+
+    def count():
+        had = threads_local(1)
+        threads_local(had)
+        return had
+
+    if count() is None:
+        pytest.skip("scipy's OpenBLAS has no settable thread count")
+    started, first_ended, seen = threading.Event(), threading.Event(), []
+
+    def first(s):
+        assert started.wait(10)
+
+    def second(s):
+        started.set()
+        assert first_ended.wait(10)
+        seen.append(count())
+
+    def run_first():
+        substructure._map(first, 1)
+        first_ended.set()
+
+    before = threads_local(2)
+    try:
+        with ThreadPoolExecutor(2) as threads:
+            calls = [threads.submit(run_first), threads.submit(substructure._map, second, 1)]
+            for call in calls:
+                call.result()
+        assert count() == 2
+    finally:
+        threads_local(before)
+    assert seen == [1]
+
+
+def test_many_overlapping_maps_restore_the_count_once_all_end():
+    # more threads than cores start and end _map calls at random overlaps,
+    # switching often: every strip reads 1, and the count is back after
+    threads_local = banded._blas_threads_local()
+
+    def count():
+        had = threads_local(1)
+        threads_local(had)
+        return had
+
+    if count() is None:
+        pytest.skip("scipy's OpenBLAS has no settable thread count")
+    seen = []
+
+    def calls(_):
+        for _ in range(200):
+            seen.extend(substructure._map(lambda s: count(), 1))
+
+    interval, before = sys.getswitchinterval(), threads_local(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as threads:
+            for call in [threads.submit(calls, i) for i in range(8)]:
+                call.result(timeout=60)
+        assert count() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        threads_local(before)
+    assert seen == [1] * 1600
+
+
 def test_pool_leaves_one_worker_to_the_caller():
     assert substructure._pool._max_workers == max(1, substructure.WORKERS - 1)
 
@@ -791,7 +859,7 @@ def test_failing_strip_raises_after_the_other_solves(operator, monkeypatch):
     system = make_case(5, **YX)
     meet = two_threads_take_the_first_strips(monkeypatch)
     caller = threading.current_thread()
-    h = TraceVector.zeros(system.layout)
+    h = zero_traces(system)
     apply = {"apply_exchange": lambda: system.apply_exchange(h),
              "source_traces": system.source_traces,
              "reconstruct": lambda: system.reconstruct(h)}[operator]
@@ -1206,3 +1274,85 @@ def test_kept_columns_are_the_interior_build_itself():
         lambda: LocalSolver(system.grid, system.kfield, system.bc, system.decomp, 2))
     own = as_the_system_builds(lambda: fresh.form_blocks(fresh.lu.tail_inverse(fresh.first)))
     assert all(own[side].tobytes() == sv.blocks[side].tobytes() for side in own)
+
+
+def owned_columns(system, strips):
+    """The grid columns the strips own, as a slice list for the field."""
+    return [slice(*system.solvers[s].owned) for s in strips]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_kept_fields_need_only_their_own_load_columns(n, rng):
+    # each interior strip keeps the columns of the load it read: a load that
+    # differs from the kept one only where strip 1 alone reads still gives
+    # every interior strip its kept field, bitwise the one of the kept load,
+    # and a load that differs inside one interior strip's columns makes
+    # that strip solve, and no other interior strip
+    system = make_case(n, cells_per_strip=10)
+    t, f = random_data(system, rng)
+    h = TraceVector(system.layout, t.ravel())
+    system.source_traces(f)
+    kept = system.reconstruct(h, f)
+    interior = range(1, n - 1)
+
+    def field(source):
+        before = (sum(sv.solve_count for sv in system.solvers), kept_fields(system))
+        u = system.reconstruct(h, source)
+        counts = (sum(sv.solve_count for sv in system.solvers) - before[0],
+                  kept_fields(system) - before[1])
+        want = solved_field(system, t, problem_load(system.grid, system.bc, source))
+        assert np.linalg.norm(u - want) <= 1e-13 * np.linalg.norm(want)
+        return u, want, counts
+
+    edge = f.copy()
+    edge[:system.solvers[1].span[0]] *= 2.0
+    u, _, counts = field(edge)
+    assert counts == (2, n - 2)
+    assert all(u[c].tobytes() == kept[c].tobytes() for c in owned_columns(system, interior))
+
+    inside = f.copy()
+    s = n // 2
+    lo, hi = system.solvers[s].owned
+    inside[(lo + hi) // 2] *= 2.0
+    u, want, counts = field(inside)
+    assert counts == (3, n - 3)
+    assert u[lo:hi].tobytes() == want[lo:hi].tobytes()
+    others = [i for i in interior if i != s]
+    assert all(u[c].tobytes() == kept[c].tobytes() for c in owned_columns(system, others))
+
+
+def exchange_from_blocks(system):
+    """The dense exchange T, each strip's response to each datum side from
+    its blocks, and from strip solves of unit data where it has none."""
+    n, layout = system.nstrips, system.layout
+    nb = layout[2]
+    slot = {(side, j): (side * (n - 1) + j) * nb for side in (0, 1) for j in range(n - 1)}
+    t = np.zeros((math.prod(layout),) * 2, np.complex128)
+    for s, sv in enumerate(system.solvers):
+        rows = [slot[0, s]] if sv.has_right else []
+        rows += [slot[1, s - 1]] if sv.has_left else []
+        for side, col, has in (("left", (0, s - 1), sv.has_left),
+                               ("right", (1, s), sv.has_right)):
+            if not has:
+                continue
+            if sv.blocked(side):
+                parts = sv.blocks[side]
+            else:
+                sent = [sv.respond(**{side: e}) for e in np.eye(nb, dtype=np.complex128)]
+                parts = np.stack([np.stack([x for x in out if x is not None]) for out in sent],
+                                 axis=-1)
+            for row, part in zip(rows, parts):
+                t[row:row + nb, slot[col]:slot[col] + nb] = part
+    return t
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("problem", ["waveguide", "cavity"])
+def test_exchange_assembled_from_blocks_matches_probing(problem, n):
+    system = quickstart_system(problem, subdomains=n, **SMALL[problem])
+    assert all(sv.blocks for sv in system.solvers[:-1])
+    # the cavity's last strip has no block: its one datum takes strip solves
+    assert (system.solvers[-1].blocks is None) == (problem == "cavity")
+    want = dense_matrix(system.apply_exchange, system.layout)
+    got = exchange_from_blocks(system)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

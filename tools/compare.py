@@ -24,11 +24,10 @@ through ``adapter.setup`` and records:
   with the pivots, the bytes of the distinct block sets that answer
   responses without a solve and the seconds of one more pass of the builds
   they are formed from (BandedLU.tail_inverse, once per distinct factor
-  and first node column, or tuple of node columns on a checkout from before
-  LocalSolver.first), the bytes of the distinct kept X that reconstruct
-  takes interior fields from (0 for a checkout that keeps none), the
-  strips that store only the L D L^T band rows, (bandwidth + 1) * n * 16
-  bytes, and the strips with blocks;
+  and first node column), the bytes of the distinct kept X that
+  reconstruct takes interior fields from, the strips that store only the
+  L D L^T band rows, (bandwidth + 1) * n * 16 bytes, and the strips with
+  blocks;
 - shots 0-2 of seed 1 through ``adapter.shot``, the benchmark's own solve
   path: GMRES iterations, strip solves, g (trace right-hand side), h (trace
   solution), the field, the true residual ||g - (Id - T) h|| / ||g|| and
@@ -50,6 +49,10 @@ on it, so those two paths only show whether the bits moved.  Each path
 records its iterations, the strip solves of the whole ``solve``, the true
 residual and the field.
 
+The first line gives the code lines of each checkout's src/helmsweep: the
+lines of its .py files that hold a token other than a comment, a docstring
+(a string that is a statement of its own) or layout (code_lines).
+
 Each line prints one group of figures, parent -> change.  g, h and the
 fields read "bitwise" when their bytes are equal, and ||change - parent|| /
 ||parent|| otherwise; the last line gives the largest difference of each,
@@ -68,6 +71,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +87,26 @@ QUICKSTARTS = {"quick-start": dict(problem="waveguide", k=20.0, subdomains=5,
                                           overlap_cells=2, nppwl=4, tolerances=(1e-10,))}
 PATHS = {"gmres": ("jacobi", "ds", "osds"), "fixed_point": ("jacobi", "osds")}
 MAPPING = re.compile(r"^([0-9a-f]+)-([0-9a-f]+) ")
+# the record of code_lines
+CODE = "code lines"
+# the tokens a statement, and so a docstring, follows
+STARTS = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING)
+
+
+def code_lines(root) -> int:
+    """Lines of the .py files under root/src/helmsweep that hold a token
+    other than a comment, a docstring or layout."""
+    lines = set()
+    for path in sorted((Path(root) / "src" / "helmsweep").rglob("*.py")):
+        with open(path, "rb") as fh:
+            tokens = [t for t in tokenize.tokenize(fh.readline)
+                      if t.type not in (tokenize.NL, tokenize.COMMENT)]
+        for before, tok, after in zip(tokens, tokens[1:], tokens[2:]):
+            docstring = (tok.type == tokenize.STRING and before.type in STARTS
+                         and after.type == tokenize.NEWLINE)
+            if tok.type not in (*STARTS, tokenize.ENDMARKER) and not docstring:
+                lines.update((path, n) for n in range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
 
 
 def status() -> dict:
@@ -135,10 +159,7 @@ def block_layout(problem) -> tuple:
     builds they are formed from, strips with blocks)."""
     blocked = [sv for sv in problem.system.solvers if sv.blocks]
     sets = {id(sv.blocks): sum(b.nbytes for b in sv.blocks.values()) for sv in blocked}
-    # what tail_inverse takes: a strip's first node column of X, or, on a
-    # checkout from before first, its tuple of node columns
-    builds = {(id(sv.lu), sv.first if hasattr(sv, "first") else sv.columns): sv
-              for sv in blocked}
+    builds = {(id(sv.lu), sv.first): sv for sv in blocked}
     t0 = time.perf_counter()
     for (_, at), sv in builds.items():
         sv.lu.tail_inverse(at)
@@ -147,7 +168,7 @@ def block_layout(problem) -> tuple:
 
 def kept_bytes(problem) -> int:
     """Bytes of the distinct kept columns of the strips."""
-    kept = (getattr(sv, "kept", None) for sv in problem.system.solvers)
+    kept = (sv.kept for sv in problem.system.solvers)
     return sum({id(x): x.nbytes for x in kept if x is not None}.values())
 
 
@@ -323,12 +344,15 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
 
 def report(parent: dict, change: dict) -> list:
     """The comparison lines of two checkouts' records: {workload: record}
-    for each workload, and {name: record} for each QUICKSTARTS name."""
+    for each workload, {name: record} for each QUICKSTARTS name, and
+    {CODE: code_lines}."""
     lines = []
     worst = dict.fromkeys([*ARRAYS, "quick-start field"])
     for name, p in parent.items():
         c = change[name]
-        if name in QUICKSTARTS:
+        if name == CODE:
+            lines.append(f"code lines of src/helmsweep: {p} -> {c}")
+        elif name in QUICKSTARTS:
             for path in dict.fromkeys(k.split("/")[0] for k in p):
                 d = difference(p[path + "/field"], c[path + "/field"])
                 track(worst, "quick-start field", d)
@@ -360,7 +384,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(roots[1] / "src"), str(roots[1])]
     from perfbench import adapter
 
-    records = ({}, {})
+    records = tuple({CODE: code_lines(root)} for root in roots)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "record.npz"
         for n, name in enumerate([*adapter.WORKLOADS, *QUICKSTARTS]):
