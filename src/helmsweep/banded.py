@@ -59,6 +59,33 @@ from equal inputs share one (substructure.py).  Strips solved in turn that
 share a factor cost per MB of factor what one strip solved again and again
 costs, less than strips with factors of their own (BENCH_25.json).
 
+Every BLAS call that can start threads of its own runs on one thread:
+the factorization (zgbtrf and the carry's zgemm), tail_inverse (ztrsm,
+ztrmm), reconstruct's zgemm (substructure.py), and the bodies of
+krylov.gmres_right and krylov.richardson, whose vector arithmetic runs in
+numpy's OpenBLAS.  Each holds _one_blas_thread, the one place that sets a
+BLAS thread count.  It sets openblas_set_num_threads_local of each
+OpenBLAS the program calls, scipy's and numpy's, found once, at import,
+through the handles of scipy.linalg.cython_blas and
+numpy.linalg._umath_linalg; a library without that symbol is left out and
+keeps its own count.  The count is the library's, not the calling
+thread's, whatever the name says: a count set on one thread is the one
+another thread reads back.  So pins are counted under a lock: the first
+saves each library's count and sets 1, the last restores them, and pins
+that overlap on several threads keep one thread until the last ends.
+BLAS calls of other threads of the process run on one thread meanwhile
+too.  A solve takes no pin: ztbsv starts no thread, and a wedge-jacobi
+strip solve gives the same bits on 1 and 2 threads.  OpenBLAS splits a
+reduction across threads in another order, so without the pin the bits
+would depend on the thread count the environment sets
+(OPENBLAS_NUM_THREADS): with it, a strip factored or built anywhere is
+bitwise the one SubstructuredSystem builds, and a run gives the same bits
+with or without OPENBLAS_NUM_THREADS=1.  It saves time too, on 2 shared
+cores: a BLAS thread per CPU beside each strip thread made the set-up of
+waveguide k=40, N=10, osds take 4.1-4.6 s, against 1.5-1.6 s with one, and
+numpy's beside them made median wedge-jacobi shots take 0.35-0.48 s,
+against 0.21-0.28 s with one.
+
 The kept factor and the chunk workspace, which is zgbtrf's LU when it is
 kept, are each a private anonymous mapping of their own, so each goes straight
 back to the OS when released, not to a malloc arena of the thread that
@@ -101,13 +128,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import mmap
 import operator
-import os
+import threading
 
 import numpy as np
-import scipy
 from numpy.typing import NDArray
 from scipy.linalg import cython_blas, cython_lapack
 
@@ -138,28 +163,41 @@ _zgbtrs = _kernel(cython_lapack, "zgbtrs", 11)
 _zgemm = _kernel(cython_blas, "zgemm", 13)
 
 
-@functools.cache
-def _blas_threads_local():
-    """scipy's openblas_set_num_threads_local as a ctypes call, looked up on
-    first use: it sets the library's thread count and returns the count it
-    had.
+def _thread_counts() -> list:
+    """int openblas_set_num_threads_local(int) of each OpenBLAS the program
+    calls, scipy's and numpy's, as ctypes calls: a library without it is
+    left out, and one that both use is listed once (module docstring)."""
+    libraries = (ctypes.CDLL(m.__file__) for m in (cython_blas, np.linalg._umath_linalg))
+    calls = (getattr(lib, "openblas_set_num_threads_local", None) for lib in libraries)
+    addresses = dict.fromkeys(ctypes.cast(c, ctypes.c_void_p).value for c in calls if c)
+    return [ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)(a) for a in addresses]
 
-    The count is the library's, not the calling thread's, whatever the name
-    says: in the OpenBLAS scipy bundles, a count set on one thread is the
-    one another thread reads back.  The library is the OpenBLAS mapped
-    (/proc/self/maps) from under scipy's install, scipy/ or scipy.libs/,
-    which the kernels above run in; numpy's own OpenBLAS is left alone.
-    Where the process maps no such library or symbol, the call sets nothing
-    and returns None.
-    """
-    root = os.path.dirname(scipy.__file__)
-    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
-        for path in {line.split()[-1] for line in fh if root in line and "openblas" in line}:
-            call = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
-            if call is not None:
-                call.argtypes, call.restype = [ctypes.c_int], ctypes.c_int
-                return call
-    return lambda threads: None
+
+_OPENBLAS = _thread_counts()
+# the pins held, and each library's (call, count) before the first
+_pins, _pin_lock = [0, []], threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every library of _OPENBLAS on one thread while any pin is held: the
+    first pin saves each count and sets 1, the last restores them."""
+    with _pin_lock:
+        if _pins[0] == 0:
+            _pins[1] = [(call, call(1)) for call in _OPENBLAS]
+        _pins[0] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins[0] -= 1
+            if _pins[0] == 0:
+                for call, count in _pins[1]:
+                    call(count)
+
+
+# the kernels' alpha and beta operands, passed by reference: read-only views
+_ONE, _ZERO, _MINUS = (np.broadcast_to(np.complex128(v), (1,)) for v in (1, 0, -1))
 
 
 def _ints(*values):
@@ -237,7 +275,8 @@ class BandedLU:
             raise ValueError(f"{label}: matrix is not complex symmetric")
         self.n, self.kl = n, kl
         self._ld = self._lu = self._ipiv = None
-        self._factor(diags, label)
+        with _one_blas_thread():
+            self._factor(diags, label)
         # the by-reference n, k, lda and incx of every ztbsv call
         self._tbsv_args = _ints(n, kl, kl + 1, 1)
 
@@ -255,7 +294,6 @@ class BandedLU:
         info = ctypes.c_int(0)
         a, b = np.triu_indices(kl)
         w = np.zeros((kl, kl), np.complex128, order="F")
-        one, zero = np.ones(1, np.complex128), np.zeros(1, np.complex128)
         carry = np.empty((kl, kl), np.complex128, order="F")
         chunk = _chunk_columns(kl)
         for width in (chunk, n) if chunk < n else (chunk,):
@@ -292,8 +330,8 @@ class BandedLU:
                     wd = np.multiply(w, ld[0, c1 - kl:c1], order="F")
                     # (W D) W^T by the BLAS zgbtrf calls; numpy's matmul runs in
                     # a BLAS of its own, whose threads would spin beside them
-                    _zgemm(b"N", b"T", *_ints(kl, kl, kl), one.ctypes.data, wd.ctypes.data,
-                           *_ints(kl), w.ctypes.data, *_ints(kl), zero.ctypes.data,
+                    _zgemm(b"N", b"T", *_ints(kl, kl, kl), _ONE.ctypes.data, wd.ctypes.data,
+                           *_ints(kl), w.ctypes.data, *_ints(kl), _ZERO.ctypes.data,
                            carry.ctypes.data, *_ints(kl))
             else:
                 # the carry has read D, so row 0 can take 1/D, which a solve
@@ -373,7 +411,6 @@ class BandedLU:
         # R_p = X_p^T is r[p - first], panel p of x seen Fortran-ordered
         r = x.reshape(-1, kl, kl).transpose(0, 2, 1)
         k, = _ints(kl)
-        one, minus = np.ones(1, np.complex128), -np.ones(1, np.complex128)
         base = self._ld.ctypes.data
 
         def block(row, col):
@@ -382,20 +419,21 @@ class BandedLU:
 
         def trsm(trans, p):
             # R_p := R_p L_pp^-1, or R_p L_pp^-T
-            _ztrsm(b"R", b"L", trans, b"U", k, k, one.ctypes.data, block(p * kl, p * kl), k,
+            _ztrsm(b"R", b"L", trans, b"U", k, k, _ONE.ctypes.data, block(p * kl, p * kl), k,
                    r[p - first].ctypes.data, k)
 
-        # R_t = X_t^T = L_tt^-T D^-1 L_tt^-1, as I L_tt^-T D^-1 L_tt^-1
-        r[-1] = np.eye(kl)
-        trsm(b"T", bottom)
-        r[-1] *= self._ld[0, n - kl:]
-        trsm(b"N", bottom)
-        for p in range(bottom - 1, first - 1, -1):
-            # R_p = -R_(p+1) C L_pp^-1, C = L(rows of panel p + 1, columns of
-            # panel p); on the right, BLAS takes these triangles faster than
-            # their transposes on the left
-            r[p - first] = r[p - first + 1]
-            _ztrmm(b"R", b"U", b"N", b"N", k, k, minus.ctypes.data,
-                   block((p + 1) * kl, p * kl), k, r[p - first].ctypes.data, k)
-            trsm(b"N", p)
+        with _one_blas_thread():
+            # R_t = X_t^T = L_tt^-T D^-1 L_tt^-1, as I L_tt^-T D^-1 L_tt^-1
+            r[-1] = np.eye(kl)
+            trsm(b"T", bottom)
+            r[-1] *= self._ld[0, n - kl:]
+            trsm(b"N", bottom)
+            for p in range(bottom - 1, first - 1, -1):
+                # R_p = -R_(p+1) C L_pp^-1, C = L(rows of panel p + 1, columns of
+                # panel p); on the right, BLAS takes these triangles faster than
+                # their transposes on the left
+                r[p - first] = r[p - first + 1]
+                _ztrmm(b"R", b"U", b"N", b"N", k, k, _MINUS.ctypes.data,
+                       block((p + 1) * kl, p * kl), k, r[p - first].ctypes.data, k)
+                trsm(b"N", p)
         return x

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import banded
 from .grid import (BoundarySpec, ComplexArray, Grid, HomogeneousModel,
                    WedgeModel, build_grid, build_wavenumber, dirichlet, robin)
 from .krylov import gmres_right, richardson
@@ -137,6 +138,7 @@ class RunRecord:
     kept_bytes: int = 0
     kept_fields: int = 0
     workers: int = 1
+    blas_pinned: int = 0
     stop: str = "tol"
     seconds: list = dataclasses.field(default_factory=list)
     waived: list = dataclasses.field(default_factory=list)
@@ -254,7 +256,7 @@ class BenchContext:
                          lu_bytes=sum(stored.values()), distinct_factors=len(stored),
                          block_bytes=sum(blocks.values()), kept_bytes=sum(kept.values()),
                          kept_fields=sum(sv.kept_count for sv in system.solvers) - kept_before,
-                         workers=WORKERS,
+                         workers=WORKERS, blas_pinned=len(banded._OPENBLAS),
                          stop=report.stop, seconds=list(report.seconds),
                          waived=[] if self.decomp.width_bound_ok else ["width_bound"],
                          solution=u, grid=self.grid)

@@ -42,9 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .banded import BandedLU
+from .banded import BandedLU, ComplexArray
 
-ComplexArray = NDArray[np.complex128]
 FloatArray = NDArray[np.float64]
 
 SIDES = ("left", "right", "bottom", "top")
@@ -244,7 +243,6 @@ class RectStencil:
         if not (0 <= a < b <= grid.nx):
             raise ValueError(f"bad column range [{a}, {b}]")
         self.grid = grid
-        self.cols = (a, b)
         self.w = b - a
         self.ny = grid.ny
         self.nloc = (self.w + 1) * (self.ny + 1)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .grid import ComplexArray
+from .banded import ComplexArray, _one_blas_thread
 
 BREAKDOWN_RATIO = 1e-14
 # a Richardson run stops as diverged once its true residual passes this many
@@ -88,81 +88,82 @@ def gmres_right(apply_op: Operator, b: ComplexArray,
     non-finite vector from the operator or the preconditioner raises it
     naming the iteration.
     """
-    start = time.perf_counter()
-    b = _finite(b, "GMRES: right-hand side")
-    bnorm = float(np.linalg.norm(b))
-    history = [1.0 if bnorm > 0.0 else 0.0]
-    seconds = [time.perf_counter() - start]
-    if bnorm == 0.0 or history[0] <= tol:
-        return KrylovReport(np.zeros(b.size, dtype=np.complex128), 0, history, True,
-                            time.perf_counter() - start, seconds=seconds)
+    with _one_blas_thread():
+        start = time.perf_counter()
+        b = _finite(b, "GMRES: right-hand side")
+        bnorm = float(np.linalg.norm(b))
+        history = [1.0 if bnorm > 0.0 else 0.0]
+        seconds = [time.perf_counter() - start]
+        if bnorm == 0.0 or history[0] <= tol:
+            return KrylovReport(np.zeros(b.size, dtype=np.complex128), 0, history, True,
+                                time.perf_counter() - start, seconds=seconds)
 
-    # rows 0..nv-1 of V are the basis, rows 0..j of Z its preconditioned images
-    V = (b / bnorm)[None, :]
-    Z = np.empty_like(V)
-    nv = 1
-    hcols, cs, sn = [], [], []   # R's columns, cosines (real), sines
-    g = [bnorm + 0.0j]
-    stop = "maxit"
+        # rows 0..nv-1 of V are the basis, rows 0..j of Z its preconditioned images
+        V = (b / bnorm)[None, :]
+        Z = np.empty_like(V)
+        nv = 1
+        hcols, cs, sn = [], [], []   # R's columns, cosines (real), sines
+        g = [bnorm + 0.0j]
+        stop = "maxit"
 
-    for j in range(maxit):
-        z = V[j]
-        if apply_precond is not None:
-            z = _finite(apply_precond(z), f"GMRES: preconditioner at iteration {j + 1}")
-            Z = _grow(Z, j + 1)
-            Z[j] = z
-        w = _finite(apply_op(z), f"GMRES: operator at iteration {j + 1}")
-        wnorm0 = float(np.linalg.norm(w))
-        basis = V[:nv]
-        hcol = np.zeros(j + 2, dtype=np.complex128)
-        for _ in range(2):
-            proj = basis.conj() @ w
-            w = w - proj @ basis
-            hcol[:j + 1] += proj
-        hnext = float(np.linalg.norm(w))
-        breakdown = hnext == 0.0 or (wnorm0 > 0.0 and hnext < BREAKDOWN_RATIO * wnorm0)
-        hcol[j + 1] = 0.0 if breakdown else hnext
+        for j in range(maxit):
+            z = V[j]
+            if apply_precond is not None:
+                z = _finite(apply_precond(z), f"GMRES: preconditioner at iteration {j + 1}")
+                Z = _grow(Z, j + 1)
+                Z[j] = z
+            w = _finite(apply_op(z), f"GMRES: operator at iteration {j + 1}")
+            wnorm0 = float(np.linalg.norm(w))
+            basis = V[:nv]
+            hcol = np.zeros(j + 2, dtype=np.complex128)
+            for _ in range(2):
+                proj = basis.conj() @ w
+                w = w - proj @ basis
+                hcol[:j + 1] += proj
+            hnext = float(np.linalg.norm(w))
+            breakdown = hnext == 0.0 or (wnorm0 > 0.0 and hnext < BREAKDOWN_RATIO * wnorm0)
+            hcol[j + 1] = 0.0 if breakdown else hnext
 
-        for i in range(j):
-            t = cs[i] * hcol[i] + sn[i] * hcol[i + 1]
-            hcol[i + 1] = -np.conj(sn[i]) * hcol[i] + cs[i] * hcol[i + 1]
-            hcol[i] = t
-        c, s = _givens(hcol[j], hcol[j + 1])
-        diag = c * hcol[j] + s * hcol[j + 1]
-        if abs(diag) <= BREAKDOWN_RATIO * wnorm0:
-            # singular breakdown: the residual cannot drop below |g_j|
-            history.append(history[-1])
+            for i in range(j):
+                t = cs[i] * hcol[i] + sn[i] * hcol[i + 1]
+                hcol[i + 1] = -np.conj(sn[i]) * hcol[i] + cs[i] * hcol[i + 1]
+                hcol[i] = t
+            c, s = _givens(hcol[j], hcol[j + 1])
+            diag = c * hcol[j] + s * hcol[j + 1]
+            if abs(diag) <= BREAKDOWN_RATIO * wnorm0:
+                # singular breakdown: the residual cannot drop below |g_j|
+                history.append(history[-1])
+                seconds.append(time.perf_counter() - start)
+                stop = "breakdown"
+                break
+            cs.append(c)
+            sn.append(s)
+            hcol[j] = diag
+            hcols.append(hcol[:j + 1])
+            g.append(-np.conj(s) * g[j])
+            g[j] = c * g[j]
+            history.append(abs(g[j + 1]) / bnorm)
             seconds.append(time.perf_counter() - start)
-            stop = "breakdown"
-            break
-        cs.append(c)
-        sn.append(s)
-        hcol[j] = diag
-        hcols.append(hcol[:j + 1])
-        g.append(-np.conj(s) * g[j])
-        g[j] = c * g[j]
-        history.append(abs(g[j + 1]) / bnorm)
-        seconds.append(time.perf_counter() - start)
 
-        # a breakdown zeroes g[j + 1], so it stops here only as convergence
-        if history[-1] <= tol or breakdown:
-            stop = "tol"
-            break
-        V = _grow(V, nv + 1)
-        V[nv] = w / hnext
-        nv += 1
+            # a breakdown zeroes g[j + 1], so it stops here only as convergence
+            if history[-1] <= tol or breakdown:
+                stop = "tol"
+                break
+            V = _grow(V, nv + 1)
+            V[nv] = w / hnext
+            nv += 1
 
-    m = len(hcols)
-    r = np.zeros((m, m), dtype=np.complex128)
-    for k, col in enumerate(hcols):
-        r[:k + 1, k] = col
-    y = solve_triangular(r, np.array(g[:m]))
-    x = y @ (V if apply_precond is None else Z)[:m]
+        m = len(hcols)
+        r = np.zeros((m, m), dtype=np.complex128)
+        for k, col in enumerate(hcols):
+            r[:k + 1, k] = col
+        y = solve_triangular(r, np.array(g[:m]))
+        x = y @ (V if apply_precond is None else Z)[:m]
 
-    gram = V[:nv].conj() @ V[:nv].T
-    defect = float(np.max(np.abs(gram - np.eye(nv))))
-    return KrylovReport(x, len(history) - 1, history, stop == "tol",
-                        time.perf_counter() - start, defect, stop, seconds)
+        gram = V[:nv].conj() @ V[:nv].T
+        defect = float(np.max(np.abs(gram - np.eye(nv))))
+        return KrylovReport(x, len(history) - 1, history, stop == "tol",
+                            time.perf_counter() - start, defect, stop, seconds)
 
 
 def richardson(apply_op: Operator, b: ComplexArray,
@@ -178,25 +179,26 @@ def richardson(apply_op: Operator, b: ComplexArray,
     FloatingPointError before any iteration, and a non-finite vector from
     the operator or the preconditioner raises it naming the iteration.
     """
-    start = time.perf_counter()
-    b = _finite(b, "Richardson: right-hand side")
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros(b.size, dtype=np.complex128)
-    seconds = [time.perf_counter() - start]
-    if bnorm == 0.0:
-        return KrylovReport(x, 0, [0.0], True, time.perf_counter() - start,
-                            seconds=seconds)
-    r, history = b, [1.0]
-    for j in range(1, maxit + 1):
-        if history[-1] <= tol or history[-1] > DIVERGENCE_RATIO:
-            break
-        z = r if apply_precond is None else _finite(
-            apply_precond(r), f"Richardson: preconditioner at iteration {j}")
-        x = x + z
-        r = b - _finite(apply_op(x), f"Richardson: operator at iteration {j}")
-        history.append(float(np.linalg.norm(r)) / bnorm)
-        seconds.append(time.perf_counter() - start)
-    converged = bool(history[-1] <= tol)
-    stop = "tol" if converged else "diverged" if history[-1] > DIVERGENCE_RATIO else "maxit"
-    return KrylovReport(x, len(history) - 1, history, converged,
-                        time.perf_counter() - start, stop=stop, seconds=seconds)
+    with _one_blas_thread():
+        start = time.perf_counter()
+        b = _finite(b, "Richardson: right-hand side")
+        bnorm = float(np.linalg.norm(b))
+        x = np.zeros(b.size, dtype=np.complex128)
+        seconds = [time.perf_counter() - start]
+        if bnorm == 0.0:
+            return KrylovReport(x, 0, [0.0], True, time.perf_counter() - start,
+                                seconds=seconds)
+        r, history = b, [1.0]
+        for j in range(1, maxit + 1):
+            if history[-1] <= tol or history[-1] > DIVERGENCE_RATIO:
+                break
+            z = r if apply_precond is None else _finite(
+                apply_precond(r), f"Richardson: preconditioner at iteration {j}")
+            x = x + z
+            r = b - _finite(apply_op(x), f"Richardson: operator at iteration {j}")
+            history.append(float(np.linalg.norm(r)) / bnorm)
+            seconds.append(time.perf_counter() - start)
+        converged = bool(history[-1] <= tol)
+        stop = "tol" if converged else "diverged" if history[-1] > DIVERGENCE_RATIO else "maxit"
+        return KrylovReport(x, len(history) - 1, history, converged,
+                            time.perf_counter() - start, stop=stop, seconds=seconds)

@@ -63,14 +63,7 @@ sweep reads what the forward one wrote.  Each solve does the same
 arithmetic and writes the same block as in a serial run, and each
 factorization is the serial one, so every result is bitwise the same.  A
 failure is raised once every strip of the call is done, the first in strip
-order.  While any _map runs, scipy's OpenBLAS, where the band kernels run,
-runs on one thread (banded._blas_threads_local): the first of the _map
-calls running at once, on any threads, sets it, and the last to end
-restores the count it had.  That count is the library's, shared by every
-thread of the process, so scipy BLAS calls on other threads run on one
-thread meanwhile too.  A BLAS
-thread per CPU beside each strip thread made the set-up of waveguide k=40,
-N=10, osds take 4.1-4.6 s on 2 shared cores, against 1.5-1.6 s with one.
+order.  The BLAS runs on one thread of its own (banded.py).
 
 Strips built from equal inputs share what is built from them, decided by
 the stencil's key (RectStencil.key: every input its matrix is assembled
@@ -107,7 +100,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import _blas_threads_local, _ints, _zgemm
+from .banded import _ONE, _ZERO, _ints, _one_blas_thread, _zgemm
 from .grid import (BoundarySpec, ComplexArray, Grid, WavenumberField, _add_edge_loads,
                    _edge_loads)
 from .strips import StripDecomposition
@@ -127,8 +120,6 @@ def _new_pool() -> None:
 _new_pool()
 # a forked child inherits the pool but none of its threads
 os.register_at_fork(after_in_child=_new_pool)
-# the _map calls running, and scipy's BLAS thread count before the first
-_pinned, _pin_lock = [0, None], threading.Lock()
 
 
 def _map(fn, n: int, queue: list | None = None) -> list:
@@ -136,9 +127,7 @@ def _map(fn, n: int, queue: list | None = None) -> list:
     up to WORKERS - 1 pool threads.  fn may append callables of no
     argument to queue; they are taken after the last strip, from the same
     hand-out, and their results dropped.  The first failure, in strip
-    order and then in queue order, is raised once every call has ended.
-    scipy's OpenBLAS runs on one thread until the last _map running ends
-    (module docstring)."""
+    order and then in queue order, is raised once every call has ended."""
     queue = [] if queue is None else queue
     results, errors = [None] * n, {}
     taken, lock = [0], threading.Lock()
@@ -160,22 +149,12 @@ def _map(fn, n: int, queue: list | None = None) -> list:
             except BaseException as err:  # raised below, as a future would
                 errors[s] = err
 
-    with _pin_lock:
-        if _pinned[0] == 0:
-            _pinned[1] = _blas_threads_local()(1)
-        _pinned[0] += 1
-    try:
-        helpers = [_pool.submit(take) for _ in range(min(n, WORKERS) - 1)]
-        take()
-        # a helper not yet started would find no strip left; result() returns sooner than wait()
-        for f in helpers:
-            if not f.cancel():
-                f.result()
-    finally:
-        with _pin_lock:
-            _pinned[0] -= 1
-            if _pinned[0] == 0:
-                _blas_threads_local()(_pinned[1])
+    helpers = [_pool.submit(take) for _ in range(min(n, WORKERS) - 1)]
+    take()
+    # a helper not yet started would find no strip left; result() returns sooner than wait()
+    for f in helpers:
+        if not f.cancel():
+            f.result()
     if errors:
         raise errors[min(errors)]
     return results
@@ -424,10 +403,10 @@ class SubstructuredSystem:
                 d[:, 2 * j:2 * j + 2] = (self.solvers[s].stencil.datum_scale[::-1]
                                          * self._data(t, s)[::-1]).T
             y = np.empty((n, m), np.complex128, order="F")
-            one, zero = np.ones(1, np.complex128), np.zeros(1, np.complex128)
-            # C-ordered X is X^T to BLAS
-            _zgemm(b"T", b"N", *_ints(n, m, nb), one.ctypes.data, x.ctypes.data, *_ints(nb),
-                   d.ctypes.data, *_ints(nb), zero.ctypes.data, y.ctypes.data, *_ints(n))
+            with _one_blas_thread():
+                # C-ordered X is X^T to BLAS
+                _zgemm(b"T", b"N", *_ints(n, m, nb), _ONE.ctypes.data, x.ctypes.data, *_ints(nb),
+                       d.ctypes.data, *_ints(nb), _ZERO.ctypes.data, y.ctypes.data, *_ints(n))
             for j, s in enumerate(strips):
                 right, left = (self.solvers[s].stencil.to_grid(y[:, i]) for i in (2 * j, 2 * j + 1))
                 into, cols = owned(s)

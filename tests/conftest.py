@@ -1,11 +1,14 @@
 """Shared builders for small strip-decomposed test problems, and the dense
 oracles of the trace operators."""
 
+import contextlib
+import ctypes
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cython_blas
 
 from helmsweep.grid import (Grid, HomogeneousModel, BoundarySpec, robin,
                             dirichlet, build_wavenumber)
@@ -155,3 +158,41 @@ def reconstruct_dense(lu):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+def openblas_counts():
+    """openblas_set_num_threads_local of scipy's and numpy's OpenBLAS, each
+    found here apart from the program's own lookup; a library without the
+    symbol is left out, and so is numpy's if it is scipy's."""
+    calls = {}
+    for module in (cython_blas, np.linalg._umath_linalg):
+        call = getattr(ctypes.CDLL(module.__file__), "openblas_set_num_threads_local", None)
+        if call is not None:
+            call.argtypes, call.restype = [ctypes.c_int], ctypes.c_int
+            calls.setdefault(ctypes.cast(call, ctypes.c_void_p).value, call)
+    return list(calls.values())
+
+
+def blas_counts():
+    """Each library's thread count, read by setting it and setting it back."""
+    counts = []
+    for call in openblas_counts():
+        had = call(1)
+        call(had)
+        counts.append(had)
+    return counts
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """numpy's and scipy's OpenBLAS on n threads inside, each count back
+    afterwards; the test is skipped where neither has a settable count."""
+    calls = openblas_counts()
+    if not calls:
+        pytest.skip("no OpenBLAS with a settable thread count")
+    before = [call(n) for call in calls]
+    try:
+        yield
+    finally:
+        for call, count in zip(calls, before):
+            call(count)

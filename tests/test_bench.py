@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helmsweep import bench
+from helmsweep import banded, bench
 from helmsweep.bench import (ProblemSpec, build_problem, iterations_at, run,
                              run_methods, sweep_study, write_field, read_field)
 from helmsweep.cli import build_parser, main
@@ -15,6 +15,7 @@ from helmsweep.grid import assemble_global, solve_direct
 from helmsweep.krylov import KrylovReport
 from helmsweep.symbols import (C_factor, SymbolParams, lambda_symbol,
                                lambda_waveguide, rho_factor)
+from conftest import openblas_counts
 
 
 def tiny_spec(**overrides):
@@ -220,6 +221,18 @@ def test_manifest_keys_follow_the_record(tmp_path):
     assert 0 < manifest["setup_time"] == record.setup_time < record.build_time
     # the strip pool's size, one thread per CPU the process may run on
     assert manifest["workers"] == record.workers == len(os.sched_getaffinity(0))
+    # numpy's and scipy's OpenBLAS, each held at one thread during the run
+    assert manifest["blas_pinned"] == record.blas_pinned == len(openblas_counts())
+
+
+def test_run_without_a_settable_blas_records_no_pin(monkeypatch):
+    # with no OpenBLAS thread count to set, each library keeps its own and
+    # the run completes as before
+    pinned = run(tiny_spec())
+    monkeypatch.setattr(banded, "_OPENBLAS", [])
+    record = run(tiny_spec())
+    assert record.blas_pinned == 0 and record.counts == pinned.counts
+    assert record.converged and record.solution.tobytes() == pinned.solution.tobytes()
 
 
 def test_field_round_trip(tmp_path, rng):

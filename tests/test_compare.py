@@ -1,6 +1,7 @@
 """tools/compare.py on this checkout: its one-checkout recorder and its report."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +20,8 @@ def load_tool():
     return module
 
 
-def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monkeypatch):
+def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monkeypatch,
+                                                                          tmp_path):
     compare = load_tool()
     monkeypatch.setitem(adapter.WORKLOADS, "tiny", TINY)
     code = compare.code_lines(ROOT)
@@ -29,11 +31,17 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     # the quick-start whose interior strips pivot; it runs in about a second
     rec["coarse quick-start"] = compare.record_quickstart("coarse quick-start")
     paths = [f"{solver} {p}" for solver, ps in compare.PATHS.items() for p in ps]
+    # again in a child process whose BLAS libraries start on their own
+    # thread counts: the program's pin gives the same fields
+    unpinned = "coarse quick-start" + compare.UNPINNED
+    env = {k: v for k, v in os.environ.items() if k not in compare.THREAD_VARIABLES}
+    rec[unpinned] = compare.run_child(ROOT, "quick-start", ("coarse quick-start",),
+                                      tmp_path / "record.npz", env)
 
     lines = compare.report(rec, rec)
     print("\n".join(lines))
     shots = [line for line in lines if line.startswith("tiny shot")]
-    assert len(shots) == len(compare.SHOTS) and len(lines) == len(shots) + 6 + len(paths)
+    assert len(shots) == len(compare.SHOTS) and len(lines) == len(shots) + 8 + len(paths)
     assert lines[0] == f"code lines of src/helmsweep: {code} -> {code}"
     lines = lines[1:]
     assert all("g bitwise, h bitwise, field bitwise" in line for line in shots)
@@ -66,6 +74,10 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     direct = [line for line in lines if line.startswith("tiny direct solve")]
     assert f"range {low:.3f}-{high:.3f} -> {low:.3f}-{high:.3f} s, of 3 -> 3 samples" in direct[0]
     coarse = [line for line in lines if line.startswith("coarse quick-start")]
+    assert coarse[-2:] == [f"{unpinned} fields against pinned, {side}: "
+                           + ", ".join(f"{p} bitwise" for p in paths)
+                           for side in ("parent", "change")]
+    coarse = coarse[:-2]
     assert [line.split(":")[0] for line in coarse] == [f"coarse quick-start {p}" for p in paths]
     assert all(line.endswith(", field bitwise") for line in coarse)
     assert "gmres osds: iterations 29 -> 29" in coarse[2]
@@ -76,13 +88,18 @@ def test_compare_reads_bitwise_against_itself_and_the_difference_otherwise(monke
     moved = {k: v * (1 + 1e-9) if k == "gmres ds/field" else v
              for k, v in rec["coarse quick-start"].items()}
     lines = compare.report(rec, {compare.CODE: code - 1, "tiny": scaled,
-                                 "coarse quick-start": moved})
+                                 "coarse quick-start": moved, unpinned: rec[unpinned]})
     assert lines[0] == f"code lines of src/helmsweep: {code} -> {code - 1}"
     print("\n".join(lines))
     assert all("g bitwise, h 1.00e-10, field bitwise" in line
                for line in lines if line.startswith("tiny shot"))
-    assert [line.rsplit(", ", 1)[1] for line in lines if line.startswith("coarse")] == [
+    coarse = [line for line in lines if line.startswith("coarse")]
+    assert [line.rsplit(", ", 1)[1] for line in coarse[:-2]] == [
         "field " + ("1.00e-09" if p == "gmres ds" else "bitwise") for p in paths]
+    # the change's unpinned fields are the parent's pinned ones, 1e-9 from its own
+    assert coarse[-1] == (f"{unpinned} fields against pinned, change: "
+                          + ", ".join(f"{p} {'1.00e-09' if p == 'gmres ds' else 'bitwise'}"
+                                      for p in paths))
     assert lines[-1] == ("largest relative difference: g bitwise, h 1.00e-10, field bitwise, "
                          "quick-start field 1.00e-09")
 

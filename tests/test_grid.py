@@ -8,7 +8,7 @@ from helmsweep.grid import (Grid, HomogeneousModel, WedgeModel, BoundarySpec,
                             EdgeCondition, RectStencil, SIDES, WavenumberField, robin,
                             dirichlet, build_grid, build_wavenumber, assemble_global,
                             problem_load, solve_direct)
-from conftest import band_diagonals, sparse
+from conftest import band_diagonals, blas_threads, sparse
 from oracles import wedge_velocity
 
 
@@ -371,3 +371,17 @@ def test_wavenumber_from_omega():
     # factor-2 velocity jump across the lower interface shows up in k
     assert kfield.values[0, 0] == pytest.approx(omega / 3000.0)
     assert kfield.values[0, -1] == pytest.approx(omega / 2000.0)
+
+
+def test_solve_direct_is_bitwise_on_one_and_two_blas_threads():
+    # the quick-start waveguide's global system, whose band is wide enough
+    # for OpenBLAS to split its factorization's kernels across threads
+    grid = build_grid((0.0, 5.0), (0.0, 1.0), 20.0, 16)
+    kfield = build_wavenumber(grid, HomogeneousModel(20.0))
+    bc = BoundarySpec(left=robin(lambda x, y: np.sin(np.pi * y)), right=robin(None),
+                      bottom=dirichlet(), top=dirichlet())
+    fields = []
+    for threads in (1, 2):
+        with blas_threads(threads):
+            fields.append(solve_direct(assemble_global(grid, kfield, bc)))
+    assert fields[0].tobytes() == fields[1].tobytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helmsweep.krylov import DIVERGENCE_RATIO, gmres_right, richardson
+from conftest import blas_threads
 
 
 def dense_problem(rng, n=20):
@@ -303,3 +304,20 @@ def test_seconds_stamp_every_history_entry(rng, solver):
     assert len(rep.seconds) == len(rep.history)
     assert all(0.0 <= s <= t for s, t in zip(rep.seconds, rep.seconds[1:]))
     assert rep.seconds[-1] <= rep.wall_time
+
+
+def test_gmres_is_bitwise_on_one_and_two_blas_threads(rng):
+    # vectors long enough for numpy's BLAS to split a reduction across
+    # threads: the history, solution and orthogonality defect keep their
+    # bits whatever the library's thread count is outside the run
+    n = 30000
+    d = 3 + rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    runs = []
+    for threads in (1, 2):
+        with blas_threads(threads):
+            runs.append(gmres_right(lambda x: d * x, b, tol=1e-12, maxit=25))
+    one, two = runs
+    assert one.iterations == two.iterations == 25
+    assert one.history == two.history and one.ortho_defect == two.ortho_defect
+    assert one.solution.tobytes() == two.solution.tobytes()

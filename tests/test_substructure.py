@@ -23,8 +23,8 @@ from helmsweep.krylov import gmres_right, richardson
 from helmsweep.strips import StripDecomposition, build_strips
 from helmsweep.subdomain import LocalSolver, _column_reversal_invariant, extract_trace
 from helmsweep.substructure import SubstructuredSystem, TraceVector
-from conftest import (band_diagonals, band_storage, column_reversal_invariant, dense_matrix,
-                      dense_parts, make_case, sparse)
+from conftest import (band_diagonals, band_storage, blas_counts, blas_threads,
+                      column_reversal_invariant, dense_matrix, dense_parts, make_case, sparse)
 
 
 def zero_traces(system):
@@ -635,109 +635,108 @@ def test_map_runs_strips_on_the_caller_and_a_pool_thread(monkeypatch, n):
     assert any(t.name.startswith("helmsweep-strip") for t in first)
 
 
-def test_strip_threads_run_scipy_blas_on_one_thread(monkeypatch):
-    # a count is read through the one it returns when set; it is the
-    # library's, so the caller's count shows on a pool thread too.  The
-    # caller and a pool thread each take a strip, the caller's ending first:
-    # both run on one BLAS thread, and the count comes back once the pool
-    # thread's strip has ended too
-    threads_local = banded._blas_threads_local()
+def spy_on(monkeypatch, module, name, seen):
+    """Wrap module.name so each call first records its thread and each
+    OpenBLAS library's thread count in seen."""
+    kernel = getattr(module, name)
 
-    def count():
-        had = threads_local(1)
-        threads_local(had)
-        return had
+    def spy(*args):
+        seen.append((threading.current_thread(), blas_counts()))
+        return kernel(*args)
 
-    if count() is None:
-        pytest.skip("scipy's OpenBLAS has no settable thread count")
-    meet = two_threads_take_the_first_strips(monkeypatch)
-    caller = threading.current_thread()
-
-    def record(s):
-        meet(s)
-        if threading.current_thread() is not caller:
-            time.sleep(0.05)
-        return threading.current_thread(), count()
-
-    before = threads_local(2)
-    try:
-        seen = dict(substructure._map(record, 2))
-        assert count() == 2
-        assert substructure._pool.submit(count).result() == 2
-    finally:
-        threads_local(before)
-    assert caller in seen and len(seen) == 2
-    assert list(seen.values()) == [1, 1]
+    monkeypatch.setattr(module, name, spy)
 
 
-def test_overlapping_maps_keep_one_blas_thread_until_the_last_ends():
-    # _map calls on two threads of their own overlap: the first ends while
-    # the second's strip still runs, which reads 1, and the count set
-    # before, 2, is back once both have ended
-    threads_local = banded._blas_threads_local()
+@pytest.mark.parametrize("where", ["factor", "tail_inverse", "superpose", "gmres", "richardson"])
+def test_blas_kernels_run_on_one_thread_from_any_thread(monkeypatch, where):
+    # the count is each library's, not a thread's: inside every kernel that
+    # can start BLAS threads, called from this thread and from a pool
+    # thread, both libraries read 1, and the count set before, 2, is back
+    # after each call
+    system = quickstart_system("waveguide", subdomains=3, **SMALL["waveguide"])
+    sv, seen = system.solvers[1], []
+    h = system.source_traces()
+    b = np.arange(1, 41, dtype=np.complex128)
 
-    def count():
-        had = threads_local(1)
-        threads_local(had)
-        return had
+    def operator(x):
+        seen.append((threading.current_thread(), blas_counts()))
+        return 2 * x
 
-    if count() is None:
-        pytest.skip("scipy's OpenBLAS has no settable thread count")
+    call = {"factor": lambda: BandedLU(sv.stencil.diagonals()),
+            "tail_inverse": lambda: sv.lu.tail_inverse(sv.first),
+            "superpose": lambda: system.reconstruct(h),
+            "gmres": lambda: gmres_right(operator, b),
+            "richardson": lambda: richardson(operator, b, lambda r: r / 2)}[where]
+    kernel = {"factor": (banded, "_zgbtrf"), "tail_inverse": (banded, "_ztrsm"),
+              "superpose": (substructure, "_zgemm")}.get(where)
+    if kernel is not None:
+        spy_on(monkeypatch, *kernel, seen)
+    # a _map inside runs on the thread that calls it
+    monkeypatch.setattr(substructure, "WORKERS", 1)
+    callers = []
+
+    def here():
+        callers.append(threading.current_thread())
+        call()
+
+    with blas_threads(2):
+        libraries = len(blas_counts())
+        for run in (here, lambda: substructure._pool.submit(here).result()):
+            run()
+            assert blas_counts() == [2] * libraries
+    assert callers[0] is threading.current_thread() and callers[1].name.startswith("helmsweep")
+    assert {thread for thread, _ in seen} == set(callers)
+    assert all(counts == [1] * libraries for _, counts in seen)
+
+
+def test_overlapping_pins_keep_one_blas_thread_until_the_last_ends():
+    # pins on two threads of their own overlap: the first ends while the
+    # second is still held, which reads 1, and the count set before, 2, is
+    # back once both have ended
     started, first_ended, seen = threading.Event(), threading.Event(), []
 
-    def first(s):
-        assert started.wait(10)
-
-    def second(s):
-        started.set()
-        assert first_ended.wait(10)
-        seen.append(count())
-
-    def run_first():
-        substructure._map(first, 1)
+    def first():
+        with banded._one_blas_thread():
+            assert started.wait(10)
         first_ended.set()
 
-    before = threads_local(2)
-    try:
+    def second():
+        with banded._one_blas_thread():
+            started.set()
+            assert first_ended.wait(10)
+            seen.append(blas_counts())
+
+    with blas_threads(2):
+        libraries = len(blas_counts())
         with ThreadPoolExecutor(2) as threads:
-            calls = [threads.submit(run_first), threads.submit(substructure._map, second, 1)]
-            for call in calls:
+            for call in [threads.submit(first), threads.submit(second)]:
                 call.result()
-        assert count() == 2
-    finally:
-        threads_local(before)
-    assert seen == [1]
+        assert blas_counts() == [2] * libraries
+    assert seen == [[1] * libraries]
 
 
-def test_many_overlapping_maps_restore_the_count_once_all_end():
-    # more threads than cores start and end _map calls at random overlaps,
-    # switching often: every strip reads 1, and the count is back after
-    threads_local = banded._blas_threads_local()
-
-    def count():
-        had = threads_local(1)
-        threads_local(had)
-        return had
-
-    if count() is None:
-        pytest.skip("scipy's OpenBLAS has no settable thread count")
+def test_many_overlapping_pins_restore_the_count_once_all_end():
+    # more threads than cores take and release pins at random overlaps,
+    # switching often: every pin reads 1, and the count is back after
     seen = []
 
-    def calls(_):
+    def pins(_):
         for _ in range(200):
-            seen.extend(substructure._map(lambda s: count(), 1))
+            with banded._one_blas_thread():
+                seen.append(blas_counts())
 
-    interval, before = sys.getswitchinterval(), threads_local(2)
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(8) as threads:
-            for call in [threads.submit(calls, i) for i in range(8)]:
-                call.result(timeout=60)
-        assert count() == 2
-    finally:
-        sys.setswitchinterval(interval)
-        threads_local(before)
-    assert seen == [1] * 1600
+    interval = sys.getswitchinterval()
+    with blas_threads(2):
+        libraries = len(blas_counts())
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as threads:
+                for call in [threads.submit(pins, i) for i in range(8)]:
+                    call.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert blas_counts() == [2] * libraries
+    assert seen == [[1] * libraries] * 1600
 
 
 def test_pool_leaves_one_worker_to_the_caller():
@@ -905,13 +904,6 @@ def test_forked_child_gets_its_own_strip_pool():
     counts = run(spec).counts
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.map_async(_counts, [spec]).get(timeout=30) == [counts]
-
-
-def as_the_system_builds(call):
-    """call(), run as SubstructuredSystem factors its strips and builds
-    their blocks: through _map, on one scipy BLAS thread, whose bits can
-    differ from several threads'."""
-    return substructure._map(lambda _: call(), 1)[0]
 
 
 def quickstart_system(problem, **overrides):
@@ -1086,11 +1078,9 @@ def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
     system = quickstart_system("waveguide")
     nb = system.grid.ny + 1
     for s, sv in enumerate(system.solvers):
-        fresh = as_the_system_builds(
-            lambda: LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1))
+        fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
         assert fresh.lu is not sv.lu and fresh.lu.factor.tobytes() == sv.lu.factor.tobytes()
-        fresh.blocks = as_the_system_builds(
-            lambda: fresh.form_blocks(fresh.lu.tail_inverse(fresh.first)))
+        fresh.blocks = fresh.form_blocks(fresh.lu.tail_inverse(fresh.first))
         assert fresh.blocks is not sv.blocks
         left, right = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(2))
         cases = [dict(left=left), dict(right=right), dict(left=left, right=right)]
@@ -1100,6 +1090,25 @@ def test_strips_sharing_a_factor_respond_as_fresh_ones_bitwise(rng):
                 continue
             for a, b in zip(sv.respond(**data), fresh.respond(**data)):
                 assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("overrides, ldlt", [({}, True), (dict(nppwl=4, overlap_cells=2), False)],
+                         ids=["ldlt", "pivoting"])
+def test_strips_built_directly_are_the_systems_bitwise(overrides, ldlt):
+    # on 2 BLAS threads, a strip factored outside the system, and its X,
+    # hold the bits of the system's strip: the quick-start's interior
+    # strips store L D L^T, the coarse quick-start's pivot
+    with blas_threads(2):
+        system = quickstart_system("waveguide", **overrides)
+        assert [sv.lu.ldlt for sv in system.solvers[1:-1]] == [ldlt] * 3
+        for s, sv in enumerate(system.solvers):
+            fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
+            assert fresh.lu.factor.tobytes() == sv.lu.factor.tobytes()
+            if sv.blocks is not None:
+                x = fresh.lu.tail_inverse(fresh.first)
+                assert sv.kept is None or x.tobytes() == sv.kept.tobytes()
+                own = fresh.form_blocks(x)
+                assert all(own[side].tobytes() == sv.blocks[side].tobytes() for side in own)
 
 
 def test_wedge_strips_share_no_factor():
@@ -1129,9 +1138,8 @@ def test_strips_share_exactly_when_their_keys_are_equal(problem, nstrips):
     for s, sv in enumerate(solvers):
         if sv.blocks is None:
             continue
-        fresh = as_the_system_builds(
-            lambda: LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1))
-        own = as_the_system_builds(lambda: fresh.form_blocks(fresh.lu.tail_inverse(fresh.first)))
+        fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, s + 1)
+        own = fresh.form_blocks(fresh.lu.tail_inverse(fresh.first))
         assert own.keys() == sv.blocks.keys()
         assert all(own[side].tobytes() == sv.blocks[side].tobytes() for side in own)
     if problem == "cavity":
@@ -1270,9 +1278,8 @@ def test_kept_columns_are_the_interior_build_itself():
     units = np.eye(sv.stencil.nloc, dtype=np.complex128)[:, -nb:]
     want = np.stack([sv.lu.solve(e) for e in units.T], axis=1)
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
-    fresh = as_the_system_builds(
-        lambda: LocalSolver(system.grid, system.kfield, system.bc, system.decomp, 2))
-    own = as_the_system_builds(lambda: fresh.form_blocks(fresh.lu.tail_inverse(fresh.first)))
+    fresh = LocalSolver(system.grid, system.kfield, system.bc, system.decomp, 2)
+    own = fresh.form_blocks(fresh.lu.tail_inverse(fresh.first))
     assert all(own[side].tobytes() == sv.blocks[side].tobytes() for side in own)
 
 

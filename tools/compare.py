@@ -3,8 +3,8 @@
     python3 tools/compare.py PARENT CHANGE
 
 PARENT and CHANGE are helmsweep checkouts.  Each runs in fresh
-``python -B -c`` subprocesses with one BLAS thread, which import that
-checkout's ``src`` and ``perfbench/adapter.py``.  Arrays travel through a
+``python -B -c`` subprocesses with one BLAS thread (THREAD_VARIABLES set to
+1), which import that checkout's ``src`` and ``perfbench/adapter.py``.  Arrays travel through a
 temporary directory outside both checkouts, and no bytecode is written, so
 nothing is written under either root.  For each benchmark workload the two
 checkouts take turns to run first.
@@ -47,7 +47,11 @@ is one whose interior strips and global system pivot, so they keep
 zgbtrf's LU, which the benchmark's strips never do; fixed_point diverges
 on it, so those two paths only show whether the bits moved.  Each path
 records its iterations, the strip solves of the whole ``solve``, the true
-residual and the field.
+residual and the field.  Each checkout then runs both quick-starts again
+with THREAD_VARIABLES removed from the environment, so each BLAS library
+starts on its own thread count, and only the program's own pin (banded.py)
+keeps the arithmetic on one thread: a line per checkout and quick-start
+says, path by path, whether those fields are bitwise the pinned ones.
 
 The first line gives the code lines of each checkout's src/helmsweep: the
 lines of its .py files that hold a token other than a comment, a docstring
@@ -86,6 +90,10 @@ QUICKSTARTS = {"quick-start": dict(problem="waveguide", k=20.0, subdomains=5,
                "coarse quick-start": dict(problem="waveguide", k=20.0, subdomains=5,
                                           overlap_cells=2, nppwl=4, tolerances=(1e-10,))}
 PATHS = {"gmres": ("jacobi", "ds", "osds"), "fixed_point": ("jacobi", "osds")}
+# the environment variables that set the BLAS libraries' thread counts
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the record of a quick-start run without THREAD_VARIABLES, after its name
+UNPINNED = " unpinned"
 MAPPING = re.compile(r"^([0-9a-f]+)-([0-9a-f]+) ")
 # the record of code_lines
 CODE = "code lines"
@@ -274,10 +282,12 @@ def child(root: str, task: str, args: tuple, out: str) -> None:
     np.savez(out, **RECORDERS[task](*args))
 
 
-def run_child(root: Path, task: str, args: tuple, out: Path) -> dict:
+def run_child(root: Path, task: str, args: tuple, out: Path, env: dict | None = None) -> dict:
+    """The record of one recorder run on checkout root in a child process,
+    in the environment env (this process's if None)."""
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
             f"import compare; compare.child({str(root)!r}, {task!r}, {args!r}, {str(out)!r})")
-    subprocess.run([sys.executable, "-B", "-c", code], check=True)
+    subprocess.run([sys.executable, "-B", "-c", code], check=True, env=env)
     with np.load(out) as data:
         return {k: v.item() if v.ndim == 0 else v for k, v in data.items()}
 
@@ -342,10 +352,15 @@ def workload_lines(workload: str, p: dict, c: dict, worst: dict) -> list:
     return lines
 
 
+def quickstart_paths(rec: dict) -> list:
+    """The paths of a quick-start record, in the order they ran."""
+    return list(dict.fromkeys(k.split("/")[0] for k in rec))
+
+
 def report(parent: dict, change: dict) -> list:
     """The comparison lines of two checkouts' records: {workload: record}
-    for each workload, {name: record} for each QUICKSTARTS name, and
-    {CODE: code_lines}."""
+    for each workload, {name: record} for each QUICKSTARTS name, the same
+    for name + UNPINNED, and {CODE: code_lines}."""
     lines = []
     worst = dict.fromkeys([*ARRAYS, "quick-start field"])
     for name, p in parent.items():
@@ -353,13 +368,20 @@ def report(parent: dict, change: dict) -> list:
         if name == CODE:
             lines.append(f"code lines of src/helmsweep: {p} -> {c}")
         elif name in QUICKSTARTS:
-            for path in dict.fromkeys(k.split("/")[0] for k in p):
+            for path in quickstart_paths(p):
                 d = difference(p[path + "/field"], c[path + "/field"])
                 track(worst, "quick-start field", d)
                 lines.append(f"{name} {path}: iterations {arrow(p, c, path + '/iterations')}, "
                              f"strip solves {arrow(p, c, path + '/solves')}, "
                              f"true residual {arrow(p, c, path + '/true_residual', '{!r}')}, "
                              f"field {diff_text(d)}")
+        elif name.endswith(UNPINNED):
+            pinned = name[:-len(UNPINNED)]
+            for side, rec in (("parent", parent), ("change", change)):
+                diffs = {path: difference(rec[pinned][path + "/field"], rec[name][path + "/field"])
+                         for path in quickstart_paths(rec[name])}
+                lines.append(f"{name} fields against pinned, {side}: "
+                             + ", ".join(f"{path} {diff_text(d)}" for path, d in diffs.items()))
         else:
             lines += workload_lines(name, p, c, worst)
     lines.append("largest relative difference: "
@@ -377,8 +399,9 @@ def main(argv=None) -> int:
         if not (root / "src" / "helmsweep" / "__init__.py").is_file():
             print(f"compare: no helmsweep sources under {root}/src", file=sys.stderr)
             return 2
+    unpinned = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     # one BLAS thread, as the benchmark pins it, so reductions run in one order
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in THREAD_VARIABLES:
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(roots[1] / "src"), str(roots[1])]
@@ -387,11 +410,15 @@ def main(argv=None) -> int:
     records = tuple({CODE: code_lines(root)} for root in roots)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "record.npz"
-        for n, name in enumerate([*adapter.WORKLOADS, *QUICKSTARTS]):
+        names = [*adapter.WORKLOADS, *QUICKSTARTS, *(name + UNPINNED for name in QUICKSTARTS)]
+        for n, name in enumerate(names):
             # the two checkouts take turns to run first
             for side in (0, 1) if n % 2 == 0 else (1, 0):
                 if name in QUICKSTARTS:
                     records[side][name] = run_child(roots[side], "quick-start", (name,), out)
+                elif name.endswith(UNPINNED):
+                    records[side][name] = run_child(roots[side], "quick-start",
+                                                    (name[:-len(UNPINNED)],), out, unpinned)
                 else:
                     records[side][name] = {
                         **run_child(roots[side], "workload", (name,), out),
